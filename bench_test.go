@@ -1,9 +1,10 @@
 // Benchmarks reproducing the paper's complexity claims, one per
-// experiment of DESIGN.md's index (E1–E13). The paper is a theory
-// paper, so each "figure" is a complexity shape: the polynomial
-// fragments must scale polynomially (near-linearly in document
-// length for evaluation) and the hard families must blow up.
-// EXPERIMENTS.md records the measured shapes next to the claims.
+// experiment of spanbench's index (E1–E13, cmd/spanbench). The paper
+// is a theory paper, so each "figure" is a complexity shape: the
+// polynomial fragments must scale polynomially (near-linearly in
+// document length for evaluation) and the hard families must blow up.
+// `go run ./cmd/spanbench` prints the measured shapes next to the
+// claims.
 package spanners
 
 import (

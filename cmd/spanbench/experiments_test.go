@@ -25,7 +25,7 @@ func silence(t *testing.T) {
 
 // Every experiment table must complete in quick form. The tables are
 // the paper's complexity claims run live; a sweep that panics or
-// hangs here would take EXPERIMENTS.md regeneration down with it.
+// hangs here would take `spanbench`'s default mode down with it.
 func TestExperimentTablesQuick(t *testing.T) {
 	silence(t)
 	for _, e := range experiments {

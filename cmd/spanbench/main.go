@@ -1,8 +1,8 @@
-// Command spanbench regenerates the experiment tables of
-// EXPERIMENTS.md: for each complexity claim of the paper (Sections
-// 4–6) it runs the corresponding workload sweep and prints the
-// measured scaling, so the claimed tractable/intractable split can be
-// eyeballed directly.
+// Command spanbench prints the experiment tables E1–E13 (the README's
+// "spanbench" section lists the invocations): for each complexity
+// claim of the paper (Sections 4–6) it runs the corresponding workload
+// sweep and prints the measured scaling, so the claimed
+// tractable/intractable split can be eyeballed directly.
 //
 // Usage:
 //

@@ -110,7 +110,7 @@ func (m *boundaryMemo) stats() BoundaryMemoStats {
 }
 
 // bmCtx is one walk's view of the memo: the co-reach frontier of
-// every position interned once up front, a reusable key scratch, and
+// every boundary of the walk's window interned once up front, a reusable key scratch, and
 // an unlocked walk-local cache in front of the shared memo. Walks
 // are single-goroutine, so the local tier costs neither mutex nor
 // atomics — the dominant expense of the shared tier under profiling.
@@ -126,34 +126,32 @@ type bmCtx struct {
 	hits    uint64
 }
 
-// newBMCtx interns the per-position co-reach frontiers and returns
-// the walk context, or nil when memoization is off (no DFA to intern
-// through, or ForceNoBoundaryMemo) — callers then compute emissions
-// directly.
-func (e *Engine) newBMCtx(bwd []program.Bits) *bmCtx {
+// newBMCtx interns a window's co-reach frontiers and returns the walk
+// context, or nil when memoization is off (no DFA to intern through,
+// or ForceNoBoundaryMemo) — the walk then computes emissions directly.
+func (e *Engine) newBMCtx(co []program.Bits) *bmCtx {
 	if !e.DFAEnabled() || e.nomemo {
 		return nil
 	}
 	c := &bmCtx{
 		e:     e,
 		memo:  e.boundaryMemo(),
-		co:    make([]*program.DState, len(bwd)),
+		co:    make([]*program.DState, len(co)),
 		local: map[*program.DState]map[string][]progEmission{},
 	}
-	for i, b := range bwd {
-		if b != nil {
-			c.co[i], c.scratch = e.dfa.StateScratch(b, c.scratch)
-		}
+	for i, b := range co {
+		c.co[i], c.scratch = e.dfa.StateScratch(b, c.scratch)
 	}
 	return c
 }
 
-// emissions is the memoized boundaryEmissionsProg: key the set's bits
-// against the position's interned co-reach state and consult the
-// walk-local tier, then the shared memo, before computing. The
-// returned slice is shared and must not be mutated.
-func (c *bmCtx) emissions(set program.Bits, pos int) []progEmission {
-	co := c.co[pos]
+// emissions is the memoized boundaryEmissionsProg at the i-th
+// boundary of the window: key the set's bits against that boundary's
+// interned co-reach state and consult the walk-local tier, then the
+// shared memo, before computing. The returned slice is shared and
+// must not be mutated.
+func (c *bmCtx) emissions(set program.Bits, i int) []progEmission {
+	co := c.co[i]
 	c.scratch = set.AppendKey(c.scratch[:0])
 	inner := c.local[co]
 	if v, ok := inner[string(c.scratch)]; ok {

@@ -19,25 +19,13 @@ import (
 // The filter treats variable operations permissively (any operation
 // may fire regardless of discipline), so it is sound for sequential
 // and non-sequential automata alike.
-func (e *Engine) candidates(d *span.Document) map[span.Var][]span.Span {
-	if e.Compiled() {
-		return e.candidateSpansProg(d)
-	}
-	return e.candidateSpans(d)
-}
-
-// candidateSpans is the interpreted filter, walking va.Transition
-// slices; candidateSpansProg in compiled.go is the program-backed
+//
+// This is the interpreted filter, walking va.Transition slices over
+// the forward and backward reachability sweeps (fwd[pos][state]:
+// reachable from the start; bwd[pos][state]: final reachable from
+// here); candidateSpansProg in compiled.go is the program-backed
 // equivalent.
-func (e *Engine) candidateSpans(d *span.Document) map[span.Var][]span.Span {
-	// fwd[pos][state]: reachable from the start; bwd[pos][state]: final
-	// reachable from here.
-	return e.candidateSpansFrom(d, e.forwardReach(d), e.backwardReach(d))
-}
-
-// candidateSpansFrom is candidateSpans with both reachability sweeps
-// hoisted out, so the observed path can time them as separate stages.
-func (e *Engine) candidateSpansFrom(d *span.Document, fwd, bwd [][]bool) map[span.Var][]span.Span {
+func (e *Engine) candidateSpans(d *span.Document, fwd, bwd [][]bool) map[span.Var][]span.Span {
 	n := d.Len()
 	adj := e.a.Adj()
 	out := make(map[span.Var][]span.Span, len(e.vars))

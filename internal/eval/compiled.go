@@ -3,7 +3,6 @@ package eval
 import (
 	"math/bits"
 	"sort"
-	"strconv"
 
 	"spanners/internal/program"
 	"spanners/internal/span"
@@ -15,7 +14,7 @@ import (
 // instruction tables of internal/program. Frontiers are bitsets,
 // variable operations are uint64 masks, and each document position
 // classifies its rune once instead of probing every transition's
-// class predicate.
+// class predicate. The sequential enumeration walk is in walk.go.
 
 // evalSeqProg is Theorem 5.7 on the compiled program. The per-boundary
 // obligation sets of the interpreted evalSequential become uint64
@@ -450,137 +449,15 @@ func (e *Engine) evalFPTProg(d *span.Document, mu span.Extended) bool {
 	return false
 }
 
-// progOpAt records one fired operation during compiled enumeration.
-type progOpAt struct {
-	v    uint8
-	open bool
-	pos  int
-}
-
-// enumerateSequentialProg is the branch-per-boundary walk of
-// enumerateSequential on the compiled program: frontiers and
-// co-reachability are bitsets, boundary operation sets are uint64
-// masks over the program's global op codes. The emission order is
-// identical to the interpreted enumerator (choices are keyed by the
-// same canonical op-set strings).
-func (e *Engine) enumerateSequentialProg(d *span.Document, yield func(span.Mapping) bool) {
-	if e.prefilterRejects(d) {
-		return
-	}
-	e.enumerateSequentialProgFrom(d, e.backwardReachProg(d), yield)
-}
-
-// enumerateSequentialProgFrom is enumerateSequentialProg with the
-// co-reach sweep hoisted out, so the observed path can time the sweep
-// and the walk as separate stages.
-func (e *Engine) enumerateSequentialProgFrom(d *span.Document, bwd []program.Bits, yield func(span.Mapping) bool) {
-	p := e.prog
-	n := d.Len()
-
-	var fired []progOpAt
-	emit := func() bool {
-		m := make(span.Mapping)
-		opens := make(map[uint8]int, 2)
-		for _, f := range fired {
-			if f.open {
-				opens[f.v] = f.pos
-			} else {
-				m[p.Vars[f.v]] = span.Span{Start: opens[f.v], End: f.pos}
-			}
-		}
-		return yield(m)
-	}
-
-	start := program.NewBits(p.NumStates)
-	start.Set(p.Start)
-
-	// The boundary-emission memo carries choice sets across positions
-	// (and across documents): walks re-deriving the same (frontier,
-	// co-reach) pair pay one interned lookup instead of the BFS.
-	bm := e.newBMCtx(bwd)
-	defer bm.done()
-	emissions := func(set program.Bits, pos int) []progEmission {
-		if bm == nil {
-			return e.boundaryEmissionsProg(set, bwd[pos])
-		}
-		return bm.emissions(set, pos)
-	}
-
-	var dfs func(set program.Bits, pos int) bool
-	dfs = func(set program.Bits, pos int) bool {
-		for _, ch := range emissions(set, pos) {
-			if pos == n+1 {
-				if !ch.states.Intersects(p.Final) {
-					continue
-				}
-				for _, t := range ch.ops {
-					fired = append(fired, progOpAt{v: t.v, open: t.open, pos: pos})
-				}
-				ok := emit()
-				fired = fired[:len(fired)-len(ch.ops)]
-				if !ok {
-					return false
-				}
-				continue
-			}
-			next := e.letterAdvanceProg(ch.states, d.RuneAt(pos), bwd[pos+1])
-			if next == nil {
-				continue
-			}
-			for _, t := range ch.ops {
-				fired = append(fired, progOpAt{v: t.v, open: t.open, pos: pos})
-			}
-			ok := dfs(next, pos+1)
-			fired = fired[:len(fired)-len(ch.ops)]
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	dfs(start, 1)
-}
-
-// progOpTok is one operation of a boundary choice.
-type progOpTok struct {
-	v    uint8
-	open bool
-}
-
-// progEmission is one boundary choice of the compiled enumerator.
-type progEmission struct {
-	ops    []progOpTok
-	states program.Bits
-}
-
-// maskKey renders an op mask as the canonical sorted token string the
-// interpreted enumerator uses, so both enumerators emit in the same
-// order.
-func (e *Engine) maskKey(m uint64) string {
-	p := e.prog
-	toks := make([]string, 0, bits.OnesCount64(m))
-	for w := m; w != 0; w &= w - 1 {
-		b := bits.TrailingZeros64(w)
-		if b < 32 {
-			toks = append(toks, "o"+string(p.Vars[b]))
-		} else {
-			toks = append(toks, "c"+string(p.Vars[b-32]))
-		}
-	}
-	sort.Strings(toks)
-	k := ""
-	for _, t := range toks {
-		k += t + ";"
-	}
-	return k
-}
-
 // boundaryEmissionsProg enumerates the distinct operation sets firable
 // from the state set at one boundary via a (state, mask) BFS; the
 // global op codes serve directly as mask bits, so no per-boundary
 // universe needs interning and the 30-operation cap of the
 // interpreted enumerator disappears (the program itself bounds
-// variables at program.MaxVars).
+// variables at program.MaxVars). Choices come back in the engine's
+// emission order (opOrder), each with its operations by variable name,
+// open before close — the order the interpreted enumerator derives by
+// sorting key strings.
 func (e *Engine) boundaryEmissionsProg(set program.Bits, coReach program.Bits) []progEmission {
 	p := e.prog
 	// Fast path: no surviving state can fire an operation, so the only
@@ -636,52 +513,24 @@ func (e *Engine) boundaryEmissionsProg(set program.Bits, coReach program.Bits) [
 	for m := range byMask {
 		masks = append(masks, m)
 	}
-	sort.Slice(masks, func(i, j int) bool {
-		if (masks[i] == 0) != (masks[j] == 0) {
-			return masks[j] == 0
-		}
-		return e.maskKey(masks[i]) < e.maskKey(masks[j])
-	})
+	sort.Slice(masks, func(i, j int) bool { return e.order.less(masks[i], masks[j]) })
 
 	out := make([]progEmission, 0, len(masks))
 	for _, m := range masks {
+		// Program.Vars is sorted, so ascending ids are name order.
 		ops := make([]progOpTok, 0, bits.OnesCount64(m))
-		for w := m; w != 0; w &= w - 1 {
-			b := bits.TrailingZeros64(w)
-			if b < 32 {
-				ops = append(ops, progOpTok{v: uint8(b), open: true})
-			} else {
-				ops = append(ops, progOpTok{v: uint8(b - 32), open: false})
+		for w := uint32(m) | uint32(m>>32); w != 0; w &= w - 1 {
+			v := bits.TrailingZeros32(w)
+			if m&program.OpenBit(v) != 0 {
+				ops = append(ops, progOpTok{v: uint8(v), open: true})
+			}
+			if m&program.CloseBit(v) != 0 {
+				ops = append(ops, progOpTok{v: uint8(v)})
 			}
 		}
-		sort.Slice(ops, func(i, j int) bool {
-			if p.Vars[ops[i].v] != p.Vars[ops[j].v] {
-				return p.Vars[ops[i].v] < p.Vars[ops[j].v]
-			}
-			return ops[i].open && !ops[j].open
-		})
 		out = append(out, progEmission{ops: ops, states: byMask[m]})
 	}
 	return out
-}
-
-// letterAdvanceProg moves a state set across one letter, pruning by
-// co-reachability; nil means the branch died.
-func (e *Engine) letterAdvanceProg(set program.Bits, r rune, coReach program.Bits) program.Bits {
-	p := e.prog
-	c := p.ClassOf(r)
-	if c < 0 {
-		return nil
-	}
-	next := program.NewBits(p.NumStates)
-	if !p.LetterStep(set, c, next) {
-		return nil
-	}
-	next.And(coReach)
-	if !next.Any() {
-		return nil
-	}
-	return next
 }
 
 // countDFASweepMinStates gates the reverse-DFA co-reach sweep on the
@@ -692,78 +541,42 @@ func (e *Engine) letterAdvanceProg(set program.Bits, r rune, coReach program.Bit
 // while Match and the enumerator keep the DFA.
 const countDFASweepMinStates = 16
 
-// countProg is the memoized counting DP of Count on the compiled
-// program; memo keys are raw bitset words instead of formatted state
-// lists. Boundary choice sets resolve through the cross-position
-// emission memo, which dedups the per-position BFS the DP's own
-// (position, set) memo cannot.
+// countProg is Count on the compiled program: the walk's multiplicity
+// sweep over the whole document.
 func (e *Engine) countProg(d *span.Document) int {
 	if e.prefilterRejects(d) {
 		return 0
 	}
-	p := e.prog
-	nDoc := d.Len()
-	var bwd []program.Bits
-	if p.NumStates >= countDFASweepMinStates {
-		bwd = e.backwardReachProg(d)
+	var co []program.Bits
+	if e.prog.NumStates >= countDFASweepMinStates {
+		co = e.backwardReachProg(d)
 	} else {
-		bwd = e.backwardReachProgRaw(d)
+		co = e.coReachRaw(d, 1, d.Len()+1, e.finalCoReach())
 	}
-	bm := e.newBMCtx(bwd)
-	defer bm.done()
-	emissions := func(set program.Bits, pos int) []progEmission {
-		if bm == nil {
-			return e.boundaryEmissionsProg(set, bwd[pos])
-		}
-		return bm.emissions(set, pos)
-	}
-	memo := map[string]int{}
-	var count func(set program.Bits, pos int) int
-	count = func(set program.Bits, pos int) int {
-		key := strconv.Itoa(pos) + ":" + set.Key()
-		if c, ok := memo[key]; ok {
-			return c
-		}
-		total := 0
-		for _, ch := range emissions(set, pos) {
-			if pos == nDoc+1 {
-				if ch.states.Intersects(p.Final) {
-					total++
-				}
-				continue
-			}
-			next := e.letterAdvanceProg(ch.states, d.RuneAt(pos), bwd[pos+1])
-			if next != nil {
-				total += count(next, pos+1)
-			}
-		}
-		memo[key] = total
-		return total
-	}
-	start := program.NewBits(p.NumStates)
-	start.Set(p.Start)
-	return count(start, 1)
+	w := e.newSeqWalk(d, 1, d.Len()+1, co, false)
+	defer w.done()
+	return w.count(e.startSet())
 }
 
-// forwardReachProg computes, for every position, the states reachable
+// forwardReachProg computes, for every boundary, the states reachable
 // from the start reading the document prefix, operations treated
-// permissively as ε. With the DFA enabled the sweep is one memoized
+// permissively as ε. Like backwardReachProg it puts boundary 1 first
+// (out[pos-1]). With the DFA enabled the sweep is one memoized
 // transition per rune and the returned frontiers alias interned
 // (read-only) cache states; the bitset sweep remains as the fallback.
 func (e *Engine) forwardReachProg(d *span.Document) []program.Bits {
 	if e.DFAEnabled() {
 		if out, ok := e.dfa.ForwardFrontiers(d); ok {
-			return out
+			return out[1:]
 		}
 	}
 	p := e.prog
 	n := d.Len()
-	out := make([]program.Bits, n+2)
-	cur := program.NewBits(p.NumStates)
-	cur.Set(p.Start)
+	out := make([]program.Bits, n+1)
+	cur := e.startSet()
 	for pos := 1; pos <= n+1; pos++ {
 		p.OpClosure(cur, 0)
-		out[pos] = cur
+		out[pos-1] = cur
 		if pos == n+1 {
 			break
 		}
@@ -776,53 +589,27 @@ func (e *Engine) forwardReachProg(d *span.Document) []program.Bits {
 	return out
 }
 
-// backwardReachProg computes, for every position, the states from
+// backwardReachProg computes, for every boundary, the states from
 // which a final state is reachable reading the document suffix,
-// operations treated permissively as ε. The reverse DFA memoizes the
-// per-rune LetterStepBack + ROpClosure composition, which dominates
-// enumeration and counting on letter-heavy documents; frontiers it
-// returns alias interned (read-only) cache states.
+// operations treated permissively as ε. Boundary 1 comes first
+// (out[pos-1], the layout the walk takes for a window starting at 1).
+// The reverse DFA memoizes the per-rune LetterStepBack + ROpClosure
+// composition, which dominates enumeration and counting on
+// letter-heavy documents; frontiers it returns alias interned
+// (read-only) cache states.
 func (e *Engine) backwardReachProg(d *span.Document) []program.Bits {
 	if e.DFAEnabled() {
 		if out, ok := e.dfa.BackwardFrontiers(d); ok {
-			return out
+			return out[1:]
 		}
 	}
-	return e.backwardReachProgRaw(d)
-}
-
-// backwardReachProgRaw is the direct bitset co-reach sweep: the DFA
-// fallback, and the per-path choice of countProg on programs too
-// small for memoized stepping to pay.
-func (e *Engine) backwardReachProgRaw(d *span.Document) []program.Bits {
-	p := e.prog
-	n := d.Len()
-	out := make([]program.Bits, n+2)
-	cur := p.Final.Clone()
-	p.ROpClosure(cur)
-	out[n+1] = cur
-	for pos := n; pos >= 1; pos-- {
-		prev := program.NewBits(p.NumStates)
-		if c := p.ClassOf(d.RuneAt(pos)); c >= 0 {
-			p.LetterStepBack(cur, c, prev)
-		}
-		p.ROpClosure(prev)
-		out[pos] = prev
-		cur = prev
-	}
-	return out
+	return e.coReachRaw(d, 1, d.Len()+1, e.finalCoReach())
 }
 
 // candidateSpansProg is the candidate-span prefilter of
-// EnumerateFiltered on the compiled program.
-func (e *Engine) candidateSpansProg(d *span.Document) map[span.Var][]span.Span {
-	return e.candidateSpansProgFrom(d, e.forwardReachProg(d), e.backwardReachProg(d))
-}
-
-// candidateSpansProgFrom is candidateSpansProg with both reachability
-// sweeps hoisted out, so the observed path can time them as separate
-// stages.
-func (e *Engine) candidateSpansProgFrom(d *span.Document, fwd, bwd []program.Bits) map[span.Var][]span.Span {
+// EnumerateFiltered on the compiled program, given the forward and
+// backward reachability sweeps (boundary 1 first in both).
+func (e *Engine) candidateSpansProg(d *span.Document, fwd, bwd []program.Bits) map[span.Var][]span.Span {
 	p := e.prog
 	n := d.Len()
 
@@ -852,7 +639,7 @@ func (e *Engine) candidateSpansProgFrom(d *span.Document, fwd, bwd []program.Bit
 		next := program.NewBits(p.NumStates)
 		for _, oe := range opens[id] {
 			for pos := 1; pos <= n+1; pos++ {
-				if !fwd[pos].Has(int(oe.from)) {
+				if !fwd[pos-1].Has(int(oe.from)) {
 					continue
 				}
 				// Scan forward from the open, recording positions where
@@ -862,7 +649,7 @@ func (e *Engine) candidateSpansProgFrom(d *span.Document, fwd, bwd []program.Bit
 				for pp := pos; pp <= n+1; pp++ {
 					p.OpClosure(frontier, 0)
 					for _, ce := range closes[id] {
-						if frontier.Has(int(ce.from)) && bwd[pp].Has(int(ce.to)) {
+						if frontier.Has(int(ce.from)) && bwd[pp-1].Has(int(ce.to)) {
 							seen[span.Span{Start: pos, End: pp}] = true
 						}
 					}

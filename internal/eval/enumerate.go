@@ -27,14 +27,10 @@ import (
 // distinct branches produce distinct mappings and no deduplication is
 // needed. Outputs are emitted in deterministic order (boundary sets
 // in canonical order at each position).
-func (e *Engine) enumerateSequential(d *span.Document, yield func(span.Mapping) bool) {
-	e.enumerateSequentialFrom(d, e.backwardReach(d), yield)
-}
-
-// enumerateSequentialFrom is enumerateSequential with the co-reach
-// sweep hoisted out, so the observed path (EnumerateObserved) can time
-// the sweep and the walk as separate stages.
-func (e *Engine) enumerateSequentialFrom(d *span.Document, bwd [][]bool, yield func(span.Mapping) bool) {
+//
+// bwd is the co-reach sweep (backwardReach), run by the caller so it
+// can be timed as its own stage.
+func (e *Engine) enumerateSequential(d *span.Document, bwd [][]bool, yield func(span.Mapping) bool) {
 	n := d.Len()
 
 	// opAt records one fired operation for mapping reconstruction.

@@ -22,7 +22,9 @@
 // NewEngine lowers the VA through internal/program into a flat ε-free
 // instruction table (dense states, rune equivalence classes,
 // bit-packed variable operations, bitset frontiers), and the
-// algorithms in compiled.go run on those tables. The original
+// algorithms in compiled.go run on those tables; enumerating,
+// counting and re-walking an edited window of a sequential spanner
+// are one iterative boundary walk (walk.go). The original
 // transition-walking implementations are retained as the fallback for
 // automata the compiler rejects (more than program.MaxVars variables,
 // oversized dispatch tables) and for differential testing via
@@ -33,6 +35,7 @@ import (
 	"sort"
 	"sync"
 
+	"spanners/internal/obs"
 	"spanners/internal/program"
 	"spanners/internal/rgx"
 	"spanners/internal/span"
@@ -52,6 +55,10 @@ type Engine struct {
 	// prog exists (ablation and differential testing only).
 	prog        *program.Program
 	interpreted bool
+
+	// order is the emission order of the compiled walk's boundary
+	// choices, derived once from prog.Vars.
+	order *opOrder
 
 	// dfa is the lazy-DFA transition cache layered over prog — shared
 	// with every other engine executing the same program; nodfa forces
@@ -88,6 +95,7 @@ func NewEngine(a *va.VA) *Engine {
 	if p, err := program.Compile(a); err == nil {
 		e.prog = p
 		e.dfa = p.DFA()
+		e.order = newOpOrder(p.Vars)
 	}
 	return e
 }
@@ -110,6 +118,7 @@ func FromProgram(p *program.Program, sequential bool) *Engine {
 		sequential: sequential,
 		prog:       p,
 		dfa:        p.DFA(),
+		order:      newOpOrder(p.Vars),
 	}
 	e.varSet = make(map[span.Var]bool, len(e.vars))
 	for _, v := range e.vars {
@@ -645,7 +654,8 @@ func (e *Engine) evalFPT(d *span.Document, mu span.Extended) bool {
 // proves it possible (Theorem 5.1 + 5.7). Three strategies exist:
 //
 //   - sequential automata use a direct branch-per-boundary walk whose
-//     every branch provably yields output (delay O(|d|·|δ|));
+//     every branch provably yields output (delay O(|d|·|δ|)) — on the
+//     compiled program the iterative walk of walk.go;
 //   - other automata fall back to EnumerateFiltered, Algorithm 2 with
 //     a reachability prefilter on candidate spans;
 //   - EnumerateOracle is the paper's Algorithm 2 verbatim, kept for
@@ -654,15 +664,7 @@ func (e *Engine) evalFPT(d *span.Document, mu span.Extended) bool {
 // All three emit the same mapping set; orders differ between the
 // direct and oracle strategies but each is deterministic.
 func (e *Engine) Enumerate(d *span.Document, yield func(span.Mapping) bool) {
-	if e.sequential {
-		if e.Compiled() {
-			e.enumerateSequentialProg(d, yield)
-			return
-		}
-		e.enumerateSequential(d, yield)
-		return
-	}
-	e.EnumerateFiltered(d, yield)
+	e.EnumerateObserved(d, nil, yield)
 }
 
 // EnumerateFiltered implements Algorithm 2 with a candidate-span
@@ -674,16 +676,34 @@ func (e *Engine) Enumerate(d *span.Document, yield func(span.Mapping) bool) {
 // Variables are fixed in sorted order, candidate spans in
 // lexicographic order, ⊥ last.
 func (e *Engine) EnumerateFiltered(d *span.Document, yield func(span.Mapping) bool) {
-	if !e.Eval(d, span.Extended{}) {
-		return
-	}
-	e.enumerateFilteredFrom(d, e.candidates(d), yield)
+	e.enumerateFiltered(d, nil, yield)
 }
 
-// enumerateFilteredFrom is the probing walk of EnumerateFiltered with
-// the emptiness check and candidate sweep hoisted out, so the observed
-// path can time the three phases as separate stages.
-func (e *Engine) enumerateFilteredFrom(d *span.Document, candidates map[span.Var][]span.Span, yield func(span.Mapping) bool) {
+// enumerateFiltered is EnumerateFiltered reporting its phases —
+// emptiness check, the two reachability sweeps, the candidate sweep,
+// the probing walk — to clk.
+func (e *Engine) enumerateFiltered(d *span.Document, clk *stageClock, yield func(span.Mapping) bool) {
+	nonEmpty := e.Eval(d, span.Extended{})
+	clk.mark(obs.StageEval)
+	if !nonEmpty {
+		return
+	}
+	var candidates map[span.Var][]span.Span
+	if e.Compiled() {
+		fwd := e.forwardReachProg(d)
+		clk.mark(obs.StageForwardSweep)
+		bwd := e.backwardReachProg(d)
+		clk.mark(obs.StageCoReachSweep)
+		candidates = e.candidateSpansProg(d, fwd, bwd)
+	} else {
+		fwd := e.forwardReach(d)
+		clk.mark(obs.StageForwardSweep)
+		bwd := e.backwardReach(d)
+		clk.mark(obs.StageCoReachSweep)
+		candidates = e.candidateSpans(d, fwd, bwd)
+	}
+	clk.mark(obs.StageCandidateSweep)
+
 	var rec func(mu span.Extended, rest []span.Var) bool
 	rec = func(mu span.Extended, rest []span.Var) bool {
 		if len(rest) == 0 {
@@ -709,6 +729,7 @@ func (e *Engine) enumerateFilteredFrom(d *span.Document, candidates map[span.Var
 	vars := append([]span.Var(nil), e.vars...)
 	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
 	rec(span.Extended{}, vars)
+	clk.mark(obs.StageEnumerate)
 }
 
 // EnumerateOracle is the paper's Algorithm 2 verbatim: every span of

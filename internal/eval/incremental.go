@@ -31,9 +31,10 @@ import (
 //  1. Crossing check: if f1[P] ∩ b1[P] = ∅ then no accepting run
 //     fires ops both before and at-or-after boundary P, so every
 //     nonempty mapping lies entirely on one side of P.
-//  2. Ordering: the enumerator sorts boundary choices with nonzero op
-//     masks before the zero mask, so all mappings whose ops lie below
-//     a crossing-free cut A form a contiguous prefix of the ordered
+//  2. Ordering: the enumerator tries op-firing boundary choices
+//     before the do-nothing choice ("Emission order",
+//     docs/ARCHITECTURE.md), so all mappings whose ops lie below a
+//     crossing-free cut A form a contiguous prefix of the ordered
 //     output, all mappings at-or-after a crossing-free cut B form a
 //     contiguous suffix (before the empty mapping), and the dirty
 //     window [A, B) can be re-walked in isolation and concatenated
@@ -217,6 +218,12 @@ func opExtent(m span.Mapping) (mn, mx int) {
 	return mn, mx
 }
 
+// appendIncMapping caches one nonempty mapping with its extent.
+func appendIncMapping(out []incMapping, m span.Mapping) []incMapping {
+	mn, mx := opExtent(m)
+	return append(out, incMapping{m: m, minPos: mn, maxPos: mx})
+}
+
 // bitsEq reports word-wise equality of two same-width bitsets.
 func bitsEq(a, b program.Bits) bool {
 	for i := range a {
@@ -291,10 +298,9 @@ func (s *IncState) rebuild() {
 	s.e.Enumerate(d, func(m span.Mapping) bool {
 		if len(m) == 0 {
 			s.emptyOK = true
-			return true
+		} else {
+			s.results = appendIncMapping(s.results, m)
 		}
-		mn, mx := opExtent(m)
-		s.results = append(s.results, incMapping{m: m, minPos: mn, maxPos: mx})
 		return true
 	})
 	s.snaps = s.sweepAll(d)
@@ -470,8 +476,7 @@ func (s *IncState) Splice(off, del int, ins string) (SpliceResult, error) {
 		}
 	}
 	if startSet == nil {
-		startSet = program.NewBits(p.NumStates)
-		startSet.Set(p.Start)
+		startSet = s.e.startSet()
 	}
 
 	// Cut B: the smallest crossing-free suffix snapshot at or past the
@@ -537,94 +542,28 @@ func (s *IncState) Splice(off, del int, ins string) (SpliceResult, error) {
 	return res, nil
 }
 
-// windowWalk re-runs the enumerator's boundary walk over [A, B) of the
-// new document, emitting exactly the mappings whose ops all lie in the
-// window. With B == 0 the window is open-ended (to the document end);
-// otherwise completion from B is letters-only through targetB0, the
-// cached b0 at the cut. The walk reproduces the enumerator's choice
-// ordering, so the output concatenates between the reused prefix and
-// suffix of the cached result list.
+// windowWalk runs the enumerator's walk (walk.go) over the window
+// [A, B) of the new document, emitting exactly the nonempty mappings
+// whose ops all lie in the window. With B == 0 the window is
+// open-ended (to the document end); otherwise B is a cut from which
+// completion is letters-only through targetB0, the cached b0 there.
+// Emission order is the enumerator's, so the output concatenates
+// between the reused prefix and suffix of the cached result list.
 func (s *IncState) windowWalk(d *span.Document, A, B int, startSet, targetB0 program.Bits) []incMapping {
 	e := s.e
-	p := e.prog
-	n := d.Len()
-	bounded := B > 0
-	if bounded && A == B {
-		return nil
+	hi, seed, cut := d.Len()+1, e.finalCoReach(), false
+	if B > 0 {
+		hi, seed, cut = B, targetB0, true
 	}
-	hi := B
-	if !bounded {
-		hi = n + 1
-	}
-
-	// Window-local co-reach: cw[pos-A] holds the states that can still
-	// complete the window (reach targetB0 at B firing ops only inside
-	// the window, or reach Final when the window is open-ended).
-	cw := make([]program.Bits, hi-A+1)
-	if bounded {
-		cw[hi-A] = targetB0
-	} else {
-		last := p.Final.Clone()
-		p.ROpClosure(last)
-		cw[hi-A] = last
-	}
-	for pos := hi - 1; pos >= A; pos-- {
-		prev := program.NewBits(p.NumStates)
-		if c := p.ClassOf(d.RuneAt(pos)); c >= 0 {
-			p.LetterStepBack(cw[pos+1-A], c, prev)
-		}
-		p.ROpClosure(prev)
-		cw[pos-A] = prev
-	}
-
+	w := e.newSeqWalk(d, A, hi, e.coReachRaw(d, A, hi, seed), cut)
+	defer w.done()
 	var out []incMapping
-	var fired []progOpAt
-	emit := func() {
-		m := make(span.Mapping)
-		opens := make(map[uint8]int, 2)
-		for _, f := range fired {
-			if f.open {
-				opens[f.v] = f.pos
-			} else {
-				m[p.Vars[f.v]] = span.Span{Start: opens[f.v], End: f.pos}
-			}
+	w.run(startSet, func(fired []firedOp) bool {
+		if len(fired) > 0 {
+			out = appendIncMapping(out, e.mappingOf(fired))
 		}
-		mn, mx := opExtent(m)
-		out = append(out, incMapping{m: m, minPos: mn, maxPos: mx})
-	}
-
-	var dfs func(set program.Bits, pos int)
-	dfs = func(set program.Bits, pos int) {
-		if bounded && pos == B {
-			if len(fired) > 0 {
-				emit()
-			}
-			return
-		}
-		for _, ch := range e.boundaryEmissionsProg(set, cw[pos-A]) {
-			if !bounded && pos == n+1 {
-				if !ch.states.Intersects(p.Final) || len(fired)+len(ch.ops) == 0 {
-					continue
-				}
-				for _, t := range ch.ops {
-					fired = append(fired, progOpAt{v: t.v, open: t.open, pos: pos})
-				}
-				emit()
-				fired = fired[:len(fired)-len(ch.ops)]
-				continue
-			}
-			next := e.letterAdvanceProg(ch.states, d.RuneAt(pos), cw[pos+1-A])
-			if next == nil {
-				continue
-			}
-			for _, t := range ch.ops {
-				fired = append(fired, progOpAt{v: t.v, open: t.open, pos: pos})
-			}
-			dfs(next, pos+1)
-			fired = fired[:len(fired)-len(ch.ops)]
-		}
-	}
-	dfs(startSet, A)
+		return true
+	})
 	return out
 }
 

@@ -13,13 +13,18 @@ import (
 
 // incPatterns is the differential corpus: leading/trailing wildcards,
 // optional variables, multi-variable rows, an always-empty-capable
-// alternative, and the weblog shape of the flagship scenario.
+// alternative, the weblog shape of the flagship scenario, alternatives
+// that fire different op sets at one boundary around an optional
+// variable (partial mappings), and a spanner every document of which
+// yields the empty mapping.
 var incPatterns = []string{
 	`.*(x{ab*}c).*`,
 	`.*(m{a+}b(y{c*}|)d).*`,
 	`.*(x{a+}b.*|)`,
 	`.*(Seller: x{[^,\n]*}, ID(y{\d*})\n).*`,
 	`.*(\n|())m{GET|POST} (p{[^ ]*}) st{\d\d\d}\n.*`,
+	`.*(x{a}|x1{a}y{b}|y{ab})(z{c}|).*`,
+	`(x{a*}|)(.*y{bc}.*|.*)`,
 }
 
 func incEngine(t *testing.T, expr string) *Engine {
@@ -66,30 +71,67 @@ func assertIncremental(t *testing.T, inc *IncState, e *Engine, ctx string) {
 // maintained result set is identical (values and order) to a full
 // re-extraction of the edited document.
 func TestIncrementalDifferential(t *testing.T) {
-	alphabet := []rune("aabbccd \nx159GETPOST/,:ISelr")
 	for pi, expr := range incPatterns {
+		// The one walker serves a session in three modes — the whole
+		// document (build), a window cut at B, a window open to the
+		// document end — and resolves emissions through the boundary
+		// memo in each.
 		e := incEngine(t, expr)
-		rng := rand.New(rand.NewSource(int64(100 + pi)))
-		doc := span.NewDocument(randText(rng, alphabet, 60))
-		for _, blockK := range []int{4, 16} {
-			inc := newIncremental(e, doc, blockK)
-			assertIncremental(t, inc, e, fmt.Sprintf("pattern %d initial", pi))
-			for step := 0; step < 35; step++ {
-				n := inc.Doc().Len()
-				off := rng.Intn(n + 1)
-				del := 0
-				if n-off > 0 {
-					del = rng.Intn(min(n-off, 9) + 1)
-				}
-				ins := randText(rng, alphabet, rng.Intn(9))
-				if _, err := inc.Splice(off, del, ins); err != nil {
-					t.Fatalf("pattern %d step %d: splice(%d,%d,%q): %v", pi, step, off, del, ins, err)
-				}
-				assertIncremental(t, inc, e,
-					fmt.Sprintf("pattern %d blockK %d step %d splice(%d,%d,%q)", pi, blockK, step, off, del, ins))
-			}
+		if hits := incScript(t, e, pi); hits == 0 {
+			t.Errorf("pattern %d: no boundary-memo hit during any splice; window walks bypass the memo", pi)
+		}
+		for _, knob := range []func(*Engine){
+			(*Engine).ForceNoBoundaryMemo,
+			(*Engine).ForceNoDFA,
+			func(e *Engine) { e.SetBoundaryMemoBudget(1) },
+		} {
+			e := incEngine(t, expr)
+			knob(e)
+			incScript(t, e, pi)
 		}
 	}
+}
+
+// incScript runs the randomized edit script of pattern pi on e,
+// comparing with a from-scratch run after every splice, and returns
+// the boundary-memo hits counted while splicing.
+func incScript(t *testing.T, e *Engine, pi int) (spliceHits uint64) {
+	t.Helper()
+	alphabet := []rune("aabbccd \nx159GETPOST/,:ISelr")
+	rng := rand.New(rand.NewSource(int64(100 + pi)))
+	doc := span.NewDocument(randText(rng, alphabet, 60))
+	bounded, open := 0, 0
+	for _, blockK := range []int{4, 16} {
+		inc := newIncremental(e, doc, blockK)
+		assertIncremental(t, inc, e, fmt.Sprintf("pattern %d initial", pi))
+		for step := 0; step < 35; step++ {
+			n := inc.Doc().Len()
+			off := rng.Intn(n + 1)
+			del := 0
+			if n-off > 0 {
+				del = rng.Intn(min(n-off, 9) + 1)
+			}
+			ins := randText(rng, alphabet, rng.Intn(9))
+			before, _ := e.BoundaryMemoStats()
+			res, err := inc.Splice(off, del, ins)
+			if err != nil {
+				t.Fatalf("pattern %d step %d: splice(%d,%d,%q): %v", pi, step, off, del, ins, err)
+			}
+			after, _ := e.BoundaryMemoStats()
+			spliceHits += after.Hits - before.Hits
+			if res.WindowEnd > 0 {
+				bounded++
+			} else {
+				open++
+			}
+			assertIncremental(t, inc, e,
+				fmt.Sprintf("pattern %d blockK %d step %d splice(%d,%d,%q)", pi, blockK, step, off, del, ins))
+		}
+	}
+	if bounded == 0 || open == 0 {
+		t.Errorf("pattern %d: %d bounded and %d open-ended windows; the script must exercise both", pi, bounded, open)
+	}
+	return spliceHits
 }
 
 func randText(rng *rand.Rand, alphabet []rune, n int) string {

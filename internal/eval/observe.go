@@ -19,18 +19,14 @@ import (
 // quantity the polynomial-delay bound of Theorems 5.1/5.7 speaks
 // about.
 //
-// A nil observer (or one with both callbacks nil) delegates straight
-// to Enumerate, so the uninstrumented path pays two pointer tests.
+// This is the engine's one strategy switch: Enumerate is the call with
+// a nil observer, which reads no clock at all.
 func (e *Engine) EnumerateObserved(d *span.Document, o *obs.StageObserver, yield func(span.Mapping) bool) {
-	if o == nil || (o.Stage == nil && o.Delay == nil) {
-		e.Enumerate(d, yield)
-		return
+	var clk *stageClock
+	if o != nil && o.Stage != nil {
+		clk = &stageClock{stage: o.Stage, last: time.Now()}
 	}
-	stage := o.Stage
-	if stage == nil {
-		stage = func(string, time.Duration) {}
-	}
-	if o.Delay != nil {
+	if o != nil && o.Delay != nil {
 		inner := yield
 		last := time.Now()
 		yield = func(m span.Mapping) bool {
@@ -41,60 +37,41 @@ func (e *Engine) EnumerateObserved(d *span.Document, o *obs.StageObserver, yield
 		}
 	}
 
-	// Adjacent stages share one clock reading: the end of a stage is
-	// the start of the next, halving the time.Now calls on the hot
-	// request path.
-	if e.sequential {
-		t0 := time.Now()
-		if e.Compiled() {
-			if e.prefilterRejects(d) {
-				stage(obs.StageCoReachSweep, time.Since(t0))
-				return
-			}
-			bwd := e.backwardReachProg(d)
-			t1 := time.Now()
-			stage(obs.StageCoReachSweep, t1.Sub(t0))
-			e.enumerateSequentialProgFrom(d, bwd, yield)
-			stage(obs.StageEnumerate, time.Since(t1))
-			return
-		}
+	switch {
+	case !e.sequential:
+		e.enumerateFiltered(d, clk, yield)
+	case !e.Compiled():
 		bwd := e.backwardReach(d)
-		t1 := time.Now()
-		stage(obs.StageCoReachSweep, t1.Sub(t0))
-		e.enumerateSequentialFrom(d, bwd, yield)
-		stage(obs.StageEnumerate, time.Since(t1))
-		return
+		clk.mark(obs.StageCoReachSweep)
+		e.enumerateSequential(d, bwd, yield)
+		clk.mark(obs.StageEnumerate)
+	case e.prefilterRejects(d):
+		clk.mark(obs.StageCoReachSweep)
+	default:
+		co := e.backwardReachProg(d)
+		clk.mark(obs.StageCoReachSweep)
+		w := e.newSeqWalk(d, 1, d.Len()+1, co, false)
+		w.run(e.startSet(), func(fired []firedOp) bool { return yield(e.mappingOf(fired)) })
+		w.done()
+		clk.mark(obs.StageEnumerate)
 	}
+}
 
-	t0 := time.Now()
-	nonEmpty := e.Eval(d, span.Extended{})
-	t1 := time.Now()
-	stage(obs.StageEval, t1.Sub(t0))
-	if !nonEmpty {
+// stageClock reports pipeline phases to an observer's Stage callback.
+// Adjacent stages share one clock reading — the end of a stage is the
+// start of the next — and a nil clock is the unobserved path: mark
+// does nothing.
+type stageClock struct {
+	stage func(string, time.Duration)
+	last  time.Time
+}
+
+// mark ends the stage that began at the previous mark.
+func (c *stageClock) mark(name string) {
+	if c == nil {
 		return
 	}
-	var candidates map[span.Var][]span.Span
-	if e.Compiled() {
-		fwd := e.forwardReachProg(d)
-		t2 := time.Now()
-		stage(obs.StageForwardSweep, t2.Sub(t1))
-		bwd := e.backwardReachProg(d)
-		t3 := time.Now()
-		stage(obs.StageCoReachSweep, t3.Sub(t2))
-		candidates = e.candidateSpansProgFrom(d, fwd, bwd)
-		t1 = time.Now()
-		stage(obs.StageCandidateSweep, t1.Sub(t3))
-	} else {
-		fwd := e.forwardReach(d)
-		t2 := time.Now()
-		stage(obs.StageForwardSweep, t2.Sub(t1))
-		bwd := e.backwardReach(d)
-		t3 := time.Now()
-		stage(obs.StageCoReachSweep, t3.Sub(t2))
-		candidates = e.candidateSpansFrom(d, fwd, bwd)
-		t1 = time.Now()
-		stage(obs.StageCandidateSweep, t1.Sub(t3))
-	}
-	e.enumerateFilteredFrom(d, candidates, yield)
-	stage(obs.StageEnumerate, time.Since(t1))
+	now := time.Now()
+	c.stage(name, now.Sub(c.last))
+	c.last = now
 }

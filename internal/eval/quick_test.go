@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spanners/internal/program"
+	"spanners/internal/rgx"
 	"spanners/internal/runeclass"
 	"spanners/internal/span"
 	"spanners/internal/va"
@@ -136,32 +137,82 @@ func TestDifferentialEnumerationOrder(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 300 && checked < 80; trial++ {
 		n := randomExpr(rng, 3, []span.Var{"x", "y"})
-		a := va.FromRGX(n)
-		eng := NewEngine(a)
-		if !eng.Sequential() || !eng.Compiled() {
+		eng, interp, ok := orderEngines(n)
+		if !ok {
 			continue
 		}
 		checked++
-		interp := NewEngine(a)
-		interp.ForceInterpreted()
 		for _, text := range []string{"", "ab", randomDoc(rng)} {
-			d := span.NewDocument(text)
-			var got, want []string
-			eng.Enumerate(d, func(m span.Mapping) bool { got = append(got, m.Key()); return true })
-			interp.Enumerate(d, func(m span.Mapping) bool { want = append(want, m.Key()); return true })
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: %d vs %d outputs on %v / %q", trial, len(got), len(want), n, text)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d: order diverges at %d on %v / %q:\ncompiled    %v\ninterpreted %v",
-						trial, i, n, text, got, want)
-				}
-			}
+			assertSameOrder(t, eng, interp, n, text)
 		}
 	}
 	if checked == 0 {
 		t.Fatal("generator produced no sequential automata")
+	}
+
+	// Names where one is a prefix of another: the interpreted key
+	// strings terminate tokens with ';', which sorts after digits and
+	// before letters and '_', so {open x1} precedes {open x} although
+	// "ox" < "ox1". The compiled rank table must reproduce that.
+	for _, expr := range []string{
+		`x{a}|x1{a}`,
+		`.*(x{a}|x1{a}|x_{a}|X{a}|é{a}).*`,
+		`(x{a}|x1{a})(x_{b}|X{b}|)`,
+		`x{y1{a}}|x1{y{a}}|y{x1{a}}|y1{x{a}}`,
+		`.*(x{a}b|x1{ab}|x{a}x1{b}).*`,
+	} {
+		n := rgx.MustParse(expr)
+		eng, interp, ok := orderEngines(n)
+		if !ok {
+			t.Fatalf("%q is not a compiled sequential spanner", expr)
+		}
+		for _, text := range []string{"", "a", "ab", "aab", "abab"} {
+			assertSameOrder(t, eng, interp, n, text)
+		}
+	}
+	for trial := 0; trial < 150; trial++ {
+		n := randomExpr(rng, 3, []span.Var{"x", "x1", "x_", "X"})
+		if eng, interp, ok := orderEngines(n); ok {
+			assertSameOrder(t, eng, interp, n, "ab")
+			assertSameOrder(t, eng, interp, n, randomDoc(rng))
+		}
+	}
+	var first span.Mapping
+	CompileRGX(rgx.MustParse(`x{a}|x1{a}`)).Enumerate(span.NewDocument("a"), func(m span.Mapping) bool {
+		first = m
+		return false
+	})
+	if _, ok := first["x1"]; !ok {
+		t.Fatalf("x{a}|x1{a}: first mapping is %v, want the x1 branch (\"ox1;\" < \"ox;\")", first)
+	}
+}
+
+// orderEngines returns the compiled and interpreted engines of n; ok
+// is false when n is not a compiled sequential spanner.
+func orderEngines(n rgx.Node) (eng, interp *Engine, ok bool) {
+	a := va.FromRGX(n)
+	eng = NewEngine(a)
+	interp = NewEngine(a)
+	interp.ForceInterpreted()
+	return eng, interp, eng.Sequential() && eng.Compiled()
+}
+
+// assertSameOrder compares the two enumerators on text, mapping by
+// mapping.
+func assertSameOrder(t *testing.T, eng, interp *Engine, n rgx.Node, text string) {
+	t.Helper()
+	d := span.NewDocument(text)
+	var got, want []string
+	eng.Enumerate(d, func(m span.Mapping) bool { got = append(got, m.Key()); return true })
+	interp.Enumerate(d, func(m span.Mapping) bool { want = append(want, m.Key()); return true })
+	if len(got) != len(want) {
+		t.Fatalf("%d vs %d outputs on %v / %q", len(got), len(want), n, text)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("order diverges at %d on %v / %q:\ncompiled    %v\ninterpreted %v",
+				i, n, text, got, want)
+		}
 	}
 }
 

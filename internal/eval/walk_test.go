@@ -1,0 +1,166 @@
+package eval
+
+import (
+	"math/rand"
+	"runtime/debug"
+	"sort"
+	"strings"
+	"testing"
+
+	"spanners/internal/program"
+	"spanners/internal/rgx"
+	"spanners/internal/span"
+)
+
+// keyString spells out the canonical key of an op mask the way the
+// interpreted enumerator does (keyOf in enumerate.go, the executable
+// definition of the emission order): tokens "o"+name / "c"+name,
+// sorted as plain strings, each followed by ';'.
+func keyString(vars []span.Var, m uint64) string {
+	var toks []string
+	for v, name := range vars {
+		if m&program.OpenBit(v) != 0 {
+			toks = append(toks, "o"+string(name))
+		}
+		if m&program.CloseBit(v) != 0 {
+			toks = append(toks, "c"+string(name))
+		}
+	}
+	sort.Strings(toks)
+	k := ""
+	for _, t := range toks {
+		k += t + ";"
+	}
+	return k
+}
+
+// TestOpOrderMatchesKeyStrings: the compiled rank table orders every
+// pair of op masks exactly as the key strings do. The fixed sets put
+// one name's terminator against another's next rune ('1' < ';' < '_',
+// letters), which a table ranking unterminated tokens gets wrong.
+func TestOpOrderMatchesKeyStrings(t *testing.T) {
+	check := func(vars []span.Var, order *opOrder, a, b uint64, ka, kb string) {
+		want := ka < kb
+		if (a == 0) != (b == 0) {
+			want = b == 0
+		}
+		if got := order.less(a, b); got != want {
+			t.Helper()
+			t.Fatalf("vars %v: less(%#x, %#x) = %v, key strings %q < %q say %v", vars, a, b, got, ka, kb, want)
+		}
+	}
+	// spread maps the low 2k bits of i onto the open and close bits of
+	// k variables.
+	spread := func(i uint64, k int) uint64 {
+		low := uint64(1)<<k - 1
+		return i&low | (i>>k&low)<<32
+	}
+
+	for _, names := range [][]span.Var{
+		{"x", "x1"},
+		{"x", "x1", "x_", "X", "é"},
+		{"a", "a0", "a00", "aa"},
+		{"v", "v9", "vA", "vé"},
+	} {
+		vars := append([]span.Var(nil), names...)
+		sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
+		k, order := len(vars), newOpOrder(vars)
+		keys := make([]string, 1<<(2*k))
+		for i := range keys {
+			keys[i] = keyString(vars, spread(uint64(i), k))
+		}
+		for i, ki := range keys {
+			for j, kj := range keys {
+				check(vars, order, spread(uint64(i), k), spread(uint64(j), k), ki, kj)
+			}
+		}
+	}
+	if newOpOrder([]span.Var{"x", "x1"}).less(program.OpenBit(0), program.OpenBit(1)) {
+		t.Fatal(`{open x} sorted before {open x1}, but "ox1;" < "ox;"`)
+	}
+
+	rng := rand.New(rand.NewSource(2031))
+	alphabet := []rune("xy1_Xé0")
+	for trial := 0; trial < 200; trial++ {
+		seen := map[span.Var]bool{}
+		for len(seen) < 1+rng.Intn(program.MaxVars) {
+			name := []rune{alphabet[rng.Intn(2)]}
+			for rng.Intn(3) > 0 {
+				name = append(name, alphabet[rng.Intn(len(alphabet))])
+			}
+			seen[span.Var(string(name))] = true
+		}
+		var vars []span.Var
+		for v := range seen {
+			vars = append(vars, v)
+		}
+		sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
+		k, order := len(vars), newOpOrder(vars)
+		for pair := 0; pair < 200; pair++ {
+			// Sparse masks sharing a prefix, so comparisons reach past
+			// the first token.
+			a := spread(rng.Uint64()&rng.Uint64()&rng.Uint64(), k)
+			b := a ^ spread(1<<rng.Intn(2*k), k)
+			c := spread(rng.Uint64()&rng.Uint64(), k)
+			ka, kb, kc := keyString(vars, a), keyString(vars, b), keyString(vars, c)
+			check(vars, order, a, b, ka, kb)
+			check(vars, order, b, a, kb, ka)
+			check(vars, order, a, c, ka, kc)
+		}
+	}
+}
+
+// TestWalkDepthIndependentOfDocumentLength: a long single-match
+// document must not cost one stack frame per position. Under a 1 MiB
+// stack the recursive enumerator died at boundary ≈ 3 740.
+func TestWalkDepthIndependentOfDocumentLength(t *testing.T) {
+	old := debug.SetMaxStack(1 << 20)
+	defer debug.SetMaxStack(old)
+
+	e := CompileRGX(rgx.MustParse(`[a-z ]*k{x{[0-9]+}}[a-z ]*`))
+	if !e.Compiled() || !e.Sequential() {
+		t.Fatal("pattern did not compile to a sequential program")
+	}
+	const half = 25_000
+	text := strings.Repeat("a", half-3) + " k42 " + strings.Repeat("b", half-2)
+	d := span.NewDocument(text)
+	if d.Len() != 2*half {
+		t.Fatalf("document has %d runes", d.Len())
+	}
+	want := span.Mapping{"k": span.Sp(half, half+2), "x": span.Sp(half, half+2)}
+	assertOne := func(ctx string, got []span.Mapping) {
+		t.Helper()
+		if len(got) != 1 || !got[0].Equal(want) {
+			t.Fatalf("%s: got %v, want [%v]", ctx, got, want)
+		}
+	}
+
+	assertOne("Enumerate", fullMappings(e, d))
+	if n := e.Count(d); n != 1 {
+		t.Fatalf("Count = %d, want 1", n)
+	}
+	inc, ok := NewIncremental(e, d)
+	if !ok {
+		t.Fatal("NewIncremental refused a compiled sequential engine")
+	}
+	assertOne("NewIncremental", inc.Mappings())
+
+	// A stray digit in the b-run falsifies every run; repairing it
+	// changes the frontiers of the whole document, so neither resweep
+	// re-converges and the window is the open-ended [1, end].
+	off := half + half/2
+	if _, err := inc.Splice(off, 1, "9"); err != nil {
+		t.Fatal(err)
+	}
+	if inc.Len() != 0 {
+		t.Fatalf("stray digit left %d mappings", inc.Len())
+	}
+	res, err := inc.Splice(off, 1, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.WindowStart != 1 || res.WindowEnd != 0 {
+		t.Fatalf("repair splice walked [%d, %d), want the open-ended window from 1", res.WindowStart, res.WindowEnd)
+	}
+	assertOne("Splice", inc.Mappings())
+}

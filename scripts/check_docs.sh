@@ -6,6 +6,8 @@
 #      comment on the line directly above its declaration.
 #   2. link integrity: every relative markdown link in README.md and
 #      docs/*.md must point at a file that exists.
+#   3. comment references: every UPPERCASE.md a Go comment names must
+#      be a file somewhere in the tree.
 #
 # Run from the repository root.
 set -uo pipefail
@@ -50,6 +52,16 @@ for md in README.md docs/*.md; do
     fi
   done < <(grep -oE '\]\([^)]+\)' "$md" | sed -e 's/^](//' -e 's/)$//')
 done
+
+echo "== markdown files named in Go comments"
+while IFS=: read -r file line text; do
+  for name in $(grep -oE '[A-Z_]+\.md' <<<"${text#*//}"); do
+    if [ -z "$(find . -name "$name" -not -path './.git/*' -not -path './.bench_build/*' -print -quit)" ]; then
+      echo "$file:$line: comment names $name, which is not in the tree" >&2
+      fail=1
+    fi
+  done
+done < <(grep -rnE --include='*.go' --exclude-dir=.git --exclude-dir=.bench_build '//.*[A-Z_]+\.md' .)
 
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAIL" >&2

@@ -78,10 +78,10 @@ func runIncrementalBench(quick bool, jsonPath string) incReport {
 
 	fmt.Println("== incremental re-extraction vs full re-extraction (same compiled spanner)")
 
-	// Full re-extraction is quadratic in lines on this pattern (n
-	// mappings at O(n) delay each), so 1024 keeps the full side's
-	// measured calls in CI range while leaving the speedups far above
-	// the gate floor.
+	// Full re-extraction sweeps the whole document and emits every
+	// mapping, linear in lines on this pattern; the session pays the
+	// suffix. 1024 lines keep the full side's measured calls short in
+	// CI and the suffix small against the document.
 	lines := 1024
 	if quick {
 		lines = 256

@@ -13,12 +13,12 @@ import (
 //	(frontier DState, co-reach DState) → boundary emission choices
 //
 // keyed on interned lazy-DFA states, so equality is pointer identity
-// instead of bitset comparison. boundaryEmissionsProg — the dominant
-// per-position cost of Enumerate/Count/streaming — is a pure
+// instead of bitset comparison. boundaryEmissionsProg — which the
+// walk's sweep resolves at every node of its DAG — is a pure
 // function of the surviving frontier and the co-reachable set, and
-// on real documents the same pair recurs at position after position
-// (a^n makes every interior boundary identical; log-like corpora
-// repeat per record). The memo follows the flush-on-budget
+// on real documents the same pair recurs at node after node (a^n
+// makes every interior boundary identical; log-like corpora repeat
+// per record). The memo follows the flush-on-budget
 // discipline of program/dfa.go: when full, drop everything and
 // rebuild from the live walk.
 //
@@ -109,78 +109,18 @@ func (m *boundaryMemo) stats() BoundaryMemoStats {
 	}
 }
 
-// bmCtx is one walk's view of the memo: the co-reach frontier of
-// every boundary of the walk's window interned once up front, a reusable key scratch, and
-// an unlocked walk-local cache in front of the shared memo. Walks
-// are single-goroutine, so the local tier costs neither mutex nor
-// atomics — the dominant expense of the shared tier under profiling.
-// The outer key is the co-reach state pointer (shared by every
-// position with the same co-reach frontier), so the local tier gets
-// the same cross-position hit rate as the shared one.
-type bmCtx struct {
-	e       *Engine
-	memo    *boundaryMemo
-	co      []*program.DState
-	scratch []byte
-	local   map[*program.DState]map[string][]progEmission
-	hits    uint64
-}
-
-// newBMCtx interns a window's co-reach frontiers and returns the walk
-// context, or nil when memoization is off (no DFA to intern through,
-// or ForceNoBoundaryMemo) — the walk then computes emissions directly.
-func (e *Engine) newBMCtx(co []program.Bits) *bmCtx {
-	if !e.DFAEnabled() || e.nomemo {
-		return nil
-	}
-	c := &bmCtx{
-		e:     e,
-		memo:  e.boundaryMemo(),
-		co:    make([]*program.DState, len(co)),
-		local: map[*program.DState]map[string][]progEmission{},
-	}
-	for i, b := range co {
-		c.co[i], c.scratch = e.dfa.StateScratch(b, c.scratch)
-	}
-	return c
-}
-
-// emissions is the memoized boundaryEmissionsProg at the i-th
-// boundary of the window: key the set's bits against that boundary's
-// interned co-reach state and consult the walk-local tier, then the
-// shared memo, before computing. The returned slice is shared and
+// emissions is the memoized boundaryEmissionsProg for an interned
+// frontier and co-reach pair, each choice's states interned so the
+// walk steps them through the DFA. The returned slice is shared and
 // must not be mutated.
-func (c *bmCtx) emissions(set program.Bits, i int) []progEmission {
-	co := c.co[i]
-	c.scratch = set.AppendKey(c.scratch[:0])
-	inner := c.local[co]
-	if v, ok := inner[string(c.scratch)]; ok {
-		c.hits++
-		return v
-	}
-	// Walk-local miss: intern the set and go through the shared memo
-	// (StateScratch leaves the set's key bytes in the scratch).
-	var ss *program.DState
-	ss, c.scratch = c.e.dfa.StateScratch(set, c.scratch)
-	k := bmKey{set: ss, co: co}
-	v, ok := c.memo.lookup(k)
+func (m *boundaryMemo) emissions(e *Engine, k bmKey) []progEmission {
+	v, ok := m.lookup(k)
 	if !ok {
-		v = c.e.boundaryEmissionsProg(ss.Frontier(), co.Frontier())
-		c.memo.store(k, v)
+		v = e.boundaryEmissionsProg(k.set.Frontier(), k.co.Frontier())
+		for i := range v {
+			v[i].st = e.dfa.State(v[i].states)
+		}
+		m.store(k, v)
 	}
-	if inner == nil {
-		inner = map[string][]progEmission{}
-		c.local[co] = inner
-	}
-	inner[string(c.scratch)] = v
 	return v
-}
-
-// done folds the walk-local hit count into the shared memo's
-// counters; local hits are shared-memo hits that skipped the lock.
-// Safe on a nil context.
-func (c *bmCtx) done() {
-	if c != nil && c.hits != 0 {
-		c.memo.hits.Add(c.hits)
-	}
 }

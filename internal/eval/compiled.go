@@ -104,7 +104,7 @@ func (e *Engine) dfaMatch(d *span.Document) (matched, ok bool) {
 	if e.noprefilter {
 		text = ""
 	}
-	s, ok := e.dfa.SweepForward(e.dfa.Start(), d.Runes(), text, 0, d.Len(), true)
+	s, ok := e.dfa.SweepForward(e.dfa.Start(), d, text, 0, d.Len(), true)
 	if !ok {
 		return false, false
 	}
@@ -130,7 +130,6 @@ func (e *Engine) evalSeqSegmented(d *span.Document, need []uint64, blocked uint6
 		return false, false
 	}
 	n := d.Len()
-	runes := d.Runes()
 	text := d.ASCIIText()
 
 	// Obligation boundaries, ascending.
@@ -159,7 +158,7 @@ func (e *Engine) evalSeqSegmented(d *span.Document, need []uint64, blocked uint6
 			// One raw letter step out of the boundary; the closure at
 			// pos+1 happens on the next iteration (obligation or
 			// segment entry).
-			c := p.ClassOf(runes[pos-1])
+			c := p.ClassOf(d.RuneAt(pos))
 			if c < 0 {
 				return false, true
 			}
@@ -189,7 +188,7 @@ func (e *Engine) evalSeqSegmented(d *span.Document, need []uint64, blocked uint6
 			// landing state's. (An obligation at n+1 takes the general
 			// path below instead: its boundary must see the raw
 			// pre-closure frontier.)
-			s, swept := cdfa.SweepForward(s, runes, text, pos-1, n, true)
+			s, swept := cdfa.SweepForward(s, d, text, pos-1, n, true)
 			if !swept {
 				return false, false
 			}
@@ -197,14 +196,14 @@ func (e *Engine) evalSeqSegmented(d *span.Document, need []uint64, blocked uint6
 		}
 		// Forward-sweep letters pos..segEnd-2, then step the letter
 		// into the obligation boundary raw.
-		s, swept := cdfa.SweepForward(s, runes, text, pos-1, segEnd-2, false)
+		s, swept := cdfa.SweepForward(s, d, text, pos-1, segEnd-2, false)
 		if !swept {
 			return false, false
 		}
 		if s.Dead() {
 			return false, true
 		}
-		c := p.ClassOf(runes[segEnd-2])
+		c := p.ClassOf(d.RuneAt(segEnd - 1))
 		if c < 0 {
 			return false, true
 		}
@@ -449,6 +448,24 @@ func (e *Engine) evalFPTProg(d *span.Document, mu span.Extended) bool {
 	return false
 }
 
+// firesInto reports whether a state of set in co has an operation
+// leading into co: exactly when boundaryEmissionsProg(set, co) returns
+// more than the do-nothing choice. The walk records a DAG node where
+// this holds and skips the boundary otherwise.
+func (e *Engine) firesInto(set, co program.Bits) bool {
+	p := e.prog
+	for i, word := range set {
+		for word &= p.HasOps[i] & co[i]; word != 0; word &= word - 1 {
+			for _, ed := range p.OpsFrom(i<<6 + bits.TrailingZeros64(word)) {
+				if co.Has(int(ed.To)) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // boundaryEmissionsProg enumerates the distinct operation sets firable
 // from the state set at one boundary via a (state, mask) BFS; the
 // global op codes serve directly as mask bits, so no per-boundary
@@ -467,7 +484,7 @@ func (e *Engine) boundaryEmissionsProg(set program.Bits, coReach program.Bits) [
 	if !alive.Any() {
 		return nil
 	}
-	if !alive.Intersects(p.HasOps) {
+	if !e.firesInto(alive, coReach) {
 		return []progEmission{{states: alive}}
 	}
 
@@ -553,9 +570,7 @@ func (e *Engine) countProg(d *span.Document) int {
 	} else {
 		co = e.coReachRaw(d, 1, d.Len()+1, e.finalCoReach())
 	}
-	w := e.newSeqWalk(d, 1, d.Len()+1, co, false)
-	defer w.done()
-	return w.count(e.startSet())
+	return e.newSeqWalk(d, 1, d.Len()+1, co, false).count(e.startSet())
 }
 
 // forwardReachProg computes, for every boundary, the states reachable
@@ -563,7 +578,8 @@ func (e *Engine) countProg(d *span.Document) int {
 // permissively as ε. Like backwardReachProg it puts boundary 1 first
 // (out[pos-1]). With the DFA enabled the sweep is one memoized
 // transition per rune and the returned frontiers alias interned
-// (read-only) cache states; the bitset sweep remains as the fallback.
+// (read-only) cache states; the bitset sweep remains as the fallback,
+// its frontiers carved from one slab.
 func (e *Engine) forwardReachProg(d *span.Document) []program.Bits {
 	if e.DFAEnabled() {
 		if out, ok := e.dfa.ForwardFrontiers(d); ok {
@@ -572,19 +588,18 @@ func (e *Engine) forwardReachProg(d *span.Document) []program.Bits {
 	}
 	p := e.prog
 	n := d.Len()
+	words := len(p.Final)
+	slab := make([]uint64, (n+1)*words)
 	out := make([]program.Bits, n+1)
-	cur := e.startSet()
 	for pos := 1; pos <= n+1; pos++ {
+		cur := program.Bits(slab[(pos-1)*words : pos*words])
+		if pos == 1 {
+			cur.Set(p.Start)
+		} else if c := p.ClassOf(d.RuneAt(pos - 1)); c >= 0 {
+			p.LetterStep(out[pos-2], c, cur)
+		}
 		p.OpClosure(cur, 0)
 		out[pos-1] = cur
-		if pos == n+1 {
-			break
-		}
-		next := program.NewBits(p.NumStates)
-		if c := p.ClassOf(d.RuneAt(pos)); c >= 0 {
-			p.LetterStep(cur, c, next)
-		}
-		cur = next
 	}
 	return out
 }

@@ -34,6 +34,7 @@ package eval
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"spanners/internal/obs"
 	"spanners/internal/program"
@@ -57,8 +58,10 @@ type Engine struct {
 	interpreted bool
 
 	// order is the emission order of the compiled walk's boundary
-	// choices, derived once from prog.Vars.
-	order *opOrder
+	// choices, derived once from prog.Vars; opFree marks the states
+	// from which no letter path reaches an operation (walk.go).
+	order  *opOrder
+	opFree program.Bits
 
 	// dfa is the lazy-DFA transition cache layered over prog — shared
 	// with every other engine executing the same program; nodfa forces
@@ -76,7 +79,7 @@ type Engine struct {
 	nomemo      bool
 	memoBudget  int
 	bmemoOnce   sync.Once
-	bmemo       *boundaryMemo
+	bmemo       atomic.Pointer[boundaryMemo] // read by stats while walks create it
 }
 
 // NewEngine wraps an automaton, detecting once whether the sequential
@@ -96,6 +99,7 @@ func NewEngine(a *va.VA) *Engine {
 		e.prog = p
 		e.dfa = p.DFA()
 		e.order = newOpOrder(p.Vars)
+		e.opFree = opFreeStates(p)
 	}
 	return e
 }
@@ -119,6 +123,7 @@ func FromProgram(p *program.Program, sequential bool) *Engine {
 		prog:       p,
 		dfa:        p.DFA(),
 		order:      newOpOrder(p.Vars),
+		opFree:     opFreeStates(p),
 	}
 	e.varSet = make(map[span.Var]bool, len(e.vars))
 	for _, v := range e.vars {
@@ -200,19 +205,20 @@ func (e *Engine) boundaryMemo() *boundaryMemo {
 		if b == 0 {
 			b = DefaultBoundaryMemoBudget
 		}
-		e.bmemo = newBoundaryMemo(b)
+		e.bmemo.Store(newBoundaryMemo(b))
 	})
-	return e.bmemo
+	return e.bmemo.Load()
 }
 
 // BoundaryMemoStats returns the counters of the engine's
 // boundary-emission memo; ok is false when no walk has created it
 // yet (or memoization cannot run on this engine).
 func (e *Engine) BoundaryMemoStats() (BoundaryMemoStats, bool) {
-	if e.bmemo == nil {
+	m := e.bmemo.Load()
+	if m == nil {
 		return BoundaryMemoStats{}, false
 	}
-	return e.bmemo.stats(), true
+	return m.stats(), true
 }
 
 // Prefilter returns the engine's required-literal prefilter, nil
@@ -654,8 +660,10 @@ func (e *Engine) evalFPT(d *span.Document, mu span.Extended) bool {
 // proves it possible (Theorem 5.1 + 5.7). Three strategies exist:
 //
 //   - sequential automata use a direct branch-per-boundary walk whose
-//     every branch provably yields output (delay O(|d|·|δ|)) — on the
-//     compiled program the iterative walk of walk.go;
+//     every branch provably yields output — on the compiled program one
+//     sweep linear in |d| builds the branches' DAG and a DFS emits them
+//     with a delay independent of |d| (walk.go); the interpreted walk,
+//     beyond 32 variables, has delay O(|d|·|δ|);
 //   - other automata fall back to EnumerateFiltered, Algorithm 2 with
 //     a reachability prefilter on candidate spans;
 //   - EnumerateOracle is the paper's Algorithm 2 verbatim, kept for

@@ -1,0 +1,92 @@
+package eval
+
+import (
+	"strings"
+	"testing"
+	"unicode/utf8"
+
+	"spanners/internal/rgx"
+	"spanners/internal/span"
+	"spanners/internal/va"
+)
+
+// fuzzMaxMappings caps how many mappings one fuzz input compares;
+// patterns like x{.*}y{.*} have outputs polynomial of high degree in
+// the document.
+const fuzzMaxMappings = 4096
+
+// FuzzEnumerateOrder checks the compiled sequential walk, with the
+// lazy DFA on and off, against the interpreted enumerator on arbitrary
+// patterns and documents: the same mappings in the same order, and a
+// Count equal to their number.
+func FuzzEnumerateOrder(f *testing.F) {
+	for _, seed := range []struct{ expr, doc string }{
+		{`.*(\n|())m{GET|POST|PUT|DELETE} (p{[^ ]*}) (st{\d\d\d}) \d* "[^"]*"( ref=(r{[^\n]*})|)\n.*`,
+			"1.2.3.4 GET / 200 7 \"c\"\n5.6.7.8 PUT /a 404 1 \"m\" ref=/\n"},
+		{`.*m{TRACE} (p{/admin/[^ ]*}) (st{\d\d\d}) \d* "[^"]*"( ref=(r{[^\n]*})|)\n.*`,
+			"1.2.3.4 GET / 200 7 \"c\"\n9.9.9.9 TRACE /admin/k 403 2 \"c\"\n"},
+		{`.*(Seller|Buyer): name{[^,\n]*}, ID(id{\d*})(, \$t{[^\n]*}|, P(p{\d*})|)\n.*`,
+			"Seller: Ana Soto, ID7, $3,000\nBuyer: Ivan Diaz, ID82, P4\n"},
+		{`x{a*}`, "aaaaaaaa"},
+		{`a*x{a*}a*`, "aaaaaaaaaaaaaaaa"},
+		{`.*x{.*}.*`, "abcabcabc"},
+		{`(x{a}|x1{a}y{b}|y{ab})(z{c}|).*`, "abcab"},
+	} {
+		f.Add(seed.expr, seed.doc)
+	}
+
+	f.Fuzz(func(t *testing.T, expr, text string) {
+		// e+ compiles as e e*, so nested repetitions double the
+		// automaton per level; keep it small enough to test quickly.
+		if len(expr) > 128 || strings.Count(expr, "+") > 6 ||
+			!utf8.ValidString(text) || utf8.RuneCountInString(text) > 64 {
+			return
+		}
+		n, err := rgx.Parse(expr)
+		if err != nil {
+			return
+		}
+		a := va.FromRGX(n)
+		if a.NumStates > 2048 {
+			return
+		}
+		eng := NewEngine(a)
+		if !eng.Sequential() || !eng.Compiled() {
+			return
+		}
+		bitset := NewEngine(a)
+		bitset.ForceNoDFA()
+		interp := NewEngine(a)
+		interp.ForceInterpreted()
+
+		d := span.NewDocument(text)
+		want := fuzzKeys(interp, d)
+		for name, e := range map[string]*Engine{"dfa": eng, "bitset": bitset} {
+			got := fuzzKeys(e, d)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d mappings, interpreted %d, on %q / %q", name, len(got), len(want), expr, text)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s: mapping %d is %s, interpreted %s, on %q / %q", name, i, got[i], want[i], expr, text)
+				}
+			}
+			if len(want) < fuzzMaxMappings {
+				if c := e.Count(d); c != len(want) {
+					t.Fatalf("%s: Count %d, %d mappings, on %q / %q", name, c, len(want), expr, text)
+				}
+			}
+		}
+	})
+}
+
+// fuzzKeys returns the canonical keys of the first fuzzMaxMappings
+// mappings e emits on d, in emission order.
+func fuzzKeys(e *Engine, d *span.Document) []string {
+	var keys []string
+	e.Enumerate(d, func(m span.Mapping) bool {
+		keys = append(keys, m.Key())
+		return len(keys) < fuzzMaxMappings
+	})
+	return keys
+}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"spanners/internal/program"
@@ -101,6 +102,7 @@ type IncState struct {
 	doc     *span.Document
 	blockK  int
 	snaps   []incSnap
+	spare   []incSnap // storage of the list before last, reused by rebuildSnaps
 	results []incMapping
 	emptyOK bool // the empty mapping is in the result set (always last)
 	stats   IncStats
@@ -199,7 +201,10 @@ func (s *IncState) MemoryBytes() int {
 	for i := range s.results {
 		b += 96 + len(s.results[i].m)*64
 	}
-	b += len(s.doc.Text()) + 4*s.doc.Len()
+	b += len(s.doc.Text())
+	if s.doc.ASCIIText() == "" {
+		b += 4 * s.doc.Len() // a non-ASCII document's rune slice
+	}
 	return b
 }
 
@@ -524,7 +529,9 @@ func (s *IncState) Splice(off, del int, ins string) (SpliceResult, error) {
 	merged = append(merged, window...)
 	merged = append(merged, s.results[ri:]...)
 
-	s.snaps = s.rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf, cb, newF, newB)
+	rebuilt := s.rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf, cb, newF, newB)
+	clear(s.snaps)
+	s.snaps, s.spare = rebuilt, s.snaps[:0]
 	s.doc = newDoc
 	s.results = merged
 	s.emptyOK = newEmptyOK
@@ -555,10 +562,8 @@ func (s *IncState) windowWalk(d *span.Document, A, B int, startSet, targetB0 pro
 	if B > 0 {
 		hi, seed, cut = B, targetB0, true
 	}
-	w := e.newSeqWalk(d, A, hi, e.coReachRaw(d, A, hi, seed), cut)
-	defer w.done()
 	var out []incMapping
-	w.run(startSet, func(fired []firedOp) bool {
+	e.newSeqWalk(d, A, hi, e.coReachRaw(d, A, hi, seed), cut).run(startSet, func(fired []firedOp) bool {
 		if len(fired) > 0 {
 			out = appendIncMapping(out, e.mappingOf(fired))
 		}
@@ -574,34 +579,47 @@ func (s *IncState) windowWalk(d *span.Document, A, B int, startSet, targetB0 pro
 // loops recorded fresh pairs in newF/newB. A snapshot is kept only
 // when both halves resolved; snapshots that fell inside the edit die.
 func (s *IncState) rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf, cb int, newF, newB map[int]fpair) []incSnap {
-	positions := make(map[int]struct{}, len(s.snaps)+len(newF)+len(newB))
-	byOldPos := make(map[int]int, len(s.snaps))
+	positions := make([]int, 0, len(s.snaps)+len(newF)+len(newB))
 	for i := range s.snaps {
 		pos := s.snaps[i].pos
-		byOldPos[pos] = i
 		if pos <= prefixEnd {
-			positions[pos] = struct{}{}
+			positions = append(positions, pos)
 		}
 		if pos >= editEndOld {
-			positions[pos+delta] = struct{}{}
+			positions = append(positions, pos+delta)
 		}
 	}
 	for pos := range newF {
-		positions[pos] = struct{}{}
+		positions = append(positions, pos)
 	}
 	for pos := range newB {
-		positions[pos] = struct{}{}
+		positions = append(positions, pos)
+	}
+	slices.Sort(positions)
+	positions = slices.Compact(positions)
+	// oldAt finds the cached snapshot at old boundary pos. Positions
+	// ascend, so the lookups at pos and at pos-delta each move one
+	// cursor forward only.
+	at, shifted := 0, 0
+	oldAt := func(cursor *int, pos int) (*incSnap, bool) {
+		for *cursor < len(s.snaps) && s.snaps[*cursor].pos < pos {
+			*cursor++
+		}
+		if *cursor < len(s.snaps) && s.snaps[*cursor].pos == pos {
+			return &s.snaps[*cursor], true
+		}
+		return nil, false
 	}
 
-	out := make([]incSnap, 0, len(positions))
-	for pos := range positions {
+	out := slices.Grow(s.spare[:0], len(positions))
+	for _, pos := range positions {
 		if pos < 2 || pos > n2+1 {
 			continue
 		}
 		sn := incSnap{pos: pos}
 		if pos <= prefixEnd {
-			if j, ok := byOldPos[pos]; ok {
-				sn.f0, sn.f1 = s.snaps[j].f0, s.snaps[j].f1
+			if old, ok := oldAt(&at, pos); ok {
+				sn.f0, sn.f1 = old.f0, old.f1
 			}
 		}
 		if sn.f0 == nil {
@@ -610,13 +628,13 @@ func (s *IncState) rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf
 			}
 		}
 		if sn.f0 == nil && cf >= 0 && pos >= cf {
-			if j, ok := byOldPos[pos-delta]; ok && s.snaps[j].pos >= editEndOld {
-				sn.f0, sn.f1 = s.snaps[j].f0, s.snaps[j].f1
+			if old, ok := oldAt(&shifted, pos-delta); ok && old.pos >= editEndOld {
+				sn.f0, sn.f1 = old.f0, old.f1
 			}
 		}
 		if pos >= editEndNew {
-			if j, ok := byOldPos[pos-delta]; ok && s.snaps[j].pos >= editEndOld {
-				sn.b0, sn.b1 = s.snaps[j].b0, s.snaps[j].b1
+			if old, ok := oldAt(&shifted, pos-delta); ok && old.pos >= editEndOld {
+				sn.b0, sn.b1 = old.b0, old.b1
 			}
 		}
 		if sn.b0 == nil {
@@ -625,15 +643,14 @@ func (s *IncState) rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf
 			}
 		}
 		if sn.b0 == nil && cb > 0 && pos <= cb {
-			if j, ok := byOldPos[pos]; ok {
-				sn.b0, sn.b1 = s.snaps[j].b0, s.snaps[j].b1
+			if old, ok := oldAt(&at, pos); ok {
+				sn.b0, sn.b1 = old.b0, old.b1
 			}
 		}
 		if sn.f0 != nil && sn.b0 != nil {
 			out = append(out, sn)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].pos < out[j].pos })
 
 	// Thin clusters left behind by repeated edits: snapshots are purely
 	// accelerative, so halving density only lengthens future resweeps,

@@ -52,7 +52,6 @@ func (e *Engine) EnumerateObserved(d *span.Document, o *obs.StageObserver, yield
 		clk.mark(obs.StageCoReachSweep)
 		w := e.newSeqWalk(d, 1, d.Len()+1, co, false)
 		w.run(e.startSet(), func(fired []firedOp) bool { return yield(e.mappingOf(fired)) })
-		w.done()
 		clk.mark(obs.StageEnumerate)
 	}
 }

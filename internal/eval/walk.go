@@ -3,6 +3,7 @@ package eval
 import (
 	"math/bits"
 	"sort"
+	"sync"
 
 	"spanners/internal/program"
 	"spanners/internal/span"
@@ -11,12 +12,17 @@ import (
 // This file is the one sequential walk of the compiled engine: the
 // branch-per-boundary enumeration of Theorem 5.7 — at every boundary
 // split the frontier by the operation set fired there, prune by
-// co-reachability — over a window of boundaries. Enumerate walks the
-// whole document, Count sweeps multiplicities over the same step
-// function, and incremental sessions re-walk a dirty window; nothing
-// else advances a frontier during enumeration. The walk is iterative:
-// its depth is the number of boundaries that still hold an untried
-// choice, never the document length.
+// co-reachability — over a window of boundaries, run in two phases
+// after the skip structure of Florenzano, Riveros, Ugarte, Vansummeren
+// & Vrgoč (PODS'18). One forward sweep carries the distinct live
+// frontiers of each boundary and records a DAG node only where a
+// frontier can fire an operation; op-free stretches in between are
+// jump edges to the next node. The paths of the DAG are the branches
+// of the walk, so a DFS over it emits them in the walk's order with a
+// delay independent of the document: O(|d|) preprocessing, then
+// output-linear. Enumerate, Count (a path count over the same sweep)
+// and incremental sessions' window re-walks all go through it; nothing
+// else advances a frontier during enumeration.
 
 // opOrder is the emission order of boundary choices (see "Emission
 // order" in docs/ARCHITECTURE.md): the order of the canonical key
@@ -77,10 +83,12 @@ type progOpTok struct {
 
 // progEmission is one boundary choice of the compiled enumerator: the
 // operations fired (by variable name, open before close) and the
-// states reachable having fired exactly them.
+// states reachable having fired exactly them — interned as st when the
+// choice comes from the boundary-emission memo.
 type progEmission struct {
 	ops    []progOpTok
 	states program.Bits
+	st     *program.DState
 }
 
 // firedOp records one operation fired at boundary pos on the current
@@ -107,148 +115,428 @@ func (e *Engine) mappingOf(fired []firedOp) span.Mapping {
 	return m
 }
 
+// Edge targets besides node indexes. An edge starts out dead and is
+// resolved when the frontier it leads to reaches a node or completes.
+const (
+	toEnd  int32 = -1 // the branch completes: emit it
+	toDead int32 = -2 // the branch dies before completing
+)
+
+// dagNode is a boundary where a live frontier can fire an operation;
+// its out-edges are edges[first:end], in emission order.
+type dagNode struct {
+	pos, first, end int32
+}
+
+// dagEdge is one boundary choice of a node (em, nil on the root edge)
+// followed by the op-free stretch up to the node or completion it
+// leads to. While the sweep has not reached that target yet, next
+// links the edges pending on the same live frontier.
+type dagEdge struct {
+	em       *progEmission
+	to, next int32
+}
+
+// liveFrontier is one distinct frontier of the sweep at the current
+// boundary, with the pending edges (head…tail) that reach it. It is
+// interned (s) while the DFA steps, and a slab slot (off) otherwise.
+type liveFrontier struct {
+	s          *program.DState
+	off        int32
+	head, tail int32
+}
+
+// sweepLayer holds the live frontiers of one boundary.
+type sweepLayer struct {
+	fs   []liveFrontier
+	slab []uint64
+}
+
+func (l *sweepLayer) frontier(i, words int) program.Bits {
+	if s := l.fs[i].s; s != nil {
+		return s.Frontier()
+	}
+	off := int(l.fs[i].off)
+	return program.Bits(l.slab[off : off+words])
+}
+
 // seqWalk is a walk over the boundaries lo..hi of d. co[pos-lo] is the
 // set of states at boundary pos from which the window can still be
 // completed. With cut unset, hi is the document end n+1 and a branch
 // is emitted there for every choice that lands on a final state; with
 // cut set, hi is a crossing-free cut of an incremental session beyond
 // which completion is letters-only (co[hi-lo] says so), no operation
-// fires at hi, and a branch is emitted on reaching it.
+// fires at hi, and a branch is emitted on reaching it. A walk serves
+// one run or count.
 type seqWalk struct {
 	e      *Engine
 	d      *span.Document
 	lo, hi int
 	co     []program.Bits
 	cut    bool
-	bm     *bmCtx
+
+	// memo resolves boundary choices when the engine has one; coBits
+	// and coState are the last co-reach frontier interned for it, and
+	// recent holds the walk's latest answers in front of the memo's
+	// lock (hits counts them).
+	memo    *boundaryMemo
+	coBits  program.Bits
+	coState *program.DState
+	recent  [8]memoAnswer
+	nrecent int
+	hits    uint64
+
+	*walkBufs
+	dfa     bool // frontiers step through the lazy DFA, interned
+	steps   int  // letter steps taken
+	scratch program.Bits
+	key     []byte
 }
+
+// walkBufs are the slabs of one walk: the DAG its sweep builds
+// (edges[0] is the root edge), the sweep's two live layers and the
+// DFS's stack. run and count hand them back to walkBufPool, so a
+// stream of walks reuses them instead of growing new ones per document.
+type walkBufs struct {
+	nodes     []dagNode
+	edges     []dagEdge
+	cur, next sweepLayer
+	stack     []walkFrame
+	fired     []firedOp
+}
+
+var walkBufPool = sync.Pool{New: func() any { return new(walkBufs) }}
+
+// maxPooledEdges keeps the slabs of huge documents out of the pool.
+const maxPooledEdges = 1 << 16
 
 func (e *Engine) newSeqWalk(d *span.Document, lo, hi int, co []program.Bits, cut bool) *seqWalk {
-	return &seqWalk{e: e, d: d, lo: lo, hi: hi, co: co, cut: cut, bm: e.newBMCtx(co)}
-}
-
-// done folds the walk's memo hits into the engine's counters.
-func (w *seqWalk) done() { w.bm.done() }
-
-// emissions resolves the boundary choices of set at pos, in emission
-// order, through the boundary-emission memo when the engine has one.
-// The result is shared and independent of set's storage.
-func (w *seqWalk) emissions(set program.Bits, pos int) []progEmission {
-	if w.bm == nil {
-		return w.e.boundaryEmissionsProg(set, w.co[pos-w.lo])
+	w := &seqWalk{e: e, d: d, lo: lo, hi: hi, co: co, cut: cut,
+		walkBufs: walkBufPool.Get().(*walkBufs), scratch: program.NewBits(e.prog.NumStates)}
+	if e.DFAEnabled() && !e.nomemo {
+		w.memo = e.boundaryMemo()
 	}
-	return w.bm.emissions(set, pos-w.lo)
+	return w
 }
 
-// step moves a choice's states across the letter at pos into dst,
-// keeping what can still complete; false means the branch died.
-func (w *seqWalk) step(from program.Bits, pos int, dst program.Bits) bool {
-	p := w.e.prog
-	c := p.ClassOf(w.d.RuneAt(pos))
+// done folds the walk's own memo hits into the memo's counters and
+// hands its slabs back to walkBufPool.
+func (w *seqWalk) done() {
+	if w.hits > 0 {
+		w.memo.hits.Add(w.hits)
+	}
+	if cap(w.edges) <= maxPooledEdges {
+		walkBufPool.Put(w.walkBufs)
+	}
+	w.walkBufs = nil
+}
+
+// emissions resolves the boundary choices of the live frontier set at
+// pos, in emission order, through the boundary-emission memo when the
+// engine has one and the frontier is interned (s). The result is
+// shared and independent of set's storage.
+func (w *seqWalk) emissions(s *program.DState, set program.Bits, pos int) []progEmission {
+	co := w.co[pos-w.lo]
+	if w.memo == nil || s == nil {
+		return w.e.boundaryEmissionsProg(set, co)
+	}
+	if w.coState == nil || &w.coBits[0] != &co[0] {
+		w.coState, w.key = w.e.dfa.StateScratch(co, w.key)
+		w.coBits = co
+	}
+	k := bmKey{set: s, co: w.coState}
+	for i := range w.recent {
+		if w.recent[i].k == k {
+			w.hits++
+			return w.recent[i].v
+		}
+	}
+	v := w.memo.emissions(w.e, k)
+	w.recent[w.nrecent%len(w.recent)] = memoAnswer{k, v}
+	w.nrecent++
+	return v
+}
+
+// memoAnswer is one boundary-emission memo entry.
+type memoAnswer struct {
+	k bmKey
+	v []progEmission
+}
+
+// advance steps the frontier set (interned as s, or nil) across the
+// letter of class c, keeps what can still complete by co, and hands
+// the result with the pending edges head…tail to settle; false means
+// the branch died. With the DFA on, an interned frontier takes the raw
+// memoized transition and anything else is interned after a bitset
+// step.
+func (w *seqWalk) advance(l *sweepLayer, s *program.DState, set program.Bits, c int, co program.Bits, head, tail int32) bool {
 	if c < 0 {
 		return false
 	}
-	dst.Clear()
-	if !p.LetterStep(from, c, dst) {
-		return false
+	w.steps++
+	f := w.scratch
+	if w.dfa && s != nil {
+		if s = w.e.dfa.Step(s, c, program.StepRaw); s.Dead() {
+			return false
+		}
+		if f = s.Frontier(); !subsetOf(f, co) {
+			w.scratch.CopyFrom(f)
+			f, s = w.scratch, nil
+		}
+	} else {
+		f.Clear()
+		w.e.prog.LetterStep(set, c, f)
+		s = nil
 	}
-	dst.And(w.co[pos+1-w.lo])
-	return dst.Any()
+	if s == nil {
+		if f.And(co); !f.Any() {
+			return false
+		}
+	}
+	w.settle(l, s, f, head, tail)
+	return true
 }
 
-// walkFrame is a boundary with its choices and the next one to try;
-// base is the number of operations fired before the boundary.
-type walkFrame struct {
-	chs       []progEmission
-	next      int
-	pos, base int
+// settle places a live frontier f (interned as s, or nil) reached by
+// the pending edges head…tail: a frontier from which no operation can
+// fire any more has exactly one completion, so its edges jump straight
+// to it; any other joins l.
+func (w *seqWalk) settle(l *sweepLayer, s *program.DState, f program.Bits, head, tail int32) {
+	if subsetOf(f, w.e.opFree) {
+		w.resolve(head, toEnd)
+		return
+	}
+	if s == nil && w.dfa {
+		s, w.key = w.e.dfa.StateScratch(f, w.key)
+		f = s.Frontier()
+	}
+	w.join(l, s, f, head, tail)
 }
 
-// run walks every branch from the frontier start at lo, calling emit
-// with the operations fired along each completed one — in emission
-// order, the empty history included — until emit returns false. emit
-// must not retain fired. A frame is stacked only where a boundary
-// still has an untried choice, so single-choice stretches just loop.
-func (w *seqWalk) run(start program.Bits, emit func(fired []firedOp) bool) {
-	final := w.e.prog.Final
-	var fired []firedOp
-	var stack []walkFrame
-	// arrive opens boundary pos; at a cut the branch is complete.
-	arrive := func(set program.Bits, pos int) (walkFrame, bool) {
-		if w.cut && pos == w.hi {
-			return walkFrame{}, emit(fired)
+// join adds frontier f (interned as s, or nil to copy f into the
+// slab) with the pending edges head…tail to l, appending them to an
+// equal frontier's pending edges when l already holds one.
+func (w *seqWalk) join(l *sweepLayer, s *program.DState, f program.Bits, head, tail int32) {
+	for i := range l.fs {
+		if bitsEq(l.frontier(i, len(f)), f) {
+			w.edges[l.fs[i].tail].next = head
+			l.fs[i].tail = tail
+			return
 		}
-		return walkFrame{chs: w.emissions(set, pos), pos: pos, base: len(fired)}, true
 	}
-	cur := program.NewBits(w.e.prog.NumStates)
-	f, ok := arrive(start, w.lo)
-	for ok {
-		if f.next == len(f.chs) {
-			if len(stack) == 0 {
-				return
-			}
-			f, stack = stack[len(stack)-1], stack[:len(stack)-1]
-			continue
-		}
-		ch := f.chs[f.next]
-		f.next++
-		fired = fired[:f.base]
-		for _, t := range ch.ops {
-			fired = append(fired, firedOp{v: t.v, open: t.open, pos: f.pos})
-		}
-		if f.pos == w.hi { // document end
-			ok = !ch.states.Intersects(final) || emit(fired)
-			continue
-		}
-		if !w.step(ch.states, f.pos, cur) {
-			continue
-		}
-		if f.next < len(f.chs) {
-			stack = append(stack, f)
-		}
-		f, ok = arrive(cur, f.pos+1)
+	lf := liveFrontier{s: s, head: head, tail: tail}
+	if s == nil {
+		lf.off = int32(len(l.slab))
+		l.slab = append(l.slab, f...)
+	}
+	l.fs = append(l.fs, lf)
+}
+
+// resolve points the pending edges from head on at to.
+func (w *seqWalk) resolve(head, to int32) {
+	for e := head; e >= 0; {
+		next := w.edges[e].next
+		w.edges[e].to = to
+		e = next
 	}
 }
 
-// count returns the number of branches run would emit on a whole
-// document, without walking them: a forward sweep carrying, per
-// distinct frontier at the current boundary, the number of operation
-// histories that reach it. Exact because co-reach pruning makes
-// branches and mappings bijective; two layers are live at a time.
-func (w *seqWalk) count(start program.Bits) int {
-	type histories struct {
-		set program.Bits
-		n   int
+// sweep builds the DAG of every branch from the frontier start at lo.
+// Frontiers are deduplicated per boundary, so the work is linear in
+// the window times the live frontiers per boundary, and storage is
+// linear in the boundaries where an operation can fire.
+func (w *seqWalk) sweep(start program.Bits) {
+	p := w.e.prog
+	words := len(start)
+	w.nodes = w.nodes[:0]
+	w.edges = append(w.edges[:0], dagEdge{to: toDead, next: -1})
+	if w.cut && w.lo == w.hi {
+		w.edges[0].to = toEnd
+		return
 	}
-	cur, next := []histories{{start, 1}}, []histories(nil)
-	index := map[string]int{} // frontier key → position in next
-	dst := program.NewBits(w.e.prog.NumStates)
-	var key []byte
-	total := 0
-	for pos := w.lo; len(cur) > 0; pos++ {
-		clear(index)
-		for _, h := range cur {
-			for _, ch := range w.emissions(h.set, pos) {
-				switch {
-				case pos == w.hi:
-					if ch.states.Intersects(w.e.prog.Final) {
-						total += h.n
-					}
-				case w.step(ch.states, pos, dst):
-					key = dst.AppendKey(key[:0])
-					i, seen := index[string(key)]
-					if !seen {
-						i = len(next)
-						index[string(key)] = i
-						next = append(next, histories{set: dst.Clone()})
-					}
-					next[i].n += h.n
+	w.dfa = w.e.DFAEnabled()
+	var flush0 uint64
+	if w.dfa {
+		flush0 = w.e.dfa.Flushes()
+	}
+	cur, next := &w.cur, &w.next
+	cur.fs, cur.slab = cur.fs[:0], cur.slab[:0]
+	w.scratch.CopyFrom(start)
+	w.scratch.And(w.co[0])
+	if !w.scratch.Any() {
+		return
+	}
+	w.settle(cur, nil, w.scratch, 0, 0)
+
+	for pos := w.lo; len(cur.fs) > 0; pos++ {
+		if w.dfa && w.e.dfa.Flushes()-flush0 > program.MaxFlushesPerSweep {
+			// The cache thrashes its budget: step bitsets from here on.
+			w.e.dfa.NoteFallback()
+			w.dfa = false
+			for i := range cur.fs {
+				if s := cur.fs[i].s; s != nil {
+					cur.fs[i].s, cur.fs[i].off = nil, int32(len(cur.slab))
+					cur.slab = append(cur.slab, s.Frontier()...)
 				}
 			}
 		}
-		cur, next = next, cur[:0] // nothing steps past hi, so the sweep ends there
+		if w.cut && pos == w.hi {
+			for i := range cur.fs {
+				w.resolve(cur.fs[i].head, toEnd)
+			}
+			return
+		}
+		co := w.co[pos-w.lo]
+		last := pos == w.hi
+		c, coNext := -1, program.Bits(nil)
+		if !last {
+			c, coNext = p.ClassOf(w.d.RuneAt(pos)), w.co[pos+1-w.lo]
+		}
+		next.fs, next.slab = next.fs[:0], next.slab[:0]
+		for i := range cur.fs {
+			f := &cur.fs[i]
+			set := cur.frontier(i, words) // ⊆ co
+			if !w.e.firesInto(set, co) {
+				switch {
+				case !last:
+					w.advance(next, f.s, set, c, coNext, f.head, f.tail)
+				case set.Intersects(p.Final):
+					w.resolve(f.head, toEnd)
+				}
+				continue
+			}
+			w.resolve(f.head, int32(len(w.nodes)))
+			first := int32(len(w.edges))
+			chs := w.emissions(f.s, set, pos)
+			for k := range chs {
+				ch := &chs[k]
+				e := int32(len(w.edges))
+				w.edges = append(w.edges, dagEdge{em: ch, to: toDead, next: -1})
+				switch {
+				case last:
+					if ch.states.Intersects(p.Final) {
+						w.edges[e].to = toEnd
+					} else {
+						w.edges = w.edges[:e]
+					}
+				case subsetOf(ch.states, w.e.opFree):
+					w.edges[e].to = toEnd // co-reachable and op-free: it completes
+				case !w.advance(next, ch.st, ch.states, c, coNext, e, e):
+					w.edges = w.edges[:e]
+				}
+			}
+			w.nodes = append(w.nodes, dagNode{pos: int32(pos), first: first, end: int32(len(w.edges))})
+		}
+		cur, next = next, cur
 	}
-	return total
+}
+
+// walkFrame is a node's untried edges [next, end); base is the number
+// of operations fired before its boundary pos.
+type walkFrame struct {
+	next, end int32
+	pos, base int
+}
+
+// run calls emit with the operations fired along every branch from
+// the frontier start at lo — in emission order, the empty history
+// included — until emit returns false. emit must not retain fired.
+// The sweep does every letter step before the first call; the DFS
+// after it keeps a frame only for a node with an untried edge, and the
+// first edge of every node fires an operation, so the work between two
+// emissions is bounded by the number of variables, not by |d|.
+func (w *seqWalk) run(start program.Bits, emit func(fired []firedOp) bool) {
+	w.sweep(start)
+	fired, stack := w.fired[:0], append(w.stack[:0], walkFrame{end: 1})
+	for len(stack) > 0 {
+		top := len(stack) - 1
+		f := stack[top]
+		if stack[top].next++; f.next+1 == f.end {
+			stack = stack[:top]
+		}
+		e := w.edges[f.next]
+		fired = fired[:f.base]
+		if e.em != nil {
+			for _, t := range e.em.ops {
+				fired = append(fired, firedOp{v: t.v, open: t.open, pos: f.pos})
+			}
+		}
+		switch e.to {
+		case toEnd:
+			if !emit(fired) {
+				stack = stack[:0]
+			}
+		case toDead:
+		default:
+			n := w.nodes[e.to]
+			stack = append(stack, walkFrame{next: n.first, end: n.end, pos: int(n.pos), base: len(fired)})
+		}
+	}
+	w.fired, w.stack = fired, stack
+	w.done()
+}
+
+// count returns the number of branches run would emit, without walking
+// them: the number of root-to-completion paths of the sweep's DAG.
+// Exact because co-reach pruning makes branches and mappings
+// bijective.
+func (w *seqWalk) count(start program.Bits) int {
+	w.sweep(start)
+	paths := make([]int, len(w.nodes))
+	along := func(to int32) int {
+		switch to {
+		case toEnd:
+			return 1
+		case toDead:
+			return 0
+		}
+		return paths[to]
+	}
+	for i := len(w.nodes) - 1; i >= 0; i-- { // edges lead to later nodes
+		for _, e := range w.edges[w.nodes[i].first:w.nodes[i].end] {
+			paths[i] += along(e.to)
+		}
+	}
+	n := along(w.edges[0].to)
+	w.done()
+	return n
+}
+
+// opFreeStates marks the states from which no letter path reaches a
+// state with an operation edge.
+func opFreeStates(p *program.Program) program.Bits {
+	reach := p.HasOps.Clone()
+	var stack []int
+	reach.ForEach(func(q int) { stack = append(stack, q) })
+	for len(stack) > 0 {
+		q := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for c := 0; c < p.NumClasses; c++ {
+			p.Pred(q, c).ForEach(func(r int) {
+				if !reach.Has(r) {
+					reach.Set(r)
+					stack = append(stack, r)
+				}
+			})
+		}
+	}
+	free := program.NewBits(p.NumStates)
+	for q := 0; q < p.NumStates; q++ {
+		if !reach.Has(q) {
+			free.Set(q)
+		}
+	}
+	return free
+}
+
+// subsetOf reports a ⊆ b for same-width bitsets.
+func subsetOf(a, b program.Bits) bool {
+	for i, x := range a {
+		if x&^b[i] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // startSet is the frontier of a walk from the beginning of a document.
@@ -270,13 +558,16 @@ func (e *Engine) finalCoReach() program.Bits {
 // lo..hi: out[pos-lo] holds the states at pos from which seed is
 // reachable at hi reading d[pos..hi-1], operations treated
 // permissively as ε. seed is stored as is, so a cut can demand
-// letters-only completion from hi.
+// letters-only completion from hi. The other boundaries share one
+// slab.
 func (e *Engine) coReachRaw(d *span.Document, lo, hi int, seed program.Bits) []program.Bits {
 	p := e.prog
+	words := len(seed)
+	slab := make([]uint64, (hi-lo)*words)
 	out := make([]program.Bits, hi-lo+1)
 	out[hi-lo] = seed
 	for pos := hi - 1; pos >= lo; pos-- {
-		prev := program.NewBits(p.NumStates)
+		prev := program.Bits(slab[(pos-lo)*words : (pos-lo+1)*words])
 		if c := p.ClassOf(d.RuneAt(pos)); c >= 0 {
 			p.LetterStepBack(out[pos+1-lo], c, prev)
 		}

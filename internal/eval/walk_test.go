@@ -10,6 +10,7 @@ import (
 	"spanners/internal/program"
 	"spanners/internal/rgx"
 	"spanners/internal/span"
+	"spanners/internal/workload"
 )
 
 // keyString spells out the canonical key of an op mask the way the
@@ -163,4 +164,129 @@ func TestWalkDepthIndependentOfDocumentLength(t *testing.T) {
 		t.Fatalf("repair splice walked [%d, %d), want the open-ended window from 1", res.WindowStart, res.WindowEnd)
 	}
 	assertOne("Splice", inc.Mappings())
+}
+
+// weblogStreamExpr is the query of the weblog_stream benchmark
+// workload (bench/spanload): four variables, the referer optional, one
+// mapping per log line.
+const weblogStreamExpr = `.*(\n|())m{GET|POST|PUT|DELETE} (p{[^ ]*}) (st{\d\d\d}) \d* "[^"]*"( ref=(r{[^\n]*})|)\n.*`
+
+// weblogWalkEngines is the weblog_stream query with the lazy DFA on
+// and off: the walk steps interned frontiers through the DFA in one
+// and bitsets in the other.
+func weblogWalkEngines() map[string]*Engine {
+	dfa := CompileRGX(rgx.MustParse(weblogStreamExpr))
+	bitset := CompileRGX(rgx.MustParse(weblogStreamExpr))
+	bitset.ForceNoDFA()
+	return map[string]*Engine{"dfa": dfa, "bitset": bitset}
+}
+
+// walkWebLog runs the walk over a generated web log of the given
+// number of lines and returns the letter steps it took in all and the
+// count reached at each emission.
+func walkWebLog(t *testing.T, e *Engine, lines int) (steps int, atEmit []int) {
+	t.Helper()
+	d := span.NewDocument(workload.WebLog(workload.WebLogOptions{Lines: lines, ReferProb: 0.35, Seed: int64(lines)}))
+	w := e.newSeqWalk(d, 1, d.Len()+1, e.backwardReachProg(d), false)
+	w.run(e.startSet(), func([]firedOp) bool {
+		atEmit = append(atEmit, w.steps)
+		return true
+	})
+	if len(atEmit) != lines {
+		t.Fatalf("%d lines gave %d mappings", lines, len(atEmit))
+	}
+	return w.steps, atEmit
+}
+
+// TestWalkStepsLinearInDocumentLength: doubling the document at most
+// doubles the walk's letter steps, give or take the line mix. A walk
+// that re-steps every output's branch to the document end takes about
+// four times the steps per doubling on this query.
+func TestWalkStepsLinearInDocumentLength(t *testing.T) {
+	for name, e := range weblogWalkEngines() {
+		prev := 0
+		for _, lines := range []int{96, 192, 384} {
+			steps, _ := walkWebLog(t, e, lines)
+			if prev > 0 && float64(steps) > 2.2*float64(prev) {
+				t.Errorf("%s: %d lines took %d letter steps, %.2fx the %d of half as many lines",
+					name, lines, steps, float64(steps)/float64(prev), prev)
+			}
+			prev = steps
+		}
+	}
+}
+
+// TestWalkDelayIndependentOfDocumentLength: every letter step happens
+// before the first emission, so the work between two emissions cannot
+// grow with the document.
+func TestWalkDelayIndependentOfDocumentLength(t *testing.T) {
+	for name, e := range weblogWalkEngines() {
+		for _, lines := range []int{96, 192, 384} {
+			_, atEmit := walkWebLog(t, e, lines)
+			for i := 1; i < len(atEmit); i++ {
+				if atEmit[i] != atEmit[i-1] {
+					t.Fatalf("%s, %d lines: %d letter steps between emissions %d and %d",
+						name, lines, atEmit[i]-atEmit[i-1], i-1, i)
+				}
+			}
+		}
+	}
+}
+
+// TestBoundaryMemoHitsAcrossWalks: the memo key is a pair of interned
+// frontiers, so a second walk over the same document must find every
+// node's choices in the memo — hits grow, misses do not — and a splice
+// that re-derives a line's mapping must hit it too.
+func TestBoundaryMemoHitsAcrossWalks(t *testing.T) {
+	e := CompileRGX(rgx.MustParse(weblogStreamExpr))
+	text := workload.WebLog(workload.WebLogOptions{Lines: 96, ReferProb: 0.35, Seed: 96})
+	d := span.NewDocument(text)
+	fullMappings(e, d)
+	first, _ := e.BoundaryMemoStats()
+	if first.Misses == 0 {
+		t.Fatalf("first walk made no memo lookup: %+v", first)
+	}
+	fullMappings(e, d)
+	second, _ := e.BoundaryMemoStats()
+	if second.Hits <= first.Hits || second.Misses != first.Misses {
+		t.Fatalf("second walk of the same document: hits %d → %d, misses %d → %d; want more hits and no new miss",
+			first.Hits, second.Hits, first.Misses, second.Misses)
+	}
+
+	inc := newIncremental(e, d, 4)
+	mid := strings.Index(text[len(text)/2:], "\n") + len(text)/2 + 1
+	line := text[mid : mid+strings.Index(text[mid:], "\n")+1]
+	before, _ := e.BoundaryMemoStats()
+	res, err := inc.Splice(mid, len(line), line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, _ := e.BoundaryMemoStats()
+	if res.Recomputed == 0 || after.Hits == before.Hits {
+		t.Fatalf("rewriting line %q re-derived %d mappings with %d memo hits; want both > 0",
+			line, res.Recomputed, after.Hits-before.Hits)
+	}
+	assertIncremental(t, inc, e, "rewritten line")
+}
+
+// TestReachSweepAllocsFlat: the bitset co-reach sweep of session
+// windows and Count, and the bitset fallback of the forward sweep,
+// carve every boundary's frontier from one slab, so their allocations
+// do not grow with the window.
+func TestReachSweepAllocsFlat(t *testing.T) {
+	e := CompileRGX(rgx.MustParse(weblogStreamExpr))
+	e.ForceNoDFA()
+	seed := e.finalCoReach()
+	short := span.NewDocument(workload.WebLog(workload.WebLogOptions{Lines: 24, ReferProb: 0.35, Seed: 1}))
+	long := span.NewDocument(workload.WebLog(workload.WebLogOptions{Lines: 384, ReferProb: 0.35, Seed: 1}))
+	for name, sweep := range map[string]func(*span.Document){
+		"coReachRaw":       func(d *span.Document) { e.coReachRaw(d, 1, d.Len()+1, seed) },
+		"forwardReachProg": func(d *span.Document) { e.forwardReachProg(d) },
+	} {
+		a := testing.AllocsPerRun(5, func() { sweep(short) })
+		b := testing.AllocsPerRun(5, func() { sweep(long) })
+		if b != a {
+			t.Errorf("%s: %v allocations on %d runes, %v on %d", name, a, short.Len(), b, long.Len())
+		}
+	}
 }

@@ -588,18 +588,18 @@ func (d *DFA) runTarget(s *DState) *DState {
 // (budget thrash); the caller must fall back to bitset stepping and
 // ignore matched.
 func (d *DFA) Match(doc *span.Document) (matched, ok bool) {
-	runes := doc.Runes()
-	s, ok := d.SweepForward(d.start.Load(), runes, doc.ASCIIText(), 0, len(runes), true)
+	s, ok := d.SweepForward(d.start.Load(), doc, doc.ASCIIText(), 0, doc.Len(), true)
 	if !ok {
 		return false, false
 	}
 	return s.accept, true
 }
 
-// SweepForward advances s across runes[from:to) under forward
-// semantics (letter step then op closure excluding this cache's
-// blocked mask), executing fused-run superinstructions, per-byte
-// self-loop skips, and — when text is the document's non-empty
+// SweepForward advances s across the 0-based rune offsets [from,to)
+// of doc under forward semantics (letter step then op closure
+// excluding this cache's blocked mask), executing fused-run
+// superinstructions, per-byte self-loop skips, and — when text is the
+// document's non-empty
 // ASCIIText — IndexByte candidate jumps over stop-byte gaps, with a
 // density heuristic that self-disables jumping on dense inputs.
 // atEnd marks to as the end of the document, letting a fused run
@@ -609,7 +609,7 @@ func (d *DFA) Match(doc *span.Document) (matched, ok bool) {
 // or ok=false when the sweep abandoned the cache after budget
 // thrash (the caller falls back to bitset stepping). Counter traffic
 // is batched per sweep.
-func (d *DFA) SweepForward(s *DState, runes []rune, text string, from, to int, atEnd bool) (_ *DState, ok bool) {
+func (d *DFA) SweepForward(s *DState, doc *span.Document, text string, from, to int, atEnd bool) (_ *DState, ok bool) {
 	flush0 := d.flushes.Load()
 	var hits, skipped, jumped uint64
 	defer func() {
@@ -655,7 +655,7 @@ func (d *DFA) SweepForward(s *DState, runes []rune, text string, from, to int, a
 				// ASCII bytes.
 				j := i
 				for j < to {
-					r := runes[j]
+					r := doc.RuneAt(j + 1)
 					if r >= 0 && r < 128 && si.ascii[r>>6]&(1<<(uint(r)&63)) != 0 {
 						j++
 						continue
@@ -681,7 +681,7 @@ func (d *DFA) SweepForward(s *DState, runes []rune, text string, from, to int, a
 			}
 			match := true
 			for k, want := range s.runClasses {
-				if d.p.ClassOf(runes[i+k]) != int(want) {
+				if d.p.ClassOf(doc.RuneAt(i+k+1)) != int(want) {
 					match = false
 					break
 				}
@@ -694,7 +694,7 @@ func (d *DFA) SweepForward(s *DState, runes []rune, text string, from, to int, a
 			s = d.runTarget(s)
 			continue
 		}
-		c := d.p.ClassOf(runes[i])
+		c := d.p.ClassOf(doc.RuneAt(i + 1))
 		if c < 0 {
 			return d.dead.Load(), true
 		}

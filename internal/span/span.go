@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Var is an extraction variable. Variables are disjoint from the
@@ -81,36 +82,55 @@ func (s Span) Concat(t Span) (Span, bool) {
 // Document is a string over Σ together with its rune decomposition.
 // Positions (and therefore spans) are measured in runes, so multi-byte
 // UTF-8 documents behave like the paper's abstract alphabet strings.
+// An ASCII document is its own decomposition, one byte per symbol, and
+// keeps no rune slice.
 type Document struct {
 	text  string
-	runes []rune
+	runes []rune // nil when text is ASCII
 }
 
 // NewDocument builds a document from text.
 func NewDocument(text string) *Document {
+	if isASCII(text) {
+		return &Document{text: text}
+	}
 	return &Document{text: text, runes: []rune(text)}
 }
 
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
 // Len returns |d|, the number of symbols in the document.
-func (d *Document) Len() int { return len(d.runes) }
+func (d *Document) Len() int {
+	if d.runes == nil {
+		return len(d.text)
+	}
+	return len(d.runes)
+}
 
 // Text returns the underlying string.
 func (d *Document) Text() string { return d.text }
 
-// Runes returns the rune decomposition of the document. The returned
-// slice is shared and must not be modified.
-func (d *Document) Runes() []rune { return d.runes }
-
 // RuneAt returns the symbol at 1-based position i (1 ≤ i ≤ |d|).
-func (d *Document) RuneAt(i int) rune { return d.runes[i-1] }
+func (d *Document) RuneAt(i int) rune {
+	if d.runes == nil {
+		return rune(d.text[i-1])
+	}
+	return d.runes[i-1]
+}
 
 // ASCIIText returns the document text when every symbol is ASCII —
 // the precondition for byte-indexed scanning (memchr-style candidate
 // jumps), where byte offsets and rune positions coincide — and ""
-// otherwise. The check is a length comparison: any multi-byte rune
-// makes the byte length exceed the rune count.
+// otherwise.
 func (d *Document) ASCIIText() string {
-	if len(d.text) == len(d.runes) {
+	if d.runes == nil {
 		return d.text
 	}
 	return ""
@@ -122,21 +142,28 @@ func (d *Document) ASCIIText() string {
 // the caller rather than bad input (the service layer validates byte
 // offsets before they reach this level). When both the document and
 // the insertion are pure ASCII the text splices by substring
-// concatenation, so the dominant cost is two memcpys rather than a
-// UTF-8 re-encode of the whole document.
+// concatenation, a single copy of the text.
 func (d *Document) Splice(off, del int, ins string) *Document {
-	if off < 0 || del < 0 || off+del > len(d.runes) {
-		panic(fmt.Sprintf("splice [%d,+%d) invalid for document of length %d", off, del, len(d.runes)))
+	if off < 0 || del < 0 || off+del > d.Len() {
+		panic(fmt.Sprintf("splice [%d,+%d) invalid for document of length %d", off, del, d.Len()))
+	}
+	if d.runes == nil {
+		text := d.text[:off] + ins + d.text[off+del:]
+		if isASCII(ins) {
+			return &Document{text: text}
+		}
+		return NewDocument(text)
 	}
 	insRunes := []rune(ins)
 	nr := make([]rune, 0, len(d.runes)+len(insRunes)-del)
 	nr = append(nr, d.runes[:off]...)
 	nr = append(nr, insRunes...)
 	nr = append(nr, d.runes[off+del:]...)
-	if len(d.text) == len(d.runes) && len(ins) == len(insRunes) {
-		return &Document{text: d.text[:off] + ins + d.text[off+del:], runes: nr}
+	text := string(nr)
+	if len(text) == len(nr) {
+		return &Document{text: text} // the edit removed every multi-byte rune
 	}
-	return &Document{text: string(nr), runes: nr}
+	return &Document{text: text, runes: nr}
 }
 
 // Whole returns the span (1, |d|+1) covering the entire document.
@@ -148,6 +175,10 @@ func (d *Document) Whole() Span { return Span{Start: 1, End: d.Len() + 1} }
 func (d *Document) Content(s Span) string {
 	if !s.Valid(d.Len()) {
 		panic(fmt.Sprintf("span %v invalid for document of length %d", s, d.Len()))
+	}
+	if d.runes == nil {
+		// A copy, so the content never pins the whole text.
+		return strings.Clone(d.text[s.Start-1 : s.End-1])
 	}
 	return string(d.runes[s.Start-1 : s.End-1])
 }

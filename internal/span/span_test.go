@@ -112,6 +112,40 @@ func TestUnicodeDocument(t *testing.T) {
 	}
 }
 
+// TestSpliceAcrossRepresentations: splices that keep, gain or lose
+// multi-byte runes agree symbol for symbol with a document built from
+// the spliced text, ASCII view included.
+func TestSpliceAcrossRepresentations(t *testing.T) {
+	for _, c := range []struct {
+		text     string
+		off, del int
+		ins      string
+	}{
+		{"abcdef", 2, 1, "XY"}, // ASCII stays ASCII
+		{"abcdef", 6, 0, "ñ→"}, // ASCII gains runes
+		{"aññb", 1, 2, "c"},    // loses every multi-byte rune
+		{"añ→b", 1, 1, "é"},    // stays multi-byte
+		{"añb", 0, 3, ""},      // empties
+		{"", 0, 0, "plain"},    // grows from empty
+	} {
+		got := NewDocument(c.text).Splice(c.off, c.del, c.ins)
+		r := []rune(c.text)
+		want := NewDocument(string(r[:c.off]) + c.ins + string(r[c.off+c.del:]))
+		if got.Text() != want.Text() || got.Len() != want.Len() || got.ASCIIText() != want.ASCIIText() {
+			t.Fatalf("%q.Splice(%d,%d,%q) = %q (len %d, ascii %q), want %q (len %d, ascii %q)",
+				c.text, c.off, c.del, c.ins, got.Text(), got.Len(), got.ASCIIText(), want.Text(), want.Len(), want.ASCIIText())
+		}
+		for i := 1; i <= want.Len(); i++ {
+			if got.RuneAt(i) != want.RuneAt(i) {
+				t.Fatalf("%q: RuneAt(%d) = %q, want %q", got.Text(), i, got.RuneAt(i), want.RuneAt(i))
+			}
+		}
+		if got.Len() > 0 && got.Content(got.Whole()) != want.Text() {
+			t.Fatalf("%q: Content of the whole document = %q", want.Text(), got.Content(got.Whole()))
+		}
+	}
+}
+
 func TestMappingCompatibleUnion(t *testing.T) {
 	m1 := Mapping{"x": {1, 4}}
 	m2 := Mapping{"y": {4, 7}}

@@ -342,18 +342,20 @@ func (s *Spanner) Extendable(d *Document, c Constraints) bool {
 }
 
 // Enumerate streams every output mapping on d to yield in a
-// deterministic order, stopping early when yield returns false. The
-// delay between outputs is polynomial when the spanner is sequential
-// (Theorem 5.1 + 5.7).
+// deterministic order, stopping early when yield returns false. On a
+// sequential spanner it first sweeps d once, in time linear in |d|,
+// and then emits with a delay that does not depend on |d|; beyond the
+// compiled engine's 32 variables the delay is polynomial, as Theorems
+// 5.1 and 5.7 bound it.
 func (s *Spanner) Enumerate(d *Document, yield func(Mapping) bool) {
 	s.engine.Enumerate(d, yield)
 }
 
 // EnumerateContext is Enumerate with cancellation: the stream stops
-// as soon as ctx is done, and the context error is returned. Because
-// the underlying enumerator has polynomial delay between outputs on
-// sequential spanners, cancellation is observed with the same delay
-// bound: ctx is consulted before each output. A nil error means
+// as soon as ctx is done, and the context error is returned. ctx is
+// consulted before each output, so on a sequential spanner a
+// cancellation waits at most for Enumerate's linear sweep of d, then
+// for one delay, which does not depend on |d|. A nil error means
 // enumeration ran to completion or yield stopped it — a cancellation
 // that never interrupted delivery is not reported.
 func (s *Spanner) EnumerateContext(ctx context.Context, d *Document, yield func(Mapping) bool) error {
@@ -388,9 +390,10 @@ func (s *Spanner) EnumerateObserved(ctx context.Context, d *Document, o *obs.Sta
 
 // Stream returns a channel carrying every output mapping on d in
 // enumeration order. The channel is closed when enumeration finishes
-// or ctx is cancelled. Mappings arrive with polynomial delay for
-// sequential spanners (Theorem 5.7) — the first results are available
-// long before the full output set is materialized. Callers that stop
+// or ctx is cancelled. On a sequential spanner the first mapping
+// arrives after one sweep of d, linear in |d|, and the rest with a
+// delay that does not depend on |d| — long before the full output set
+// is materialized. Callers that stop
 // receiving before the channel closes must cancel ctx, or the
 // producer goroutine blocks forever on the abandoned channel.
 func (s *Spanner) Stream(ctx context.Context, d *Document) <-chan Mapping {
@@ -421,9 +424,9 @@ func (s *Spanner) ExtractAll(d *Document) []Mapping {
 }
 
 // Count returns the number of output mappings on d without
-// materializing them: for sequential spanners it is a memoized
-// dynamic program over the enumeration structure, typically far
-// cheaper than ExtractAll.
+// materializing them: for sequential spanners it counts the paths of
+// the DAG that Enumerate's sweep builds, so it costs that linear sweep
+// and none of the mappings.
 func (s *Spanner) Count(d *Document) int { return s.engine.Count(d) }
 
 // First returns the first output mapping in enumeration order.

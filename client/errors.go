@@ -49,6 +49,9 @@ const (
 	CodeRegistryUnavailable = "registry_unavailable"
 	// CodeBadArtifact: storage-level artifact corruption (500).
 	CodeBadArtifact = "bad_artifact"
+	// CodeInternal: extraction panicked inside the server, which
+	// recovered and counted it (500).
+	CodeInternal = "internal"
 	// CodeBadRequest: malformed request body or parameters.
 	CodeBadRequest = "bad_request"
 	// CodeUnavailable: the service cannot serve the request right now
@@ -125,6 +128,7 @@ var (
 	ErrCanceled            = codeSentinel(CodeCanceled)
 	ErrRegistryUnavailable = codeSentinel(CodeRegistryUnavailable)
 	ErrBadArtifact         = codeSentinel(CodeBadArtifact)
+	ErrInternal            = codeSentinel(CodeInternal)
 	ErrBadRequest          = codeSentinel(CodeBadRequest)
 	ErrUnavailable         = codeSentinel(CodeUnavailable)
 	ErrGone                = codeSentinel(CodeGone)

@@ -172,10 +172,9 @@ func dispatch(reg *registry.Registry, cmd string, args []string, stdout io.Write
 			text = string(b)
 		}
 		doc := spanners.NewDocument(text)
-		enc := json.NewEncoder(stdout)
 		var encErr error
 		plan.Spanner.Enumerate(doc, func(m spanners.Mapping) bool {
-			encErr = enc.Encode(service.EncodeMapping(doc, m))
+			_, encErr = stdout.Write(append(service.EncodeMapping(doc, m), '\n'))
 			return encErr == nil
 		})
 		return encErr

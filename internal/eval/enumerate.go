@@ -231,7 +231,7 @@ func (e *Engine) boundaryEmissions(set []bool, coReach []bool) []emission {
 func (e *Engine) Count(d *span.Document) int {
 	if !e.sequential {
 		n := 0
-		e.Enumerate(d, func(span.Mapping) bool { n++; return true })
+		e.EnumerateTuples(d, nil, func([]span.Span) bool { n++; return true })
 		return n
 	}
 	if e.Compiled() {

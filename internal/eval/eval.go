@@ -51,6 +51,10 @@ type Engine struct {
 	varSet     map[span.Var]bool
 	sequential bool
 
+	// cols is the tuple column list (Columns): prog.Vars when the
+	// program compiled, vars otherwise — both sorted by name.
+	cols []span.Var
+
 	// prog is the compiled execution core, nil when compilation was
 	// rejected; interpreted forces the pre-compilation paths even when
 	// prog exists (ablation and differential testing only).
@@ -95,11 +99,13 @@ func NewEngine(a *va.VA) *Engine {
 	for _, v := range e.vars {
 		e.varSet[v] = true
 	}
+	e.cols = e.vars
 	if p, err := program.Compile(a); err == nil {
 		e.prog = p
 		e.dfa = p.DFA()
 		e.order = newOpOrder(p.Vars)
 		e.opFree = opFreeStates(p)
+		e.cols = p.Vars
 	}
 	return e
 }
@@ -125,6 +131,7 @@ func FromProgram(p *program.Program, sequential bool) *Engine {
 		order:      newOpOrder(p.Vars),
 		opFree:     opFreeStates(p),
 	}
+	e.cols = p.Vars
 	e.varSet = make(map[span.Var]bool, len(e.vars))
 	for _, v := range e.vars {
 		e.varSet[v] = true
@@ -670,7 +677,8 @@ func (e *Engine) evalFPT(d *span.Document, mu span.Extended) bool {
 //     the ablation benchmarks.
 //
 // All three emit the same mapping set; orders differ between the
-// direct and oracle strategies but each is deterministic.
+// direct and oracle strategies but each is deterministic. Each yielded
+// map is built for the caller; EnumerateTuples is the map-free form.
 func (e *Engine) Enumerate(d *span.Document, yield func(span.Mapping) bool) {
 	e.EnumerateObserved(d, nil, yield)
 }

@@ -58,12 +58,42 @@ type incSnap struct {
 	f0, f1, b0, b1 program.Bits
 }
 
-// incMapping is one cached mapping with the extent of its fired ops
-// (min span start / max span end), used to split the ordered result
-// list at crossing-free cuts.
-type incMapping struct {
-	m              span.Mapping
+// incExtent is the extent of one cached mapping's fired ops (min span
+// start / max span end), used to split the ordered result list at
+// crossing-free cuts.
+type incExtent struct {
 	minPos, maxPos int
+}
+
+// incResults is an ordered list of nonempty mappings: one flat slab of
+// tuples over the engine's columns, width spans each, plus one extent
+// per tuple.
+type incResults struct {
+	tuples  []span.Span
+	extents []incExtent
+}
+
+// add appends tuple t unless it is the empty mapping, reporting
+// whether it did.
+func (r *incResults) add(t []span.Span) bool {
+	ext := incExtent{minPos: int(^uint(0) >> 1)}
+	for _, sp := range t {
+		if sp == (span.Span{}) {
+			continue
+		}
+		ext.minPos = min(ext.minPos, sp.Start)
+		ext.maxPos = max(ext.maxPos, sp.End)
+	}
+	if ext.maxPos == 0 {
+		return false
+	}
+	r.tuples = append(r.tuples, t...)
+	r.extents = append(r.extents, ext)
+	return true
+}
+
+func (r *incResults) reset() {
+	r.tuples, r.extents = r.tuples[:0], r.extents[:0]
 }
 
 // fpair is a recorded (letters-only, ≥1-op) frontier pair.
@@ -103,8 +133,10 @@ type IncState struct {
 	blockK  int
 	snaps   []incSnap
 	spare   []incSnap // storage of the list before last, reused by rebuildSnaps
-	results []incMapping
-	emptyOK bool // the empty mapping is in the result set (always last)
+	width   int       // spans per tuple: len(e.Columns())
+	results incResults
+	empty   []span.Span // the empty mapping's tuple
+	emptyOK bool        // the empty mapping is in the result set (always last)
 	stats   IncStats
 
 	tmp, tmp2 program.Bits // sweep scratch
@@ -139,7 +171,8 @@ func NewIncremental(e *Engine, d *span.Document) (*IncState, bool) {
 // newIncremental is NewIncremental with an explicit snapshot spacing,
 // so tests can force edits to span snapshot boundaries.
 func newIncremental(e *Engine, d *span.Document, blockK int) *IncState {
-	s := &IncState{e: e, doc: d, blockK: blockK}
+	s := &IncState{e: e, doc: d, blockK: blockK, width: len(e.cols)}
+	s.empty = make([]span.Span, s.width)
 	n := e.prog.NumStates
 	s.tmp, s.tmp2 = program.NewBits(n), program.NewBits(n)
 	s.rebuild()
@@ -152,7 +185,7 @@ func (s *IncState) Doc() *span.Document { return s.doc }
 // Len returns the number of mappings in the current result set,
 // including the empty mapping when present.
 func (s *IncState) Len() int {
-	n := len(s.results)
+	n := len(s.results.extents)
 	if s.emptyOK {
 		n++
 	}
@@ -162,33 +195,44 @@ func (s *IncState) Len() int {
 // Stats returns the session's cumulative counters.
 func (s *IncState) Stats() IncStats { return s.stats }
 
-// Each yields the current mappings in the enumerator's emission order
-// (the empty mapping, when present, comes last) and reports whether
-// the walk ran to completion. The yielded maps are borrowed: later
-// Splice calls mutate them in place, so callers that retain mappings
-// must copy them.
-func (s *IncState) Each(yield func(span.Mapping) bool) bool {
-	for i := range s.results {
-		if !yield(s.results[i].m) {
+// EachTuple yields the current mappings as tuples over the engine's
+// Columns, in the enumerator's emission order (the empty mapping, when
+// present, comes last), and reports whether the walk ran to
+// completion. The tuples are borrowed: yield must not retain or modify
+// them.
+func (s *IncState) EachTuple(yield func(t []span.Span) bool) bool {
+	for i := range s.results.extents {
+		if !yield(s.results.tuples[i*s.width : (i+1)*s.width : (i+1)*s.width]) {
 			return false
 		}
 	}
 	if s.emptyOK {
-		return yield(span.Mapping{})
+		return yield(s.empty)
 	}
 	return true
 }
 
-// Mappings returns independent copies of the current result set in
-// emission order.
+// Each is EachTuple yielding each mapping as a freshly built map.
+func (s *IncState) Each(yield func(span.Mapping) bool) bool {
+	return s.EachTuple(func(t []span.Span) bool { return yield(tupleMapping(s.e.cols, t)) })
+}
+
+// Mappings returns the current result set in emission order.
 func (s *IncState) Mappings() []span.Mapping {
 	out := make([]span.Mapping, 0, s.Len())
 	s.Each(func(m span.Mapping) bool {
-		out = append(out, m.Copy())
+		out = append(out, m)
 		return true
 	})
 	return out
 }
+
+// Bytes the session charges per cached mapping: one span per column
+// plus the mapping's extent.
+const (
+	incSpanBytes   = 16
+	incExtentBytes = 16
+)
 
 // MemoryBytes estimates the session's retained memory, used by the
 // document store's byte-budget accounting.
@@ -198,35 +242,12 @@ func (s *IncState) MemoryBytes() int {
 		words = len(s.snaps[0].f0)
 	}
 	b := len(s.snaps) * (4*words*8 + 64)
-	for i := range s.results {
-		b += 96 + len(s.results[i].m)*64
-	}
+	b += len(s.results.extents) * (incSpanBytes*s.width + incExtentBytes)
 	b += len(s.doc.Text())
 	if s.doc.ASCIIText() == "" {
 		b += 4 * s.doc.Len() // a non-ASCII document's rune slice
 	}
 	return b
-}
-
-// opExtent returns the smallest and largest boundary at which the
-// mapping's ops fired (span endpoints are exactly the op positions).
-func opExtent(m span.Mapping) (mn, mx int) {
-	mn = int(^uint(0) >> 1)
-	for _, sp := range m {
-		if sp.Start < mn {
-			mn = sp.Start
-		}
-		if sp.End > mx {
-			mx = sp.End
-		}
-	}
-	return mn, mx
-}
-
-// appendIncMapping caches one nonempty mapping with its extent.
-func appendIncMapping(out []incMapping, m span.Mapping) []incMapping {
-	mn, mx := opExtent(m)
-	return append(out, incMapping{m: m, minPos: mn, maxPos: mx})
 }
 
 // bitsEq reports word-wise equality of two same-width bitsets.
@@ -298,13 +319,11 @@ func (s *IncState) stepBackward(b0, b1, d0, d1 program.Bits, r rune) {
 // snapshot grid from scratch.
 func (s *IncState) rebuild() {
 	d := s.doc
-	s.results = s.results[:0]
+	s.results.reset()
 	s.emptyOK = false
-	s.e.Enumerate(d, func(m span.Mapping) bool {
-		if len(m) == 0 {
+	s.e.EnumerateTuples(d, nil, func(t []span.Span) bool {
+		if !s.results.add(t) {
 			s.emptyOK = true
-		} else {
-			s.results = appendIncMapping(s.results, m)
 		}
 		return true
 	})
@@ -503,44 +522,46 @@ func (s *IncState) Splice(off, del int, ins string) (SpliceResult, error) {
 	// Split the cached ordered results at the cuts: a contiguous prefix
 	// of mappings entirely below A, a contiguous suffix entirely at or
 	// past bOld, and a middle block replaced by the window walk.
+	r := &s.results
 	li := 0
-	for li < len(s.results) && s.results[li].maxPos < A {
+	for li < len(r.extents) && r.extents[li].maxPos < A {
 		li++
 	}
-	ri := len(s.results)
+	ri := len(r.extents)
 	if B > 0 {
-		for ri > li && s.results[ri-1].minPos >= bOld {
+		for ri > li && r.extents[ri-1].minPos >= bOld {
 			ri--
 		}
 	}
 
-	window := s.windowWalk(newDoc, A, B, startSet, targetB0)
+	w := s.windowWalk(newDoc, A, B, startSet, targetB0)
 
-	for i := ri; i < len(s.results); i++ {
-		rm := &s.results[i]
-		for v, sp := range rm.m {
-			rm.m[v] = span.Span{Start: sp.Start + delta, End: sp.End + delta}
+	// Shift the reused suffix in place (⊥ columns stay zero), then put
+	// the window's tuples where the middle block was.
+	for i := ri * s.width; i < len(r.tuples); i++ {
+		if sp := &r.tuples[i]; *sp != (span.Span{}) {
+			sp.Start += delta
+			sp.End += delta
 		}
-		rm.minPos += delta
-		rm.maxPos += delta
 	}
-	merged := make([]incMapping, 0, li+len(window)+(len(s.results)-ri))
-	merged = append(merged, s.results[:li]...)
-	merged = append(merged, window...)
-	merged = append(merged, s.results[ri:]...)
+	for i := ri; i < len(r.extents); i++ {
+		r.extents[i].minPos += delta
+		r.extents[i].maxPos += delta
+	}
+	r.tuples = slices.Replace(r.tuples, li*s.width, ri*s.width, w.tuples...)
+	r.extents = slices.Replace(r.extents, li, ri, w.extents...)
 
 	rebuilt := s.rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf, cb, newF, newB)
 	clear(s.snaps)
 	s.snaps, s.spare = rebuilt, s.snaps[:0]
 	s.doc = newDoc
-	s.results = merged
 	s.emptyOK = newEmptyOK
 
 	res.WindowStart = A
 	res.WindowEnd = B
 	res.ReusedLeft = li
-	res.ReusedRight = len(s.results) - (li + len(window))
-	res.Recomputed = len(window)
+	res.ReusedRight = len(r.extents) - (li + len(w.extents))
+	res.Recomputed = len(w.extents)
 	s.stats.Splices++
 	s.stats.FwdSteps += int64(res.FwdSteps)
 	s.stats.BwdSteps += int64(res.BwdSteps)
@@ -556,17 +577,15 @@ func (s *IncState) Splice(off, del int, ins string) (SpliceResult, error) {
 // completion is letters-only through targetB0, the cached b0 there.
 // Emission order is the enumerator's, so the output concatenates
 // between the reused prefix and suffix of the cached result list.
-func (s *IncState) windowWalk(d *span.Document, A, B int, startSet, targetB0 program.Bits) []incMapping {
+func (s *IncState) windowWalk(d *span.Document, A, B int, startSet, targetB0 program.Bits) incResults {
 	e := s.e
 	hi, seed, cut := d.Len()+1, e.finalCoReach(), false
 	if B > 0 {
 		hi, seed, cut = B, targetB0, true
 	}
-	var out []incMapping
-	e.newSeqWalk(d, A, hi, e.coReachRaw(d, A, hi, seed), cut).run(startSet, func(fired []firedOp) bool {
-		if len(fired) > 0 {
-			out = appendIncMapping(out, e.mappingOf(fired))
-		}
+	var out incResults
+	e.newSeqWalk(d, A, hi, e.coReachRaw(d, A, hi, seed), cut).run(startSet, func(t []span.Span) bool {
+		out.add(t)
 		return true
 	})
 	return out

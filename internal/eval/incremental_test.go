@@ -282,12 +282,18 @@ func TestIncrementalUnsupportedEngine(t *testing.T) {
 	}
 }
 
-// TestIncrementalMemoryBytes sanity-checks the store-accounting
-// estimate: nonzero, and growing with the document.
+// TestIncrementalMemoryBytes checks the store-accounting estimate: it
+// is nonzero and grows with the document, and each cached mapping is
+// charged what the session retains for it — one 16-byte span per
+// column of its tuple plus its 16-byte extent. Two documents of equal
+// length hold the same snapshots, so their difference is the result
+// slab alone.
 func TestIncrementalMemoryBytes(t *testing.T) {
-	e := incEngine(t, `.*(x{ab*}c).*`)
-	small := newIncremental(e, span.NewDocument("abc"), 64)
-	big := newIncremental(e, span.NewDocument(strings.Repeat("dabcd", 400)), 64)
+	e := incEngine(t, `.*(Seller: x{[^,\n]*}, ID(y{\d*})\n).*`)
+	row := "Seller: Ann, ID7\n"
+	small := newIncremental(e, span.NewDocument(row), 64)
+	big := newIncremental(e, span.NewDocument(strings.Repeat(row, 400)), 64)
+	none := newIncremental(e, span.NewDocument(strings.Repeat("x", 400*len(row))), 64)
 	if small.MemoryBytes() <= 0 {
 		t.Fatalf("MemoryBytes() = %d on a small session", small.MemoryBytes())
 	}
@@ -295,13 +301,16 @@ func TestIncrementalMemoryBytes(t *testing.T) {
 		t.Fatalf("MemoryBytes() did not grow with the document: small=%d big=%d",
 			small.MemoryBytes(), big.MemoryBytes())
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
+	if big.Len() != 400 || none.Len() != 0 {
+		t.Fatalf("sessions hold %d and %d mappings, want 400 and 0", big.Len(), none.Len())
 	}
-	return b
+	perMapping := 16*len(e.Columns()) + 16
+	if got, want := big.MemoryBytes()-none.MemoryBytes(), big.Len()*perMapping; got != want {
+		t.Fatalf("400 cached mappings charged %d bytes, want %d (%d per mapping)", got, want, perMapping)
+	}
+	if got := len(big.results.tuples); got != big.Len()*len(e.Columns()) {
+		t.Fatalf("result slab holds %d spans for %d mappings of %d columns", got, big.Len(), len(e.Columns()))
+	}
 }
 
 // TestNewIncrementalDefaults exercises the exported constructor (with

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -99,20 +100,21 @@ type firedOp struct {
 	pos  int
 }
 
-// mappingOf builds the mapping of one branch from its fired
-// operations, which arrive in boundary order. A close without an open
-// keeps the zero start, as a sequential program never produces one.
-func (e *Engine) mappingOf(fired []firedOp) span.Mapping {
+// fillTuple sets t, indexed by program variable id, to the mapping of
+// one branch from its fired operations, which arrive in boundary
+// order; the variables the branch never closes are ⊥. A close without
+// an open keeps the zero start, as a sequential program never produces
+// one.
+func fillTuple(t []span.Span, fired []firedOp) {
+	clear(t)
 	var opens [program.MaxVars]int
-	m := make(span.Mapping)
 	for _, f := range fired {
 		if f.open {
 			opens[f.v] = f.pos
 		} else {
-			m[e.prog.Vars[f.v]] = span.Span{Start: opens[f.v], End: f.pos}
+			t[f.v] = span.Span{Start: opens[f.v], End: f.pos}
 		}
 	}
-	return m
 }
 
 // Edge targets besides node indexes. An edge starts out dead and is
@@ -194,15 +196,17 @@ type seqWalk struct {
 }
 
 // walkBufs are the slabs of one walk: the DAG its sweep builds
-// (edges[0] is the root edge), the sweep's two live layers and the
-// DFS's stack. run and count hand them back to walkBufPool, so a
-// stream of walks reuses them instead of growing new ones per document.
+// (edges[0] is the root edge), the sweep's two live layers, the DFS's
+// stack and the tuple it emits. run and count hand them back to
+// walkBufPool, so a stream of walks reuses them instead of growing new
+// ones per document.
 type walkBufs struct {
 	nodes     []dagNode
 	edges     []dagEdge
 	cur, next sweepLayer
 	stack     []walkFrame
 	fired     []firedOp
+	tuple     []span.Span
 }
 
 var walkBufPool = sync.Pool{New: func() any { return new(walkBufs) }}
@@ -438,16 +442,18 @@ type walkFrame struct {
 	pos, base int
 }
 
-// run calls emit with the operations fired along every branch from
-// the frontier start at lo — in emission order, the empty history
-// included — until emit returns false. emit must not retain fired.
+// run calls emit with the mapping of every branch from the frontier
+// start at lo — in emission order, the empty mapping included — as a
+// tuple over the program's variables (Engine.Columns), until emit
+// returns false. The tuple is reused: emit must not retain it.
 // The sweep does every letter step before the first call; the DFS
 // after it keeps a frame only for a node with an untried edge, and the
 // first edge of every node fires an operation, so the work between two
 // emissions is bounded by the number of variables, not by |d|.
-func (w *seqWalk) run(start program.Bits, emit func(fired []firedOp) bool) {
+func (w *seqWalk) run(start program.Bits, emit func(t []span.Span) bool) {
 	w.sweep(start)
 	fired, stack := w.fired[:0], append(w.stack[:0], walkFrame{end: 1})
+	t := slices.Grow(w.tuple[:0], len(w.e.prog.Vars))[:len(w.e.prog.Vars)]
 	for len(stack) > 0 {
 		top := len(stack) - 1
 		f := stack[top]
@@ -463,7 +469,8 @@ func (w *seqWalk) run(start program.Bits, emit func(fired []firedOp) bool) {
 		}
 		switch e.to {
 		case toEnd:
-			if !emit(fired) {
+			fillTuple(t, fired)
+			if !emit(t) {
 				stack = stack[:0]
 			}
 		case toDead:
@@ -472,7 +479,7 @@ func (w *seqWalk) run(start program.Bits, emit func(fired []firedOp) bool) {
 			stack = append(stack, walkFrame{next: n.first, end: n.end, pos: int(n.pos), base: len(fired)})
 		}
 	}
-	w.fired, w.stack = fired, stack
+	w.fired, w.stack, w.tuple = fired, stack, t
 	w.done()
 }
 

@@ -188,7 +188,7 @@ func walkWebLog(t *testing.T, e *Engine, lines int) (steps int, atEmit []int) {
 	t.Helper()
 	d := span.NewDocument(workload.WebLog(workload.WebLogOptions{Lines: lines, ReferProb: 0.35, Seed: int64(lines)}))
 	w := e.newSeqWalk(d, 1, d.Len()+1, e.backwardReachProg(d), false)
-	w.run(e.startSet(), func([]firedOp) bool {
+	w.run(e.startSet(), func([]span.Span) bool {
 		atEmit = append(atEmit, w.steps)
 		return true
 	})

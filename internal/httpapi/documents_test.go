@@ -101,7 +101,7 @@ func TestDocumentCRUDAndExtractByReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(er.Results) != 1 || len(er.Results[0]) != 1 || er.Results[0][0]["x"].Content != "Anna" {
+	if len(er.Results) != 1 || len(er.Results[0]) != 1 || field(t, er.Results[0][0], "x").Content != "Anna" {
 		t.Fatalf("by-reference results: %+v", er.Results)
 	}
 
@@ -142,7 +142,7 @@ func TestDocumentCRUDAndExtractByReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(er.Results) != 2 || er.Results[0][0]["x"].Content != "Inline" || len(er.Results[1]) != 2 {
+	if len(er.Results) != 2 || field(t, er.Results[0][0], "x").Content != "Inline" || len(er.Results[1]) != 2 {
 		t.Fatalf("mixed batch: %+v", er.Results)
 	}
 

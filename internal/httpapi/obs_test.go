@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"spanners/client"
 	"spanners/internal/obs"
 	"spanners/internal/service"
 )
@@ -163,6 +165,20 @@ func TestDeadlineTyped503(t *testing.T) {
 	}
 	if got := svc.Observability().DeadlineExpiries(); got != 1 {
 		t.Fatalf("deadline expiries = %d, want 1", got)
+	}
+}
+
+// TestInternalErrorTyped500: a recovered extraction panic surfaces as
+// a 500 with the stable code "internal".
+func TestInternalErrorTyped500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	apiError(rec, fmt.Errorf("batch: %w", service.ErrInternal))
+	var env client.ErrorEnvelope
+	if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusInternalServerError || env.Err.Code != client.CodeInternal {
+		t.Fatalf("status %d code %q, want 500 %q", rec.Code, env.Err.Code, client.CodeInternal)
 	}
 }
 

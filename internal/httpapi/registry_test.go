@@ -96,7 +96,7 @@ func TestRegistryLifecycleAcrossRestart(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("extract by pin: status %d", resp.StatusCode)
 	}
-	if len(out.Results) != 1 || len(out.Results[0]) != 1 || out.Results[0][0]["x"].Content != "Anna" {
+	if len(out.Results) != 1 || len(out.Results[0]) != 1 || field(t, out.Results[0][0], "x").Content != "Anna" {
 		t.Fatalf("extract by pin: %v", out.Results)
 	}
 	if out.Stats.Spanners.Misses != 0 {

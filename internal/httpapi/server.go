@@ -44,13 +44,6 @@ type extractRequest struct {
 	DocIDs []string `json:"doc_ids"`
 }
 
-// extractResponse pairs the per-document results (input order) with a
-// cache snapshot so clients can observe compile amortization.
-type extractResponse struct {
-	Results [][]service.Result `json:"results"`
-	Stats   service.Stats      `json:"stats"`
-}
-
 // streamRequest is the body of POST /v1/extract/stream: one query and
 // one document — inline (doc) or by store reference (doc_id) — with
 // results streamed back as NDJSON.
@@ -399,7 +392,7 @@ func WriteError(w http.ResponseWriter, status int, code, message string) {
 // variables, bad splices) are the client's fault, 400; a difference
 // whose determinization blows the configured state budget is a
 // well-formed but unprocessable query, 422. Only storage-level
-// corruption maps to a 500.
+// corruption and a recovered extraction panic map to a 500.
 func errorCode(err error) (int, string) {
 	var parseErr *rgx.ParseError
 	switch {
@@ -421,6 +414,8 @@ func errorCode(err error) (int, string) {
 		return http.StatusBadRequest, client.CodeBadName
 	case errors.Is(err, registry.ErrBadArtifact):
 		return http.StatusInternalServerError, client.CodeBadArtifact
+	case errors.Is(err, service.ErrInternal):
+		return http.StatusInternalServerError, client.CodeInternal
 	case errors.Is(err, service.ErrBadQuery):
 		return http.StatusBadRequest, client.CodeBadQuery
 	case errors.As(err, &parseErr), errors.Is(err, algebra.ErrSyntax):
@@ -497,8 +492,50 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		}
 		results = append(results, res)
 	}
+	s.writeExtractResponse(w, results)
+}
+
+// respBufPool recycles the response buffers of /v1/extract.
+var respBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledRespBytes keeps huge response buffers out of the pool.
+const maxPooledRespBytes = 4 << 20
+
+// writeExtractResponse writes the /v1/extract body with one Write:
+// {"results": …, "stats": …}, the per-document results (input order)
+// beside a cache snapshot so clients can observe compile amortization.
+// The already-encoded results are copied into one buffer around the
+// stats, which encoding/json renders.
+func (s *server) writeExtractResponse(w http.ResponseWriter, results [][]service.Result) {
+	stats, err := json.Marshal(s.svc.Stats())
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	bp := respBufPool.Get().(*[]byte)
+	buf := append((*bp)[:0], `{"results":[`...)
+	for i, res := range results {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, '[')
+		for j, r := range res {
+			if j > 0 {
+				buf = append(buf, ',')
+			}
+			buf = append(buf, r...)
+		}
+		buf = append(buf, ']')
+	}
+	buf = append(buf, `],"stats":`...)
+	buf = append(buf, stats...)
+	buf = append(buf, "}\n"...)
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(extractResponse{Results: results, Stats: s.svc.Stats()})
+	w.Write(buf)
+	if cap(buf) <= maxPooledRespBytes {
+		*bp = buf
+		respBufPool.Put(bp)
+	}
 }
 
 // handleStream emits one JSON object per output mapping, one per
@@ -538,9 +575,10 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	var line []byte
 	err = compiled.Stream(ctx, req.Doc, func(res service.Result) bool {
-		if enc.Encode(res) != nil {
+		line = append(append(line[:0], res...), '\n')
+		if _, err := w.Write(line); err != nil {
 			return false
 		}
 		if flusher != nil {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"spanners/client"
 	"spanners/internal/service"
 )
 
@@ -21,6 +22,22 @@ func newTestServer(t *testing.T) (*httptest.Server, *service.Service) {
 	ts := httptest.NewServer(New(svc, Options{}))
 	t.Cleanup(ts.Close)
 	return ts, svc
+}
+
+// extractResponse is the decoded /v1/extract body.
+type extractResponse struct {
+	Results [][]service.Result `json:"results"`
+	Stats   service.Stats      `json:"stats"`
+}
+
+// field decodes one encoded result and returns the span of variable v.
+func field(t *testing.T, r service.Result, v string) client.Span {
+	t.Helper()
+	var m client.Result
+	if err := json.Unmarshal(r, &m); err != nil {
+		t.Fatalf("result %s: %v", r, err)
+	}
+	return m[v]
 }
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -64,7 +81,7 @@ func TestExtractEndToEnd(t *testing.T) {
 	if len(first.Results[0]) != 2 || len(first.Results[1]) != 0 {
 		t.Fatalf("per-doc counts = %d, %d; want 2, 0", len(first.Results[0]), len(first.Results[1]))
 	}
-	names := []string{first.Results[0][0]["x"].Content, first.Results[0][1]["x"].Content}
+	names := []string{field(t, first.Results[0][0], "x").Content, field(t, first.Results[0][1], "x").Content}
 	if names[0] != "Anna" || names[1] != "Bob" {
 		t.Fatalf("extracted names = %v, want [Anna Bob]", names)
 	}
@@ -150,7 +167,7 @@ func TestStreamEndToEnd(t *testing.T) {
 	sc := bufio.NewScanner(resp.Body)
 	lines := 0
 	for lines < 5 && sc.Scan() {
-		var res service.Result
+		var res client.Result
 		if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
 			t.Fatalf("line %d is not JSON: %v", lines, err)
 		}

@@ -6,8 +6,9 @@ import (
 	"sync"
 	"unicode/utf8"
 
-	"spanners"
 	"spanners/internal/docstore"
+	"spanners/internal/eval"
+	"spanners/internal/span"
 )
 
 // ErrDocumentNotFound is returned by the by-reference extraction paths
@@ -22,11 +23,11 @@ func (s *Service) Documents() *docstore.Store { return s.docs }
 // incSession is an incremental extraction session parked on a stored
 // document, keyed by the compiled program's fingerprint. The mutex
 // serializes catch-up and result encoding: the underlying session is
-// single-writer, and Each borrows its mappings.
+// single-writer, and EachTuple borrows its tuples.
 type incSession struct {
 	mu      sync.Mutex
-	sp      *spanners.Spanner
-	inc     *spanners.Incremental
+	eng     *eval.Engine
+	inc     *eval.IncState
 	version int64
 }
 
@@ -85,19 +86,26 @@ func (s *Service) ExtractDocument(ctx context.Context, q Query, id string) ([]Re
 		s.incFull.Add(1)
 		return c.extractOne(ctx, doc.Text, nil)
 	}
-	s.docs.Attach(doc.ID, c.sp.ProgramFingerprint(), sess, sess.inc.MemoryBytes())
+	s.docs.Attach(doc.ID, c.fingerprint(), sess, sess.inc.MemoryBytes())
 
-	// Encode under the session lock: Each borrows its mappings.
-	d := sess.inc.Document()
-	out := []Result{}
-	n := 0
-	sess.inc.Each(func(m spanners.Mapping) bool {
-		s.emitted.Add(1)
-		out = append(out, EncodeMapping(d, m))
-		n++
-		return c.limit <= 0 || n < c.limit
+	// Encode under the session lock: EachTuple borrows its tuples.
+	d, cols := sess.inc.Doc(), sess.eng.Columns()
+	rs := newResultSet()
+	emit := c.deliver(func(cols []span.Var, t []span.Span) bool {
+		rs.add(d, cols, t)
+		return true
 	})
-	return out, nil
+	sess.inc.EachTuple(func(t []span.Span) bool { return emit(cols, t) })
+	return rs.results(), nil
+}
+
+// fingerprint is the compiled program's fingerprint, the key sessions
+// attach under; 0 when the query has no compiled program.
+func (c *Compiled) fingerprint() uint64 {
+	if c.eng == nil || !c.eng.Compiled() {
+		return 0
+	}
+	return c.eng.Program().Fingerprint()
 }
 
 // sessionFor finds or creates the incremental session for the compiled
@@ -105,10 +113,7 @@ func (s *Service) ExtractDocument(ctx context.Context, q Query, id string) ([]Re
 // when the query cannot be served incrementally (rules, interpreted or
 // non-sequential spanners).
 func (s *Service) sessionFor(c *Compiled, doc docstore.Doc) (sess *incSession, fresh bool) {
-	if c.sp == nil {
-		return nil, false
-	}
-	fp := c.sp.ProgramFingerprint()
+	fp := c.fingerprint()
 	if fp == 0 {
 		return nil, false
 	}
@@ -117,12 +122,12 @@ func (s *Service) sessionFor(c *Compiled, doc docstore.Doc) (sess *incSession, f
 			return sess, false
 		}
 	}
-	inc, ok := c.sp.Incremental(doc.Text)
+	inc, ok := eval.NewIncremental(c.eng, span.NewDocument(doc.Text))
 	if !ok {
 		return nil, false
 	}
 	s.incRebuilds.Add(1)
-	sess = &incSession{sp: c.sp, inc: inc, version: doc.Version}
+	sess = &incSession{eng: c.eng, inc: inc, version: doc.Version}
 	s.docs.Attach(doc.ID, fp, sess, inc.MemoryBytes())
 	return sess, true
 }
@@ -140,7 +145,7 @@ func (s *Service) catchUp(sess *incSession, doc docstore.Doc, fresh bool) error 
 	splices, ok := s.docs.SplicesSince(doc.ID, sess.version)
 	if ok {
 		for _, sp := range splices {
-			text := sess.inc.Text()
+			text := sess.inc.Doc().Text()
 			if sp.Offset > len(text) || sp.Offset+sp.DeleteLen > len(text) {
 				ok = false
 				break
@@ -164,7 +169,7 @@ func (s *Service) catchUp(sess *incSession, doc docstore.Doc, fresh bool) error 
 	if !found {
 		return fmt.Errorf("%w: %q", ErrDocumentNotFound, doc.ID)
 	}
-	inc, incOK := sess.sp.Incremental(cur.Text)
+	inc, incOK := eval.NewIncremental(sess.eng, span.NewDocument(cur.Text))
 	if !incOK {
 		return fmt.Errorf("service: could not rebuild incremental session for %q", doc.ID)
 	}

@@ -1,26 +1,199 @@
 package service
 
-import "spanners"
+import (
+	"encoding/json"
+	"strconv"
+	"sync"
+	"unicode/utf8"
 
-// SpanJSON is the wire form of one extracted span: 1-based rune
-// positions (start, end) in the paper's span convention plus the
-// span's content, so clients need not re-slice the document.
-type SpanJSON struct {
-	Start   int    `json:"start"`
-	End     int    `json:"end"`
-	Content string `json:"content"`
+	"spanners"
+	"spanners/internal/span"
+)
+
+// Result is the wire form of one output mapping, already encoded: the
+// JSON object {"x":{"start":1,"end":5,"content":"…"},…} over the
+// assigned variables only — a variable absent from it was not
+// extracted, which is the incomplete-information semantics, not an
+// error. Spans are 1-based rune positions (start, end) in the paper's
+// convention, and content saves clients re-slicing the document. The
+// bytes are exactly those encoding/json writes for the equivalent
+// map[string]struct{Start, End int; Content string}: keys sorted, HTML
+// characters and U+2028/U+2029 escaped. The results of one document are
+// slices of one buffer; a streamed Result is borrowed until its yield
+// returns.
+type Result = json.RawMessage
+
+// appendResult is the service's one result encoder. It appends the
+// encoding of one mapping — the tuple t over cols, sorted by name, in
+// which the zero Span is ⊥ — to buf, reading span contents straight
+// from d.
+func appendResult(buf []byte, d *span.Document, cols []span.Var, t []span.Span) []byte {
+	buf = append(buf, '{')
+	open := len(buf)
+	for i, sp := range t {
+		if sp == (span.Span{}) {
+			continue
+		}
+		if len(buf) > open {
+			buf = append(buf, ',')
+		}
+		buf = appendString(buf, string(cols[i]))
+		buf = append(buf, `:{"start":`...)
+		buf = strconv.AppendInt(buf, int64(sp.Start), 10)
+		buf = append(buf, `,"end":`...)
+		buf = strconv.AppendInt(buf, int64(sp.End), 10)
+		buf = append(buf, `,"content":`...)
+		buf = appendContent(buf, d, sp)
+		buf = append(buf, '}')
+	}
+	return append(buf, '}')
 }
 
-// Result is the wire form of one output mapping: assigned variables
-// only — a variable absent from the map was not extracted, which is
-// the incomplete-information semantics, not an error.
-type Result map[string]SpanJSON
-
-// EncodeMapping renders m against d as a wire result.
-func EncodeMapping(d *spanners.Document, m spanners.Mapping) Result {
-	out := make(Result, len(m))
-	for v, sp := range m {
-		out[string(v)] = SpanJSON{Start: sp.Start, End: sp.End, Content: d.Content(sp)}
+// mappingTuple is the Mapping adapter for the paths that hold maps —
+// rule queries and the library's Enumerate: the domain of m, sorted,
+// as the columns, and its spans as the tuple.
+func mappingTuple(m spanners.Mapping) ([]span.Var, []span.Span) {
+	cols := m.Domain()
+	t := make([]span.Span, len(cols))
+	for i, v := range cols {
+		t[i] = m[v]
 	}
+	return cols, t
+}
+
+// EncodeMapping renders m against d as a wire result, through the same
+// encoder as the tuple path.
+func EncodeMapping(d *spanners.Document, m spanners.Mapping) Result {
+	cols, t := mappingTuple(m)
+	return appendResult(nil, d, cols, t)
+}
+
+// appendContent appends the JSON string of d's content at sp: the
+// document's own bytes when it is ASCII, its runes otherwise (where an
+// invalid UTF-8 byte already reads as U+FFFD).
+func appendContent(buf []byte, d *span.Document, sp span.Span) []byte {
+	if text := d.ASCIIText(); text != "" {
+		return appendString(buf, text[sp.Start-1:sp.End-1])
+	}
+	buf = append(buf, '"')
+	for pos := sp.Start; pos < sp.End; pos++ {
+		r := d.RuneAt(pos)
+		switch {
+		case r < utf8.RuneSelf:
+			buf = appendByte(buf, byte(r))
+		case r == '\u2028' || r == '\u2029':
+			buf = append(buf, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+		default:
+			buf = utf8.AppendRune(buf, r)
+		}
+	}
+	return append(buf, '"')
+}
+
+// appendString appends s as a JSON string, escaped as encoding/json
+// escapes it: invalid UTF-8 becomes \ufffd.
+func appendString(buf []byte, s string) []byte {
+	buf = append(buf, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if !htmlSafe[b] {
+				buf = appendByte(append(buf, s[start:i]...), b)
+				start = i + 1
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			buf = append(append(buf, s[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			buf = append(append(buf, s[start:i]...), '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(buf, s[start:]...), '"')
+}
+
+// appendByte appends one ASCII byte of a JSON string, escaped when it
+// must be.
+func appendByte(buf []byte, b byte) []byte {
+	if htmlSafe[b] {
+		return append(buf, b)
+	}
+	switch b {
+	case '\\', '"':
+		return append(buf, '\\', b)
+	case '\b':
+		return append(buf, '\\', 'b')
+	case '\f':
+		return append(buf, '\\', 'f')
+	case '\n':
+		return append(buf, '\\', 'n')
+	case '\r':
+		return append(buf, '\\', 'r')
+	case '\t':
+		return append(buf, '\\', 't')
+	}
+	return append(buf, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+}
+
+const hexDigits = "0123456789abcdef"
+
+// htmlSafe marks the ASCII bytes a JSON string holds verbatim: not a
+// control byte, quote or backslash, and none of the HTML characters
+// <, > and & that encoding/json escapes by default.
+var htmlSafe = func() (safe [utf8.RuneSelf]bool) {
+	for b := byte(' '); b < utf8.RuneSelf; b++ {
+		safe[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	}
+	return safe
+}()
+
+// resultSet collects the encoded results of one document in one
+// scratch buffer. results hands them out as slices of one exact-size
+// copy and returns the scratch to resultSetPool, so a document costs
+// two allocations however many mappings it has.
+type resultSet struct {
+	buf  []byte
+	ends []int
+}
+
+var resultSetPool = sync.Pool{New: func() any { return new(resultSet) }}
+
+// maxPooledResultBytes keeps the scratch of huge result sets out of the
+// pool.
+const maxPooledResultBytes = 1 << 20
+
+func newResultSet() *resultSet { return resultSetPool.Get().(*resultSet) }
+
+func (r *resultSet) add(d *span.Document, cols []span.Var, t []span.Span) {
+	r.buf = appendResult(r.buf, d, cols, t)
+	r.ends = append(r.ends, len(r.buf))
+}
+
+// results returns the collected results in order and releases r.
+func (r *resultSet) results() []Result {
+	out := make([]Result, len(r.ends))
+	buf := append([]byte(nil), r.buf...)
+	start := 0
+	for i, end := range r.ends {
+		out[i] = buf[start:end:end]
+		start = end
+	}
+	r.release()
 	return out
+}
+
+func (r *resultSet) release() {
+	if cap(r.buf) > maxPooledResultBytes {
+		return
+	}
+	r.buf, r.ends = r.buf[:0], r.ends[:0]
+	resultSetPool.Put(r)
 }

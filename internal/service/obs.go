@@ -66,6 +66,10 @@ func newObservability(svc *Service, traceRetention int) *Observability {
 		"Requests that hit the server-imposed deadline.", func() []obs.Sample {
 			return []obs.Sample{{Value: float64(o.deadlineExpiries.Load())}}
 		})
+	r.RegisterCounterFunc("spand_panics_total",
+		"Extraction panics recovered in service goroutines (answered as internal errors).", func() []obs.Sample {
+			return []obs.Sample{{Value: float64(svc.panics.Load())}}
+		})
 	r.RegisterCounterFunc("spand_cache_events_total",
 		"Compile-cache traffic by cache and event.", func() []obs.Sample {
 			st := svc.Stats()

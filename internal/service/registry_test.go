@@ -43,7 +43,7 @@ func TestNamedSpannerServesWithoutCompileMisses(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Extract(%q): %v", ref, err)
 		}
-		if len(res) != 1 || res[0]["x"].Content != "Anna" {
+		if len(res) != 1 || decodeResult(t, res[0])["x"].Content != "Anna" {
 			t.Fatalf("Extract(%q) = %v", ref, res)
 		}
 	}
@@ -100,7 +100,7 @@ func TestNamedSpannerPinnedVersionStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 1 || res[0]["y"].Content != "b" {
+	if len(res) != 1 || decodeResult(t, res[0])["y"].Content != "b" {
 		t.Fatalf("latest q = %v, want y=b", res)
 	}
 	// …while the pin still serves the old artifact, and does not
@@ -109,11 +109,11 @@ func TestNamedSpannerPinnedVersionStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 1 || res[0]["x"].Content != "a" {
+	if len(res) != 1 || decodeResult(t, res[0])["x"].Content != "a" {
 		t.Fatalf("pinned q@%s = %v, want x=a", m1.Version, res)
 	}
 	res, err = svc.Extract(ctx, Query{Spanner: "q"}, "ab")
-	if err != nil || len(res) != 1 || res[0]["y"].Content != "b" {
+	if err != nil || len(res) != 1 || decodeResult(t, res[0])["y"].Content != "b" {
 		t.Fatalf("latest after pinned lookup = %v err=%v", res, err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,8 +13,10 @@ import (
 	"spanners"
 	"spanners/internal/algebra"
 	"spanners/internal/docstore"
+	"spanners/internal/eval"
 	"spanners/internal/obs"
 	"spanners/internal/registry"
+	"spanners/internal/span"
 )
 
 // Config sizes a Service. Zero values select sensible defaults.
@@ -130,6 +133,7 @@ type Service struct {
 
 	inFlight atomic.Int64
 	emitted  atomic.Uint64
+	panics   atomic.Uint64 // recovered extraction panics (ErrInternal)
 
 	// docs backs the /v1/documents API; the inc* counters classify
 	// by-reference extractions by how they were served (see
@@ -452,24 +456,64 @@ type Query struct {
 var ErrBadQuery = errors.New("service: query must set exactly one of expr, rule, spanner or algebra")
 
 // enumerator abstracts the two compiled forms behind a common
-// streaming interface. Spanners stream with polynomial delay and
-// observe ctx between outputs; rules materialize first (rule
-// evaluation is NP-hard in general, Theorem 5.8) and then replay, so
-// ctx is consulted before evaluation starts and between replayed
-// outputs, but a rule evaluation already in progress runs to
-// completion — cancellation cannot reach inside ExtractAll today.
-type enumerator func(ctx context.Context, d *spanners.Document, yield func(spanners.Mapping) bool) error
+// streaming interface: it calls yield once per output mapping of d
+// with the tuple t over cols that holds it (cols sorted by name, the
+// zero Span as ⊥; both borrowed for the call). Spanners stream with
+// polynomial delay, observe ctx between outputs and report stages and
+// delays to o when it is non-nil; rules materialize first (rule
+// evaluation is NP-hard in general, Theorem 5.8) and then replay
+// through the Mapping adapter, ignoring o, so ctx is consulted before
+// evaluation starts and between replayed outputs, but a rule
+// evaluation already in progress runs to completion — cancellation
+// cannot reach inside ExtractAll today.
+type enumerator func(ctx context.Context, d *span.Document, o *obs.StageObserver, yield func(cols []span.Var, t []span.Span) bool) error
+
+// ruleEnumerator replays r's materialized mappings.
+func ruleEnumerator(r *spanners.Rule) enumerator {
+	return func(ctx context.Context, d *span.Document, _ *obs.StageObserver, yield func([]span.Var, []span.Span) bool) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for _, m := range r.ExtractAll(d) {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if !yield(mappingTuple(m)) {
+				return nil
+			}
+		}
+		return nil
+	}
+}
 
 // resolved is the outcome of query resolution: the enumerator, the
-// spanner behind it (nil for rule queries, whose evaluation cannot
+// engine behind it (nil for rule queries, whose evaluation cannot
 // stream), the stage label describing how the query was resolved
 // (cache-lookup / compile / registry-load), and — for a fresh algebra
 // composition — the plan carrying per-operator timings.
 type resolved struct {
 	enum  enumerator
-	sp    *spanners.Spanner
+	eng   *eval.Engine
 	stage string
 	plan  *algebra.Plan
+}
+
+// spannerResolved resolves a query to the spanner sp, whose
+// enumerator stops as soon as ctx is done.
+func spannerResolved(sp *spanners.Spanner, stage string, plan *algebra.Plan) resolved {
+	e := eval.SpannerEngine(sp)
+	cols := e.Columns()
+	enum := func(ctx context.Context, d *span.Document, o *obs.StageObserver, yield func([]span.Var, []span.Span) bool) error {
+		var err error
+		e.EnumerateTuples(d, o, func(t []span.Span) bool {
+			if err = ctx.Err(); err != nil {
+				return false
+			}
+			return yield(cols, t)
+		})
+		return err
+	}
+	return resolved{enum: enum, eng: e, stage: stage, plan: plan}
 }
 
 func stageFor(fresh bool, freshStage string) string {
@@ -495,7 +539,7 @@ func (s *Service) compile(q Query) (resolved, error) {
 		if err != nil {
 			return resolved{}, fmt.Errorf("resolve spanner: %w", err)
 		}
-		return resolved{enum: sp.EnumerateContext, sp: sp, stage: stageFor(cold, obs.StageRegistryLoad)}, nil
+		return spannerResolved(sp, stageFor(cold, obs.StageRegistryLoad), nil), nil
 	case q.Algebra != "":
 		// Not re-wrapped: algebra and registry errors already carry
 		// their own "algebra:" / "leaf name@version:" context.
@@ -503,33 +547,19 @@ func (s *Service) compile(q Query) (resolved, error) {
 		if err != nil {
 			return resolved{}, err
 		}
-		return resolved{enum: sp.EnumerateContext, sp: sp, stage: stageFor(fresh, obs.StageCompile), plan: plan}, nil
+		return spannerResolved(sp, stageFor(fresh, obs.StageCompile), plan), nil
 	case q.Expr != "":
 		sp, fresh, err := s.spannerTracked(q.Expr)
 		if err != nil {
 			return resolved{}, fmt.Errorf("compile expr: %w", err)
 		}
-		return resolved{enum: sp.EnumerateContext, sp: sp, stage: stageFor(fresh, obs.StageCompile)}, nil
+		return spannerResolved(sp, stageFor(fresh, obs.StageCompile), nil), nil
 	case q.Rule != "":
 		r, fresh, err := s.ruleTracked(q.Rule)
 		if err != nil {
 			return resolved{}, fmt.Errorf("compile rule: %w", err)
 		}
-		enum := func(ctx context.Context, d *spanners.Document, yield func(spanners.Mapping) bool) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			for _, m := range r.ExtractAll(d) {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				if !yield(m) {
-					return nil
-				}
-			}
-			return nil
-		}
-		return resolved{enum: enum, stage: stageFor(fresh, obs.StageCompile)}, nil
+		return resolved{enum: ruleEnumerator(r), stage: stageFor(fresh, obs.StageCompile)}, nil
 	default:
 		return resolved{}, ErrBadQuery
 	}
@@ -544,9 +574,9 @@ type Compiled struct {
 	svc   *Service
 	limit int
 	enum  enumerator
-	// sp is the spanner behind enum, nil for rule queries; the observed
-	// extraction paths need it to reach EnumerateObserved.
-	sp *spanners.Spanner
+	// eng is the engine behind enum, nil for rule queries; the observed
+	// extraction paths and incremental sessions need it.
+	eng *eval.Engine
 }
 
 // CompileQuery resolves q against the compile caches.
@@ -573,18 +603,17 @@ func (s *Service) CompileQueryCtx(ctx context.Context, q Query) (*Compiled, erro
 	if r.plan != nil {
 		s.recordOpCosts(t, r.plan.OpCosts)
 	}
-	return &Compiled{svc: s, limit: q.Limit, enum: r.enum, sp: r.sp}, nil
+	return &Compiled{svc: s, limit: q.Limit, enum: r.enum, eng: r.eng}, nil
 }
 
 // deliver wraps yield with the per-mapping semantics shared by every
-// extraction path: encoding against the document, the emitted
-// counter, and the per-document limit.
-func (c *Compiled) deliver(d *spanners.Document, yield func(Result) bool) func(spanners.Mapping) bool {
+// extraction path: the emitted counter and the per-document limit.
+func (c *Compiled) deliver(yield func([]span.Var, []span.Span) bool) func([]span.Var, []span.Span) bool {
 	n := 0
-	return func(m spanners.Mapping) bool {
+	return func(cols []span.Var, t []span.Span) bool {
 		c.svc.emitted.Add(1)
 		n++
-		if !yield(EncodeMapping(d, m)) {
+		if !yield(cols, t) {
 			return false
 		}
 		return c.limit <= 0 || n < c.limit
@@ -599,16 +628,21 @@ func (c *Compiled) Stream(ctx context.Context, doc string, yield func(Result) bo
 	defer c.svc.inFlight.Add(-1)
 
 	d := spanners.NewDocument(doc)
+	var buf []byte
+	emit := c.deliver(func(cols []span.Var, t []span.Span) bool {
+		buf = appendResult(buf[:0], d, cols, t)
+		return yield(buf)
+	})
 	t := obs.TraceFrom(ctx)
-	if o := c.svc.observerFor(t); o != nil && c.sp != nil {
+	if o := c.svc.observerFor(t); o != nil && c.eng != nil {
 		start := time.Now()
-		err := c.sp.EnumerateObserved(ctx, d, o, c.deliver(d, yield))
+		err := c.enum(ctx, d, o, emit)
 		total := time.Since(start)
 		c.svc.obs.stage(obs.StageStream, total)
 		t.AddSpan(obs.StageStream, start, total, traceDetail(d.Len(), "runes"))
 		return err
 	}
-	return c.enum(ctx, d, c.deliver(d, yield))
+	return c.enum(ctx, d, nil, emit)
 }
 
 // extractOne collects the full (limit-capped) result set for one
@@ -619,21 +653,16 @@ func (c *Compiled) Stream(ctx context.Context, doc string, yield func(Result) bo
 // per-document recording never contends.
 func (c *Compiled) extractOne(ctx context.Context, doc string, o *obs.StageObserver) ([]Result, error) {
 	d := spanners.NewDocument(doc)
-	out := []Result{}
-	collect := c.deliver(d, func(r Result) bool {
-		out = append(out, r)
+	rs := newResultSet()
+	err := c.enum(ctx, d, o, c.deliver(func(cols []span.Var, t []span.Span) bool {
+		rs.add(d, cols, t)
 		return true
-	})
-	var err error
-	if o != nil && c.sp != nil {
-		err = c.sp.EnumerateObserved(ctx, d, o, collect)
-	} else {
-		err = c.enum(ctx, d, collect)
-	}
+	}))
 	if err != nil {
+		rs.release()
 		return nil, err
 	}
-	return out, nil
+	return rs.results(), nil
 }
 
 // Extract runs q over a single document and returns its results,
@@ -650,12 +679,19 @@ func (s *Service) Extract(ctx context.Context, q Query, doc string) ([]Result, e
 // result slice per document, in input order regardless of completion
 // order. The query is compiled once (or served from cache) before any
 // worker starts. Cancellation via ctx stops all workers; the first
-// error wins and the partial results are discarded.
+// error wins and the partial results are discarded. A panic in a
+// worker is recovered and fails the batch with ErrInternal.
 func (s *Service) ExtractBatch(ctx context.Context, q Query, docs []string) ([][]Result, error) {
 	compiled, err := s.CompileQueryCtx(ctx, q)
 	if err != nil {
 		return nil, err
 	}
+	return compiled.batch(ctx, docs)
+}
+
+// batch is ExtractBatch after compilation.
+func (c *Compiled) batch(ctx context.Context, docs []string) ([][]Result, error) {
+	s := c.svc
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
 	batchStart := time.Now()
@@ -683,10 +719,16 @@ func (s *Service) ExtractBatch(ctx context.Context, q Query, docs []string) ([][
 		firstErr error
 		errOnce  sync.Once
 	)
+	fail := func(err error) { errOnce.Do(func() { firstErr = err; cancel() }) }
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					fail(s.recovered(v))
+				}
+			}()
 			// Each worker records stages into a private histogram
 			// family, merged into the shared one when it drains.
 			o, local := s.batchObserver(workers)
@@ -698,9 +740,9 @@ func (s *Service) ExtractBatch(ctx context.Context, q Query, docs []string) ([][
 				if i >= len(docs) || ctx.Err() != nil {
 					return
 				}
-				res, err := compiled.extractOne(ctx, docs[i], o)
+				res, err := c.extractOne(ctx, docs[i], o)
 				if err != nil {
-					errOnce.Do(func() { firstErr = err; cancel() })
+					fail(err)
 					return
 				}
 				results[i] = res
@@ -721,8 +763,10 @@ func (s *Service) ExtractBatch(ctx context.Context, q Query, docs []string) ([][
 // output mapping as enumeration produces it. For spanner queries the
 // delay between calls is polynomial when the spanner is sequential
 // (Theorem 5.7), so the first results arrive long before the output
-// set is complete. yield returning false stops the stream early with
-// a nil error; a cancelled ctx stops it with the context's error.
+// set is complete. The Result passed to yield is borrowed: its bytes
+// are reused for the next mapping, so a yield that keeps one must copy
+// it. yield returning false stops the stream early with a nil error; a
+// cancelled ctx stops it with the context's error.
 func (s *Service) ExtractStream(ctx context.Context, q Query, doc string, yield func(Result) bool) error {
 	c, err := s.CompileQueryCtx(ctx, q)
 	if err != nil {
@@ -732,21 +776,37 @@ func (s *Service) ExtractStream(ctx context.Context, q Query, doc string, yield 
 }
 
 // StreamChan is ExtractStream as a channel: results arrive on the
-// returned channel, which is closed when the stream ends. A non-nil
-// terminal error (compile failure or cancellation) is delivered on the
-// error channel, which always receives exactly one value. Callers
-// that stop receiving before the result channel closes must cancel
-// ctx, or the producer goroutine blocks forever on the abandoned
-// channel and the terminal error is never delivered.
+// returned channel, each one the receiver's own copy, which is closed
+// when the stream ends. A non-nil terminal error (compile failure,
+// cancellation, or ErrInternal after a recovered panic) is delivered
+// on the error channel, which always receives exactly one value.
+// Callers that stop receiving before the result channel closes must
+// cancel ctx, or the producer goroutine blocks forever on the
+// abandoned channel and the terminal error is never delivered.
 func (s *Service) StreamChan(ctx context.Context, q Query, doc string) (<-chan Result, <-chan error) {
+	return s.streamChan(ctx, func(yield func(Result) bool) error {
+		return s.ExtractStream(ctx, q, doc, yield)
+	})
+}
+
+// streamChan runs stream on a producer goroutine feeding the channels
+// StreamChan returns.
+func (s *Service) streamChan(ctx context.Context, stream func(yield func(Result) bool) error) (<-chan Result, <-chan error) {
 	out := make(chan Result)
 	errc := make(chan error, 1)
 	go func() {
 		defer close(out)
+		var err error
+		defer func() {
+			if v := recover(); v != nil {
+				err = s.recovered(v)
+			}
+			errc <- err
+		}()
 		interrupted := false
-		err := s.ExtractStream(ctx, q, doc, func(r Result) bool {
+		err = stream(func(r Result) bool {
 			select {
-			case out <- r:
+			case out <- slices.Clone(r):
 				return true
 			case <-ctx.Done():
 				interrupted = true
@@ -756,7 +816,19 @@ func (s *Service) StreamChan(ctx context.Context, q Query, doc string) (<-chan R
 		if err == nil && interrupted {
 			err = ctx.Err()
 		}
-		errc <- err
 	}()
 	return out, errc
+}
+
+// ErrInternal is returned when extraction panicked in a service
+// goroutine — a batch worker or a StreamChan producer. The panic is
+// recovered and counted (spand_panics_total) instead of killing the
+// process; the HTTP layer answers 500 with code "internal".
+var ErrInternal = errors.New("service: internal error")
+
+// recovered counts one recovered panic and returns the typed error
+// reporting it.
+func (s *Service) recovered(v any) error {
+	s.panics.Add(1)
+	return fmt.Errorf("%w: extraction panicked: %v", ErrInternal, v)
 }

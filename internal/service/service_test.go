@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -78,7 +79,7 @@ func TestExtractRule(t *testing.T) {
 		t.Fatal("rule extraction returned no mappings")
 	}
 	for _, r := range got {
-		sp, ok := r["x"]
+		sp, ok := decodeResult(t, r)["x"]
 		if !ok {
 			t.Fatalf("mapping %v missing x", r)
 		}
@@ -132,7 +133,7 @@ func TestStreamDelivers(t *testing.T) {
 	want := sequentialResults(t, sellerExpr, []string{sellerDoc})[0]
 	got := []Result{}
 	err := svc.ExtractStream(context.Background(), Query{Expr: sellerExpr}, sellerDoc, func(r Result) bool {
-		got = append(got, r)
+		got = append(got, slices.Clone(r)) // r is borrowed
 		return true
 	})
 	if err != nil {

@@ -55,6 +55,10 @@ type (
 	MappingSet = span.Set
 )
 
+func init() {
+	eval.SpannerEngine = func(sp any) *eval.Engine { return sp.(*Spanner).engine }
+}
+
 // NewDocument wraps text as a document.
 func NewDocument(text string) *Document { return span.NewDocument(text) }
 
@@ -374,9 +378,13 @@ func (s *Spanner) EnumerateContext(ctx context.Context, d *Document, yield func(
 // pipeline phase — the sweep/enumerate taxonomy of internal/obs — and
 // one Delay callback per emitted mapping carrying the time since the
 // previous emission (the first sample measures time-to-first-result).
-// This is how the service makes the polynomial-delay guarantee of
-// Theorems 5.1/5.7 observable: the delays land in histograms served on
-// /metrics. Passing a nil observer makes it exactly EnumerateContext.
+// Passing a nil observer makes it exactly EnumerateContext.
+//
+// Like every Enumerate form it builds one Mapping per output from the
+// engine's internal span tuple, so yield may retain it. The extraction
+// service reaches the same observed enumeration without the map: it
+// encodes each tuple straight to the wire, and its delays land in the
+// histograms served on /metrics.
 func (s *Spanner) EnumerateObserved(ctx context.Context, d *Document, o *obs.StageObserver, yield func(Mapping) bool) error {
 	var err error
 	s.engine.EnumerateObserved(d, o, func(m Mapping) bool {
@@ -550,8 +558,8 @@ func (i *Incremental) Append(text string) (SpliceStats, error) {
 
 // Each yields the current mappings in enumeration order (the empty
 // mapping, when present, comes last), stopping early when yield
-// returns false. The yielded maps are borrowed: later Splice calls
-// mutate them in place, so retained mappings must be copied.
+// returns false. The session caches its results as span tuples; each
+// yielded map is built for the call and may be retained.
 func (i *Incremental) Each(yield func(Mapping) bool) { i.inc.Each(yield) }
 
 // Mappings returns independent copies of the current result set in

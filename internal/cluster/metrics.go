@@ -17,6 +17,7 @@ type gateCounters struct {
 	coalesced     atomic.Uint64
 	retries       atomic.Uint64
 	streamedLines atomic.Uint64
+	panics        atomic.Uint64
 }
 
 // registerMetrics wires the cluster-level Prometheus families into
@@ -58,6 +59,9 @@ func (g *Gate) registerMetrics() {
 	r.RegisterCounterFunc("spand_gate_streamed_lines_total",
 		"NDJSON mapping lines proxied through (each flushed individually).",
 		func() []obs.Sample { return []obs.Sample{{Value: float64(g.counters.streamedLines.Load())}} })
+	r.RegisterCounterFunc("spand_gate_panics_total",
+		"Scatter goroutines that panicked; their units failed with 500 internal.",
+		func() []obs.Sample { return []obs.Sample{{Value: float64(g.counters.panics.Load())}} })
 	r.RegisterCounterFunc("spand_gate_circuit_opens_total",
 		"Circuit-breaker open transitions by shard.",
 		func() []obs.Sample {

@@ -114,6 +114,7 @@ func (g *Gate) resolve(ctx context.Context, q client.Query, units []unit) ([]jso
 				wg.Add(1)
 				go func(rotate int, grp []leaderUnit) {
 					defer wg.Done()
+					defer g.recoverGroup(grp, errs)
 					g.runGroup(ctx, q, grp, units, nil, rotate, out, errs)
 				}(gi, grp)
 			}
@@ -123,6 +124,7 @@ func (g *Gate) resolve(ctx context.Context, q client.Query, units []unit) ([]jso
 		wg.Add(1)
 		go func(own *shard, grp []leaderUnit) {
 			defer wg.Done()
+			defer g.recoverGroup(grp, errs)
 			g.runGroup(ctx, q, grp, units, own, 0, out, errs)
 		}(own, grp)
 	}
@@ -173,6 +175,30 @@ func (g *Gate) validateEmpty(ctx context.Context, q client.Query) ([]json.RawMes
 func (g *Gate) failUnit(lu leaderUnit, err error, errs []error) {
 	errs[lu.idx] = err
 	g.flights.complete(lu.key, lu.call, nil, err)
+}
+
+// recoverGroup is deferred by every scatter goroutine. A panic there
+// would kill the gate and leave the group's coalesced waiters hanging;
+// instead every unit of the group not completed yet fails with the
+// typed 500 a spand answers for its own panics (client.ErrInternal,
+// code "internal"), which also releases its waiters, and the panic is
+// counted in spand_gate_panics_total.
+func (g *Gate) recoverGroup(grp []leaderUnit, errs []error) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	g.counters.panics.Add(1)
+	g.log.Error("scatter group panicked", "panic", v)
+	err := &client.Error{Status: http.StatusInternalServerError, Code: client.CodeInternal,
+		Message: fmt.Sprintf("gate: scatter panicked: %v", v)}
+	for _, lu := range grp {
+		select {
+		case <-lu.call.done: // completed before the panic
+		default:
+			g.failUnit(lu, err, errs)
+		}
+	}
 }
 
 // runGroup executes one shard-bound group of led units — one upstream

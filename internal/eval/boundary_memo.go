@@ -116,7 +116,7 @@ func (m *boundaryMemo) stats() BoundaryMemoStats {
 func (m *boundaryMemo) emissions(e *Engine, k bmKey) []progEmission {
 	v, ok := m.lookup(k)
 	if !ok {
-		v = e.boundaryEmissionsProg(k.set.Frontier(), k.co.Frontier())
+		v = e.boundaryEmissionsProg(k.set.Frontier(), k.co.Frontier(), new(emArena))
 		for i := range v {
 			v[i].st = e.dfa.State(v[i].states)
 		}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 
 	"spanners/internal/program"
@@ -474,34 +475,40 @@ func (e *Engine) firesInto(set, co program.Bits) bool {
 // variables at program.MaxVars). Choices come back in the engine's
 // emission order (opOrder), each with its operations by variable name,
 // open before close — the order the interpreted enumerator derives by
-// sorting key strings.
-func (e *Engine) boundaryEmissionsProg(set program.Bits, coReach program.Bits) []progEmission {
+// sorting key strings. The choices, their operations and their state
+// sets are carved from a, and stay valid while a grows; a walk passes
+// its pooled arena, the memo a fresh one whose storage it keeps.
+func (e *Engine) boundaryEmissionsProg(set, coReach program.Bits, a *emArena) []progEmission {
 	p := e.prog
 	// Fast path: no surviving state can fire an operation, so the only
 	// choice is the do-nothing emission (or none when the set died).
-	alive := set.Clone()
+	alive := a.bits(len(set))
+	alive.CopyFrom(set)
 	alive.And(coReach)
 	if !alive.Any() {
 		return nil
 	}
+	first := len(a.ems)
 	if !e.firesInto(alive, coReach) {
-		return []progEmission{{states: alive}}
+		a.ems = append(a.ems, progEmission{states: alive})
+		return a.ems[first:]
 	}
 
-	type cfg struct {
-		q    int32
-		mask uint64
+	// queue holds every configuration seen, in BFS order.
+	if a.seen == nil {
+		a.seen = make(map[emCfg]struct{})
 	}
-	seen := map[cfg]bool{}
-	var queue []cfg
-	alive.ForEach(func(q int) {
-		c := cfg{q: int32(q)}
-		seen[c] = true
-		queue = append(queue, c)
-	})
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
+	clear(a.seen)
+	queue := a.queue[:0]
+	for i, word := range alive {
+		for ; word != 0; word &= word - 1 {
+			c := emCfg{q: int32(i<<6 + bits.TrailingZeros64(word))}
+			a.seen[c] = struct{}{}
+			queue = append(queue, c)
+		}
+	}
+	for i := 0; i < len(queue); i++ {
+		c := queue[i]
 		for _, ed := range p.OpsFrom(int(c.q)) {
 			if c.mask&ed.Mask != 0 {
 				continue // an operation fires at most once per run
@@ -509,54 +516,80 @@ func (e *Engine) boundaryEmissionsProg(set program.Bits, coReach program.Bits) [
 			if !coReach.Has(int(ed.To)) {
 				continue
 			}
-			nc := cfg{q: ed.To, mask: c.mask | ed.Mask}
-			if !seen[nc] {
-				seen[nc] = true
+			nc := emCfg{q: ed.To, mask: c.mask | ed.Mask}
+			if _, ok := a.seen[nc]; !ok {
+				a.seen[nc] = struct{}{}
 				queue = append(queue, nc)
 			}
 		}
 	}
+	a.queue = queue
 
-	byMask := map[uint64]program.Bits{}
-	for c := range seen {
-		s := byMask[c.mask]
-		if s == nil {
-			s = program.NewBits(p.NumStates)
-			byMask[c.mask] = s
+	// Group the configurations by mask, in emission order.
+	slices.SortFunc(queue, func(x, y emCfg) int {
+		switch {
+		case x.mask == y.mask:
+			return 0
+		case e.order.less(x.mask, y.mask):
+			return -1
 		}
-		s.Set(int(c.q))
-	}
-	masks := make([]uint64, 0, len(byMask))
-	for m := range byMask {
-		masks = append(masks, m)
-	}
-	sort.Slice(masks, func(i, j int) bool { return e.order.less(masks[i], masks[j]) })
-
-	out := make([]progEmission, 0, len(masks))
-	for _, m := range masks {
+		return 1
+	})
+	for i := 0; i < len(queue); {
+		m := queue[i].mask
+		states := a.bits(len(set))
+		for ; i < len(queue) && queue[i].mask == m; i++ {
+			states.Set(int(queue[i].q))
+		}
 		// Program.Vars is sorted, so ascending ids are name order.
-		ops := make([]progOpTok, 0, bits.OnesCount64(m))
+		from := len(a.ops)
 		for w := uint32(m) | uint32(m>>32); w != 0; w &= w - 1 {
 			v := bits.TrailingZeros32(w)
 			if m&program.OpenBit(v) != 0 {
-				ops = append(ops, progOpTok{v: uint8(v), open: true})
+				a.ops = append(a.ops, progOpTok{v: uint8(v), open: true})
 			}
 			if m&program.CloseBit(v) != 0 {
-				ops = append(ops, progOpTok{v: uint8(v)})
+				a.ops = append(a.ops, progOpTok{v: uint8(v)})
 			}
 		}
-		out = append(out, progEmission{ops: ops, states: byMask[m]})
+		a.ems = append(a.ems, progEmission{ops: a.ops[from:len(a.ops):len(a.ops)], states: states})
 	}
-	return out
+	return a.ems[first:]
 }
 
-// countDFASweepMinStates gates the reverse-DFA co-reach sweep on the
-// count path: a program this small steps its one-word bitsets faster
-// than it resolves memoized transitions (the count/sequential
-// regression of the benchmark history), so engine selection is
-// per-path — the count sweep picks the raw stepper on tiny programs
-// while Match and the enumerator keep the DFA.
-const countDFASweepMinStates = 16
+// emArena is the storage of boundary choices (boundaryEmissionsProg):
+// the choices, their operations and state sets, and the BFS's scratch.
+// Slices handed out stay valid when a later append moves an array: the
+// old one lives on as long as they reference it, and nothing writes it
+// again.
+type emArena struct {
+	ems   []progEmission
+	ops   []progOpTok
+	words []uint64
+	seen  map[emCfg]struct{}
+	queue []emCfg
+}
+
+// emCfg is one configuration of the boundary BFS: a state and the
+// operations fired reaching it.
+type emCfg struct {
+	q    int32
+	mask uint64
+}
+
+// reset empties the arena for the next walk, keeping its storage.
+func (a *emArena) reset() {
+	a.ems, a.ops, a.words = a.ems[:0], a.ops[:0], a.words[:0]
+}
+
+// bits carves a zeroed bitset of n words.
+func (a *emArena) bits(n int) program.Bits {
+	from := len(a.words)
+	a.words = slices.Grow(a.words, n)[:from+n]
+	b := program.Bits(a.words[from : from+n : from+n])
+	clear(b)
+	return b
+}
 
 // countProg is Count on the compiled program: the walk's multiplicity
 // sweep over the whole document.
@@ -564,19 +597,13 @@ func (e *Engine) countProg(d *span.Document) int {
 	if e.prefilterRejects(d) {
 		return 0
 	}
-	var co []program.Bits
-	if e.prog.NumStates >= countDFASweepMinStates {
-		co = e.backwardReachProg(d)
-	} else {
-		co = e.coReachRaw(d, 1, d.Len()+1, e.finalCoReach())
-	}
-	return e.newSeqWalk(d, 1, d.Len()+1, co, false).count(e.startSet())
+	return e.newSeqWalk(d, 1, d.Len()+1, nil).count(e.start)
 }
 
 // forwardReachProg computes, for every boundary, the states reachable
 // from the start reading the document prefix, operations treated
-// permissively as ε. Like backwardReachProg it puts boundary 1 first
-// (out[pos-1]). With the DFA enabled the sweep is one memoized
+// permissively as ε. Like the co-reach sweep (coReach) it puts
+// boundary 1 first (out[pos-1]). With the DFA enabled the sweep is one memoized
 // transition per rune and the returned frontiers alias interned
 // (read-only) cache states; the bitset sweep remains as the fallback,
 // its frontiers carved from one slab.
@@ -602,23 +629,6 @@ func (e *Engine) forwardReachProg(d *span.Document) []program.Bits {
 		out[pos-1] = cur
 	}
 	return out
-}
-
-// backwardReachProg computes, for every boundary, the states from
-// which a final state is reachable reading the document suffix,
-// operations treated permissively as ε. Boundary 1 comes first
-// (out[pos-1], the layout the walk takes for a window starting at 1).
-// The reverse DFA memoizes the per-rune LetterStepBack + ROpClosure
-// composition, which dominates enumeration and counting on
-// letter-heavy documents; frontiers it returns alias interned
-// (read-only) cache states.
-func (e *Engine) backwardReachProg(d *span.Document) []program.Bits {
-	if e.DFAEnabled() {
-		if out, ok := e.dfa.BackwardFrontiers(d); ok {
-			return out[1:]
-		}
-	}
-	return e.coReachRaw(d, 1, d.Len()+1, e.finalCoReach())
 }
 
 // candidateSpansProg is the candidate-span prefilter of

@@ -18,7 +18,7 @@ import (
 // bitset path (ForceNoDFA), and the interpreted oracle
 // (ForceInterpreted) must produce identical mapping sets, counts and
 // decisions — including at the cache-budget-exhausted fallback
-// boundary (a 2-state budget that flushes permanently) and on a
+// boundary (a 3-state budget that flushes permanently) and on a
 // spanner at the 32-variable mask limit.
 
 // workloadCorpus pairs expressions with documents from the workload
@@ -60,7 +60,7 @@ func corpusEngines(a *va.VA) map[string]*Engine {
 	nodfa.ForceNoDFA()
 	tiny := NewEngine(a)
 	if p := tiny.Program(); p != nil {
-		tiny.UseDFA(program.NewDFA(p, 2))
+		tiny.UseDFA(program.NewDFA(p, 3))
 	}
 	interp := NewEngine(a)
 	interp.ForceInterpreted()
@@ -101,7 +101,7 @@ func TestDifferentialDFAOnWorkloadCorpus(t *testing.T) {
 	}
 }
 
-// TestDifferentialDFABudgetBoundary drives the 2-state budget hard
+// TestDifferentialDFABudgetBoundary drives the 3-state budget hard
 // enough that flushes and sweep fallbacks actually occur, and checks
 // the results stay identical through the boundary.
 func TestDifferentialDFABudgetBoundary(t *testing.T) {
@@ -110,7 +110,7 @@ func TestDifferentialDFABudgetBoundary(t *testing.T) {
 	ref := NewEngine(a)
 	ref.ForceNoDFA()
 	tiny := NewEngine(a)
-	tinyDFA := program.NewDFA(tiny.Program(), 2)
+	tinyDFA := program.NewDFA(tiny.Program(), 3)
 	tiny.UseDFA(tinyDFA)
 
 	docs := []string{
@@ -130,7 +130,7 @@ func TestDifferentialDFABudgetBoundary(t *testing.T) {
 	}
 	st := tinyDFA.Stats()
 	if st.Flushes == 0 {
-		t.Fatalf("2-state budget never flushed: %+v", st)
+		t.Fatalf("3-state budget never flushed: %+v", st)
 	}
 }
 

@@ -63,9 +63,11 @@ type Engine struct {
 
 	// order is the emission order of the compiled walk's boundary
 	// choices, derived once from prog.Vars; opFree marks the states
-	// from which no letter path reaches an operation (walk.go).
-	order  *opOrder
-	opFree program.Bits
+	// from which no letter path reaches an operation; start and coFinal
+	// are the frontiers walks start from (walkSeeds, walk.go).
+	order          *opOrder
+	opFree         program.Bits
+	start, coFinal program.Bits
 
 	// dfa is the lazy-DFA transition cache layered over prog — shared
 	// with every other engine executing the same program; nodfa forces
@@ -105,6 +107,7 @@ func NewEngine(a *va.VA) *Engine {
 		e.dfa = p.DFA()
 		e.order = newOpOrder(p.Vars)
 		e.opFree = opFreeStates(p)
+		e.start, e.coFinal = walkSeeds(p)
 		e.cols = p.Vars
 	}
 	return e
@@ -131,6 +134,7 @@ func FromProgram(p *program.Program, sequential bool) *Engine {
 		order:      newOpOrder(p.Vars),
 		opFree:     opFreeStates(p),
 	}
+	e.start, e.coFinal = walkSeeds(p)
 	e.cols = p.Vars
 	e.varSet = make(map[span.Var]bool, len(e.vars))
 	for _, v := range e.vars {
@@ -708,7 +712,8 @@ func (e *Engine) enumerateFiltered(d *span.Document, clk *stageClock, yield func
 	if e.Compiled() {
 		fwd := e.forwardReachProg(d)
 		clk.mark(obs.StageForwardSweep)
-		bwd := e.backwardReachProg(d)
+		var co coBufs
+		bwd := co.coReach(e, d, 1, d.Len()+1, nil)
 		clk.mark(obs.StageCoReachSweep)
 		candidates = e.candidateSpansProg(d, fwd, bwd)
 	} else {

@@ -500,7 +500,7 @@ func (s *IncState) Splice(off, del int, ins string) (SpliceResult, error) {
 		}
 	}
 	if startSet == nil {
-		startSet = s.e.startSet()
+		startSet = s.e.start
 	}
 
 	// Cut B: the smallest crossing-free suffix snapshot at or past the
@@ -578,13 +578,12 @@ func (s *IncState) Splice(off, del int, ins string) (SpliceResult, error) {
 // Emission order is the enumerator's, so the output concatenates
 // between the reused prefix and suffix of the cached result list.
 func (s *IncState) windowWalk(d *span.Document, A, B int, startSet, targetB0 program.Bits) incResults {
-	e := s.e
-	hi, seed, cut := d.Len()+1, e.finalCoReach(), false
+	hi, seed := d.Len()+1, program.Bits(nil)
 	if B > 0 {
-		hi, seed, cut = B, targetB0, true
+		hi, seed = B, targetB0
 	}
 	var out incResults
-	e.newSeqWalk(d, A, hi, e.coReachRaw(d, A, hi, seed), cut).run(startSet, func(t []span.Span) bool {
+	s.e.newSeqWalk(d, A, hi, seed).run(startSet, func(t []span.Span) bool {
 		out.add(t)
 		return true
 	})

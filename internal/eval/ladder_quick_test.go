@@ -211,7 +211,7 @@ func TestDifferentialBoundaryMemo(t *testing.T) {
 			tinyboth := NewEngine(a)
 			tinyboth.SetBoundaryMemoBudget(1)
 			if p := tinyboth.Program(); p != nil {
-				tinyboth.UseDFA(program.NewDFA(p, 2))
+				tinyboth.UseDFA(program.NewDFA(p, 3))
 			}
 			engs["tinyboth"] = tinyboth
 

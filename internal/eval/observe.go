@@ -68,9 +68,9 @@ func (e *Engine) EnumerateTuples(d *span.Document, o *obs.StageObserver, yield f
 	case e.prefilterRejects(d):
 		clk.mark(obs.StageCoReachSweep)
 	default:
-		co := e.backwardReachProg(d)
+		w := e.newSeqWalk(d, 1, d.Len()+1, nil)
 		clk.mark(obs.StageCoReachSweep)
-		e.newSeqWalk(d, 1, d.Len()+1, co, false).run(e.startSet(), yield)
+		w.run(e.start, yield)
 		clk.mark(obs.StageEnumerate)
 	}
 }

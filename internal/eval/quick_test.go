@@ -21,7 +21,7 @@ import (
 
 // engines builds the engine configurations under test from one
 // automaton: {compiled (DFA on), compiled without DFA, compiled with
-// a 2-state DFA budget (permanent flush/fallback boundary),
+// a 3-state DFA budget (permanent flush/fallback boundary),
 // interpreted} × {auto-selected, forced FPT}.
 func engines(a *va.VA) map[string]*Engine {
 	compiled := NewEngine(a)
@@ -29,7 +29,7 @@ func engines(a *va.VA) map[string]*Engine {
 	nodfa.ForceNoDFA()
 	tiny := NewEngine(a)
 	if p := tiny.Program(); p != nil {
-		tiny.UseDFA(program.NewDFA(p, 2))
+		tiny.UseDFA(program.NewDFA(p, 3))
 	}
 	interp := NewEngine(a)
 	interp.ForceInterpreted()
@@ -38,7 +38,7 @@ func engines(a *va.VA) map[string]*Engine {
 	tFPT := NewEngine(a)
 	tFPT.ForceFPT()
 	if p := tFPT.Program(); p != nil {
-		tFPT.UseDFA(program.NewDFA(p, 2))
+		tFPT.UseDFA(program.NewDFA(p, 3))
 	}
 	iFPT := NewEngine(a)
 	iFPT.ForceInterpreted()

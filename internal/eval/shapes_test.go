@@ -1,0 +1,86 @@
+package eval
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"spanners/internal/rgx"
+	"spanners/internal/span"
+	"spanners/internal/workload"
+)
+
+// The query and document shapes of the spanload workloads
+// (bench/spanload/workloads.go), for in-process tests and benchmarks:
+// weblog_stream walks a 96-line web log under weblogStreamExpr, one
+// mapping per line; sparse_scan scans a 500-line log in which three
+// planted lines match sparseScanExpr; batch_rows extracts 4-row
+// land-registry documents under batchRowsExpr.
+const (
+	sparseScanExpr = `.*m{TRACE} (p{/admin/[^ ]*}) (st{\d\d\d}) \d* "[^"]*"( ref=(r{[^\n]*})|)\n.*`
+	batchRowsExpr  = `.*(Seller|Buyer): name{[^,\n]*}, ID(id{\d*})(, \$t{[^\n]*}|, P(p{\d*})|)\n.*`
+)
+
+// webLogDoc is a generated web log of the given number of lines.
+func webLogDoc(lines int, seed int64) *span.Document {
+	return span.NewDocument(workload.WebLog(workload.WebLogOptions{Lines: lines, ReferProb: 0.35, Seed: seed}))
+}
+
+// sparseLog is a web log of the given number of lines in which exactly
+// plants lines, spread evenly, match sparseScanExpr; the middle one
+// carries a referer.
+func sparseLog(lines, plants int, seed int64) *span.Document {
+	rng := rand.New(rand.NewSource(seed))
+	ls := strings.SplitAfter(workload.WebLog(workload.WebLogOptions{Lines: lines, ReferProb: 0.35, Seed: seed}), "\n")
+	for k := 0; k < plants; k++ {
+		line := fmt.Sprintf("10.%d.%d.%d TRACE /admin/%s 403 %d \"curl/8.0\"",
+			rng.Intn(256), rng.Intn(256), rng.Intn(256), []string{"users", "keys", "audit"}[k%3], rng.Intn(1000))
+		if k == plants/2 {
+			line += " ref=/index.html"
+		}
+		ls[(2*k+1)*lines/(2*plants)] = line + "\n"
+	}
+	return span.NewDocument(strings.Join(ls, ""))
+}
+
+// shape is one workload shape: a query and the documents one request
+// carries.
+type shape struct {
+	name string
+	expr string
+	docs []*span.Document
+}
+
+// workloadShapes returns the three extraction shapes of spanload.
+func workloadShapes() []shape {
+	rows := make([]*span.Document, 128)
+	for i := range rows {
+		rows[i] = span.NewDocument(workload.LandRegistry(workload.LandRegistryOptions{Rows: 4, TaxProb: 0.5, Seed: int64(i + 1)}))
+	}
+	return []shape{
+		{"weblog_stream", weblogStreamExpr, []*span.Document{webLogDoc(96, 1)}},
+		{"sparse_scan", sparseScanExpr, []*span.Document{sparseLog(500, 3, 1)}},
+		{"batch_rows", batchRowsExpr, rows},
+	}
+}
+
+// BenchmarkEnumerateShapes runs one spanload request's extraction
+// in-process per iteration: every document of the shape through
+// EnumerateTuples with a yield that keeps nothing, which is what the
+// service does before encoding.
+func BenchmarkEnumerateShapes(b *testing.B) {
+	for _, sh := range workloadShapes() {
+		e := CompileRGX(rgx.MustParse(sh.expr))
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			n := 0
+			for i := 0; i < b.N; i++ {
+				for _, d := range sh.docs {
+					e.EnumerateTuples(d, nil, func([]span.Span) bool { n++; return true })
+				}
+			}
+			b.ReportMetric(float64(n)/float64(b.N), "mappings/op")
+		})
+	}
+}

@@ -169,7 +169,8 @@ func (l *sweepLayer) frontier(i, words int) program.Bits {
 // cut set, hi is a crossing-free cut of an incremental session beyond
 // which completion is letters-only (co[hi-lo] says so), no operation
 // fires at hi, and a branch is emitted on reaching it. A walk serves
-// one run or count.
+// one run or count, which hands it back to walkPool: the caller must
+// not touch it afterwards.
 type seqWalk struct {
 	e      *Engine
 	d      *span.Document
@@ -188,51 +189,80 @@ type seqWalk struct {
 	nrecent int
 	hits    uint64
 
-	*walkBufs
-	dfa     bool // frontiers step through the lazy DFA, interned
-	steps   int  // letter steps taken
-	scratch program.Bits
-	key     []byte
+	dfa     bool   // frontiers step through the lazy DFA, interned
+	dfaHits uint64 // memoized DFA transitions taken, added to the cache's count by done
+	steps   int    // letter steps taken
+
+	walkBufs
 }
 
-// walkBufs are the slabs of one walk: the DAG its sweep builds
-// (edges[0] is the root edge), the sweep's two live layers, the DFS's
-// stack and the tuple it emits. run and count hand them back to
-// walkBufPool, so a stream of walks reuses them instead of growing new
-// ones per document.
+// walkBufs are the storage of one walk: its co-reach, the DAG its
+// sweep builds (edges[0] is the root edge) with the boundary choices
+// its edges take when no memo resolves them, the sweep's two live
+// layers and bitset scratch, the DFS's stack and the tuple it emits,
+// and Count's path counts. Every slab is resliced, never trusted for
+// its contents, so a buffer that comes back from a wider program or a
+// longer document serves the next walk as is.
 type walkBufs struct {
+	coBufs
 	nodes     []dagNode
 	edges     []dagEdge
+	arena     emArena
 	cur, next sweepLayer
+	scratch   program.Bits
+	key       []byte
 	stack     []walkFrame
 	fired     []firedOp
 	tuple     []span.Span
+	paths     []int
 }
 
-var walkBufPool = sync.Pool{New: func() any { return new(walkBufs) }}
+// coBufs hold a co-reach: one frontier header per boundary, and the
+// slab a bitset sweep carves the frontiers from.
+type coBufs struct {
+	hdr  []program.Bits
+	slab []uint64
+}
 
-// maxPooledEdges keeps the slabs of huge documents out of the pool.
-const maxPooledEdges = 1 << 16
+// walkPool recycles walks, so a stream of documents walks without
+// allocating once the buffers have grown to the stream's size.
+var walkPool = sync.Pool{New: func() any { return new(seqWalk) }}
 
-func (e *Engine) newSeqWalk(d *span.Document, lo, hi int, co []program.Bits, cut bool) *seqWalk {
-	w := &seqWalk{e: e, d: d, lo: lo, hi: hi, co: co, cut: cut,
-		walkBufs: walkBufPool.Get().(*walkBufs), scratch: program.NewBits(e.prog.NumStates)}
+// maxPooled keeps the slabs of huge documents out of the pool: a walk
+// whose edges, co-reach headers or co-reach slab words outgrew it is
+// left to the garbage collector.
+const maxPooled = 1 << 16
+
+// newSeqWalk takes a walk over the boundaries lo..hi of d from walkPool
+// and fills its co-reach. A nil seed means hi is the document end and
+// completion is acceptance there; otherwise hi is a session's cut and
+// seed the states there from which completion is letters-only.
+func (e *Engine) newSeqWalk(d *span.Document, lo, hi int, seed program.Bits) *seqWalk {
+	w := walkPool.Get().(*seqWalk)
+	*w = seqWalk{e: e, d: d, lo: lo, hi: hi, cut: seed != nil, walkBufs: w.walkBufs}
+	words := len(e.start)
+	w.scratch = slices.Grow(w.scratch[:0], words)[:words]
 	if e.DFAEnabled() && !e.nomemo {
 		w.memo = e.boundaryMemo()
 	}
+	w.co = w.coReach(e, d, lo, hi, seed)
 	return w
 }
 
-// done folds the walk's own memo hits into the memo's counters and
-// hands its slabs back to walkBufPool.
+// done folds the walk's own memo and DFA hits into the shared counters
+// and hands the walk back to walkPool.
 func (w *seqWalk) done() {
 	if w.hits > 0 {
 		w.memo.hits.Add(w.hits)
 	}
-	if cap(w.edges) <= maxPooledEdges {
-		walkBufPool.Put(w.walkBufs)
+	if w.dfaHits > 0 {
+		w.e.dfa.NoteHits(w.dfaHits)
 	}
-	w.walkBufs = nil
+	bufs := w.walkBufs
+	*w = seqWalk{walkBufs: bufs}
+	if cap(bufs.edges) <= maxPooled && cap(bufs.hdr) <= maxPooled && cap(bufs.slab) <= maxPooled {
+		walkPool.Put(w)
+	}
 }
 
 // emissions resolves the boundary choices of the live frontier set at
@@ -242,7 +272,7 @@ func (w *seqWalk) done() {
 func (w *seqWalk) emissions(s *program.DState, set program.Bits, pos int) []progEmission {
 	co := w.co[pos-w.lo]
 	if w.memo == nil || s == nil {
-		return w.e.boundaryEmissionsProg(set, co)
+		return w.e.boundaryEmissionsProg(set, co, &w.arena)
 	}
 	if w.coState == nil || &w.coBits[0] != &co[0] {
 		w.coState, w.key = w.e.dfa.StateScratch(co, w.key)
@@ -280,7 +310,11 @@ func (w *seqWalk) advance(l *sweepLayer, s *program.DState, set program.Bits, c 
 	w.steps++
 	f := w.scratch
 	if w.dfa && s != nil {
-		if s = w.e.dfa.Step(s, c, program.StepRaw); s.Dead() {
+		var hit bool
+		if s, hit = w.e.dfa.StepBatched(s, c, program.StepRaw); hit {
+			w.dfaHits++
+		}
+		if s.Dead() {
 			return false
 		}
 		if f = s.Frontier(); !subsetOf(f, co) {
@@ -354,6 +388,7 @@ func (w *seqWalk) sweep(start program.Bits) {
 	words := len(start)
 	w.nodes = w.nodes[:0]
 	w.edges = append(w.edges[:0], dagEdge{to: toDead, next: -1})
+	w.arena.reset()
 	if w.cut && w.lo == w.hi {
 		w.edges[0].to = toEnd
 		return
@@ -372,15 +407,21 @@ func (w *seqWalk) sweep(start program.Bits) {
 	}
 	w.settle(cur, nil, w.scratch, 0, 0)
 
+	check := w.lo + program.FlushCheckInterval
 	for pos := w.lo; len(cur.fs) > 0; pos++ {
-		if w.dfa && w.e.dfa.Flushes()-flush0 > program.MaxFlushesPerSweep {
-			// The cache thrashes its budget: step bitsets from here on.
-			w.e.dfa.NoteFallback()
-			w.dfa = false
-			for i := range cur.fs {
-				if s := cur.fs[i].s; s != nil {
-					cur.fs[i].s, cur.fs[i].off = nil, int32(len(cur.slab))
-					cur.slab = append(cur.slab, s.Frontier()...)
+		// The flush counter is shared, so it is read only every
+		// FlushCheckInterval positions, as the DFA's own sweeps do.
+		if w.dfa && pos >= check {
+			check = pos + program.FlushCheckInterval
+			if w.e.dfa.Flushes()-flush0 > program.MaxFlushesPerSweep {
+				// The cache thrashes its budget: step bitsets from here on.
+				w.e.dfa.NoteFallback()
+				w.dfa = false
+				for i := range cur.fs {
+					if s := cur.fs[i].s; s != nil {
+						cur.fs[i].s, cur.fs[i].off = nil, int32(len(cur.slab))
+						cur.slab = append(cur.slab, s.Frontier()...)
+					}
 				}
 			}
 		}
@@ -489,7 +530,9 @@ func (w *seqWalk) run(start program.Bits, emit func(t []span.Span) bool) {
 // bijective.
 func (w *seqWalk) count(start program.Bits) int {
 	w.sweep(start)
-	paths := make([]int, len(w.nodes))
+	paths := slices.Grow(w.paths[:0], len(w.nodes))[:len(w.nodes)]
+	clear(paths)
+	w.paths = paths
 	along := func(to int32) int {
 		switch to {
 		case toEnd:
@@ -546,32 +589,51 @@ func subsetOf(a, b program.Bits) bool {
 	return true
 }
 
-// startSet is the frontier of a walk from the beginning of a document.
-func (e *Engine) startSet() program.Bits {
-	s := program.NewBits(e.prog.NumStates)
-	s.Set(e.prog.Start)
-	return s
+// walkSeeds are the read-only frontiers every walk of p starts from:
+// the start state, and the co-reach set at the document end — the
+// final states and everything that reaches them through operations
+// alone.
+func walkSeeds(p *program.Program) (start, coFinal program.Bits) {
+	start = program.NewBits(p.NumStates)
+	start.Set(p.Start)
+	coFinal = p.Final.Clone()
+	p.ROpClosure(coFinal)
+	return start, coFinal
 }
 
-// finalCoReach is the co-reach set at the document end: the final
-// states and everything that reaches them through operations alone.
-func (e *Engine) finalCoReach() program.Bits {
-	s := e.prog.Final.Clone()
-	e.prog.ROpClosure(s)
-	return s
+// coReach computes the co-reach of the boundaries lo..hi of d into b,
+// growing its buffers only when they are too short, and returns it as
+// co[pos-lo]. A nil seed is the final co-reach at the document end
+// (hi = n+1); any other seed is stored at hi as is, so a cut can demand
+// letters-only completion from there. This is the one place that picks
+// the sweep: a whole document steps the memoized reverse DFA when the
+// engine has one, whose frontiers are interned already for the
+// boundary memo; windows, cuts and the DFA's budget fallback take the
+// bitset sweep.
+func (b *coBufs) coReach(e *Engine, d *span.Document, lo, hi int, seed program.Bits) []program.Bits {
+	if seed == nil {
+		if lo == 1 && e.DFAEnabled() {
+			if out, ok := e.dfa.BackwardFrontiers(d, b.hdr); ok {
+				b.hdr = out
+				return out[1:]
+			}
+		}
+		seed = e.coFinal
+	}
+	return b.coReachRaw(e, d, lo, hi, seed)
 }
 
 // coReachRaw is the direct bitset co-reach sweep over boundaries
 // lo..hi: out[pos-lo] holds the states at pos from which seed is
 // reachable at hi reading d[pos..hi-1], operations treated
-// permissively as ε. seed is stored as is, so a cut can demand
-// letters-only completion from hi. The other boundaries share one
-// slab.
-func (e *Engine) coReachRaw(d *span.Document, lo, hi int, seed program.Bits) []program.Bits {
+// permissively as ε. The other boundaries share one slab.
+func (b *coBufs) coReachRaw(e *Engine, d *span.Document, lo, hi int, seed program.Bits) []program.Bits {
 	p := e.prog
 	words := len(seed)
-	slab := make([]uint64, (hi-lo)*words)
-	out := make([]program.Bits, hi-lo+1)
+	slab := slices.Grow(b.slab[:0], (hi-lo)*words)[:(hi-lo)*words]
+	clear(slab)
+	out := slices.Grow(b.hdr[:0], hi-lo+1)[:hi-lo+1]
+	b.hdr, b.slab = out, slab
 	out[hi-lo] = seed
 	for pos := hi - 1; pos >= lo; pos-- {
 		prev := program.Bits(slab[(pos-lo)*words : (pos-lo+1)*words])

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime/debug"
 	"sort"
@@ -183,19 +184,21 @@ func weblogWalkEngines() map[string]*Engine {
 
 // walkWebLog runs the walk over a generated web log of the given
 // number of lines and returns the letter steps it took in all and the
-// count reached at each emission.
+// count reached at each emission. The walk goes back to the pool when
+// it ends, so the total is read at the last emission: the trailing
+// part of the DFS steps no letter (TestWalkDelayIndependentOfDocumentLength).
 func walkWebLog(t *testing.T, e *Engine, lines int) (steps int, atEmit []int) {
 	t.Helper()
 	d := span.NewDocument(workload.WebLog(workload.WebLogOptions{Lines: lines, ReferProb: 0.35, Seed: int64(lines)}))
-	w := e.newSeqWalk(d, 1, d.Len()+1, e.backwardReachProg(d), false)
-	w.run(e.startSet(), func([]span.Span) bool {
+	w := e.newSeqWalk(d, 1, d.Len()+1, nil)
+	w.run(e.start, func([]span.Span) bool {
 		atEmit = append(atEmit, w.steps)
 		return true
 	})
 	if len(atEmit) != lines {
 		t.Fatalf("%d lines gave %d mappings", lines, len(atEmit))
 	}
-	return w.steps, atEmit
+	return atEmit[len(atEmit)-1], atEmit
 }
 
 // TestWalkStepsLinearInDocumentLength: doubling the document at most
@@ -230,6 +233,44 @@ func TestWalkDelayIndependentOfDocumentLength(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSpliceStepsIndependentOfDocumentLength: a session's splice
+// resweeps and re-walks around the edit, not across the document. With
+// the snapshot spacing fixed at 64, rewriting one digit of the middle
+// line takes a bounded number of letter steps each way and re-walks a
+// bounded window at every length from 256 to 2 048 lines. The window
+// runs between the nearest snapshots no mapping crosses, which is a
+// property of the text around the edit, not of its length: over the
+// forty lines around the middle it spans 64 to 768 boundaries at every
+// size. The default spacing, incBlockSize, grows as n/256 on purpose —
+// fewer snapshots on long documents — so under it the steps per side
+// grow with the spacing: 117, 236 and 474 at 512, 1 024 and 2 048
+// lines on this edit.
+func TestSpliceStepsIndependentOfDocumentLength(t *testing.T) {
+	const k = 64
+	e := CompileRGX(rgx.MustParse(weblogStreamExpr))
+	for _, lines := range []int{256, 512, 1024, 2048} {
+		text := workload.WebLog(workload.WebLogOptions{Lines: lines, ReferProb: 0.35, Seed: 1})
+		inc := newIncremental(e, span.NewDocument(text), k)
+		mid := 0
+		for i := 0; i < lines/2; i++ {
+			mid += strings.IndexByte(text[mid:], '\n') + 1
+		}
+		off := mid + strings.IndexAny(text[mid:], "0123456789")
+		res, err := inc.Splice(off, 1, string('0'+(text[off]-'0'+1)%10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if steps := res.FwdSteps + res.BwdSteps; steps > 6*k {
+			t.Errorf("%d lines: the splice took %d+%d letter steps, want at most %d", lines, res.FwdSteps, res.BwdSteps, 6*k)
+		}
+		if res.WindowEnd == 0 || res.WindowEnd-res.WindowStart > 8*k {
+			t.Errorf("%d lines: the splice re-walked [%d, %d), want a cut window of at most %d boundaries",
+				lines, res.WindowStart, res.WindowEnd, 8*k)
+		}
+		assertIncremental(t, inc, e, fmt.Sprintf("%d lines", lines))
 	}
 }
 
@@ -272,21 +313,29 @@ func TestBoundaryMemoHitsAcrossWalks(t *testing.T) {
 // TestReachSweepAllocsFlat: the bitset co-reach sweep of session
 // windows and Count, and the bitset fallback of the forward sweep,
 // carve every boundary's frontier from one slab, so their allocations
-// do not grow with the window.
+// do not grow with the window. The co-reach sweep writes into its
+// caller's buffers: once they have grown to the longer window, neither
+// window allocates at all. The collector stays off while counting: a
+// collection cycle adds allocations of its own to the process count.
 func TestReachSweepAllocsFlat(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	e := CompileRGX(rgx.MustParse(weblogStreamExpr))
 	e.ForceNoDFA()
-	seed := e.finalCoReach()
 	short := span.NewDocument(workload.WebLog(workload.WebLogOptions{Lines: 24, ReferProb: 0.35, Seed: 1}))
 	long := span.NewDocument(workload.WebLog(workload.WebLogOptions{Lines: 384, ReferProb: 0.35, Seed: 1}))
-	for name, sweep := range map[string]func(*span.Document){
-		"coReachRaw":       func(d *span.Document) { e.coReachRaw(d, 1, d.Len()+1, seed) },
-		"forwardReachProg": func(d *span.Document) { e.forwardReachProg(d) },
-	} {
-		a := testing.AllocsPerRun(5, func() { sweep(short) })
-		b := testing.AllocsPerRun(5, func() { sweep(long) })
-		if b != a {
-			t.Errorf("%s: %v allocations on %d runes, %v on %d", name, a, short.Len(), b, long.Len())
+
+	var co coBufs
+	coReach := func(d *span.Document) { co.coReachRaw(e, d, 1, d.Len()+1, e.coFinal) }
+	coReach(long)
+	for _, d := range []*span.Document{short, long} {
+		if n := testing.AllocsPerRun(5, func() { coReach(d) }); n != 0 {
+			t.Errorf("coReachRaw: %v allocations on %d runes into grown buffers, want 0", n, d.Len())
 		}
+	}
+
+	a := testing.AllocsPerRun(5, func() { e.forwardReachProg(short) })
+	b := testing.AllocsPerRun(5, func() { e.forwardReachProg(long) })
+	if b != a {
+		t.Errorf("forwardReachProg: %v allocations on %d runes, %v on %d", a, short.Len(), b, long.Len())
 	}
 }

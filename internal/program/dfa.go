@@ -1,6 +1,7 @@
 package program
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,9 +73,9 @@ var DefaultDFABudget = 4096
 // letter steps) apply the same policy.
 const MaxFlushesPerSweep = 4
 
-// flushCheckInterval is how many positions a sweep advances between
+// FlushCheckInterval is how many positions a sweep advances between
 // looks at the flush counter.
-const flushCheckInterval = 1024
+const FlushCheckInterval = 1024
 
 // maxStopBytes is the largest stop-byte set a state resolves through
 // IndexByte candidate jumps; states with more stop bytes use the
@@ -214,12 +215,14 @@ type DFA struct {
 
 	mu     sync.RWMutex
 	states map[string]*DState
-	// start and dead are replaced wholesale on a budget flush (so the
-	// old transition graph they anchor becomes collectable); sweeps
-	// load them once and may finish on a stale — but still correct —
-	// generation.
+	// start, dead and final (the co-reach of the document end, where
+	// the reverse sweep starts) are replaced wholesale on a budget flush
+	// (so the old transition graph they anchor becomes collectable);
+	// sweeps load them once and may finish on a stale — but still
+	// correct — generation.
 	start atomic.Pointer[DState]
 	dead  atomic.Pointer[DState]
+	final atomic.Pointer[DState]
 
 	hits        atomic.Uint64
 	misses      atomic.Uint64
@@ -246,13 +249,13 @@ func (p *Program) DFA() *DFA {
 }
 
 // NewDFA builds a DFA cache over p with the given interned-state
-// budget (values < 2 are raised to 2: the start and dead states are
-// permanently useful).
+// budget (values < 3 are raised to 3: the start, dead and final
+// co-reach states are permanently useful).
 func NewDFA(p *Program, budget int) *DFA { return newDFA(p, budget, 0) }
 
 func newDFA(p *Program, budget int, blocked uint64) *DFA {
-	if budget < 2 {
-		budget = 2
+	if budget < 3 {
+		budget = 3
 	}
 	d := &DFA{
 		p:       p,
@@ -306,14 +309,17 @@ func (p *Program) ConstrainedDFAs() []*DFA {
 	return out
 }
 
-// seedLocked interns fresh start and dead states into the current
-// (empty or just-flushed) generation.
+// seedLocked interns fresh start, dead and final co-reach states into
+// the current (empty or just-flushed) generation.
 func (d *DFA) seedLocked() {
 	d.dead.Store(d.internLocked(NewBits(d.p.NumStates)))
 	startFrontier := NewBits(d.p.NumStates)
 	startFrontier.Set(d.p.Start)
 	d.p.OpClosure(startFrontier, d.blocked)
 	d.start.Store(d.internLocked(startFrontier))
+	final := d.p.Final.Clone()
+	d.p.ROpClosure(final)
+	d.final.Store(d.internLocked(final))
 }
 
 // Stats snapshots the cache counters.
@@ -461,6 +467,22 @@ func (d *DFA) Step(s *DState, c int, kind StepKind) *DState {
 	d.misses.Add(1)
 	return d.stepSlow(s, c, kind)
 }
+
+// StepBatched is Step for a sweep that batches its own counter
+// traffic: a memoized transition touches no shared counter and reports
+// hit, and the caller adds its hits once through NoteHits. A miss is
+// counted as in Step. kind must not be StepForward, whose whole-row
+// fill Step does.
+func (d *DFA) StepBatched(s *DState, c int, kind StepKind) (ns *DState, hit bool) {
+	if ns = s.next[int(kind)*d.p.NumClasses+c].Load(); ns != nil {
+		return ns, true
+	}
+	d.misses.Add(1)
+	return d.stepSlow(s, c, kind), false
+}
+
+// NoteHits adds n memoized-transition hits counted by a batched sweep.
+func (d *DFA) NoteHits(n uint64) { d.hits.Add(n) }
 
 // fillFwdRow materializes the complete forward row of s (lazy per
 // state, eager per row) and derives the skip superinstruction from
@@ -620,14 +642,14 @@ func (d *DFA) SweepForward(s *DState, doc *span.Document, text string, from, to 
 	accel := text != ""
 	jumps, gained := 0, 0
 	fwdBase := int(StepForward) * d.p.NumClasses
-	check := from + flushCheckInterval
+	check := from + FlushCheckInterval
 	for i := from; i < to; {
 		if i >= check {
 			if d.flushes.Load()-flush0 > MaxFlushesPerSweep {
 				d.NoteFallback()
 				return nil, false
 			}
-			check = i + flushCheckInterval
+			check = i + FlushCheckInterval
 		}
 		if s.dead {
 			return s, true
@@ -736,14 +758,14 @@ func (d *DFA) ForwardFrontiers(doc *span.Document) (out []Bits, ok bool) {
 		d.candSkipped.Add(jumped)
 	}()
 	base := int(StepForward) * d.p.NumClasses
-	check := flushCheckInterval
+	check := FlushCheckInterval
 	for pos := 1; pos <= n+1; pos++ {
 		if pos >= check {
 			if d.flushes.Load()-flush0 > MaxFlushesPerSweep {
 				d.NoteFallback()
 				return nil, false
 			}
-			check = pos + flushCheckInterval
+			check = pos + FlushCheckInterval
 		}
 		out[pos] = s.frontier
 		if pos == n+1 {
@@ -787,18 +809,21 @@ func (d *DFA) ForwardFrontiers(doc *span.Document) (out []Bits, ok bool) {
 	return out, true
 }
 
-// BackwardFrontiers computes, for every position 1..n+1, the states
-// from which acceptance is reachable reading the document suffix —
-// backwardReach on the determinized tables. The returned bitsets
-// alias interned frontiers and must be treated as read-only. ok is
-// false when the sweep abandoned the cache. Counter traffic is
-// batched per sweep, not per rune.
-func (d *DFA) BackwardFrontiers(doc *span.Document) (out []Bits, ok bool) {
+// BackwardFrontiers computes into out[pos], for every position
+// 1..n+1, the states from which acceptance is reachable reading the
+// document suffix — backwardReach on the determinized tables — and
+// returns out[:n+2] (out[0] is unused). out is grown only when it is
+// too short, so a caller that keeps the returned slice sweeps the next
+// document without allocating; nil asks for a fresh one. The stored
+// bitsets alias interned frontiers and must be treated as read-only.
+// The sweep starts from the final co-reach state interned with the
+// cache generation. ok is false when the sweep abandoned the cache,
+// and out is then nil. Counter traffic is batched per sweep, not per
+// rune.
+func (d *DFA) BackwardFrontiers(doc *span.Document, out []Bits) (_ []Bits, ok bool) {
 	n := doc.Len()
-	out = make([]Bits, n+2)
-	final := d.p.Final.Clone()
-	d.p.ROpClosure(final)
-	s := d.State(final)
+	out = slices.Grow(out[:0], n+2)[:n+2]
+	s := d.final.Load()
 	out[n+1] = s.frontier
 	flush0 := d.flushes.Load()
 	var hits, misses uint64
@@ -808,7 +833,7 @@ func (d *DFA) BackwardFrontiers(doc *span.Document) (out []Bits, ok bool) {
 	}()
 	base := int(StepReverse) * d.p.NumClasses
 	for pos := n; pos >= 1; pos-- {
-		if pos%flushCheckInterval == 0 && d.flushes.Load()-flush0 > MaxFlushesPerSweep {
+		if pos%FlushCheckInterval == 0 && d.flushes.Load()-flush0 > MaxFlushesPerSweep {
 			d.NoteFallback()
 			return nil, false
 		}

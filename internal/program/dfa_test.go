@@ -97,7 +97,7 @@ func TestDFAFrontierSweepsAgreeWithDirect(t *testing.T) {
 			cur = next
 		}
 
-		bwd, ok := d.BackwardFrontiers(doc)
+		bwd, ok := d.BackwardFrontiers(doc, nil)
 		if !ok {
 			t.Fatalf("%q: backward sweep fell back", expr)
 		}
@@ -120,14 +120,43 @@ func TestDFAFrontierSweepsAgreeWithDirect(t *testing.T) {
 	}
 }
 
-// TestDFATinyBudgetStaysCorrect drives a 2-state budget (permanent
+// TestBackwardFrontiersReusesCallerSlice: the reverse sweep fills the
+// caller's slice in place while it is long enough, so a warm sweep
+// into the slice it returned allocates nothing, and grows it only for
+// a longer document.
+func TestBackwardFrontiersReusesCallerSlice(t *testing.T) {
+	p := compileCorpus(t, codecCorpus[0])
+	d := NewDFA(p, 256)
+	long, short := span.NewDocument("Seller: ab, ID12\naba"), span.NewDocument("aba")
+	buf, ok := d.BackwardFrontiers(long, nil)
+	if !ok {
+		t.Fatal("backward sweep fell back")
+	}
+	out, _ := d.BackwardFrontiers(short, buf)
+	if len(out) != short.Len()+2 || &out[0] != &buf[0] {
+		t.Fatalf("short sweep returned %d headers at a new array; want %d in the caller's", len(out), short.Len()+2)
+	}
+	final := p.Final.Clone()
+	p.ROpClosure(final)
+	if out[short.Len()+1].Key() != final.Key() {
+		t.Fatal("short sweep does not end on the final co-reach")
+	}
+	if n := testing.AllocsPerRun(5, func() { d.BackwardFrontiers(long, buf) }); n != 0 {
+		t.Fatalf("warm sweep into the caller's slice: %v allocations, want 0", n)
+	}
+	if grown, _ := d.BackwardFrontiers(long, buf[:0:1]); len(grown) != long.Len()+2 {
+		t.Fatalf("a one-header slice grew to %d headers, want %d", len(grown), long.Len()+2)
+	}
+}
+
+// TestDFATinyBudgetStaysCorrect drives a 3-state budget (permanent
 // flushing) and checks that whatever completes without falling back
 // is still correct, and that the flush/eviction/fallback counters
 // move.
 func TestDFATinyBudgetStaysCorrect(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	p := compileCorpus(t, `.*(Seller: x{[^,\n]*}, ID\d*(, \$y{[^\n]*}|)\n).*`)
-	d := NewDFA(p, 2)
+	d := NewDFA(p, 3)
 	completed := 0
 	for _, text := range docsForDFA(rng) {
 		doc := span.NewDocument(text)
@@ -142,7 +171,7 @@ func TestDFATinyBudgetStaysCorrect(t *testing.T) {
 	}
 	st := d.Stats()
 	if st.Flushes == 0 || st.Evictions == 0 {
-		t.Fatalf("2-state budget never flushed: %+v", st)
+		t.Fatalf("3-state budget never flushed: %+v", st)
 	}
 	if completed == 0 && st.Fallbacks == 0 {
 		t.Fatalf("no sweep completed and none fell back: %+v", st)
@@ -174,7 +203,7 @@ func TestDFAConcurrentSharedCache(t *testing.T) {
 					t.Errorf("goroutine %d: doc %d: got %v want %v", g, i, got, want[i])
 					return
 				}
-				if _, ok := d.BackwardFrontiers(docs[i]); !ok {
+				if _, ok := d.BackwardFrontiers(docs[i], nil); !ok {
 					continue
 				}
 			}

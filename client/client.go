@@ -229,7 +229,27 @@ func (c *Client) send(ctx context.Context, method, path string, in any) (*http.R
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	if id := RequestID(ctx); id != "" {
+		req.Header.Set("X-Request-ID", id)
+	}
 	return c.hc.Do(req)
+}
+
+type requestIDKey struct{}
+
+// WithRequestID returns a context carrying id: every request the
+// client sends under it carries the header X-Request-ID: id, which
+// spand and spangate echo and key their traces on, so one ID follows a
+// request from caller to gate to shard.
+func WithRequestID(ctx context.Context, id string) context.Context {
+	return context.WithValue(ctx, requestIDKey{}, id)
+}
+
+// RequestID returns the request ID ctx carries (see WithRequestID), or
+// "" when it carries none.
+func RequestID(ctx context.Context) string {
+	id, _ := ctx.Value(requestIDKey{}).(string)
+	return id
 }
 
 // Extract runs one query over a batch of documents, returning results

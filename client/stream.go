@@ -11,8 +11,10 @@ import (
 
 // ExtractStream starts a streaming extraction (POST /v1/extract/stream)
 // and returns an iterator over its NDJSON mappings. The server flushes
-// after every mapping, so Next observes results with the enumerator's
-// polynomial delay instead of waiting for the full output set.
+// the first mapping as soon as it is produced and writes every later
+// one within 1 ms of being produced, so Next observes results with the
+// enumerator's polynomial delay instead of waiting for the full output
+// set.
 //
 // A non-200 response (bad query, missing document) is decoded into a
 // typed *Error before any Stream is returned, so once a Stream exists

@@ -22,10 +22,12 @@
 //	                         (inline docs first, then referenced
 //	                         doc_ids) plus cache/worker stats.
 //	POST /v1/extract/stream {"expr"|…: …, "doc": …|"doc_id": …, "limit": n}
-//	                       → NDJSON: one mapping per line, flushed per
-//	                         result, with the enumerator's polynomial
-//	                         delay (Theorem 5.7) — first results arrive
-//	                         before enumeration completes.
+//	                       → NDJSON: one mapping per line with the
+//	                         enumerator's polynomial delay (Theorem
+//	                         5.7): the first line is flushed at once,
+//	                         later ones within 1 ms of being produced,
+//	                         so results arrive before enumeration
+//	                         completes.
 //	PUT    /v1/documents/{id}  {"text": …} create or replace a stored
 //	                           document (201 on create, 200 on replace).
 //	GET    /v1/documents/{id}  the stored document: id, version, text.

@@ -19,8 +19,9 @@
 //     merge back in input order, byte-identical to one spand
 //     answering the whole batch. Identical in-flight (query,
 //     document) units coalesce single-flight.
-//   - POST /v1/extract/stream: proxied to one shard, each NDJSON
-//     line flushed through as it arrives; failover happens only
+//   - POST /v1/extract/stream: proxied to one shard, the first
+//     NDJSON line flushed as it arrives and later ones within 1 ms;
+//     failover happens only
 //     before the first byte, and a shard dying mid-stream severs the
 //     downstream connection so truncation stays visible.
 //   - /v1/documents/{id}: routed to the owner shard, never retried.

@@ -215,14 +215,19 @@ func (g *Gate) Close() {
 	<-g.probeDone
 }
 
-// ServeHTTP echoes the request ID and dispatches to the /v1 routes.
+// ServeHTTP echoes the request ID (the caller's X-Request-ID, or a
+// fresh one), puts it on the request context so every shard call made
+// for the request forwards it, and dispatches to the /v1 routes. A
+// shard's trace for the request is then found under the same ID. A
+// unit coalesced onto another request's in-flight call (single-flight)
+// runs under the leader's ID: only the leader reaches the shard.
 func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	id := r.Header.Get("X-Request-ID")
 	if id == "" {
 		id = obs.NewRequestID()
 	}
 	w.Header().Set("X-Request-ID", id)
-	g.mux.ServeHTTP(w, r)
+	g.mux.ServeHTTP(w, r.WithContext(client.WithRequestID(r.Context(), id)))
 }
 
 // admit is the admission-control middleware on the extraction routes:

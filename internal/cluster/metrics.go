@@ -57,7 +57,7 @@ func (g *Gate) registerMetrics() {
 		"Upstream attempts beyond the first, across batch, stream and registry-read calls.",
 		func() []obs.Sample { return []obs.Sample{{Value: float64(g.counters.retries.Load())}} })
 	r.RegisterCounterFunc("spand_gate_streamed_lines_total",
-		"NDJSON mapping lines proxied through (each flushed individually).",
+		"NDJSON mapping lines proxied through (the first flushed at once, later ones within 1 ms).",
 		func() []obs.Sample { return []obs.Sample{{Value: float64(g.counters.streamedLines.Load())}} })
 	r.RegisterCounterFunc("spand_gate_panics_total",
 		"Scatter goroutines that panicked; their units failed with 500 internal.",

@@ -163,6 +163,9 @@ func (g *Gate) proxy(ctx context.Context, sh *shard, r *http.Request, body []byt
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		req.Header.Set("Content-Type", ct)
 	}
+	if id := client.RequestID(ctx); id != "" {
+		req.Header.Set("X-Request-ID", id)
+	}
 	resp, err := g.hc.Do(req)
 	if err != nil {
 		defer cancel()

@@ -14,7 +14,10 @@ import (
 // upstream once. The first arrival leads and runs the extraction; the
 // rest wait for its result. A leader that dies of its own request's
 // cancellation does not poison the waiters: they re-elect and retry,
-// because the work itself was never attempted to completion.
+// because the work itself was never attempted to completion. The
+// upstream call carries the leader's request context, so the shard
+// sees (and traces) the leader's X-Request-ID; a waiter's own ID
+// reaches no shard unless it re-elects.
 
 // flightCall is one in-flight unit of extraction work.
 type flightCall struct {

@@ -10,12 +10,16 @@ import (
 	"time"
 
 	"spanners/client"
+	"spanners/internal/httpapi"
 )
 
 // handleStream proxies one NDJSON streaming extraction to a shard,
-// forwarding each mapping line verbatim and flushing it immediately —
-// the gate adds a network hop, not a buffer, so the client still
-// observes the enumerator's polynomial delay end to end.
+// forwarding each mapping line verbatim under the same contract as
+// spand itself: the first line is flushed at once and every later one
+// is written within the httpapi.LineWriter delay bound (1 ms) of
+// arriving — the gate adds a network hop, not an unbounded buffer, so
+// the client still observes the enumerator's polynomial delay end to
+// end.
 //
 // Failover happens only before the stream commits: a shard that
 // cannot be reached, answers an error, or sits on its headers past
@@ -90,9 +94,10 @@ var errStreamCommitted = errors.New("stream failed after commit")
 
 // streamFrom runs one streaming attempt against sh. The per-attempt
 // timeout covers connecting and receiving response headers; once the
-// upstream stream exists the only deadline left is the caller's. Each
-// forwarded line is flushed before the next read, so time to first
-// byte is the shard's, not a buffer's.
+// upstream stream exists the only deadline left is the caller's. The
+// first forwarded line is flushed before the next read, so time to
+// first byte is the shard's, not a buffer's; later lines reach the
+// client within the LineWriter's delay bound.
 func (g *Gate) streamFrom(ctx context.Context, w http.ResponseWriter, sh *shard, req client.StreamRequest) error {
 	// The stream must outlive the per-attempt window, but a shard
 	// sitting on its headers must not stall failover: cancel manually
@@ -147,13 +152,16 @@ func (g *Gate) streamFrom(ctx context.Context, w http.ResponseWriter, sh *shard,
 	sh.recordSuccess()
 
 	// Headers are in hand: commit the NDJSON response and forward
-	// line by line, flushing each one through.
+	// line by line through a LineWriter, which flushes the first line
+	// at once and coalesces the rest under its delay bound. The
+	// deferred Close writes what is buffered before any abort.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
+	if flusher, ok := w.(http.Flusher); ok {
 		flusher.Flush()
 	}
+	lw := httpapi.NewLineWriter(w)
+	defer lw.Close()
 	first := true
 	start := time.Now()
 	for {
@@ -171,11 +179,8 @@ func (g *Gate) streamFrom(ctx context.Context, w http.ResponseWriter, sh *shard,
 			g.ttfb.Observe(time.Since(start))
 			first = false
 		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
+		if err := lw.WriteLine(line); err != nil {
 			return fmt.Errorf("%w: downstream write: %v", errStreamCommitted, err)
-		}
-		if flusher != nil {
-			flusher.Flush()
 		}
 		g.counters.streamedLines.Add(1)
 	}

@@ -539,10 +539,12 @@ func (s *server) writeExtractResponse(w http.ResponseWriter, results [][]service
 }
 
 // handleStream emits one JSON object per output mapping, one per
-// line, flushing after every result: the client sees mappings with
-// the enumerator's polynomial delay instead of waiting for the full
-// output set. Client disconnect or the request deadline cancels the
-// context, which stops enumeration between outputs.
+// line, through a LineWriter: the first mapping is flushed at once and
+// every later one is on the wire within lineFlushDelay of being
+// produced, so the client sees mappings with the enumerator's
+// polynomial delay instead of waiting for the full output set, without
+// one write per mapping. Client disconnect or the request deadline
+// cancels the context, which stops enumeration between outputs.
 func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	var req streamRequest
 	if !s.decodeBody(w, r, &req) {
@@ -574,17 +576,12 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	var line []byte
+	// Deferred, so the buffered lines go out (and the writer's timer
+	// stops) on every exit, the abort below included.
+	lw := NewLineWriter(w)
+	defer lw.Close()
 	err = compiled.Stream(ctx, req.Doc, func(res service.Result) bool {
-		line = append(append(line[:0], res...), '\n')
-		if _, err := w.Write(line); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
+		return lw.WriteLine(res) == nil
 	})
 	if err != nil {
 		// The stream was cut short (cancellation or deadline

@@ -20,6 +20,7 @@ package rgx
 import (
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"spanners/internal/runeclass"
 	"spanners/internal/span"
@@ -328,8 +329,7 @@ func (c Concat) String() string {
 // immediately followed by '{' (a variable capture) while the builder
 // ends with an identifier rune that would extend the variable name.
 func needsVarGuard(b *strings.Builder, printed string) bool {
-	s := b.String()
-	if s == "" || !isIdentRune(rune(s[len(s)-1])) {
+	if last, _ := utf8.DecodeLastRuneInString(b.String()); !isIdentRune(last) {
 		return false
 	}
 	i := 0

@@ -32,7 +32,8 @@ func (e *ParseError) Error() string {
 //	         | IDENT '{' alt '}'     variable capture x{γ}
 //	         | '[' class ']'         character class, '^' negates
 //	         | '.'                   any letter (Σ)
-//	         | '\' escape            escaped letter or class (\d \w \s)
+//	         | '\' escape            escaped letter or class (\d \w \s),
+//	                                 or a rune as \uXXXX / \UXXXXXXXX
 //	         | letter                a single literal letter
 //
 // Identifiers are maximal runs of [A-Za-z0-9_] starting with a letter
@@ -322,16 +323,22 @@ func (p *parser) escape(inClass bool) (Node, error) {
 		)}, nil
 	case 's':
 		return Class{C: runeclass.FromRunes(' ', '\t', '\n', '\r')}, nil
-	case 'u':
-		if p.pos+4 > len(p.src) {
-			return nil, p.errf("\\u needs four hex digits")
+	case 'u', 'U':
+		// \u takes exactly four hex digits, \U exactly eight (a rune
+		// above U+FFFF), as in Go string literals.
+		digits := 4
+		if r == 'U' {
+			digits = 8
 		}
-		hex := string(p.src[p.pos : p.pos+4])
+		if p.pos+digits > len(p.src) {
+			return nil, p.errf("\\%c needs %d hex digits", r, digits)
+		}
+		hex := string(p.src[p.pos : p.pos+digits])
 		v, err := strconv.ParseUint(hex, 16, 32)
-		if err != nil {
-			return nil, p.errf("bad \\u escape %q", hex)
+		if err != nil || v > unicode.MaxRune {
+			return nil, p.errf("bad \\%c escape %q", r, hex)
 		}
-		p.pos += 4
+		p.pos += digits
 		return Lit(rune(v)), nil
 	}
 	if unicode.IsLetter(r) || unicode.IsDigit(r) {

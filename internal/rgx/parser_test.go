@@ -3,7 +3,9 @@ package rgx
 import (
 	"strings"
 	"testing"
+	"unicode"
 
+	"spanners/internal/runeclass"
 	"spanners/internal/span"
 )
 
@@ -191,13 +193,48 @@ func TestPrintParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPrintAstralRuneRoundTrip: a non-printable rune above U+FFFF
+// prints in a form that parses back to the same rune. U+A4282 used to
+// print as a \u escape with five hex digits, which parses as U+A428
+// followed by the letter 2.
+func TestPrintAstralRuneRoundTrip(t *testing.T) {
+	for _, n := range []Node{
+		Lit(0xA4282),
+		Seq(Lit(0xA4282), Lit('2')),
+		Class{C: runeclass.FromRanges(runeclass.Range{Lo: 0xA4282, Hi: 0xA4290}, runeclass.Range{Lo: 'a', Hi: 'a'})},
+		Capture("x", Lit(unicode.MaxRune)),
+	} {
+		printed := n.String()
+		back, err := Parse(printed)
+		if err != nil {
+			t.Fatalf("%v printed %q: %v", n, printed, err)
+		}
+		if !Equal(n, back) {
+			t.Fatalf("%v printed %q, which parses as %v", n, printed, back)
+		}
+	}
+	if got := MustParse(`\U000a4282`); !Equal(got, Lit(0xA4282)) {
+		t.Fatalf(`\U000a4282 parses as %v`, got)
+	}
+	for _, bad := range []string{`\U0011ffff`, `\U000a428`, `\Uzzzzzzzz`} {
+		if _, err := Parse(bad); err == nil {
+			t.Errorf("Parse(%q) should fail", bad)
+		}
+	}
+}
+
 func TestPrintVarGuard(t *testing.T) {
-	// Concat(Lit a, Var b) must not print as "ab{...}".
-	n := Seq(Lit('a'), Capture("b", Lit('c')))
-	printed := n.String()
-	back := MustParse(printed)
-	if !Equal(n, back) {
-		t.Errorf("guard failed: printed %q, reparsed %v", printed, back)
+	// Concat(Lit a, Var b) must not print as "ab{...}", nor with a
+	// multi-byte letter before the variable as "éb{...}".
+	for _, n := range []Node{
+		Seq(Lit('a'), Capture("b", Lit('c'))),
+		Seq(Lit('é'), Capture("b", Lit('c'))),
+	} {
+		printed := n.String()
+		back := MustParse(printed)
+		if !Equal(n, back) {
+			t.Errorf("guard failed: printed %q, reparsed %v", printed, back)
+		}
 	}
 }
 

@@ -239,6 +239,16 @@ func escapeRune(r rune) string {
 	if unicode.IsPrint(r) {
 		return string(r)
 	}
+	return hexEscape(r)
+}
+
+// hexEscape renders a non-printable rune in the form the rgx parser
+// reads back: \u with exactly four hex digits inside the Basic
+// Multilingual Plane, \U with exactly eight above it.
+func hexEscape(r rune) string {
+	if r > 0xFFFF {
+		return fmt.Sprintf("\\U%08x", r)
+	}
 	return fmt.Sprintf("\\u%04x", r)
 }
 
@@ -256,7 +266,7 @@ func escapeClassRune(r rune) string {
 	if unicode.IsPrint(r) {
 		return string(r)
 	}
-	return fmt.Sprintf("\\u%04x", r)
+	return hexEscape(r)
 }
 
 // Representatives returns one witness rune per equivalence class of

@@ -18,6 +18,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"unicode/utf8"
 )
@@ -64,6 +65,7 @@ type Stats struct {
 type attachment struct {
 	val  any
 	size int
+	seq  uint64 // when it was last attached: the entry's attachSeq then
 }
 
 type entry struct {
@@ -73,6 +75,7 @@ type entry struct {
 	journalBase int64 // version the document had before journal[0]
 	journal     []Splice
 	attach      map[uint64]attachment
+	attachSeq   uint64 // attachments made so far
 	elem        *list.Element
 	bytes       int64 // accounted: text + attachments + fixed overhead
 }
@@ -262,8 +265,10 @@ func (s *Store) SplicesSince(id string, v int64) ([]Splice, bool) {
 // Attach parks an opaque value (the service's incremental extraction
 // session) on the document under a fingerprint key, accounting size
 // bytes against the store budget. At most a handful of attachments
-// are kept per document; when full, an arbitrary one is dropped.
-// Attaching to an unknown id is a no-op returning false.
+// are kept per document; when full, the least recently attached one
+// is dropped, so a session its owner re-attaches after every use
+// outlives one nobody touched since. Attaching to an unknown id is a
+// no-op returning false.
 func (s *Store) Attach(id string, key uint64, val any, size int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -275,12 +280,16 @@ func (s *Store) Attach(id string, key uint64, val any, size int) bool {
 		e.attach = make(map[uint64]attachment, maxAttach)
 	}
 	if _, exists := e.attach[key]; !exists && len(e.attach) >= maxAttach {
-		for k := range e.attach {
-			delete(e.attach, k)
-			break
+		oldest, seq := uint64(0), uint64(math.MaxUint64)
+		for k, a := range e.attach {
+			if a.seq < seq {
+				oldest, seq = k, a.seq
+			}
 		}
+		delete(e.attach, oldest)
 	}
-	e.attach[key] = attachment{val: val, size: size}
+	e.attachSeq++
+	e.attach[key] = attachment{val: val, size: size, seq: e.attachSeq}
 	s.touch(e)
 	s.resize(e)
 	return true

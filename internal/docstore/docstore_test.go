@@ -246,6 +246,32 @@ func TestAttachments(t *testing.T) {
 	}
 }
 
+// TestAttachEvictsLeastRecentlyAttached: a full attachment set drops
+// the entry attached longest ago, so a session re-attached after every
+// use survives a stream of one-off ones.
+func TestAttachEvictsLeastRecentlyAttached(t *testing.T) {
+	s := New(1 << 20)
+	if _, err := s.Put("d", "text"); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	const hot = 100
+	s.Attach("d", hot, "hot", 8)
+	for k := uint64(0); k < 3*maxAttach; k++ {
+		s.Attach("d", k, k, 8)
+		s.Attach("d", hot, "hot", 8)
+		if _, ok := s.Attachment("d", hot); !ok {
+			t.Fatalf("after attaching %d, the re-attached session was evicted", k)
+		}
+		// Besides the hot one, the maxAttach-1 latest stay.
+		for old := uint64(0); old <= k; old++ {
+			_, ok := s.Attachment("d", old)
+			if want := old+maxAttach-1 > k; ok != want {
+				t.Fatalf("after attaching %d, attachment %d kept = %v, want %v; cap is %d", k, old, ok, want, maxAttach)
+			}
+		}
+	}
+}
+
 func TestAttachmentBytesCountAgainstBudget(t *testing.T) {
 	s := New(2*(64+entryOverhead) + 512)
 	if _, err := s.Put("a", strings.Repeat("x", 64)); err != nil {

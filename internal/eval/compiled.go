@@ -452,7 +452,9 @@ func (e *Engine) evalFPTProg(d *span.Document, mu span.Extended) bool {
 // firesInto reports whether a state of set in co has an operation
 // leading into co: exactly when boundaryEmissionsProg(set, co) returns
 // more than the do-nothing choice. The walk records a DAG node where
-// this holds and skips the boundary otherwise.
+// this holds and skips the boundary otherwise; on the DFA path it asks
+// the interned co-reach state's firers, which give the same answer
+// (TestFirersMatchFiresInto).
 func (e *Engine) firesInto(set, co program.Bits) bool {
 	p := e.prog
 	for i, word := range set {
@@ -478,30 +480,19 @@ func (e *Engine) firesInto(set, co program.Bits) bool {
 // sorting key strings. The choices, their operations and their state
 // sets are carved from a, and stay valid while a grows; a walk passes
 // its pooled arena, the memo a fresh one whose storage it keeps.
+// Callers ask only where an operation can fire (firesInto).
 func (e *Engine) boundaryEmissionsProg(set, coReach program.Bits, a *emArena) []progEmission {
 	p := e.prog
-	// Fast path: no surviving state can fire an operation, so the only
-	// choice is the do-nothing emission (or none when the set died).
-	alive := a.bits(len(set))
-	alive.CopyFrom(set)
-	alive.And(coReach)
-	if !alive.Any() {
-		return nil
-	}
 	first := len(a.ems)
-	if !e.firesInto(alive, coReach) {
-		a.ems = append(a.ems, progEmission{states: alive})
-		return a.ems[first:]
-	}
-
-	// queue holds every configuration seen, in BFS order.
+	// queue holds every configuration seen, in BFS order, from the
+	// states of set that can still complete.
 	if a.seen == nil {
 		a.seen = make(map[emCfg]struct{})
 	}
 	clear(a.seen)
 	queue := a.queue[:0]
-	for i, word := range alive {
-		for ; word != 0; word &= word - 1 {
+	for i, word := range set {
+		for word &= coReach[i]; word != 0; word &= word - 1 {
 			c := emCfg{q: int32(i<<6 + bits.TrailingZeros64(word))}
 			a.seen[c] = struct{}{}
 			queue = append(queue, c)

@@ -713,7 +713,10 @@ func (e *Engine) enumerateFiltered(d *span.Document, clk *stageClock, yield func
 		fwd := e.forwardReachProg(d)
 		clk.mark(obs.StageForwardSweep)
 		var co coBufs
-		bwd := co.coReach(e, d, 1, d.Len()+1, nil)
+		states, bwd, _ := co.coReach(e, d, 1, d.Len()+1, nil, nil)
+		for _, s := range states {
+			bwd = append(bwd, s.Frontier())
+		}
 		clk.mark(obs.StageCoReachSweep)
 		candidates = e.candidateSpansProg(d, fwd, bwd)
 	} else {

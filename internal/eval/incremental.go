@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -265,11 +266,13 @@ func bitsEq(a, b program.Bits) bool {
 func (s *IncState) rStrictInto(src, dst program.Bits) {
 	p := s.e.prog
 	dst.Clear()
-	src.ForEach(func(q int) {
-		for _, ed := range p.OpsInto(q) {
-			dst.Set(int(ed.To))
+	for i, w := range src {
+		for w &= p.RHasOps[i]; w != 0; w &= w - 1 {
+			for _, ed := range p.OpsInto(i<<6 + bits.TrailingZeros64(w)) {
+				dst.Set(int(ed.To))
+			}
 		}
-	})
+	}
 	p.ROpClosure(dst)
 }
 
@@ -279,11 +282,13 @@ func (s *IncState) rStrictInto(src, dst program.Bits) {
 func (s *IncState) stepForward(f0, f1, d0, d1 program.Bits, r rune) {
 	p := s.e.prog
 	s.tmp.CopyFrom(f1)
-	f0.ForEach(func(q int) {
-		for _, ed := range p.OpsFrom(q) {
-			s.tmp.Set(int(ed.To))
+	for i, w := range f0 {
+		for w &= p.HasOps[i]; w != 0; w &= w - 1 {
+			for _, ed := range p.OpsFrom(i<<6 + bits.TrailingZeros64(w)) {
+				s.tmp.Set(int(ed.To))
+			}
 		}
-	})
+	}
 	p.OpClosure(s.tmp, 0)
 	d0.Clear()
 	d1.Clear()
@@ -306,13 +311,13 @@ func (s *IncState) stepBackward(b0, b1, d0, d1 program.Bits, r rune) {
 		return
 	}
 	p.LetterStepBack(b0, c, d0)
-	s.tmp.CopyFrom(b0)
-	s.tmp.Or(b1)
-	s.tmp2.Clear()
-	p.LetterStepBack(s.tmp, c, s.tmp2)
+	p.LetterStepBack(b1, c, d1)
+	// The letter step distributes over union: the step of b0 ∪ b1 is
+	// d0 ∪ d1.
+	s.tmp2.CopyFrom(d0)
+	s.tmp2.Or(d1)
 	s.rStrictInto(s.tmp2, s.tmp)
 	d1.Or(s.tmp)
-	p.LetterStepBack(b1, c, d1)
 }
 
 // rebuild runs a full extraction of the current document and fills the
@@ -634,39 +639,43 @@ func (s *IncState) rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf
 		if pos < 2 || pos > n2+1 {
 			continue
 		}
-		sn := incSnap{pos: pos}
+		var f0, f1, b0, b1 program.Bits
 		if pos <= prefixEnd {
 			if old, ok := oldAt(&at, pos); ok {
-				sn.f0, sn.f1 = old.f0, old.f1
+				f0, f1 = old.f0, old.f1
 			}
 		}
-		if sn.f0 == nil {
-			if pr, ok := newF[pos]; ok {
-				sn.f0, sn.f1 = pr.a, pr.b
-			}
-		}
-		if sn.f0 == nil && cf >= 0 && pos >= cf {
+		// The resweeps record fresh pairs only before they re-converge
+		// (newF below cf, newB above cb), so the cached pairs past the
+		// convergence points are looked up first and the maps only
+		// where they can answer.
+		if f0 == nil && cf >= 0 && pos >= cf {
 			if old, ok := oldAt(&shifted, pos-delta); ok && old.pos >= editEndOld {
-				sn.f0, sn.f1 = old.f0, old.f1
+				f0, f1 = old.f0, old.f1
+			}
+		}
+		if f0 == nil {
+			if pr, ok := newF[pos]; ok {
+				f0, f1 = pr.a, pr.b
 			}
 		}
 		if pos >= editEndNew {
 			if old, ok := oldAt(&shifted, pos-delta); ok && old.pos >= editEndOld {
-				sn.b0, sn.b1 = old.b0, old.b1
+				b0, b1 = old.b0, old.b1
 			}
 		}
-		if sn.b0 == nil {
-			if pr, ok := newB[pos]; ok {
-				sn.b0, sn.b1 = pr.a, pr.b
-			}
-		}
-		if sn.b0 == nil && cb > 0 && pos <= cb {
+		if b0 == nil && cb > 0 && pos <= cb {
 			if old, ok := oldAt(&at, pos); ok {
-				sn.b0, sn.b1 = old.b0, old.b1
+				b0, b1 = old.b0, old.b1
 			}
 		}
-		if sn.f0 != nil && sn.b0 != nil {
-			out = append(out, sn)
+		if b0 == nil {
+			if pr, ok := newB[pos]; ok {
+				b0, b1 = pr.a, pr.b
+			}
+		}
+		if f0 != nil && b0 != nil {
+			out = append(out, incSnap{pos: pos, f0: f0, f1: f1, b0: b0, b1: b1})
 		}
 	}
 

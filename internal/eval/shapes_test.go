@@ -44,43 +44,53 @@ func sparseLog(lines, plants int, seed int64) *span.Document {
 	return span.NewDocument(strings.Join(ls, ""))
 }
 
-// shape is one workload shape: a query and the documents one request
-// carries.
+// shape is one workload shape: a query, the documents one request
+// carries, and whether the request stops at the first mapping.
 type shape struct {
-	name string
-	expr string
-	docs []*span.Document
+	name  string
+	expr  string
+	docs  []*span.Document
+	first bool
 }
 
-// workloadShapes returns the three extraction shapes of spanload.
+// workloadShapes returns the three extraction shapes of spanload and
+// dense_nodes, spanbench's service/stream_first_result: a*x{a*}a* on
+// 200 a's, where every boundary is a DAG node, stopped at the first
+// mapping, so the sweep is the whole cost.
 func workloadShapes() []shape {
 	rows := make([]*span.Document, 128)
 	for i := range rows {
 		rows[i] = span.NewDocument(workload.LandRegistry(workload.LandRegistryOptions{Rows: 4, TaxProb: 0.5, Seed: int64(i + 1)}))
 	}
 	return []shape{
-		{"weblog_stream", weblogStreamExpr, []*span.Document{webLogDoc(96, 1)}},
-		{"sparse_scan", sparseScanExpr, []*span.Document{sparseLog(500, 3, 1)}},
-		{"batch_rows", batchRowsExpr, rows},
+		{"weblog_stream", weblogStreamExpr, []*span.Document{webLogDoc(96, 1)}, false},
+		{"sparse_scan", sparseScanExpr, []*span.Document{sparseLog(500, 3, 1)}, false},
+		{"batch_rows", batchRowsExpr, rows, false},
+		{"dense_nodes", `a*x{a*}a*`, []*span.Document{span.NewDocument(strings.Repeat("a", 200))}, true},
 	}
 }
 
-// BenchmarkEnumerateShapes runs one spanload request's extraction
-// in-process per iteration: every document of the shape through
-// EnumerateTuples with a yield that keeps nothing, which is what the
-// service does before encoding.
+// BenchmarkEnumerateShapes runs one request's extraction in-process per
+// iteration: every document of the shape through EnumerateTuples with a
+// yield that keeps nothing, which is what the service does before
+// encoding. ns/byte is per byte of document text.
 func BenchmarkEnumerateShapes(b *testing.B) {
 	for _, sh := range workloadShapes() {
 		e := CompileRGX(rgx.MustParse(sh.expr))
+		bytes := 0
+		for _, d := range sh.docs {
+			bytes += len(d.Text())
+		}
 		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()
 			n := 0
 			for i := 0; i < b.N; i++ {
 				for _, d := range sh.docs {
-					e.EnumerateTuples(d, nil, func([]span.Span) bool { n++; return true })
+					e.EnumerateTuples(d, nil, func([]span.Span) bool { n++; return !sh.first })
 				}
 			}
 			b.ReportMetric(float64(n)/float64(b.N), "mappings/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(bytes), "ns/byte")
 		})
 	}
 }

@@ -24,6 +24,18 @@ import (
 // output-linear. Enumerate, Count (a path count over the same sweep)
 // and incremental sessions' window re-walks all go through it; nothing
 // else advances a frontier during enumeration.
+//
+// With the lazy DFA on, the co-reach is one interned state per
+// boundary, and the sweep runs at DFA speed: whether a frontier fires
+// is one AND against the co-reach state's precomputed firers, and
+// between prune points a frontier takes one memoized raw step per
+// letter, neither intersected with the co-reach nor re-interned. Co-
+// reach is backward-closed — a state outside it at one boundary has no
+// letter successor inside it at the next — so pruning commutes with
+// letter steps, and pruning once after many raw steps gives the
+// frontier pruning after each would have. Prune points are the
+// boundaries where a frontier fires, the window's end, and every
+// lazyPruneEvery boundaries.
 
 // opOrder is the emission order of boundary choices (see "Emission
 // order" in docs/ARCHITECTURE.md): the order of the canonical key
@@ -148,10 +160,17 @@ type liveFrontier struct {
 	head, tail int32
 }
 
-// sweepLayer holds the live frontiers of one boundary.
+// sweepLayer holds the live frontiers of one boundary; pruned says
+// they are within the co-reach there and settled.
 type sweepLayer struct {
-	fs   []liveFrontier
-	slab []uint64
+	fs     []liveFrontier
+	slab   []uint64
+	pruned bool
+}
+
+// reset empties l, keeping its storage.
+func (l *sweepLayer) reset() {
+	l.fs, l.slab = l.fs[:0], l.slab[:0]
 }
 
 func (l *sweepLayer) frontier(i, words int) program.Bits {
@@ -162,29 +181,34 @@ func (l *sweepLayer) frontier(i, words int) program.Bits {
 	return program.Bits(l.slab[off : off+words])
 }
 
+// lazyPruneEvery is the most boundaries a frontier steps between two
+// prunes, so a branch that can no longer complete stops within that
+// many steps.
+const lazyPruneEvery = 64
+
 // seqWalk is a walk over the boundaries lo..hi of d. co[pos-lo] is the
-// set of states at boundary pos from which the window can still be
-// completed. With cut unset, hi is the document end n+1 and a branch
-// is emitted there for every choice that lands on a final state; with
-// cut set, hi is a crossing-free cut of an incremental session beyond
-// which completion is letters-only (co[hi-lo] says so), no operation
-// fires at hi, and a branch is emitted on reaching it. A walk serves
-// one run or count, which hands it back to walkPool: the caller must
-// not touch it afterwards.
+// interned set of states at boundary pos from which the window can
+// still be completed; the bitset path (ForceNoDFA, or a reverse sweep
+// that thrashed the DFA's budget) keeps it in coRaw instead, co nil.
+// With cut unset, hi is the document end n+1 and a branch is emitted
+// there for every choice that lands on a final state; with cut set, hi
+// is a crossing-free cut of an incremental session beyond which
+// completion is letters-only (the co-reach at hi says so), no
+// operation fires at hi, and a branch is emitted on reaching it. A
+// walk serves one run or count, which hands it back to walkPool: the
+// caller must not touch it afterwards.
 type seqWalk struct {
 	e      *Engine
 	d      *span.Document
 	lo, hi int
-	co     []program.Bits
+	co     []*program.DState
+	coRaw  []program.Bits
 	cut    bool
 
-	// memo resolves boundary choices when the engine has one; coBits
-	// and coState are the last co-reach frontier interned for it, and
-	// recent holds the walk's latest answers in front of the memo's
-	// lock (hits counts them).
+	// memo resolves boundary choices when the engine has one; recent
+	// holds the walk's latest answers in front of the memo's lock (hits
+	// counts them).
 	memo    *boundaryMemo
-	coBits  program.Bits
-	coState *program.DState
 	recent  [8]memoAnswer
 	nrecent int
 	hits    uint64
@@ -217,11 +241,13 @@ type walkBufs struct {
 	paths     []int
 }
 
-// coBufs hold a co-reach: one frontier header per boundary, and the
-// slab a bitset sweep carves the frontiers from.
+// coBufs hold a co-reach: one interned state per boundary on the DFA
+// path; on the bitset path one frontier header per boundary and the
+// slab the frontiers are carved from.
 type coBufs struct {
-	hdr  []program.Bits
-	slab []uint64
+	states []*program.DState
+	hdr    []program.Bits
+	slab   []uint64
 }
 
 // walkPool recycles walks, so a stream of documents walks without
@@ -229,8 +255,8 @@ type coBufs struct {
 var walkPool = sync.Pool{New: func() any { return new(seqWalk) }}
 
 // maxPooled keeps the slabs of huge documents out of the pool: a walk
-// whose edges, co-reach headers or co-reach slab words outgrew it is
-// left to the garbage collector.
+// whose edges, co-reach or co-reach slab words outgrew it is left to
+// the garbage collector.
 const maxPooled = 1 << 16
 
 // newSeqWalk takes a walk over the boundaries lo..hi of d from walkPool
@@ -245,7 +271,7 @@ func (e *Engine) newSeqWalk(d *span.Document, lo, hi int, seed program.Bits) *se
 	if e.DFAEnabled() && !e.nomemo {
 		w.memo = e.boundaryMemo()
 	}
-	w.co = w.coReach(e, d, lo, hi, seed)
+	w.co, w.coRaw, w.key = w.coReach(e, d, lo, hi, seed, w.key)
 	return w
 }
 
@@ -260,25 +286,40 @@ func (w *seqWalk) done() {
 	}
 	bufs := w.walkBufs
 	*w = seqWalk{walkBufs: bufs}
-	if cap(bufs.edges) <= maxPooled && cap(bufs.hdr) <= maxPooled && cap(bufs.slab) <= maxPooled {
+	if cap(bufs.edges) <= maxPooled && cap(bufs.states) <= maxPooled &&
+		cap(bufs.hdr) <= maxPooled && cap(bufs.slab) <= maxPooled {
 		walkPool.Put(w)
 	}
 }
 
-// emissions resolves the boundary choices of the live frontier set at
+// coAt returns the co-reach set at boundary pos.
+func (w *seqWalk) coAt(pos int) program.Bits {
+	if w.co != nil {
+		return w.co[pos-w.lo].Frontier()
+	}
+	return w.coRaw[pos-w.lo]
+}
+
+// fires reports whether an operation can fire from set at boundary pos
+// on a branch that still completes. On the DFA path it is one AND
+// against the co-reach state's firers, exact whether or not set was
+// pruned; the bitset path asks firesInto.
+func (w *seqWalk) fires(set program.Bits, pos int) bool {
+	if w.co != nil {
+		return set.Intersects(w.co[pos-w.lo].Firers())
+	}
+	return w.e.firesInto(set, w.coRaw[pos-w.lo])
+}
+
+// emissions resolves the boundary choices of the pruned frontier set at
 // pos, in emission order, through the boundary-emission memo when the
-// engine has one and the frontier is interned (s). The result is
-// shared and independent of set's storage.
+// engine has one and both the frontier (s) and the co-reach are
+// interned. The result is shared and independent of set's storage.
 func (w *seqWalk) emissions(s *program.DState, set program.Bits, pos int) []progEmission {
-	co := w.co[pos-w.lo]
-	if w.memo == nil || s == nil {
-		return w.e.boundaryEmissionsProg(set, co, &w.arena)
+	if w.memo == nil || s == nil || w.co == nil {
+		return w.e.boundaryEmissionsProg(set, w.coAt(pos), &w.arena)
 	}
-	if w.coState == nil || &w.coBits[0] != &co[0] {
-		w.coState, w.key = w.e.dfa.StateScratch(co, w.key)
-		w.coBits = co
-	}
-	k := bmKey{set: s, co: w.coState}
+	k := bmKey{set: s, co: w.co[pos-w.lo]}
 	for i := range w.recent {
 		if w.recent[i].k == k {
 			w.hits++
@@ -298,33 +339,54 @@ type memoAnswer struct {
 }
 
 // advance steps the frontier set (interned as s, or nil) across the
-// letter of class c, keeps what can still complete by co, and hands
-// the result with the pending edges head…tail to settle; false means
-// the branch died. With the DFA on, an interned frontier takes the raw
-// memoized transition and anything else is interned after a bitset
-// step.
+// letter of class c and admits the result at the next boundary, whose
+// co-reach is co; false means the branch died. With the DFA on, an
+// interned frontier takes the raw memoized transition and anything
+// else is interned after a bitset step.
 func (w *seqWalk) advance(l *sweepLayer, s *program.DState, set program.Bits, c int, co program.Bits, head, tail int32) bool {
 	if c < 0 {
 		return false
 	}
 	w.steps++
-	f := w.scratch
 	if w.dfa && s != nil {
-		var hit bool
-		if s, hit = w.e.dfa.StepBatched(s, c, program.StepRaw); hit {
-			w.dfaHits++
-		}
-		if s.Dead() {
-			return false
-		}
-		if f = s.Frontier(); !subsetOf(f, co) {
-			w.scratch.CopyFrom(f)
-			f, s = w.scratch, nil
-		}
-	} else {
-		f.Clear()
-		w.e.prog.LetterStep(set, c, f)
-		s = nil
+		s = w.stepRaw(s, c)
+		return !s.Dead() && w.admit(l, s, s.Frontier(), co, head, tail)
+	}
+	f := w.scratch
+	f.Clear()
+	w.e.prog.LetterStep(set, c, f)
+	return w.admit(l, nil, f, co, head, tail)
+}
+
+// stepRaw is the memoized raw transition of s on class c.
+func (w *seqWalk) stepRaw(s *program.DState, c int) *program.DState {
+	s, hit := w.e.dfa.StepBatched(s, c, program.StepRaw)
+	if hit {
+		w.dfaHits++
+	}
+	return s
+}
+
+// drift steps the interned frontier f raw across the letter of class c
+// into l, unpruned, merging it by pointer; it is dropped when it dies.
+func (w *seqWalk) drift(l *sweepLayer, f *liveFrontier, c int) {
+	if c < 0 {
+		return
+	}
+	w.steps++
+	if s := w.stepRaw(f.s, c); !s.Dead() {
+		w.join(l, s, nil, f.head, f.tail)
+	}
+}
+
+// admit prunes the frontier f (interned as s, or nil and then
+// overwritten) by the co-reach co of its boundary and settles what is
+// left, reached by the pending edges head…tail, in l; false means
+// nothing was left.
+func (w *seqWalk) admit(l *sweepLayer, s *program.DState, f, co program.Bits, head, tail int32) bool {
+	if s != nil && !subsetOf(f, co) {
+		w.scratch.CopyFrom(f)
+		f, s = w.scratch, nil
 	}
 	if s == nil {
 		if f.And(co); !f.Any() {
@@ -335,10 +397,10 @@ func (w *seqWalk) advance(l *sweepLayer, s *program.DState, set program.Bits, c 
 	return true
 }
 
-// settle places a live frontier f (interned as s, or nil) reached by
-// the pending edges head…tail: a frontier from which no operation can
-// fire any more has exactly one completion, so its edges jump straight
-// to it; any other joins l.
+// settle places a pruned, non-empty frontier f (interned as s, or nil)
+// reached by the pending edges head…tail: a frontier from which no
+// operation can fire any more has exactly one completion, so its edges
+// jump straight to it; any other joins l.
 func (w *seqWalk) settle(l *sweepLayer, s *program.DState, f program.Bits, head, tail int32) {
 	if subsetOf(f, w.e.opFree) {
 		w.resolve(head, toEnd)
@@ -353,10 +415,11 @@ func (w *seqWalk) settle(l *sweepLayer, s *program.DState, f program.Bits, head,
 
 // join adds frontier f (interned as s, or nil to copy f into the
 // slab) with the pending edges head…tail to l, appending them to an
-// equal frontier's pending edges when l already holds one.
+// equal frontier's pending edges when l already holds one. Interned
+// frontiers compare by pointer.
 func (w *seqWalk) join(l *sweepLayer, s *program.DState, f program.Bits, head, tail int32) {
 	for i := range l.fs {
-		if bitsEq(l.frontier(i, len(f)), f) {
+		if s != nil && l.fs[i].s == s || s == nil && bitsEq(l.frontier(i, len(f)), f) {
 			w.edges[l.fs[i].tail].next = head
 			l.fs[i].tail = tail
 			return
@@ -383,6 +446,17 @@ func (w *seqWalk) resolve(head, to int32) {
 // Frontiers are deduplicated per boundary, so the work is linear in
 // the window times the live frontiers per boundary, and storage is
 // linear in the boundaries where an operation can fire.
+//
+// On the DFA path a layer is pruned only at a prune point: a boundary
+// where one of its frontiers fires, the window's end, or lazyPruneEvery
+// boundaries after the last prune. In between every frontier takes one
+// raw step per letter, merged by pointer, and a layer of one frontier
+// glides. The steps out of a boundary where a frontier fired are eager
+// — pruned and settled at the next boundary — so a run of firing
+// boundaries prunes each layer once. Only a pruned, non-empty frontier
+// takes the op-free shortcut to completion (settle), and at a cut only
+// one that meets the seed completes. The bitset path prunes at every
+// boundary.
 func (w *seqWalk) sweep(start program.Bits) {
 	p := w.e.prog
 	words := len(start)
@@ -393,21 +467,23 @@ func (w *seqWalk) sweep(start program.Bits) {
 		w.edges[0].to = toEnd
 		return
 	}
-	w.dfa = w.e.DFAEnabled()
+	w.dfa = w.co != nil
 	var flush0 uint64
 	if w.dfa {
 		flush0 = w.e.dfa.Flushes()
 	}
 	cur, next := &w.cur, &w.next
-	cur.fs, cur.slab = cur.fs[:0], cur.slab[:0]
+	cur.reset()
 	w.scratch.CopyFrom(start)
-	w.scratch.And(w.co[0])
+	w.scratch.And(w.coAt(w.lo))
 	if !w.scratch.Any() {
 		return
 	}
 	w.settle(cur, nil, w.scratch, 0, 0)
+	cur.pruned = true
 
 	check := w.lo + program.FlushCheckInterval
+	prune := w.lo + lazyPruneEvery
 	for pos := w.lo; len(cur.fs) > 0; pos++ {
 		// The flush counter is shared, so it is read only every
 		// FlushCheckInterval positions, as the DFA's own sweeps do.
@@ -418,35 +494,73 @@ func (w *seqWalk) sweep(start program.Bits) {
 				w.e.dfa.NoteFallback()
 				w.dfa = false
 				for i := range cur.fs {
-					if s := cur.fs[i].s; s != nil {
-						cur.fs[i].s, cur.fs[i].off = nil, int32(len(cur.slab))
-						cur.slab = append(cur.slab, s.Frontier()...)
-					}
+					s := cur.fs[i].s
+					cur.fs[i].s, cur.fs[i].off = nil, int32(len(cur.slab))
+					cur.slab = append(cur.slab, s.Frontier()...)
 				}
 			}
 		}
-		if w.cut && pos == w.hi {
+		if w.dfa && len(cur.fs) == 1 {
+			at, alive := w.glide(&cur.fs[0], pos, min(prune, w.hi))
+			if !alive {
+				return
+			}
+			if at > pos {
+				pos, cur.pruned = at, false
+			}
+		}
+		fire := !w.dfa
+		for i := 0; i < len(cur.fs) && !fire; i++ {
+			fire = w.fires(cur.frontier(i, words), pos)
+		}
+		last := pos == w.hi
+		c := -1
+		if !last {
+			c = p.ClassOf(w.d.RuneAt(pos))
+		}
+		if !fire && !last && pos < prune {
+			next.reset()
+			for i := range cur.fs {
+				w.drift(next, &cur.fs[i], c)
+			}
+			next.pruned = false
+			cur, next = next, cur
+			continue
+		}
+		prune = pos + lazyPruneEvery
+		if !cur.pruned {
+			co := w.coAt(pos)
+			next.reset()
+			for i := range cur.fs {
+				f := &cur.fs[i]
+				w.admit(next, f.s, cur.frontier(i, words), co, f.head, f.tail)
+			}
+			cur, next = next, cur
+		}
+		if w.cut && last {
 			for i := range cur.fs {
 				w.resolve(cur.fs[i].head, toEnd)
 			}
 			return
 		}
-		co := w.co[pos-w.lo]
-		last := pos == w.hi
-		c, coNext := -1, program.Bits(nil)
+		var coNext program.Bits
 		if !last {
-			c, coNext = p.ClassOf(w.d.RuneAt(pos)), w.co[pos+1-w.lo]
+			coNext = w.coAt(pos + 1)
 		}
-		next.fs, next.slab = next.fs[:0], next.slab[:0]
+		next.reset()
 		for i := range cur.fs {
 			f := &cur.fs[i]
 			set := cur.frontier(i, words) // ⊆ co
-			if !w.e.firesInto(set, co) {
+			if !fire || !w.fires(set, pos) {
 				switch {
-				case !last:
+				case last:
+					if set.Intersects(p.Final) {
+						w.resolve(f.head, toEnd)
+					}
+				case fire:
 					w.advance(next, f.s, set, c, coNext, f.head, f.tail)
-				case set.Intersects(p.Final):
-					w.resolve(f.head, toEnd)
+				default:
+					w.drift(next, f, c)
 				}
 				continue
 			}
@@ -472,8 +586,28 @@ func (w *seqWalk) sweep(start program.Bits) {
 			}
 			w.nodes = append(w.nodes, dagNode{pos: int32(pos), first: first, end: int32(len(w.edges))})
 		}
+		next.pruned = fire
 		cur, next = next, cur
 	}
+}
+
+// glide steps f, the only frontier of its layer, raw across the
+// boundaries from pos on, stopping at the first where it fires or at
+// stop, and returns that boundary; false means it died on the way.
+func (w *seqWalk) glide(f *liveFrontier, pos, stop int) (int, bool) {
+	p, s := w.e.prog, f.s
+	for ; pos < stop && !s.Frontier().Intersects(w.co[pos-w.lo].Firers()); pos++ {
+		c := p.ClassOf(w.d.RuneAt(pos))
+		if c < 0 {
+			return pos, false
+		}
+		w.steps++
+		if s = w.stepRaw(s, c); s.Dead() {
+			return pos, false
+		}
+	}
+	f.s = s
+	return pos, true
 }
 
 // walkFrame is a node's untried edges [next, end); base is the number
@@ -603,24 +737,30 @@ func walkSeeds(p *program.Program) (start, coFinal program.Bits) {
 
 // coReach computes the co-reach of the boundaries lo..hi of d into b,
 // growing its buffers only when they are too short, and returns it as
-// co[pos-lo]. A nil seed is the final co-reach at the document end
-// (hi = n+1); any other seed is stored at hi as is, so a cut can demand
-// letters-only completion from there. This is the one place that picks
-// the sweep: a whole document steps the memoized reverse DFA when the
-// engine has one, whose frontiers are interned already for the
-// boundary memo; windows, cuts and the DFA's budget fallback take the
-// bitset sweep.
-func (b *coBufs) coReach(e *Engine, d *span.Document, lo, hi int, seed program.Bits) []program.Bits {
-	if seed == nil {
-		if lo == 1 && e.DFAEnabled() {
-			if out, ok := e.dfa.BackwardFrontiers(d, b.hdr); ok {
-				b.hdr = out
-				return out[1:]
-			}
+// states[pos-lo] on the DFA path, as raw[pos-lo] otherwise, with the
+// grown key scratch. A nil seed is the final co-reach at the document
+// end (hi = n+1); any other seed is stored at hi as is, so a cut can
+// demand letters-only completion from there. This is the one place
+// that picks the sweep: with the lazy DFA on, the seed is interned
+// once and the memoized reverse rows step from it, so every boundary's
+// co-reach is an interned state ready for the boundary memo and its
+// firers; ForceNoDFA and a reverse sweep that thrashes the cache's
+// budget take the bitset sweep.
+func (b *coBufs) coReach(e *Engine, d *span.Document, lo, hi int, seed program.Bits, key []byte) (states []*program.DState, raw []program.Bits, _ []byte) {
+	if e.DFAEnabled() {
+		var s *program.DState
+		if seed != nil {
+			s, key = e.dfa.StateScratch(seed, key)
 		}
+		if out, ok := e.dfa.BackwardFrontiers(d, lo, hi, s, b.states); ok {
+			b.states = out
+			return out, nil, key
+		}
+	}
+	if seed == nil {
 		seed = e.coFinal
 	}
-	return b.coReachRaw(e, d, lo, hi, seed)
+	return nil, b.coReachRaw(e, d, lo, hi, seed), key
 }
 
 // coReachRaw is the direct bitset co-reach sweep over boundaries

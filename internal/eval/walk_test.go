@@ -3,7 +3,9 @@ package eval
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"spanners/internal/program"
 	"spanners/internal/rgx"
 	"spanners/internal/span"
+	"spanners/internal/va"
 	"spanners/internal/workload"
 )
 
@@ -337,5 +340,146 @@ func TestReachSweepAllocsFlat(t *testing.T) {
 	b := testing.AllocsPerRun(5, func() { e.forwardReachProg(long) })
 	if b != a {
 		t.Errorf("forwardReachProg: %v allocations on %d runes, %v on %d", a, short.Len(), b, long.Len())
+	}
+}
+
+// TestFirersMatchFiresInto: the firers the DFA keeps with every
+// interned state answer the walk's node test exactly as firesInto
+// does, on random programs, co-reach states and frontiers.
+func TestFirersMatchFiresInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	randBits := func(n int, density float64) program.Bits {
+		b := program.NewBits(n)
+		for q := 0; q < n; q++ {
+			if rng.Float64() < density {
+				b.Set(q)
+			}
+		}
+		return b
+	}
+	programs := 0
+	for trial := 0; trial < 200; trial++ {
+		e := CompileRGX(randomExpr(rng, 4, []span.Var{"x", "y", "z"}))
+		p := e.Program()
+		if p == nil || !p.HasOps.Any() {
+			continue
+		}
+		programs++
+		for k := 0; k < 20; k++ {
+			b := e.dfa.State(randBits(p.NumStates, rng.Float64()))
+			if want := p.FirersIn(b.Frontier()); !bitsEq(b.Firers(), want) {
+				t.Fatalf("trial %d: interned firers %v, FirersIn %v", trial, b.Firers(), want)
+			}
+			for j := 0; j < 20; j++ {
+				set := randBits(p.NumStates, rng.Float64())
+				if got, want := set.Intersects(b.Firers()), e.firesInto(set, b.Frontier()); got != want {
+					t.Fatalf("trial %d: set %v, co-reach %v: firers say %v, firesInto %v",
+						trial, set, b.Frontier(), got, want)
+				}
+			}
+		}
+	}
+	if programs < 50 {
+		t.Fatalf("only %d random programs have operations", programs)
+	}
+}
+
+// TestCoReachBytesPerDocByte: the co-reach of a whole-document walk is
+// one interned state per boundary, 8 B, and nothing else the walk
+// allocates grows with the document: a 4 MiB sparse_scan-shaped log
+// with one match allocates at most 9 B per byte (24 B when the
+// co-reach was a bitset header per boundary).
+func TestCoReachBytesPerDocByte(t *testing.T) {
+	if testing.Short() {
+		t.Skip("walks a 4 MiB document")
+	}
+	if raceEnabled {
+		t.Skip("under the race detector slices.Grow allocates its buffer twice")
+	}
+	e := CompileRGX(rgx.MustParse(sparseScanExpr))
+	d := sparseLog(4<<20/60, 1, 1)
+	n := 0
+	walk := func() {
+		n = 0
+		e.EnumerateTuples(d, nil, func([]span.Span) bool { n++; return true })
+	}
+	walk() // interns the DFA states the document visits
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	walk()
+	runtime.ReadMemStats(&after)
+	if n != 1 {
+		t.Fatalf("%d mappings, want 1", n)
+	}
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(d.Text()))
+	t.Logf("%.2f B per document byte over %d bytes", perByte, len(d.Text()))
+	if perByte > 9 {
+		t.Fatalf("a walk over %d bytes allocated %.2f B per byte, want at most 9", len(d.Text()), perByte)
+	}
+}
+
+// TestLazyPruneBoundsDeadBranches: between prune points the DFA walk
+// steps frontiers raw, so a branch that pruning would end — one that
+// can no longer complete, or that completes op-free, or that merges
+// with another — steps on until the next prune point, at most
+// lazyPruneEvery boundaries later. The bitset walk prunes at every
+// boundary, so on the same document the DFA walk takes at most
+// lazyPruneEvery more steps per DAG edge (every branch starts at one),
+// and it emits the same mappings in the same order. (a|b)*|x{a} is the
+// extreme: its one branch ends at the first prune, which the bitset
+// walk makes after one step.
+func TestLazyPruneBoundsDeadBranches(t *testing.T) {
+	sweep := func(e *Engine, d *span.Document) (steps, edges int) {
+		w := e.newSeqWalk(d, 1, d.Len()+1, nil)
+		w.sweep(e.start)
+		steps, edges = w.steps, len(w.edges)
+		w.done()
+		return steps, edges
+	}
+	check := func(name string, a *va.VA, d *span.Document) {
+		t.Helper()
+		lazy, eager := NewEngine(a), NewEngine(a)
+		eager.ForceNoDFA()
+		ls, edges := sweep(lazy, d)
+		es, _ := sweep(eager, d)
+		if ls > es+lazyPruneEvery*edges {
+			t.Errorf("%s: the DFA walk took %d letter steps, the bitset walk %d; want at most %d more per edge (%d edges)",
+				name, ls, es, lazyPruneEvery, edges)
+		}
+		got := collectTuples(func(yield func([]span.Span) bool) { lazy.EnumerateTuples(d, nil, yield) })
+		want := collectTuples(func(yield func([]span.Span) bool) { eager.EnumerateTuples(d, nil, yield) })
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: the DFA walk emitted %d spans, the bitset walk %d, or in another order", name, len(got), len(want))
+		}
+		if width := len(lazy.Columns()); width > 0 && lazy.Count(d) != len(want)/width {
+			t.Errorf("%s: Count %d, %d mappings", name, lazy.Count(d), len(want)/width)
+		}
+	}
+
+	text := make([]byte, 600)
+	rng := rand.New(rand.NewSource(64))
+	for i := range text {
+		text[i] = "ab"[rng.Intn(2)]
+	}
+	d := span.NewDocument(string(text))
+	extreme := va.FromRGX(rgx.MustParse(`(a|b)*|x{a}`))
+	check("(a|b)*|x{a}", extreme, d)
+	if ls, _ := sweep(NewEngine(extreme), d); ls < 2 || ls > 1+lazyPruneEvery {
+		t.Errorf("(a|b)*|x{a}: %d letter steps, want more than the bitset walk's 1 and at most %d", ls, 1+lazyPruneEvery)
+	}
+	checked := 0
+	for trial := 0; trial < 400; trial++ {
+		n := randomExpr(rng, 4, []span.Var{"x", "y"})
+		a := va.FromRGX(n)
+		if e := NewEngine(a); e.Sequential() && e.Compiled() {
+			checked++
+			check(n.String(), a, span.NewDocument(string(text[:100+rng.Intn(500)])))
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("only %d random patterns are compiled sequential spanners", checked)
+	}
+	for _, sh := range workloadShapes() {
+		check(sh.name, va.FromRGX(rgx.MustParse(sh.expr)), sh.docs[0])
 	}
 }

@@ -79,11 +79,12 @@ const poolReuseWideExpr = `.*(\n|())m{GET|POST|PUT|DELETE|PATCH|OPTIONS|CONNECT|
 // next. Goroutines interleave whole-document enumerations and counts
 // and session-window walks over a two-word program, a one-word one and
 // the two-word one on a 3-state DFA budget, which abandons the DFA
-// mid-sweep; windows take the bitset co-reach path while the memo is
-// on, so a walk handed the slab of the last one sees its co-reach at
-// the same addresses. Every result must equal the interpreted
-// enumerator's, which shares no storage with the walk: a window's
-// results are the full results whose operations all lie in it.
+// mid-sweep; windows step the reverse DFA from their interned seed
+// into the pooled co-reach, so a walk handed the buffers of the last
+// one sees its co-reach in the same slots. Every result must equal
+// the interpreted enumerator's, which shares no storage with the walk:
+// a window's results are the full results whose operations all lie in
+// it.
 func TestWalkPoolReuse(t *testing.T) {
 	wide := CompileRGX(rgx.MustParse(poolReuseWideExpr))
 	if wide.prog.NumStates <= 64 {
@@ -138,8 +139,8 @@ func TestWalkPoolReuse(t *testing.T) {
 	// Back to back on one goroutine the pool usually hands the last walk
 	// to the next one. Here the second walk's first node, boundary 7 of
 	// y, reads the co-reach slot where the first walk's last node,
-	// boundary 6 of x, read another co-reach: a walk that kept the
-	// first walk's interned co-reach finds no choice at boundary 7.
+	// boundary 6 of x, read another co-reach: a walk that reads the
+	// first walk's co-reach there finds no choice at boundary 7.
 	x, y := span.NewDocument("x 123 yyyyyyyy z"), span.NewDocument("ab cd 789 e")
 	xs, ys := newIncremental(small, x, 1), newIncremental(small, y, 1)
 	for i := 0; i < 8; i++ {

@@ -12,6 +12,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -447,12 +448,33 @@ func registryErrCode(err error) int {
 	return status
 }
 
+// bodyBufPool recycles the buffers request bodies are read into.
+var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBodyBytes keeps the buffers of large bodies out of the pool.
+const maxPooledBodyBytes = 1 << 20
+
 // decodeBody parses the JSON request body under the server's size
 // cap, translating an exceeded cap into 413 rather than a generic 400.
+// The body is read whole into a pooled buffer and must hold exactly
+// one JSON value; json.Unmarshal copies every string it keeps, so dst
+// holds nothing of the buffer.
 func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(dst)
+	buf := bodyBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledBodyBytes {
+			bodyBufPool.Put(buf)
+		}
+	}()
+	if r.ContentLength > 0 && r.ContentLength <= s.maxBody {
+		buf.Grow(int(r.ContentLength) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err == nil {
-		return true
+		if err = json.Unmarshal(buf.Bytes(), dst); err == nil {
+			return true
+		}
 	}
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {

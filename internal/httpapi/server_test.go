@@ -221,6 +221,37 @@ func TestBodyTooLarge(t *testing.T) {
 	}
 }
 
+// TestBodyHoldsOneValue: a request body is one JSON value, optionally
+// followed by whitespace; a second value after it is a 400, not
+// silently ignored.
+func TestBodyHoldsOneValue(t *testing.T) {
+	ts, _ := newTestServer(t)
+	for _, c := range []struct {
+		body string
+		want int
+	}{
+		{`{"expr": "x{a}", "docs": ["a"]}` + "\n\t ", http.StatusOK},
+		{`{"expr": "x{a}", "docs": ["a"]} {"expr": "b"}`, http.StatusBadRequest},
+		{`{"expr": "x{a}", "docs": ["a"]}[]`, http.StatusBadRequest},
+		{`{"expr": "x{a}", "docs": ["a"]`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/extract", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body client.ErrorEnvelope
+		json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		wantCode := ""
+		if c.want != http.StatusOK {
+			wantCode = client.CodeBadRequest
+		}
+		if resp.StatusCode != c.want || body.Err.Code != wantCode {
+			t.Errorf("%q: status %d, error %+v; want status %d, code %q", c.body, resp.StatusCode, body.Err, c.want, wantCode)
+		}
+	}
+}
+
 func TestStreamCompileError(t *testing.T) {
 	ts, _ := newTestServer(t)
 	resp := postJSON(t, ts.URL+"/extract/stream", map[string]any{"expr": "x{[", "doc": "a"})

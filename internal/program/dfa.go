@@ -168,6 +168,11 @@ type DState struct {
 	frontier Bits
 	accept   bool // frontier ∩ Final ≠ ∅
 	dead     bool // empty frontier
+	// firers are the states of the frontier with an operation edge
+	// into the frontier (Program.FirersIn): read as a co-reach set, the
+	// states where an operation can fire on a branch that still
+	// completes. Derived when the state is interned, never persisted.
+	firers Bits
 
 	// next holds the memoized transitions, numStepKinds rows of
 	// NumClasses entries each; nil = not yet computed. The forward row
@@ -196,6 +201,11 @@ func (s *DState) Accept() bool { return s.accept }
 // Dead reports whether the frontier is empty (every continuation
 // rejects).
 func (s *DState) Dead() bool { return s.dead }
+
+// Firers returns Program.FirersIn of the state's frontier, computed
+// once when the state was interned. It is shared and must not be
+// modified.
+func (s *DState) Firers() Bits { return s.firers }
 
 // DFA is the lazy transition cache over one program's frontiers. Use
 // Program.DFA for the shared instance or NewDFA for a private one
@@ -411,6 +421,7 @@ func (d *DFA) internLocked(frontier Bits) *DState {
 		frontier: frontier,
 		accept:   frontier.Intersects(d.p.Final),
 		dead:     !frontier.Any(),
+		firers:   d.p.FirersIn(frontier),
 		next:     make([]atomic.Pointer[DState], numStepKinds*d.p.NumClasses),
 		runLand:  -1,
 	}
@@ -809,22 +820,24 @@ func (d *DFA) ForwardFrontiers(doc *span.Document) (out []Bits, ok bool) {
 	return out, true
 }
 
-// BackwardFrontiers computes into out[pos], for every position
-// 1..n+1, the states from which acceptance is reachable reading the
-// document suffix — backwardReach on the determinized tables — and
-// returns out[:n+2] (out[0] is unused). out is grown only when it is
-// too short, so a caller that keeps the returned slice sweeps the next
-// document without allocating; nil asks for a fresh one. The stored
-// bitsets alias interned frontiers and must be treated as read-only.
-// The sweep starts from the final co-reach state interned with the
-// cache generation. ok is false when the sweep abandoned the cache,
-// and out is then nil. Counter traffic is batched per sweep, not per
-// rune.
-func (d *DFA) BackwardFrontiers(doc *span.Document, out []Bits) (_ []Bits, ok bool) {
-	n := doc.Len()
-	out = slices.Grow(out[:0], n+2)[:n+2]
-	s := d.final.Load()
-	out[n+1] = s.frontier
+// BackwardFrontiers computes into out[pos-lo], for every position
+// lo..hi, the state whose frontier holds the states from which seed is
+// reachable at hi reading d[pos..hi-1] — backwardReach on the
+// determinized tables, one reverse row step per rune — and returns
+// out[:hi-lo+1]. A nil seed is the final co-reach state interned with
+// the cache generation, which makes hi = n+1 and the frontiers those
+// from which acceptance is reachable. out is grown only when it is too
+// short, so a caller that keeps the returned slice sweeps the next
+// document without allocating; nil asks for a fresh one. ok is false
+// when the sweep abandoned the cache, and out is then nil. Counter
+// traffic is batched per sweep, not per rune.
+func (d *DFA) BackwardFrontiers(doc *span.Document, lo, hi int, seed *DState, out []*DState) (_ []*DState, ok bool) {
+	out = slices.Grow(out[:0], hi-lo+1)[:hi-lo+1]
+	s := seed
+	if s == nil {
+		s = d.final.Load()
+	}
+	out[hi-lo] = s
 	flush0 := d.flushes.Load()
 	var hits, misses uint64
 	defer func() {
@@ -832,7 +845,7 @@ func (d *DFA) BackwardFrontiers(doc *span.Document, out []Bits) (_ []Bits, ok bo
 		d.misses.Add(misses)
 	}()
 	base := int(StepReverse) * d.p.NumClasses
-	for pos := n; pos >= 1; pos-- {
+	for pos := hi - 1; pos >= lo; pos-- {
 		if pos%FlushCheckInterval == 0 && d.flushes.Load()-flush0 > MaxFlushesPerSweep {
 			d.NoteFallback()
 			return nil, false
@@ -848,7 +861,7 @@ func (d *DFA) BackwardFrontiers(doc *span.Document, out []Bits) (_ []Bits, ok bo
 		} else {
 			s = d.dead.Load()
 		}
-		out[pos] = s.frontier
+		out[pos-lo] = s
 	}
 	return out, true
 }

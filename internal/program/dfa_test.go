@@ -97,13 +97,13 @@ func TestDFAFrontierSweepsAgreeWithDirect(t *testing.T) {
 			cur = next
 		}
 
-		bwd, ok := d.BackwardFrontiers(doc, nil)
+		bwd, ok := d.BackwardFrontiers(doc, 1, n+1, nil, nil)
 		if !ok {
 			t.Fatalf("%q: backward sweep fell back", expr)
 		}
 		rcur := p.Final.Clone()
 		p.ROpClosure(rcur)
-		if bwd[n+1].Key() != rcur.Key() {
+		if bwd[n].Frontier().Key() != rcur.Key() {
 			t.Fatalf("%q: backward frontier at %d diverges", expr, n+1)
 		}
 		for pos := n; pos >= 1; pos-- {
@@ -112,8 +112,11 @@ func TestDFAFrontierSweepsAgreeWithDirect(t *testing.T) {
 				p.LetterStepBack(rcur, c, prev)
 			}
 			p.ROpClosure(prev)
-			if bwd[pos].Key() != prev.Key() {
+			if bwd[pos-1].Frontier().Key() != prev.Key() {
 				t.Fatalf("%q: backward frontier at %d diverges", expr, pos)
+			}
+			if bwd[pos-1].Firers().Key() != p.FirersIn(prev).Key() {
+				t.Fatalf("%q: firers of the backward state at %d diverge", expr, pos)
 			}
 			rcur = prev
 		}
@@ -128,24 +131,28 @@ func TestBackwardFrontiersReusesCallerSlice(t *testing.T) {
 	p := compileCorpus(t, codecCorpus[0])
 	d := NewDFA(p, 256)
 	long, short := span.NewDocument("Seller: ab, ID12\naba"), span.NewDocument("aba")
-	buf, ok := d.BackwardFrontiers(long, nil)
-	if !ok {
-		t.Fatal("backward sweep fell back")
+	sweep := func(doc *span.Document, out []*DState) []*DState {
+		out, ok := d.BackwardFrontiers(doc, 1, doc.Len()+1, nil, out)
+		if !ok {
+			t.Fatal("backward sweep fell back")
+		}
+		return out
 	}
-	out, _ := d.BackwardFrontiers(short, buf)
-	if len(out) != short.Len()+2 || &out[0] != &buf[0] {
-		t.Fatalf("short sweep returned %d headers at a new array; want %d in the caller's", len(out), short.Len()+2)
+	buf := sweep(long, nil)
+	out := sweep(short, buf)
+	if len(out) != short.Len()+1 || &out[0] != &buf[0] {
+		t.Fatalf("short sweep returned %d states at a new array; want %d in the caller's", len(out), short.Len()+1)
 	}
 	final := p.Final.Clone()
 	p.ROpClosure(final)
-	if out[short.Len()+1].Key() != final.Key() {
+	if out[short.Len()].Frontier().Key() != final.Key() {
 		t.Fatal("short sweep does not end on the final co-reach")
 	}
-	if n := testing.AllocsPerRun(5, func() { d.BackwardFrontiers(long, buf) }); n != 0 {
+	if n := testing.AllocsPerRun(5, func() { d.BackwardFrontiers(long, 1, long.Len()+1, nil, buf) }); n != 0 {
 		t.Fatalf("warm sweep into the caller's slice: %v allocations, want 0", n)
 	}
-	if grown, _ := d.BackwardFrontiers(long, buf[:0:1]); len(grown) != long.Len()+2 {
-		t.Fatalf("a one-header slice grew to %d headers, want %d", len(grown), long.Len()+2)
+	if grown := sweep(long, buf[:0:1]); len(grown) != long.Len()+1 {
+		t.Fatalf("a one-state slice grew to %d states, want %d", len(grown), long.Len()+1)
 	}
 }
 
@@ -203,7 +210,7 @@ func TestDFAConcurrentSharedCache(t *testing.T) {
 					t.Errorf("goroutine %d: doc %d: got %v want %v", g, i, got, want[i])
 					return
 				}
-				if _, ok := d.BackwardFrontiers(docs[i], nil); !ok {
+				if _, ok := d.BackwardFrontiers(docs[i], 1, docs[i].Len()+1, nil, nil); !ok {
 					continue
 				}
 			}

@@ -24,6 +24,7 @@ package program
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -195,6 +196,26 @@ func (p *Program) OpsFrom(q int) []OpEdge { return p.OpEdges[p.OpHead[q]:p.OpHea
 
 // OpsInto returns the op edges entering q (To holds the source).
 func (p *Program) OpsInto(q int) []OpEdge { return p.ROpEdges[p.ROpHead[q]:p.ROpHead[q+1]] }
+
+// FirersIn returns the states of set with an operation edge into set.
+// For a co-reach set co, a frontier f can fire an operation on a branch
+// that still completes exactly when f ∩ FirersIn(co) ≠ ∅; the DFA keeps
+// it with every interned state (DState.Firers).
+func (p *Program) FirersIn(set Bits) Bits {
+	out := NewBits(p.NumStates)
+	for i, word := range set {
+		for word &= p.HasOps[i]; word != 0; word &= word - 1 {
+			q := i<<6 + bits.TrailingZeros64(word)
+			for _, ed := range p.OpsFrom(q) {
+				if set.Has(int(ed.To)) {
+					out.Set(q)
+					break
+				}
+			}
+		}
+	}
+	return out
+}
 
 // Compile lowers a VA into a program. It fails (and the caller should
 // fall back to the interpreted engines) when the automaton uses more

@@ -176,24 +176,6 @@ func runDFABench(quick bool, jsonPath string) dfaReport {
 		func() int { boolToInt(dSparse.NonEmpty(sparseDoc)); return 0 },
 		func() int { boolToInt(pSparse.NonEmpty(sparseDoc)); return 0 })
 
-	// Boundary-emission memo: the same sequential enumeration against
-	// a twin with the memo forced off (both DFA-backed), isolating
-	// what interned-pair caching buys on a record-repetitive document.
-	dMemo, _ := dfaPair(sellerExpr, false)
-	nMemo, _ := dfaPair(sellerExpr, false)
-	nMemo.ForceNoBoundaryMemo()
-	headToHead(fmt.Sprintf("enumerate/memo rows=%d", enRows),
-		func() int {
-			n := 0
-			dMemo.Enumerate(enDoc, func(spanners.Mapping) bool { n++; return true })
-			return n
-		},
-		func() int {
-			n := 0
-			nMemo.Enumerate(enDoc, func(spanners.Mapping) bool { n++; return true })
-			return n
-		})
-
 	// Constrained eval: model-checking a pinned span on a long
 	// document. The DFA side runs the obligation-segmented sweep
 	// through the per-mask constrained family; the bitset side steps

@@ -475,12 +475,12 @@ func (e *Engine) firesInto(set, co program.Bits) bool {
 // universe needs interning and the 30-operation cap of the
 // interpreted enumerator disappears (the program itself bounds
 // variables at program.MaxVars). Choices come back in the engine's
-// emission order (opOrder), each with its operations by variable name,
-// open before close — the order the interpreted enumerator derives by
-// sorting key strings. The choices, their operations and their state
-// sets are carved from a, and stay valid while a grows; a walk passes
-// its pooled arena, the memo a fresh one whose storage it keeps.
-// Callers ask only where an operation can fire (firesInto).
+// emission order (opOrder) — the order the interpreted enumerator
+// derives by sorting key strings. The choices and their state sets are
+// carved from a, and stay valid while a grows; a walk on the bitset
+// path passes its pooled arena, Engine.choices a fresh one whose
+// storage the state it derives them for keeps. The walk asks only
+// where an operation can fire (firesInto).
 func (e *Engine) boundaryEmissionsProg(set, coReach program.Bits, a *emArena) []progEmission {
 	p := e.prog
 	first := len(a.ems)
@@ -532,30 +532,18 @@ func (e *Engine) boundaryEmissionsProg(set, coReach program.Bits, a *emArena) []
 		for ; i < len(queue) && queue[i].mask == m; i++ {
 			states.Set(int(queue[i].q))
 		}
-		// Program.Vars is sorted, so ascending ids are name order.
-		from := len(a.ops)
-		for w := uint32(m) | uint32(m>>32); w != 0; w &= w - 1 {
-			v := bits.TrailingZeros32(w)
-			if m&program.OpenBit(v) != 0 {
-				a.ops = append(a.ops, progOpTok{v: uint8(v), open: true})
-			}
-			if m&program.CloseBit(v) != 0 {
-				a.ops = append(a.ops, progOpTok{v: uint8(v)})
-			}
-		}
-		a.ems = append(a.ems, progEmission{ops: a.ops[from:len(a.ops):len(a.ops)], states: states})
+		a.ems = append(a.ems, progEmission{mask: m, states: states})
 	}
 	return a.ems[first:]
 }
 
 // emArena is the storage of boundary choices (boundaryEmissionsProg):
-// the choices, their operations and state sets, and the BFS's scratch.
+// the choices and their state sets, and the BFS's scratch.
 // Slices handed out stay valid when a later append moves an array: the
 // old one lives on as long as they reference it, and nothing writes it
 // again.
 type emArena struct {
 	ems   []progEmission
-	ops   []progOpTok
 	words []uint64
 	seen  map[emCfg]struct{}
 	queue []emCfg
@@ -570,7 +558,7 @@ type emCfg struct {
 
 // reset empties the arena for the next walk, keeping its storage.
 func (a *emArena) reset() {
-	a.ems, a.ops, a.words = a.ems[:0], a.ops[:0], a.words[:0]
+	a.ems, a.words = a.ems[:0], a.words[:0]
 }
 
 // bits carves a zeroed bitset of n words.

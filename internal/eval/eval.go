@@ -33,8 +33,6 @@ package eval
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"spanners/internal/obs"
 	"spanners/internal/program"
@@ -76,16 +74,9 @@ type Engine struct {
 	dfa   *program.DFA
 	nodfa bool
 
-	// noprefilter disables the required-literal prefilter; nomemo
-	// disables the boundary-emission memo — both are differential-
-	// oracle switches mirroring ForceNoDFA. bmemo is the engine's
-	// bounded emission cache, created lazily with memoBudget (0 means
-	// DefaultBoundaryMemoBudget).
+	// noprefilter disables the required-literal prefilter — a
+	// differential-oracle switch mirroring ForceNoDFA.
 	noprefilter bool
-	nomemo      bool
-	memoBudget  int
-	bmemoOnce   sync.Once
-	bmemo       atomic.Pointer[boundaryMemo] // read by stats while walks create it
 }
 
 // NewEngine wraps an automaton, detecting once whether the sequential
@@ -197,40 +188,6 @@ func (e *Engine) DFAEnabled() bool { return e.dfa != nil && !e.nodfa && e.Compil
 // every other DFA-layer accelerator. A differential-oracle switch for
 // head-to-head benchmarks and property tests.
 func (e *Engine) ForceNoPrefilter() { e.noprefilter = true }
-
-// ForceNoBoundaryMemo disables the boundary-emission memo, keeping
-// every other DFA-layer accelerator. A differential-oracle switch for
-// head-to-head benchmarks and property tests.
-func (e *Engine) ForceNoBoundaryMemo() { e.nomemo = true }
-
-// SetBoundaryMemoBudget overrides the boundary-emission memo's entry
-// budget — tests use tiny budgets to probe the flush discipline. It
-// must be called before the engine enumerates or counts anything.
-func (e *Engine) SetBoundaryMemoBudget(n int) { e.memoBudget = n }
-
-// boundaryMemo returns the engine's emission cache, created on first
-// use.
-func (e *Engine) boundaryMemo() *boundaryMemo {
-	e.bmemoOnce.Do(func() {
-		b := e.memoBudget
-		if b == 0 {
-			b = DefaultBoundaryMemoBudget
-		}
-		e.bmemo.Store(newBoundaryMemo(b))
-	})
-	return e.bmemo.Load()
-}
-
-// BoundaryMemoStats returns the counters of the engine's
-// boundary-emission memo; ok is false when no walk has created it
-// yet (or memoization cannot run on this engine).
-func (e *Engine) BoundaryMemoStats() (BoundaryMemoStats, bool) {
-	m := e.bmemo.Load()
-	if m == nil {
-		return BoundaryMemoStats{}, false
-	}
-	return m.stats(), true
-}
 
 // Prefilter returns the engine's required-literal prefilter, nil
 // when the program has none (or the engine interprets).

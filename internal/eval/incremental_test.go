@@ -71,39 +71,49 @@ func assertIncremental(t *testing.T, inc *IncState, e *Engine, ctx string) {
 // maintained result set is identical (values and order) to a full
 // re-extraction of the edited document.
 func TestIncrementalDifferential(t *testing.T) {
+	defer func() { testHookWalkDone = nil }()
+	dfaNodes := 0
 	for pi, expr := range incPatterns {
 		// The one walker serves a session in three modes — the whole
 		// document (build), a window cut at B, a window open to the
-		// document end — and resolves emissions through the boundary
-		// memo in each, at the DAG nodes where an operation can fire. A
-		// window without such a node asks the memo nothing, so the hit
-		// check applies to the patterns whose splices re-derive mappings.
-		e := incEngine(t, expr)
-		hits, recomputing, bypassed := incScript(t, e, pi)
-		if recomputing > 0 && hits == 0 {
-			t.Errorf("pattern %d: no boundary-memo hit during any splice; window walks bypass the memo", pi)
-		}
-		if bypassed > 0 {
-			t.Errorf("pattern %d: %d splices re-derived mappings without a boundary-memo lookup; window walks bypass the memo", pi, bypassed)
-		}
-		for _, knob := range []func(*Engine){
-			(*Engine).ForceNoBoundaryMemo,
-			(*Engine).ForceNoDFA,
-			func(e *Engine) { e.SetBoundaryMemoBudget(1) },
-		} {
+		// document end. On the DFA path each resolves its DAG nodes
+		// through the choices cached on the frontiers' states, so no
+		// walk carves a choice from its own arena; the bitset walk
+		// resolves every node there. A script whose documents never
+		// match forms no node.
+		for _, dfa := range []bool{true, false} {
 			e := incEngine(t, expr)
-			knob(e)
+			if !dfa {
+				e.ForceNoDFA()
+			}
+			nodes, arena := 0, 0
+			testHookWalkDone = func(w *seqWalk) {
+				nodes += len(w.nodes)
+				if w.co == nil || len(w.arena.ems) > 0 {
+					arena += len(w.nodes)
+				}
+			}
 			incScript(t, e, pi)
+			testHookWalkDone = nil
+			if dfa {
+				dfaNodes += nodes
+			}
+			switch {
+			case dfa && arena > 0:
+				t.Errorf("pattern %d: DFA walks resolved %d of %d nodes outside the state choices", pi, arena, nodes)
+			case !dfa && arena != nodes:
+				t.Errorf("pattern %d: bitset walks resolved %d of %d nodes in their arena", pi, arena, nodes)
+			}
 		}
+	}
+	if dfaNodes == 0 {
+		t.Errorf("no DFA walk formed a DAG node")
 	}
 }
 
 // incScript runs the randomized edit script of pattern pi on e,
-// comparing with a from-scratch run after every splice. It returns the
-// boundary-memo hits counted while splicing, the number of splices
-// whose window re-derived mappings, and how many of those did so
-// without a boundary-memo lookup.
-func incScript(t *testing.T, e *Engine, pi int) (spliceHits uint64, recomputing, bypassed int) {
+// comparing with a from-scratch run after every splice.
+func incScript(t *testing.T, e *Engine, pi int) {
 	t.Helper()
 	alphabet := []rune("aabbccd \nx159GETPOST/,:ISelr")
 	rng := rand.New(rand.NewSource(int64(100 + pi)))
@@ -120,18 +130,9 @@ func incScript(t *testing.T, e *Engine, pi int) (spliceHits uint64, recomputing,
 				del = rng.Intn(min(n-off, 9) + 1)
 			}
 			ins := randText(rng, alphabet, rng.Intn(9))
-			before, _ := e.BoundaryMemoStats()
 			res, err := inc.Splice(off, del, ins)
 			if err != nil {
 				t.Fatalf("pattern %d step %d: splice(%d,%d,%q): %v", pi, step, off, del, ins, err)
-			}
-			after, _ := e.BoundaryMemoStats()
-			spliceHits += after.Hits - before.Hits
-			if res.Recomputed > 0 {
-				recomputing++
-				if after.Hits+after.Misses == before.Hits+before.Misses {
-					bypassed++
-				}
 			}
 			if res.WindowEnd > 0 {
 				bounded++
@@ -145,7 +146,6 @@ func incScript(t *testing.T, e *Engine, pi int) (spliceHits uint64, recomputing,
 	if bounded == 0 || open == 0 {
 		t.Errorf("pattern %d: %d bounded and %d open-ended windows; the script must exercise both", pi, bounded, open)
 	}
-	return spliceHits, recomputing, bypassed
 }
 
 func randText(rng *rand.Rand, alphabet []rune, n int) string {

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,24 +12,20 @@ import (
 )
 
 // This file is the differential property suite for the DFA speed
-// ladder: literal prefilters, stop-byte candidate jumps, the
-// boundary-emission memo, and the constrained-eval DFA must all be
-// pure accelerations — identical mapping sets, counts, decisions and
-// Eval verdicts against the bitset path and the interpreted oracle,
-// on adversarial documents chosen to sit on the accelerators' edges
-// (literal at byte 0, literal straddling the jump window, empty
-// matches, one-entry memo budgets, permanently flushing DFA budgets).
+// ladder: literal prefilters, stop-byte candidate jumps, the boundary
+// choices cached on DFA states, and the constrained-eval DFA must all
+// be pure accelerations — identical mapping sets, counts, decisions
+// and Eval verdicts against the bitset path and the interpreted
+// oracle, on adversarial documents chosen to sit on the accelerators'
+// edges (literal at byte 0, literal straddling the jump window, empty
+// matches, permanently flushing DFA budgets).
 
-// ladderEngines builds the prefilter/memo knob matrix plus the two
+// ladderEngines builds the prefilter knob matrix plus the two
 // reference paths for one automaton.
 func ladderEngines(a *va.VA) map[string]*Engine {
 	withAll := NewEngine(a)
 	nopref := NewEngine(a)
 	nopref.ForceNoPrefilter()
-	nomemo := NewEngine(a)
-	nomemo.ForceNoBoundaryMemo()
-	tinymemo := NewEngine(a)
-	tinymemo.SetBoundaryMemoBudget(1)
 	nodfa := NewEngine(a)
 	nodfa.ForceNoDFA()
 	interp := NewEngine(a)
@@ -36,8 +33,6 @@ func ladderEngines(a *va.VA) map[string]*Engine {
 	return map[string]*Engine{
 		"ladder":      withAll,
 		"noprefilter": nopref,
-		"nomemo":      nomemo,
-		"tinymemo":    tinymemo,
 		"nodfa":       nodfa,
 		"interpreted": interp,
 	}
@@ -199,21 +194,20 @@ func TestDifferentialConstrainedEval(t *testing.T) {
 	}
 }
 
-// TestDifferentialBoundaryMemo checks the memoized enumeration and
-// counting walks against memo-off, bitset and interpreted paths, and
-// that a one-entry budget (flushing on nearly every store) and a
-// permanently flushing DFA cache stay sound underneath the memo.
+// TestDifferentialBoundaryMemo checks the enumeration and counting
+// walks, which resolve DAG nodes through the boundary choices cached on
+// DFA states, against the bitset and interpreted paths, and that a
+// permanently flushing DFA cache stays sound underneath the choices.
 func TestDifferentialBoundaryMemo(t *testing.T) {
 	for _, tc := range workloadCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
 			a := va.FromRGX(rgx.MustParse(tc.expr))
 			engs := ladderEngines(a)
-			tinyboth := NewEngine(a)
-			tinyboth.SetBoundaryMemoBudget(1)
-			if p := tinyboth.Program(); p != nil {
-				tinyboth.UseDFA(program.NewDFA(p, 3))
+			tinydfa := NewEngine(a)
+			if p := tinydfa.Program(); p != nil {
+				tinydfa.UseDFA(program.NewDFA(p, 3))
 			}
-			engs["tinyboth"] = tinyboth
+			engs["tinydfa"] = tinydfa
 
 			d := span.NewDocument(tc.doc)
 			want := engs["interpreted"].All(d)
@@ -226,41 +220,53 @@ func TestDifferentialBoundaryMemo(t *testing.T) {
 					t.Fatalf("%s Count = %d, oracle %d", name, got, wantCount)
 				}
 			}
-
-			if st, ok := engs["ladder"].BoundaryMemoStats(); !ok || st.Hits+st.Misses == 0 {
-				t.Fatalf("memo saw no traffic: %+v ok=%v", st, ok)
-			}
-			if st, ok := engs["tinymemo"].BoundaryMemoStats(); !ok || st.Budget != 1 || st.Size > 1 {
-				t.Fatalf("one-entry budget not honored: %+v ok=%v", st, ok)
-			} else if st.Flushes == 0 {
-				t.Fatalf("one-entry budget never flushed: %+v", st)
-			}
-			if _, ok := engs["nomemo"].BoundaryMemoStats(); ok {
-				t.Fatalf("ForceNoBoundaryMemo engine reports memo stats")
-			}
 		})
 	}
 }
 
-// TestBoundaryMemoAcrossDFAFlush forces DFA budget flushes between
-// enumerations: re-interned frontiers get fresh pointers, so memo
-// entries keyed on pre-flush states must go cold (never wrong).
-func TestBoundaryMemoAcrossDFAFlush(t *testing.T) {
-	tc := workloadCorpus()[0]
-	a := va.FromRGX(rgx.MustParse(tc.expr))
-	eng := NewEngine(a)
-	dfa := program.NewDFA(eng.Program(), 8)
-	eng.UseDFA(dfa)
-	ref := NewEngine(a)
-	ref.ForceNoDFA()
+// TestChoicesAcrossMidWalkDFAFlush walks with an 8-state DFA budget, so
+// the cache flushes again and again inside every sweep: frontiers and
+// the choices cached on them outlive their generation, and choice
+// targets and raw steps intern into later ones. The walk must stay on
+// the DFA path (a document shorter than program.FlushCheckInterval
+// never falls back) and emit what the bitset walk emits, in the same
+// order, with the same count.
+func TestChoicesAcrossMidWalkDFAFlush(t *testing.T) {
+	defer func() { testHookWalkDone = nil }()
+	for _, tc := range workloadCorpus() {
+		a := va.FromRGX(rgx.MustParse(tc.expr))
+		eng := NewEngine(a)
+		dfa := program.NewDFA(eng.Program(), 8)
+		eng.UseDFA(dfa)
+		ref := NewEngine(a)
+		ref.ForceNoDFA()
 
-	d := span.NewDocument(tc.doc)
-	for i := 0; i < 3; i++ {
-		if got, want := eng.All(d), ref.All(d); !got.Equal(want) {
-			t.Fatalf("pass %d diverged after flushes: %d vs %d mappings", i, got.Len(), want.Len())
+		d := span.NewDocument(tc.doc)
+		if d.Len() >= program.FlushCheckInterval {
+			t.Fatalf("%s: %d runes reach the flush check", tc.name, d.Len())
 		}
-	}
-	if st := dfa.Stats(); st.Flushes == 0 {
-		t.Fatalf("8-state budget never flushed: %+v", st)
+		want := collectTuples(func(yield func([]span.Span) bool) { ref.EnumerateTuples(d, nil, yield) })
+		for pass := 0; pass < 3; pass++ {
+			nodes, offDFA := 0, 0
+			testHookWalkDone = func(w *seqWalk) {
+				nodes += len(w.nodes)
+				if w.co == nil || !w.dfa {
+					offDFA++
+				}
+			}
+			before := dfa.Stats().Flushes
+			got := collectTuples(func(yield func([]span.Span) bool) { eng.EnumerateTuples(d, nil, yield) })
+			testHookWalkDone = nil
+			if flushes := dfa.Stats().Flushes - before; flushes < 2 || nodes == 0 || offDFA > 0 {
+				t.Fatalf("%s pass %d: %d flushes over %d DAG nodes, %d walks off the DFA path; want a flush mid-walk on the DFA path",
+					tc.name, pass, flushes, nodes, offDFA)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s pass %d: %d spans, the bitset walk %d, or a different order", tc.name, pass, len(got), len(want))
+			}
+			if n, m := eng.Count(d), ref.Count(d); n != m {
+				t.Fatalf("%s pass %d: Count %d, the bitset walk %d", tc.name, pass, n, m)
+			}
+		}
 	}
 }

@@ -35,7 +35,10 @@ import (
 // letter steps, and pruning once after many raw steps gives the
 // frontier pruning after each would have. Prune points are the
 // boundaries where a frontier fires, the window's end, and every
-// lazyPruneEvery boundaries.
+// lazyPruneEvery boundaries. At a DAG node the frontier's boundary
+// choices come from its interned state, derived once per state
+// (Engine.choices) and cut to the boundary's co-reach by the walk
+// (branch); the bitset path derives them at every node.
 
 // opOrder is the emission order of boundary choices (see "Emission
 // order" in docs/ARCHITECTURE.md): the order of the canonical key
@@ -88,20 +91,13 @@ func (o *opOrder) less(a, b uint64) bool {
 	return false
 }
 
-// progOpTok is one operation of a boundary choice.
-type progOpTok struct {
-	v    uint8
-	open bool
-}
-
 // progEmission is one boundary choice of the compiled enumerator: the
-// operations fired (by variable name, open before close) and the
-// states reachable having fired exactly them — interned as st when the
-// choice comes from the boundary-emission memo.
+// operations fired (a program op mask) and the states reachable having
+// fired exactly them. The DFA path keeps the same choices interned on
+// the frontier's state (program.Choice, Engine.choices).
 type progEmission struct {
-	ops    []progOpTok
+	mask   uint64
 	states program.Bits
-	st     *program.DState
 }
 
 // firedOp records one operation fired at boundary pos on the current
@@ -110,6 +106,22 @@ type firedOp struct {
 	v    uint8
 	open bool
 	pos  int
+}
+
+// appendFired appends the operations of mask, fired at boundary pos,
+// to fired: by ascending variable id, a variable's open before its
+// close.
+func appendFired(fired []firedOp, mask uint64, pos int) []firedOp {
+	for m := uint32(mask) | uint32(mask>>32); m != 0; m &= m - 1 {
+		v := bits.TrailingZeros32(m)
+		if mask&program.OpenBit(v) != 0 {
+			fired = append(fired, firedOp{v: uint8(v), open: true, pos: pos})
+		}
+		if mask&program.CloseBit(v) != 0 {
+			fired = append(fired, firedOp{v: uint8(v), pos: pos})
+		}
+	}
+	return fired
 }
 
 // fillTuple sets t, indexed by program variable id, to the mapping of
@@ -142,12 +154,12 @@ type dagNode struct {
 	pos, first, end int32
 }
 
-// dagEdge is one boundary choice of a node (em, nil on the root edge)
-// followed by the op-free stretch up to the node or completion it
-// leads to. While the sweep has not reached that target yet, next
-// links the edges pending on the same live frontier.
+// dagEdge is one boundary choice of a node (the operations mask fires,
+// none on the root edge) followed by the op-free stretch up to the node
+// or completion it leads to. While the sweep has not reached that
+// target yet, next links the edges pending on the same live frontier.
 type dagEdge struct {
-	em       *progEmission
+	mask     uint64
 	to, next int32
 }
 
@@ -205,14 +217,6 @@ type seqWalk struct {
 	coRaw  []program.Bits
 	cut    bool
 
-	// memo resolves boundary choices when the engine has one; recent
-	// holds the walk's latest answers in front of the memo's lock (hits
-	// counts them).
-	memo    *boundaryMemo
-	recent  [8]memoAnswer
-	nrecent int
-	hits    uint64
-
 	dfa     bool   // frontiers step through the lazy DFA, interned
 	dfaHits uint64 // memoized DFA transitions taken, added to the cache's count by done
 	steps   int    // letter steps taken
@@ -221,8 +225,8 @@ type seqWalk struct {
 }
 
 // walkBufs are the storage of one walk: its co-reach, the DAG its
-// sweep builds (edges[0] is the root edge) with the boundary choices
-// its edges take when no memo resolves them, the sweep's two live
+// sweep builds (edges[0] is the root edge) with the arena of the
+// boundary choices the bitset path resolves, the sweep's two live
 // layers and bitset scratch, the DFS's stack and the tuple it emits,
 // and Count's path counts. Every slab is resliced, never trusted for
 // its contents, so a buffer that comes back from a wider program or a
@@ -268,18 +272,15 @@ func (e *Engine) newSeqWalk(d *span.Document, lo, hi int, seed program.Bits) *se
 	*w = seqWalk{e: e, d: d, lo: lo, hi: hi, cut: seed != nil, walkBufs: w.walkBufs}
 	words := len(e.start)
 	w.scratch = slices.Grow(w.scratch[:0], words)[:words]
-	if e.DFAEnabled() && !e.nomemo {
-		w.memo = e.boundaryMemo()
-	}
 	w.co, w.coRaw, w.key = w.coReach(e, d, lo, hi, seed, w.key)
 	return w
 }
 
-// done folds the walk's own memo and DFA hits into the shared counters
-// and hands the walk back to walkPool.
+// done folds the walk's DFA hits into the cache's counter and hands the
+// walk back to walkPool.
 func (w *seqWalk) done() {
-	if w.hits > 0 {
-		w.memo.hits.Add(w.hits)
+	if testHookWalkDone != nil {
+		testHookWalkDone(w)
 	}
 	if w.dfaHits > 0 {
 		w.e.dfa.NoteHits(w.dfaHits)
@@ -311,31 +312,59 @@ func (w *seqWalk) fires(set program.Bits, pos int) bool {
 	return w.e.firesInto(set, w.coRaw[pos-w.lo])
 }
 
-// emissions resolves the boundary choices of the pruned frontier set at
-// pos, in emission order, through the boundary-emission memo when the
-// engine has one and both the frontier (s) and the co-reach are
-// interned. The result is shared and independent of set's storage.
-func (w *seqWalk) emissions(s *program.DState, set program.Bits, pos int) []progEmission {
-	if w.memo == nil || s == nil || w.co == nil {
-		return w.e.boundaryEmissionsProg(set, w.coAt(pos), &w.arena)
+// testHookWalkDone, when set by a test, sees every walk as it finishes.
+var testHookWalkDone func(*seqWalk)
+
+// choices returns the boundary choices of the interned frontier s in
+// emission order, deriving them on its first DAG node and publishing
+// them on the state: boundaryEmissionsProg against every state, each
+// choice's states interned. No co-reach enters them. Co-reach is closed
+// backwards under operations — a state outside it has no operation
+// successor inside it — so cutting a choice to a boundary's co-reach
+// after the search gives what searching inside it would; branch does
+// that cut.
+func (e *Engine) choices(s *program.DState) []program.Choice {
+	if cs := s.Choices(); cs != nil {
+		return cs
 	}
-	k := bmKey{set: s, co: w.co[pos-w.lo]}
-	for i := range w.recent {
-		if w.recent[i].k == k {
-			w.hits++
-			return w.recent[i].v
-		}
+	every := program.NewBits(e.prog.NumStates)
+	for q := range e.prog.NumStates {
+		every.Set(q)
 	}
-	v := w.memo.emissions(w.e, k)
-	w.recent[w.nrecent%len(w.recent)] = memoAnswer{k, v}
-	w.nrecent++
-	return v
+	ems := e.boundaryEmissionsProg(s.Frontier(), every, new(emArena))
+	cs := make([]program.Choice, len(ems))
+	for i, em := range ems {
+		cs[i] = program.Choice{Mask: em.mask, To: e.dfa.State(em.states)}
+	}
+	return s.SetChoices(cs)
 }
 
-// memoAnswer is one boundary-emission memo entry.
-type memoAnswer struct {
-	k bmKey
-	v []progEmission
+// branch adds the out-edge of the node at pos for the choice firing
+// mask into the states to (interned as s, or nil). On the DFA path to
+// is the frontier's choice, not yet cut to the co-reach co there: a
+// choice that misses co is dropped, and one that meets it keeps its
+// stray states until advance prunes them by coNext. At the document
+// end (last) the edge completes on a final state (final states are
+// co-reachable there); an op-free choice completes; any other steps
+// across the letter of class c into next.
+func (w *seqWalk) branch(next *sweepLayer, mask uint64, s *program.DState, to, co, coNext program.Bits, c int, last bool) {
+	if !to.Intersects(co) {
+		return
+	}
+	e := int32(len(w.edges))
+	w.edges = append(w.edges, dagEdge{mask: mask, to: toDead, next: -1})
+	switch {
+	case last:
+		if to.Intersects(w.e.prog.Final) {
+			w.edges[e].to = toEnd
+		} else {
+			w.edges = w.edges[:e]
+		}
+	case subsetOf(to, w.e.opFree):
+		w.edges[e].to = toEnd // co-reachable and op-free: it completes
+	case !w.advance(next, s, to, c, coNext, e, e):
+		w.edges = w.edges[:e]
+	}
 }
 
 // advance steps the frontier set (interned as s, or nil) across the
@@ -528,8 +557,8 @@ func (w *seqWalk) sweep(start program.Bits) {
 			continue
 		}
 		prune = pos + lazyPruneEvery
+		co := w.coAt(pos)
 		if !cur.pruned {
-			co := w.coAt(pos)
 			next.reset()
 			for i := range cur.fs {
 				f := &cur.fs[i]
@@ -566,22 +595,13 @@ func (w *seqWalk) sweep(start program.Bits) {
 			}
 			w.resolve(f.head, int32(len(w.nodes)))
 			first := int32(len(w.edges))
-			chs := w.emissions(f.s, set, pos)
-			for k := range chs {
-				ch := &chs[k]
-				e := int32(len(w.edges))
-				w.edges = append(w.edges, dagEdge{em: ch, to: toDead, next: -1})
-				switch {
-				case last:
-					if ch.states.Intersects(p.Final) {
-						w.edges[e].to = toEnd
-					} else {
-						w.edges = w.edges[:e]
-					}
-				case subsetOf(ch.states, w.e.opFree):
-					w.edges[e].to = toEnd // co-reachable and op-free: it completes
-				case !w.advance(next, ch.st, ch.states, c, coNext, e, e):
-					w.edges = w.edges[:e]
+			if f.s != nil {
+				for _, ch := range w.e.choices(f.s) {
+					w.branch(next, ch.Mask, ch.To, ch.To.Frontier(), co, coNext, c, last)
+				}
+			} else {
+				for _, ch := range w.e.boundaryEmissionsProg(set, co, &w.arena) {
+					w.branch(next, ch.mask, nil, ch.states, co, coNext, c, last)
 				}
 			}
 			w.nodes = append(w.nodes, dagNode{pos: int32(pos), first: first, end: int32(len(w.edges))})
@@ -636,12 +656,7 @@ func (w *seqWalk) run(start program.Bits, emit func(t []span.Span) bool) {
 			stack = stack[:top]
 		}
 		e := w.edges[f.next]
-		fired = fired[:f.base]
-		if e.em != nil {
-			for _, t := range e.em.ops {
-				fired = append(fired, firedOp{v: t.v, open: t.open, pos: f.pos})
-			}
-		}
+		fired = appendFired(fired[:f.base], e.mask, f.pos)
 		switch e.to {
 		case toEnd:
 			fillTuple(t, fired)
@@ -743,9 +758,8 @@ func walkSeeds(p *program.Program) (start, coFinal program.Bits) {
 // demand letters-only completion from there. This is the one place
 // that picks the sweep: with the lazy DFA on, the seed is interned
 // once and the memoized reverse rows step from it, so every boundary's
-// co-reach is an interned state ready for the boundary memo and its
-// firers; ForceNoDFA and a reverse sweep that thrashes the cache's
-// budget take the bitset sweep.
+// co-reach is an interned state carrying its firers; ForceNoDFA and a
+// reverse sweep that thrashes the cache's budget take the bitset sweep.
 func (b *coBufs) coReach(e *Engine, d *span.Document, lo, hi int, seed program.Bits, key []byte) (states []*program.DState, raw []program.Bits, _ []byte) {
 	if e.DFAEnabled() {
 		var s *program.DState

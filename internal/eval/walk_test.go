@@ -277,42 +277,6 @@ func TestSpliceStepsIndependentOfDocumentLength(t *testing.T) {
 	}
 }
 
-// TestBoundaryMemoHitsAcrossWalks: the memo key is a pair of interned
-// frontiers, so a second walk over the same document must find every
-// node's choices in the memo — hits grow, misses do not — and a splice
-// that re-derives a line's mapping must hit it too.
-func TestBoundaryMemoHitsAcrossWalks(t *testing.T) {
-	e := CompileRGX(rgx.MustParse(weblogStreamExpr))
-	text := workload.WebLog(workload.WebLogOptions{Lines: 96, ReferProb: 0.35, Seed: 96})
-	d := span.NewDocument(text)
-	fullMappings(e, d)
-	first, _ := e.BoundaryMemoStats()
-	if first.Misses == 0 {
-		t.Fatalf("first walk made no memo lookup: %+v", first)
-	}
-	fullMappings(e, d)
-	second, _ := e.BoundaryMemoStats()
-	if second.Hits <= first.Hits || second.Misses != first.Misses {
-		t.Fatalf("second walk of the same document: hits %d → %d, misses %d → %d; want more hits and no new miss",
-			first.Hits, second.Hits, first.Misses, second.Misses)
-	}
-
-	inc := newIncremental(e, d, 4)
-	mid := strings.Index(text[len(text)/2:], "\n") + len(text)/2 + 1
-	line := text[mid : mid+strings.Index(text[mid:], "\n")+1]
-	before, _ := e.BoundaryMemoStats()
-	res, err := inc.Splice(mid, len(line), line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, _ := e.BoundaryMemoStats()
-	if res.Recomputed == 0 || after.Hits == before.Hits {
-		t.Fatalf("rewriting line %q re-derived %d mappings with %d memo hits; want both > 0",
-			line, res.Recomputed, after.Hits-before.Hits)
-	}
-	assertIncremental(t, inc, e, "rewritten line")
-}
-
 // TestReachSweepAllocsFlat: the bitset co-reach sweep of session
 // windows and Count, and the bitset fallback of the forward sweep,
 // carve every boundary's frontier from one slab, so their allocations
@@ -381,6 +345,87 @@ func TestFirersMatchFiresInto(t *testing.T) {
 	}
 	if programs < 50 {
 		t.Fatalf("only %d random programs have operations", programs)
+	}
+}
+
+// TestStateChoicesMatchBoundaryEmissions: the choices an interned
+// state carries are searched against every state, with no co-reach.
+// Cut to a co-reach set — closed backwards under operations — they
+// must be exactly the choices the bitset path searches inside it: the
+// same masks, in the same order, with the same states.
+func TestStateChoicesMatchBoundaryEmissions(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	randBits := func(n int, density float64) program.Bits {
+		b := program.NewBits(n)
+		for q := 0; q < n; q++ {
+			if rng.Float64() < density {
+				b.Set(q)
+			}
+		}
+		return b
+	}
+	programs, cut := 0, 0
+	for trial := 0; trial < 200; trial++ {
+		e := CompileRGX(randomExpr(rng, 4, []span.Var{"x", "y", "z"}))
+		p := e.Program()
+		if p == nil || !p.HasOps.Any() {
+			continue
+		}
+		programs++
+		var a emArena
+		for k := 0; k < 20; k++ {
+			s := e.dfa.State(randBits(p.NumStates, rng.Float64()))
+			chs := e.choices(s)
+			if again := e.choices(s); len(chs) > 0 && &again[0] != &chs[0] {
+				t.Fatalf("trial %d: choices derived twice for one state", trial)
+			}
+			for j := 0; j < 10; j++ {
+				co := randBits(p.NumStates, rng.Float64())
+				if j == 0 {
+					co = e.coFinal.Clone()
+				}
+				p.ROpClosure(co)
+				a.reset()
+				want := e.boundaryEmissionsProg(s.Frontier(), co, &a)
+				var got []progEmission
+				for _, ch := range chs {
+					if to := ch.To.Frontier().Clone(); to.Intersects(co) {
+						to.And(co)
+						got = append(got, progEmission{mask: ch.Mask, states: to})
+					}
+				}
+				cut += len(chs) - len(got)
+				if !slices.EqualFunc(got, want, func(x, y progEmission) bool {
+					return x.mask == y.mask && bitsEq(x.states, y.states)
+				}) {
+					t.Fatalf("trial %d: frontier %v, co-reach %v: the state's choices cut to the co-reach %v, searched inside it %v",
+						trial, s.Frontier(), co, got, want)
+				}
+			}
+		}
+	}
+	if programs < 50 || cut == 0 {
+		t.Fatalf("%d random programs with operations, %d choices cut away by a co-reach", programs, cut)
+	}
+}
+
+// TestOpFreeChoiceOutsideCoReach: at the node at boundary 1 of "a",
+// the frontier's choice {open y, close y} reaches only the op-free
+// state that reads b, which cannot complete there. The state's choices
+// are not cut to the co-reach, so the walk must drop that choice
+// rather than complete it as op-free.
+func TestOpFreeChoiceOutsideCoReach(t *testing.T) {
+	a := va.FromRGX(rgx.MustParse(`x{}a|y{}b`))
+	e := NewEngine(a)
+	d := span.NewDocument("a")
+	ref := NewEngine(a)
+	ref.ForceNoDFA()
+	got := e.All(d)
+	if want := ref.All(d); !got.Equal(want) || got.Len() != 1 {
+		t.Fatalf("%d mappings, the bitset walk %d; want only x = [1,1>", got.Len(), want.Len())
+	}
+	if n := e.Count(d); n != 1 {
+		t.Fatalf("Count = %d, want 1", n)
 	}
 }
 

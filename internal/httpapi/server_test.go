@@ -252,6 +252,27 @@ func TestBodyHoldsOneValue(t *testing.T) {
 	}
 }
 
+// TestDeepExpressionRefused: a 1.2 MB expression of nested groups,
+// well under the body cap, is a 400 syntax error rather than a parser
+// stack overflow that kills the process, and the server goes on
+// serving.
+func TestDeepExpressionRefused(t *testing.T) {
+	ts, _ := newTestServer(t)
+	deep := strings.Repeat("(", 600_000) + "a" + strings.Repeat(")", 600_000)
+	resp := postJSON(t, ts.URL+"/v1/extract", map[string]any{"expr": deep, "docs": []string{"a"}})
+	var body client.ErrorEnvelope
+	json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || body.Err.Code != client.CodeSyntax {
+		t.Fatalf("status %d, error %+v; want 400 %q", resp.StatusCode, body.Err, client.CodeSyntax)
+	}
+	resp = postJSON(t, ts.URL+"/v1/extract", map[string]any{"expr": "x{a}", "docs": []string{"a"}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("the next request: status %d, want 200", resp.StatusCode)
+	}
+}
+
 func TestStreamCompileError(t *testing.T) {
 	ts, _ := newTestServer(t)
 	resp := postJSON(t, ts.URL+"/extract/stream", map[string]any{"expr": "x{[", "doc": "a"})

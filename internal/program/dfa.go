@@ -173,6 +173,10 @@ type DState struct {
 	// states where an operation can fire on a branch that still
 	// completes. Derived when the state is interned, never persisted.
 	firers Bits
+	// choices are the boundary choices of the frontier, set once by the
+	// first walk that forms a DAG node on the state (SetChoices) and
+	// never persisted.
+	choices atomic.Pointer[[]Choice]
 
 	// next holds the memoized transitions, numStepKinds rows of
 	// NumClasses entries each; nil = not yet computed. The forward row
@@ -206,6 +210,33 @@ func (s *DState) Dead() bool { return s.dead }
 // once when the state was interned. It is shared and must not be
 // modified.
 func (s *DState) Firers() Bits { return s.firers }
+
+// Choice is one boundary choice of a frontier: the operations Mask
+// fires, and the interned set To of the states reachable from the
+// frontier along operation edges firing exactly them. The mask-0
+// choice is the frontier itself.
+type Choice struct {
+	Mask uint64
+	To   *DState
+}
+
+// Choices returns the state's boundary choices, nil until SetChoices
+// published them. They are shared and must not be modified.
+func (s *DState) Choices() []Choice {
+	if cs := s.choices.Load(); cs != nil {
+		return *cs
+	}
+	return nil
+}
+
+// SetChoices publishes cs as the state's boundary choices unless a
+// concurrent caller published first, and returns the published ones.
+// The caller derives them (the enumerator owns their order); the state
+// only holds them, so they live and die with the cache generation.
+func (s *DState) SetChoices(cs []Choice) []Choice {
+	s.choices.CompareAndSwap(nil, &cs)
+	return *s.choices.Load()
+}
 
 // DFA is the lazy transition cache over one program's frontiers. Use
 // Program.DFA for the shared instance or NewDFA for a private one

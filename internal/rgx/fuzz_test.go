@@ -21,6 +21,9 @@ func FuzzParseRGX(f *testing.F) {
 		"\U000a4282",
 		`[\u0000-\u001f]x{\U0010ffff}`,
 		"é(b{c})",
+		// Nested past maxDepth by groups, and by a postfix chain.
+		strings.Repeat("(", maxDepth+1) + "a" + strings.Repeat(")", maxDepth+1),
+		"x{a" + strings.Repeat("*", maxDepth) + "}",
 	} {
 		f.Add(seed)
 	}

@@ -39,13 +39,14 @@ func (e *ParseError) Error() string {
 // Identifiers are maximal runs of [A-Za-z0-9_] starting with a letter
 // or '_'; a run not followed by '{' is read as a sequence of literal
 // letters. Whitespace is significant (documents contain spaces), so
-// there is no layout skipping. The empty input parses to ε.
+// there is no layout skipping. The empty input parses to ε. An
+// expression nested deeper than maxDepth is refused.
 func Parse(input string) (Node, error) {
 	p := &parser{src: []rune(input)}
 	if len(p.src) == 0 {
 		return Empty{}, nil
 	}
-	n, err := p.alt()
+	n, _, err := p.alt()
 	if err != nil {
 		return nil, err
 	}
@@ -65,9 +66,34 @@ func MustParse(input string) Node {
 	return n
 }
 
+// maxDepth bounds how deeply an expression nests, in two measures: the
+// height of its tree (each variable, repetition, alternation and
+// concatenation is a level; a group is none) and the groups and
+// variable bodies open at any point of the input, which is what the
+// parser recurses on. The compilers downstream recurse on the tree and
+// build automata whose size grows with every level, so a deeper
+// expression is refused with a ParseError instead. The printed form of
+// an accepted tree opens at most one group per level, so it parses
+// back.
+const maxDepth = 256
+
 type parser struct {
-	src []rune
-	pos int
+	src  []rune
+	pos  int
+	open int // groups and variable bodies open at pos
+}
+
+// tooDeep is the error for an expression nested deeper than maxDepth.
+func (p *parser) tooDeep() error {
+	return p.errf("expression nests deeper than %d", maxDepth)
+}
+
+// enter opens a group or variable body at pos.
+func (p *parser) enter() error {
+	if p.open++; p.open > maxDepth {
+		return p.tooDeep()
+	}
+	return nil
 }
 
 func (p *parser) errf(format string, args ...interface{}) error {
@@ -78,119 +104,155 @@ func (p *parser) eof() bool { return p.pos >= len(p.src) }
 
 func (p *parser) peek() rune { return p.src[p.pos] }
 
-func (p *parser) alt() (Node, error) {
-	first, err := p.concat()
+// alt, concat, repeat and atom return the height of the tree they
+// parse with it (see maxDepth).
+func (p *parser) alt() (Node, int, error) {
+	first, h, err := p.concat()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	parts := []Node{first}
 	for !p.eof() && p.peek() == '|' {
 		p.pos++
-		next, err := p.concat()
+		next, hn, err := p.concat()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		parts = append(parts, next)
+		h = max(h, hn)
 	}
 	if len(parts) == 1 {
-		return parts[0], nil
+		return parts[0], h, nil
 	}
-	return Alt{Parts: parts}, nil
+	return p.level(Alt{Parts: parts}, h+1)
 }
 
-func (p *parser) concat() (Node, error) {
+// level returns n, of height h, unless h is over maxDepth.
+func (p *parser) level(n Node, h int) (Node, int, error) {
+	if h > maxDepth {
+		return nil, 0, p.tooDeep()
+	}
+	return n, h, nil
+}
+
+func (p *parser) concat() (Node, int, error) {
 	var parts []Node
+	h := 0 // the tallest part once flattened (finishConcat)
 	for !p.eof() {
 		switch p.peek() {
 		case '|', ')', '}':
 			// Concatenation ends at alternation or a closing bracket.
-			return finishConcat(parts), nil
+			return p.finishConcat(parts, h)
 		}
-		part, err := p.repeat()
+		part, hp, err := p.repeat()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
+		}
+		if _, ok := part.(Concat); ok {
+			hp-- // its parts are flattened in; none of them is a Concat
 		}
 		parts = append(parts, part)
+		h = max(h, hp)
 	}
-	return finishConcat(parts), nil
+	return p.finishConcat(parts, h)
 }
 
-func finishConcat(parts []Node) Node {
+// finishConcat joins the parts of a concatenation, of which the
+// tallest is h high once flattened: a part that is itself a Concat (a
+// group, or e+) has its parts flattened in.
+func (p *parser) finishConcat(parts []Node, h int) (Node, int, error) {
 	switch len(parts) {
 	case 0:
-		return Empty{}
+		return Empty{}, 0, nil
 	case 1:
-		return parts[0]
+		if _, ok := parts[0].(Concat); ok {
+			h++ // nothing was flattened
+		}
+		return parts[0], h, nil
 	}
-	// Flatten literal runs parsed one letter at a time.
 	var flat []Node
-	for _, p := range parts {
-		if c, ok := p.(Concat); ok {
+	for _, part := range parts {
+		if c, ok := part.(Concat); ok {
 			flat = append(flat, c.Parts...)
 			continue
 		}
-		flat = append(flat, p)
+		flat = append(flat, part)
 	}
-	return Concat{Parts: flat}
+	return p.level(Concat{Parts: flat}, h+1)
 }
 
-func (p *parser) repeat() (Node, error) {
-	atom, err := p.atom()
+func (p *parser) repeat() (Node, int, error) {
+	atom, h, err := p.atom()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for !p.eof() {
 		switch p.peek() {
 		case '*':
-			p.pos++
-			atom = Star{Sub: atom}
+			atom, h = Star{Sub: atom}, h+1
 		case '+':
-			p.pos++
-			atom = Seq(atom, Star{Sub: atom})
+			// e·e*, with e's parts flattened in when e is a Concat and
+			// e dropped when it is ε.
+			if _, ok := atom.(Empty); ok {
+				h--
+			}
+			atom, h = Seq(atom, Star{Sub: atom}), h+2
 		case '?':
-			p.pos++
+			// e|ε, with e's parts flattened in when e is an Alt.
+			if _, ok := atom.(Alt); !ok {
+				h++
+			}
 			atom = Or(atom, Empty{})
 		default:
-			return atom, nil
+			return atom, h, nil
 		}
+		if atom, h, err = p.level(atom, h); err != nil {
+			return nil, 0, err
+		}
+		p.pos++
 	}
-	return atom, nil
+	return atom, h, nil
 }
 
-func (p *parser) atom() (Node, error) {
+func (p *parser) atom() (Node, int, error) {
+	leaf := func(n Node, err error) (Node, int, error) { return n, 0, err }
 	switch r := p.peek(); r {
 	case '(':
 		p.pos++
 		if !p.eof() && p.peek() == ')' {
 			p.pos++
-			return Empty{}, nil
+			return Empty{}, 0, nil
 		}
-		inner, err := p.alt()
+		if err := p.enter(); err != nil {
+			return nil, 0, err
+		}
+		inner, h, err := p.alt()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if p.eof() || p.peek() != ')' {
-			return nil, p.errf("missing ')'")
+			return nil, 0, p.errf("missing ')'")
 		}
 		p.pos++
-		return inner, nil
+		p.open--
+		return inner, h, nil
 	case '[':
-		return p.class()
+		return leaf(p.class())
 	case '.':
 		p.pos++
-		return AnyChar(), nil
+		return AnyChar(), 0, nil
 	case '\\':
-		return p.escape(false)
+		return leaf(p.escape(false))
 	case '*', '+', '?':
-		return nil, p.errf("repetition %q with nothing to repeat", r)
+		return nil, 0, p.errf("repetition %q with nothing to repeat", r)
 	case '{':
-		return nil, p.errf("'{' must follow a variable name")
+		return nil, 0, p.errf("'{' must follow a variable name")
 	default:
 		if isIdentStart(r) {
 			return p.identOrLiterals()
 		}
 		p.pos++
-		return Lit(r), nil
+		return Lit(r), 0, nil
 	}
 }
 
@@ -198,7 +260,7 @@ func (p *parser) atom() (Node, error) {
 // '{' it is a variable capture; otherwise the run is a sequence of
 // literal letters, of which we consume only the first so that postfix
 // operators bind to single letters (ab* is a·b*, as usual in regex).
-func (p *parser) identOrLiterals() (Node, error) {
+func (p *parser) identOrLiterals() (Node, int, error) {
 	start := p.pos
 	for !p.eof() && isIdentRune(p.peek()) {
 		p.pos++
@@ -206,19 +268,23 @@ func (p *parser) identOrLiterals() (Node, error) {
 	if !p.eof() && p.peek() == '{' {
 		name := string(p.src[start:p.pos])
 		p.pos++ // consume '{'
-		sub, err := p.alt()
+		if err := p.enter(); err != nil {
+			return nil, 0, err
+		}
+		sub, h, err := p.alt()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if p.eof() || p.peek() != '}' {
-			return nil, p.errf("missing '}' closing variable %s", name)
+			return nil, 0, p.errf("missing '}' closing variable %s", name)
 		}
 		p.pos++
-		return Var{Name: span.Var(name), Sub: sub}, nil
+		p.open--
+		return p.level(Var{Name: span.Var(name), Sub: sub}, h+1)
 	}
 	// Not a variable: rewind and take a single literal letter.
 	p.pos = start + 1
-	return Lit(p.src[start]), nil
+	return Lit(p.src[start]), 0, nil
 }
 
 // class parses a bracketed character class.

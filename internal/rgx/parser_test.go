@@ -1,8 +1,11 @@
 package rgx
 
 import (
+	"errors"
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
 	"unicode"
 
 	"spanners/internal/runeclass"
@@ -146,6 +149,84 @@ func TestParseErrors(t *testing.T) {
 		} else if _, ok := err.(*ParseError); !ok {
 			t.Errorf("Parse(%q) error type %T", in, err)
 		}
+	}
+}
+
+// TestParseRefusesDeepNesting: an expression nested past maxDepth —
+// by groups the parser recurses on, or by a postfix chain that nests
+// the tree without recursing — is refused with a ParseError, quickly,
+// and one at the limit parses.
+func TestParseRefusesDeepNesting(t *testing.T) {
+	nested := func(n int) string { return strings.Repeat("(", n) + "a" + strings.Repeat(")", n) }
+	chain := func(n int) string { return "x{a" + strings.Repeat("*", n) + "}" }
+	for _, in := range []string{
+		nested(600_000), // 1.2 MB: recursing on each group overflowed the stack
+		chain(16_000),   // compiling the nested stars took 42 s
+		nested(maxDepth + 1),
+		chain(maxDepth),
+		strings.Repeat("x{", maxDepth+1) + strings.Repeat("}", maxDepth+1),
+		strings.Repeat("(a|", maxDepth+1) + "b" + strings.Repeat(")", maxDepth+1),
+	} {
+		start := time.Now()
+		_, err := Parse(in)
+		var pe *ParseError
+		if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "nests deeper") {
+			t.Errorf("Parse(%.40q…, %d runes) = %v, want a nesting ParseError", in, len(in), err)
+		}
+		if took := time.Since(start); took > 100*time.Millisecond {
+			t.Errorf("Parse(%.40q…, %d runes) took %v", in, len(in), took)
+		}
+	}
+	for _, in := range []string{nested(maxDepth), chain(maxDepth - 1), "a" + strings.Repeat("*", maxDepth)} {
+		if _, err := Parse(in); err != nil {
+			t.Errorf("Parse(%.40q…) at the limit: %v", in, err)
+		}
+	}
+}
+
+// TestParseHeightIsTreeHeight: the height the parser measures against
+// maxDepth is the height of the tree it returns, flattening included,
+// so a printed tree measures what its source did.
+func TestParseHeightIsTreeHeight(t *testing.T) {
+	var height func(n Node) int
+	height = func(n Node) int {
+		h := 0
+		switch n := n.(type) {
+		case Concat:
+			for _, p := range n.Parts {
+				h = max(h, height(p)+1)
+			}
+		case Alt:
+			for _, p := range n.Parts {
+				h = max(h, height(p)+1)
+			}
+		case Star:
+			h = height(n.Sub) + 1
+		case Var:
+			h = height(n.Sub) + 1
+		}
+		return h
+	}
+	rng := rand.New(rand.NewSource(35))
+	const syntax = "ab()|*+?x{}"
+	parsed := 0
+	for i := 0; i < 20000; i++ {
+		in := make([]byte, 1+rng.Intn(14))
+		for j := range in {
+			in[j] = syntax[rng.Intn(len(syntax))]
+		}
+		p := &parser{src: []rune(string(in))}
+		n, h, err := p.alt()
+		if err != nil || p.pos != len(p.src) {
+			continue
+		}
+		parsed++
+		if want := height(n); h != want {
+			t.Fatalf("%q: parser height %d, tree height %d (%#v)", in, h, want, n)
+		}
+	}
+	if parsed < 1000 {
+		t.Fatalf("only %d random inputs parsed", parsed)
 	}
 }
 

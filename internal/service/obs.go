@@ -134,18 +134,6 @@ func newObservability(svc *Service, traceRetention int) *Observability {
 		"Obligation-free segments swept by the constrained evaluator.", func() []obs.Sample {
 			return []obs.Sample{{Value: float64(svc.dfaStats().ConstrainedSegments)}}
 		})
-	r.RegisterCounterFunc("spand_boundary_memo_lookups_total",
-		"Boundary-emission memo lookups by outcome.", func() []obs.Sample {
-			st := svc.dfaStats()
-			return []obs.Sample{
-				{Labels: []string{obs.L("outcome", "hit")}, Value: float64(st.BoundaryMemoHits)},
-				{Labels: []string{obs.L("outcome", "miss")}, Value: float64(st.BoundaryMemoMisses)},
-			}
-		})
-	r.RegisterGaugeFunc("spand_boundary_memo_entries",
-		"Resident boundary-emission memo entries across tracked spanners.", func() []obs.Sample {
-			return []obs.Sample{{Value: float64(svc.dfaStats().BoundaryMemoSize)}}
-		})
 	r.RegisterGaugeFunc("spand_docstore_bytes",
 		"Bytes held by the document store (documents, journals, attached sessions).", func() []obs.Sample {
 			return []obs.Sample{{Value: float64(svc.docs.Stats().Bytes)}}

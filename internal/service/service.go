@@ -222,9 +222,8 @@ type DFAStats struct {
 	PrewarmedStates uint64 `json:"prewarmed_states"`
 	// Speed-ladder counters: required-literal prefilter checks and
 	// the documents they pruned, runes skipped by stop-byte candidate
-	// jumps, sweeps whose density heuristic disabled the jumps, the
-	// per-mask constrained-DFA family behind pinned-span Eval, and
-	// the enumerator's boundary-emission memo traffic.
+	// jumps, sweeps whose density heuristic disabled the jumps, and
+	// the per-mask constrained-DFA family behind pinned-span Eval.
 	PrefilterChecks       uint64 `json:"prefilter_checks"`
 	PrefilterPrunes       uint64 `json:"prefilter_prunes"`
 	CandidateSkippedRunes uint64 `json:"candidate_skipped_runes"`
@@ -232,10 +231,6 @@ type DFAStats struct {
 	ConstrainedCaches     int    `json:"constrained_caches"`
 	ConstrainedStates     int    `json:"constrained_states"`
 	ConstrainedSegments   uint64 `json:"constrained_segments"`
-	BoundaryMemoSize      int    `json:"boundary_memo_size"`
-	BoundaryMemoHits      uint64 `json:"boundary_memo_hits"`
-	BoundaryMemoMisses    uint64 `json:"boundary_memo_misses"`
-	BoundaryMemoFlushes   uint64 `json:"boundary_memo_flushes"`
 	// SidecarsLoaded and SidecarsSaved count registry DFA-cache
 	// sidecar round trips (load at pre-warm, save on shutdown).
 	SidecarsLoaded uint64 `json:"sidecars_loaded"`
@@ -283,12 +278,6 @@ func (s *Service) dfaStats() DFAStats {
 		out.ConstrainedCaches += st.ConstrainedCaches
 		out.ConstrainedStates += st.ConstrainedStates
 		out.ConstrainedSegments += st.ConstrainedSegments
-		if bm := sp.BoundaryMemoStats(); bm.Enabled {
-			out.BoundaryMemoSize += bm.Size
-			out.BoundaryMemoHits += bm.Hits
-			out.BoundaryMemoMisses += bm.Misses
-			out.BoundaryMemoFlushes += bm.Flushes
-		}
 	}
 	return out
 }

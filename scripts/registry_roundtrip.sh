@@ -16,11 +16,10 @@
 #      server persisted on graceful shutdown (dfa.sidecars_loaded,
 #      dfa.prewarmed_states on /healthz);
 #   7. assert speed-ladder identity across the restart: the decoded
-#      artifact derives the same required-literal prefilter and the
-#      same boundary-memo behavior as the freshly compiled spanner —
-#      an identical request pair (one literal-free document, one
-#      matching document) moves the prefilter and boundary-memo
-#      counters by identical deltas on both servers;
+#      artifact derives the same required-literal prefilter as the
+#      freshly compiled spanner — an identical request pair (one
+#      literal-free document, one matching document) moves the
+#      prefilter counters by identical deltas on both servers;
 #   8. register a DIFFERENCE composition as a first-class algebra
 #      artifact offline, restart with -precompose, and assert the
 #      artifact survives the restart with zero compile-cache misses
@@ -67,10 +66,9 @@ stop_spand() {
 # ladder_probe drives an identical request pair against the pinned
 # spanner — one document without its required literal (must extract
 # nothing, pruned by the prefilter alone), one matching document —
-# and prints the deltas of the prefilter and boundary-memo counters.
-# Run once against the fresh server and once after the restart, the
-# two delta tuples must be equal: the decoded artifact derives the
-# same literals and memoizes the same boundary pairs.
+# and prints the deltas of the prefilter counters. Run once against
+# the fresh server and once after the restart, the two delta tuples
+# must be equal: the decoded artifact derives the same literals.
 ladder_probe() {
   local h0 h1 resp n
   h0=$(curl -sf "$base/healthz")
@@ -87,9 +85,7 @@ ladder_probe() {
   h1=$(curl -sf "$base/healthz")
   jq -rn --argjson a "$(echo "$h0" | jq '.dfa')" --argjson b "$(echo "$h1" | jq '.dfa')" \
     '[($b.prefilter_checks - $a.prefilter_checks),
-      ($b.prefilter_prunes - $a.prefilter_prunes),
-      ($b.boundary_memo_hits - $a.boundary_memo_hits),
-      ($b.boundary_memo_misses - $a.boundary_memo_misses)] | join(" ")'
+      ($b.prefilter_prunes - $a.prefilter_prunes)] | join(" ")'
 }
 
 echo "== build"
@@ -110,8 +106,8 @@ names=$(echo "$resp" | jq -r '.results[0][].x.content' | paste -sd, -)
 
 echo "== speed-ladder probe against the freshly compiled spanner"
 probe_fresh=$(ladder_probe)
-echo "fresh ladder deltas (checks prunes memo_hits memo_misses): $probe_fresh"
-read -r _ prunes _ <<<"$probe_fresh"
+echo "fresh ladder deltas (checks prunes): $probe_fresh"
+read -r _ prunes <<<"$probe_fresh"
 [ "$prunes" -ge 1 ] || die "prefilter never pruned the literal-free document: $probe_fresh"
 
 echo "== register a second spanner over HTTP, then kill the server"
@@ -151,11 +147,9 @@ metrics_misses=$(curl -sf "$base/metrics" | jq -r '.spand.spanner_cache.misses')
 
 echo "== speed-ladder probe against the artifact-decoded spanner"
 probe_warm=$(ladder_probe)
-echo "warm ladder deltas (checks prunes memo_hits memo_misses): $probe_warm"
+echo "warm ladder deltas (checks prunes): $probe_warm"
 [ "$probe_warm" = "$probe_fresh" ] \
   || die "ladder behavior diverged across restart: fresh [$probe_fresh] vs warm [$probe_warm]"
-read -r _ _ memo_hits memo_misses <<<"$probe_warm"
-[ "$((memo_hits + memo_misses))" -ge 1 ] || die "boundary memo saw no traffic: $probe_warm"
 
 echo "== join the pinned pair server-side, post-restart"
 joinbody=$(jq -n --arg e "join($ref, tax@$tax_ver)" '{algebra: $e, docs: ["Seller: Mark, ID7, $35,000\n"]}')

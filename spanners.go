@@ -250,11 +250,11 @@ type DFAStats struct {
 	ConstrainedSegments uint64 `json:"constrained_segments"`
 }
 
-// BoundaryMemoStats is a snapshot of the enumerator's
-// boundary-emission memo: the bounded cache of (frontier, co-reach)
-// → emission choice sets that Enumerate/Count walks consult at every
-// document boundary. Enabled is false for interpreted spanners and
-// those with the memo forced off.
+// BoundaryMemoStats is the zero-valued result of the deprecated
+// Spanner.BoundaryMemoStats.
+//
+// Deprecated: the enumerator has no boundary-emission memo; boundary
+// choices are cached on the lazy DFA's states (see DFAStats).
 type BoundaryMemoStats struct {
 	Enabled   bool   `json:"enabled"`
 	Size      int    `json:"size"`
@@ -265,23 +265,11 @@ type BoundaryMemoStats struct {
 	Flushes   uint64 `json:"flushes"`
 }
 
-// BoundaryMemoStats returns the counters of the spanner's
-// boundary-emission memo.
-func (s *Spanner) BoundaryMemoStats() BoundaryMemoStats {
-	st, ok := s.engine.BoundaryMemoStats()
-	if !ok {
-		return BoundaryMemoStats{}
-	}
-	return BoundaryMemoStats{
-		Enabled:   true,
-		Size:      st.Size,
-		Budget:    st.Budget,
-		Hits:      st.Hits,
-		Misses:    st.Misses,
-		Evictions: st.Evictions,
-		Flushes:   st.Flushes,
-	}
-}
+// BoundaryMemoStats returns the zero value.
+//
+// Deprecated: the enumerator has no boundary-emission memo; boundary
+// choices are cached on the lazy DFA's states (see DFAStats).
+func (s *Spanner) BoundaryMemoStats() BoundaryMemoStats { return BoundaryMemoStats{} }
 
 // DFAStats returns the counters of the spanner's lazy-DFA cache.
 func (s *Spanner) DFAStats() DFAStats {

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
@@ -307,11 +308,22 @@ func (g *Gate) backoff(ctx context.Context, attempt int) error {
 	}
 }
 
+// errTrailingValue refuses a body that holds more than one JSON value.
+var errTrailingValue = errors.New("body holds more than one JSON value")
+
 // decodeBody parses the JSON request body under the gate's size cap.
+// The body must hold exactly one JSON value, optionally followed by
+// whitespace, as spand requires.
 func (g *Gate) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, g.maxBody)).Decode(dst)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, g.maxBody))
+	err := dec.Decode(dst)
 	if err == nil {
-		return true
+		if err = dec.Decode(&json.RawMessage{}); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errTrailingValue
+		}
 	}
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -207,7 +208,8 @@ func TestRegistryWriteShardDown(t *testing.T) {
 }
 
 // Malformed and oversized bodies are rejected at the gate with the
-// typed envelope, before any shard sees them.
+// typed envelope, before any shard sees them. As at spand, a body is
+// one JSON value, optionally followed by whitespace.
 func TestBadBodies(t *testing.T) {
 	shards := bootShards(t, 1)
 	_, ts := bootGate(t, Options{ProbeInterval: -1, MaxBody: 256}, shards[0].URL)
@@ -220,6 +222,33 @@ func TestBadBodies(t *testing.T) {
 		drainBody(resp)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s with junk body: %d, want 400", path, resp.StatusCode)
+		}
+	}
+	for _, c := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/extract", `{"expr": "x{a}", "docs": ["a"]}` + "\n\t ", http.StatusOK},
+		{"/v1/extract", `{"expr": "x{a}", "docs": ["a"]} {"expr": "b"}`, http.StatusBadRequest},
+		{"/v1/extract", `{"expr": "x{a}", "docs": ["a"]}[]`, http.StatusBadRequest},
+		{"/v1/extract", `{"expr": "x{a}", "docs": ["a"]`, http.StatusBadRequest},
+		{"/v1/extract/stream", `{"expr": "x{a}", "doc": "a"}` + "\n", http.StatusOK},
+		{"/v1/extract/stream", `{"expr": "x{a}", "doc": "a"} {"expr": "b"}`, http.StatusBadRequest},
+		{"/v1/extract/stream", `{"expr": "x{a}", "doc": "a"}[]`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body client.ErrorEnvelope
+		json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		wantCode := ""
+		if c.want != http.StatusOK {
+			wantCode = client.CodeBadRequest
+		}
+		if resp.StatusCode != c.want || body.Err.Code != wantCode {
+			t.Errorf("%s %q: status %d, error %+v; want status %d, code %q", c.path, c.body, resp.StatusCode, body.Err, c.want, wantCode)
 		}
 	}
 	big := strings.NewReader(`{"expr": "a", "docs": ["` + strings.Repeat("a", 4096) + `"]}`)

@@ -41,8 +41,8 @@ import (
 // then doc_ids.
 type extractRequest struct {
 	service.Query
-	Docs   []string `json:"docs"`
-	DocIDs []string `json:"doc_ids"`
+	Docs   []docText `json:"docs"`
+	DocIDs []string  `json:"doc_ids"`
 }
 
 // streamRequest is the body of POST /v1/extract/stream: one query and
@@ -50,13 +50,21 @@ type extractRequest struct {
 // results streamed back as NDJSON.
 type streamRequest struct {
 	service.Query
-	Doc   string `json:"doc"`
-	DocID string `json:"doc_id"`
+	Doc   docText `json:"doc"`
+	DocID string  `json:"doc_id"`
 }
 
 // putDocumentRequest is the body of PUT /v1/documents/{id}.
 type putDocumentRequest struct {
-	Text string `json:"text"`
+	Text docText `json:"text"`
+}
+
+// patchDocumentRequest is the body of PATCH /v1/documents/{id}: a
+// docstore.Splice.
+type patchDocumentRequest struct {
+	Offset    int     `json:"offset"`
+	DeleteLen int     `json:"delete_len"`
+	Insert    docText `json:"insert"`
 }
 
 // documentResponse describes a stored document without echoing its
@@ -457,8 +465,9 @@ const maxPooledBodyBytes = 1 << 20
 // decodeBody parses the JSON request body under the server's size
 // cap, translating an exceeded cap into 413 rather than a generic 400.
 // The body is read whole into a pooled buffer and must hold exactly
-// one JSON value; json.Unmarshal copies every string it keeps, so dst
-// holds nothing of the buffer.
+// one JSON value. dst must keep nothing of the buffer: a document
+// field is a docText, which unquotes into a string of its own, and
+// encoding/json copies every other string it decodes.
 func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	buf := bodyBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -492,29 +501,26 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	var results [][]service.Result
+	// The results stay in the Batch's pooled buffers until the response
+	// is written, which copies each of them once.
+	b := service.NewBatch()
+	defer b.Release()
 	if len(req.Docs) > 0 || len(req.DocIDs) == 0 {
-		batch, err := s.svc.ExtractBatch(ctx, req.Query, req.Docs)
-		if err != nil {
+		if err := s.svc.ExtractBatchInto(ctx, req.Query, texts(req.Docs), b); err != nil {
 			s.extractError(ctx, w, err)
 			return
 		}
-		results = batch
-	} else {
-		results = [][]service.Result{}
 	}
 	// Referenced documents are served from their incremental sessions,
 	// one at a time: an unchanged document costs a cache read, not an
 	// extraction.
 	for _, id := range req.DocIDs {
-		res, err := s.svc.ExtractDocument(ctx, req.Query, id)
-		if err != nil {
+		if err := s.svc.ExtractDocumentInto(ctx, req.Query, id, b); err != nil {
 			s.extractError(ctx, w, err)
 			return
 		}
-		results = append(results, res)
 	}
-	s.writeExtractResponse(w, results)
+	s.writeExtractResponse(w, b.Docs)
 }
 
 // respBufPool recycles the response buffers of /v1/extract.
@@ -589,7 +595,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 			apiError(w, fmt.Errorf("%w: %q", docstore.ErrNotFound, req.DocID))
 			return
 		}
-		req.Doc = doc.Text
+		req.Doc = docText(doc.Text)
 	}
 	compiled, err := s.svc.CompileQueryCtx(ctx, req.Query)
 	if err != nil {
@@ -602,7 +608,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// stops) on every exit, the abort below included.
 	lw := NewLineWriter(w)
 	defer lw.Close()
-	err = compiled.Stream(ctx, req.Doc, func(res service.Result) bool {
+	err = compiled.Stream(ctx, string(req.Doc), func(res service.Result) bool {
 		return lw.WriteLine(res) == nil
 	})
 	if err != nil {
@@ -627,7 +633,7 @@ func (s *server) handleDocumentPut(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	doc, err := s.svc.Documents().Put(r.PathValue("id"), req.Text)
+	doc, err := s.svc.Documents().Put(r.PathValue("id"), string(req.Text))
 	if err != nil {
 		apiError(w, err)
 		return
@@ -657,10 +663,11 @@ func (s *server) handleDocumentGet(w http.ResponseWriter, r *http.Request) {
 // is {"offset": <current length>, "insert": "..."}. Offsets are bytes
 // and must fall on UTF-8 rune boundaries; an edit past EOF is a 400.
 func (s *server) handleDocumentPatch(w http.ResponseWriter, r *http.Request) {
-	var sp docstore.Splice
-	if !s.decodeBody(w, r, &sp) {
+	var req patchDocumentRequest
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
+	sp := docstore.Splice{Offset: req.Offset, DeleteLen: req.DeleteLen, Insert: string(req.Insert)}
 	doc, err := s.svc.Documents().ApplySplice(r.PathValue("id"), sp)
 	if err != nil {
 		apiError(w, err)

@@ -55,48 +55,66 @@ func (s *Service) documentStats() DocumentStats {
 	}
 }
 
-// ExtractDocument evaluates q over the stored document id. When the
-// query resolves to a compiled sequential spanner, results come from
-// an incremental session attached to the document: an unchanged
-// document re-serves its cached result set, and a spliced one pays
-// only the edit-neighbourhood resweep (journal replay) rather than a
-// from-scratch extraction. Everything else falls back to plain
-// extraction of the stored text.
+// ExtractDocument is ExtractDocumentInto for callers that keep the
+// results: it returns the document's results, copied out of the Batch.
 func (s *Service) ExtractDocument(ctx context.Context, q Query, id string) ([]Result, error) {
+	b := NewBatch()
+	if err := s.ExtractDocumentInto(ctx, q, id, b); err != nil {
+		b.Release()
+		return nil, err
+	}
+	return b.detach()[0], nil
+}
+
+// ExtractDocumentInto evaluates q over the stored document id and
+// appends its results to b.Docs. When the query resolves to a compiled
+// sequential spanner, results come from an incremental session
+// attached to the document: an unchanged document re-serves its cached
+// result set, and a spliced one pays only the edit-neighbourhood
+// resweep (journal replay) rather than a from-scratch extraction.
+// Everything else falls back to plain extraction of the stored text.
+func (s *Service) ExtractDocumentInto(ctx context.Context, q Query, id string, b *Batch) error {
 	doc, ok := s.docs.Get(id)
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrDocumentNotFound, id)
+		return fmt.Errorf("%w: %q", ErrDocumentNotFound, id)
 	}
 	c, err := s.CompileQueryCtx(ctx, q)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
 
+	e := c.newEncoder(b.newBuf())
+	if err := s.encodeDocument(ctx, c, doc, e); err != nil {
+		return err
+	}
+	b.view([]docSpan{e.end()})
+	return nil
+}
+
+// encodeDocument encodes the results of q over doc with e, from its
+// incremental session when it has one.
+func (s *Service) encodeDocument(ctx context.Context, c *Compiled, doc docstore.Doc, e *encoder) error {
 	sess, fresh := s.sessionFor(c, doc)
 	if sess == nil {
 		s.incFull.Add(1)
-		return c.extractOne(ctx, doc.Text, nil)
+		return e.extract(ctx, doc.Text, nil)
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if err := s.catchUp(sess, doc, fresh); err != nil {
 		// The journal or session failed us; extract the snapshot text.
 		s.incFull.Add(1)
-		return c.extractOne(ctx, doc.Text, nil)
+		return e.extract(ctx, doc.Text, nil)
 	}
 	s.docs.Attach(doc.ID, c.fingerprint(), sess, sess.inc.MemoryBytes())
 
 	// Encode under the session lock: EachTuple borrows its tuples.
-	d, cols := sess.inc.Doc(), sess.eng.Columns()
-	rs := newResultSet()
-	emit := c.deliver(func(cols []span.Var, t []span.Span) bool {
-		rs.add(d, cols, t)
-		return true
-	})
-	sess.inc.EachTuple(func(t []span.Span) bool { return emit(cols, t) })
-	return rs.results(), nil
+	e.begin(sess.inc.Doc())
+	cols := sess.eng.Columns()
+	sess.inc.EachTuple(func(t []span.Span) bool { return e.yield(cols, t) })
+	return nil
 }
 
 // fingerprint is the compiled program's fingerprint, the key sessions

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"slices"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -155,45 +156,124 @@ var htmlSafe = func() (safe [utf8.RuneSelf]bool) {
 	return safe
 }()
 
-// resultSet collects the encoded results of one document in one
-// scratch buffer. results hands them out as slices of one exact-size
-// copy and returns the scratch to resultSetPool, so a document costs
-// two allocations however many mappings it has.
-type resultSet struct {
-	buf  []byte
+// Batch holds the encoded results of one request's documents in
+// pooled buffers: each encoder (a batch worker, a stored-document
+// extraction) appends its documents' results back to back into a
+// buffer of its own, so every result is written once, and Docs views
+// them in input order. The Batch owns the buffers until Release, which
+// returns them for reuse and ends the views. One request uses a Batch
+// at a time.
+type Batch struct {
+	// Docs holds each document's results, in the order the documents
+	// were extracted into the Batch.
+	Docs  [][]Result
+	views []Result
+	bufs  []*resultBuf
+	spans []docSpan
+}
+
+// resultBuf is one encoder's buffer: results back to back, the k-th
+// ending at ends[k].
+type resultBuf struct {
+	b    []byte
 	ends []int
 }
 
-var resultSetPool = sync.Pool{New: func() any { return new(resultSet) }}
-
-// maxPooledResultBytes keeps the scratch of huge result sets out of the
-// pool.
-const maxPooledResultBytes = 1 << 20
-
-func newResultSet() *resultSet { return resultSetPool.Get().(*resultSet) }
-
-func (r *resultSet) add(d *span.Document, cols []span.Var, t []span.Span) {
-	r.buf = appendResult(r.buf, d, cols, t)
-	r.ends = append(r.ends, len(r.buf))
+// docSpan locates one document's results: ends[lo:hi] of rb.
+type docSpan struct {
+	rb     *resultBuf
+	lo, hi int
 }
 
-// results returns the collected results in order and releases r.
-func (r *resultSet) results() []Result {
-	out := make([]Result, len(r.ends))
-	buf := append([]byte(nil), r.buf...)
-	start := 0
-	for i, end := range r.ends {
-		out[i] = buf[start:end:end]
-		start = end
+var (
+	batchPool     = sync.Pool{New: func() any { return new(Batch) }}
+	resultBufPool = sync.Pool{New: func() any { return new(resultBuf) }}
+)
+
+// maxPooledResultBytes and maxPooledResults keep the buffers of huge
+// result sets out of the pools.
+const (
+	maxPooledResultBytes = 1 << 20
+	maxPooledResults     = 1 << 14
+)
+
+// NewBatch returns an empty Batch, recycled from earlier requests.
+func NewBatch() *Batch { return batchPool.Get().(*Batch) }
+
+// Release returns the Batch and its buffers for reuse. The results in
+// Docs must not be read after it.
+func (b *Batch) Release() {
+	for _, rb := range b.bufs {
+		if cap(rb.b) <= maxPooledResultBytes {
+			rb.b, rb.ends = rb.b[:0], rb.ends[:0]
+			resultBufPool.Put(rb)
+		}
 	}
-	r.release()
+	if cap(b.views) > maxPooledResults || cap(b.Docs) > maxPooledResults {
+		return
+	}
+	clear(b.bufs)
+	clear(b.views)
+	clear(b.Docs)
+	clear(b.spans)
+	b.Docs, b.views, b.bufs, b.spans = b.Docs[:0], b.views[:0], b.bufs[:0], b.spans[:0]
+	batchPool.Put(b)
+}
+
+// detach copies the results in Docs into one buffer the caller owns,
+// releases b and returns them, one slice per document.
+func (b *Batch) detach() [][]Result {
+	n, size := 0, 0
+	for _, doc := range b.Docs {
+		n += len(doc)
+		for _, r := range doc {
+			size += len(r)
+		}
+	}
+	buf := make([]byte, 0, size)
+	views := make([]Result, 0, n)
+	out := make([][]Result, len(b.Docs))
+	for i, doc := range b.Docs {
+		first := len(views)
+		for _, r := range doc {
+			buf = append(buf, r...)
+			views = append(views, buf[len(buf)-len(r):len(buf):len(buf)])
+		}
+		out[i] = views[first:len(views):len(views)]
+	}
+	b.Release()
 	return out
 }
 
-func (r *resultSet) release() {
-	if cap(r.buf) > maxPooledResultBytes {
-		return
+// newBuf gives the Batch one more encoder buffer.
+func (b *Batch) newBuf() *resultBuf {
+	rb := resultBufPool.Get().(*resultBuf)
+	b.bufs = append(b.bufs, rb)
+	return rb
+}
+
+// view appends to Docs the documents spans locates, once their
+// encoders have finished writing.
+func (b *Batch) view(spans []docSpan) {
+	n := 0
+	for _, sp := range spans {
+		n += sp.hi - sp.lo
 	}
-	r.buf, r.ends = r.buf[:0], r.ends[:0]
-	resultSetPool.Put(r)
+	b.views = slices.Grow(b.views, n)
+	for _, sp := range spans {
+		first, start := len(b.views), 0
+		if sp.lo > 0 {
+			start = sp.rb.ends[sp.lo-1]
+		}
+		for _, end := range sp.rb.ends[sp.lo:sp.hi] {
+			b.views = append(b.views, sp.rb.b[start:end:end])
+			start = end
+		}
+		b.Docs = append(b.Docs, b.views[first:len(b.views):len(b.views)])
+	}
+}
+
+func (rb *resultBuf) add(d *span.Document, cols []span.Var, t []span.Span) {
+	rb.b = appendResult(rb.b, d, cols, t)
+	rb.ends = append(rb.ends, len(rb.b))
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -191,4 +192,72 @@ func TestResultPathAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocations for 4 records, %v for 64: %.1f per extra record", name, a, b, (b-a)/60)
 		}
 	}
+}
+
+// TestBatchResultAllocs: a warm ExtractBatchInto encodes each result
+// once, into the pooled buffers of its workers, and hands them back on
+// Release. A batch of 128 four-row documents on 2 workers, about 65 KB
+// of results, allocates at most 35 KB and 4 objects per document
+// (512 per batch); copying every result into a per-document buffer and
+// again into an exact-size one cost 102 KB and 824 objects.
+func TestBatchResultAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of its items under the race detector")
+	}
+	const expr = `.*(Seller|Buyer): name{[^,\n]*}, ID(id{\d*})(, \$t{[^\n]*}|, P(p{\d*})|)\n.*`
+	q := Query{Expr: expr}
+	ctx := context.Background()
+	svc := New(Config{Workers: 2})
+	docs := make([]string, 128)
+	for i := range docs {
+		docs[i] = workload.LandRegistry(workload.LandRegistryOptions{Rows: 4, TaxProb: 0.5, Seed: int64(i)})
+	}
+	want, err := svc.ExtractBatch(ctx, q, docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		b := NewBatch()
+		defer b.Release()
+		if err := svc.ExtractBatchInto(ctx, q, docs, b); err != nil {
+			t.Fatal(err)
+		}
+		if len(b.Docs) != len(docs) {
+			t.Fatalf("%d result slices for %d documents", len(b.Docs), len(docs))
+		}
+	}
+	for range 5 {
+		run()
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+	objects := float64(after.Mallocs-before.Mallocs) / runs
+	if kb > 35 || objects > 4*float64(len(docs)) {
+		t.Errorf("batch of %d documents: %.1f KB and %.0f objects, want at most 35 KB and %d", len(docs), kb, objects, 4*len(docs))
+	}
+
+	b := NewBatch()
+	defer b.Release()
+	if err := svc.ExtractBatchInto(ctx, q, docs, b); err != nil {
+		t.Fatal(err)
+	}
+	size := 0
+	for i, res := range b.Docs {
+		if len(res) != len(want[i]) {
+			t.Fatalf("document %d: %d results, ExtractBatch gave %d", i, len(res), len(want[i]))
+		}
+		for j, r := range res {
+			size += len(r)
+			if string(r) != string(want[i][j]) {
+				t.Fatalf("document %d result %d: %s, ExtractBatch gave %s", i, j, r, want[i][j])
+			}
+		}
+	}
+	t.Logf("%.1f KB and %.0f objects per batch, %.1f KB of results", kb, objects, float64(size)/1024)
 }

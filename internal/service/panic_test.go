@@ -24,9 +24,11 @@ func TestPanicRecoveredAsErrInternal(t *testing.T) {
 	}}
 	ctx := context.Background()
 
-	res, err := c.batch(ctx, []string{"a", "b", "c"})
-	if !errors.Is(err, ErrInternal) || res != nil {
-		t.Fatalf("batch: results %v, err %v; want no results and ErrInternal", res, err)
+	b := NewBatch()
+	defer b.Release()
+	err := c.batch(ctx, []string{"a", "b", "c"}, b)
+	if !errors.Is(err, ErrInternal) || len(b.Docs) != 0 {
+		t.Fatalf("batch: results %v, err %v; want no results and ErrInternal", b.Docs, err)
 	}
 	if !strings.Contains(err.Error(), "enumerator bug") {
 		t.Fatalf("batch error %q does not name the panic", err)

@@ -595,18 +595,12 @@ func (s *Service) CompileQueryCtx(ctx context.Context, q Query) (*Compiled, erro
 	return &Compiled{svc: s, limit: q.Limit, enum: r.enum, eng: r.eng}, nil
 }
 
-// deliver wraps yield with the per-mapping semantics shared by every
-// extraction path: the emitted counter and the per-document limit.
-func (c *Compiled) deliver(yield func([]span.Var, []span.Span) bool) func([]span.Var, []span.Span) bool {
-	n := 0
-	return func(cols []span.Var, t []span.Span) bool {
-		c.svc.emitted.Add(1)
-		n++
-		if !yield(cols, t) {
-			return false
-		}
-		return c.limit <= 0 || n < c.limit
-	}
+// admit applies the per-mapping semantics shared by every extraction
+// path to a document's n-th mapping: it counts the emission and reports
+// whether the limit lets the document yield another.
+func (c *Compiled) admit(n int) bool {
+	c.svc.emitted.Add(1)
+	return c.limit <= 0 || n < c.limit
 }
 
 // Stream evaluates the compiled query over doc, invoking yield once
@@ -618,10 +612,13 @@ func (c *Compiled) Stream(ctx context.Context, doc string, yield func(Result) bo
 
 	d := spanners.NewDocument(doc)
 	var buf []byte
-	emit := c.deliver(func(cols []span.Var, t []span.Span) bool {
+	n := 0
+	emit := func(cols []span.Var, t []span.Span) bool {
+		n++
+		more := c.admit(n)
 		buf = appendResult(buf[:0], d, cols, t)
-		return yield(buf)
-	})
+		return yield(buf) && more
+	}
 	t := obs.TraceFrom(ctx)
 	if o := c.svc.observerFor(t); o != nil && c.eng != nil {
 		start := time.Now()
@@ -634,24 +631,43 @@ func (c *Compiled) Stream(ctx context.Context, doc string, yield func(Result) bo
 	return c.enum(ctx, d, nil, emit)
 }
 
-// extractOne collects the full (limit-capped) result set for one
-// document. Metrics-wise it is Stream minus the in-flight counter,
-// which ExtractBatch accounts once per request rather than per
-// document. o, when non-nil, receives the per-stage timings — the
-// batch workers pass goroutine-local observers (see batchObserver) so
-// per-document recording never contends.
-func (c *Compiled) extractOne(ctx context.Context, doc string, o *obs.StageObserver) ([]Result, error) {
-	d := spanners.NewDocument(doc)
-	rs := newResultSet()
-	err := c.enum(ctx, d, o, c.deliver(func(cols []span.Var, t []span.Span) bool {
-		rs.add(d, cols, t)
-		return true
-	}))
-	if err != nil {
-		rs.release()
-		return nil, err
-	}
-	return rs.results(), nil
+// encoder writes the results of one document after another into one
+// buffer of a Batch. A batch worker or a stored-document extraction
+// builds one, so its yield is built once, not once per document.
+type encoder struct {
+	c     *Compiled
+	rb    *resultBuf
+	d     *span.Document
+	n, lo int
+	yield func([]span.Var, []span.Span) bool
+}
+
+// newEncoder returns an encoder writing into rb.
+func (c *Compiled) newEncoder(rb *resultBuf) *encoder {
+	e := &encoder{c: c, rb: rb}
+	e.yield = e.add
+	return e
+}
+
+func (e *encoder) add(cols []span.Var, t []span.Span) bool {
+	e.n++
+	e.rb.add(e.d, cols, t)
+	return e.c.admit(e.n)
+}
+
+// begin starts the results of d.
+func (e *encoder) begin(d *span.Document) { e.d, e.n, e.lo = d, 0, len(e.rb.ends) }
+
+// end locates the results written since begin.
+func (e *encoder) end() docSpan { return docSpan{rb: e.rb, lo: e.lo, hi: len(e.rb.ends)} }
+
+// extract encodes the full (limit-capped) result set of text. o, when
+// non-nil, receives the per-stage timings — the batch workers pass
+// goroutine-local observers (see batchObserver) so per-document
+// recording never contends.
+func (e *encoder) extract(ctx context.Context, text string, o *obs.StageObserver) error {
+	e.begin(spanners.NewDocument(text))
+	return e.c.enum(ctx, e.d, o, e.yield)
 }
 
 // Extract runs q over a single document and returns its results,
@@ -664,22 +680,34 @@ func (s *Service) Extract(ctx context.Context, q Query, doc string) ([]Result, e
 	return batch[0], nil
 }
 
-// ExtractBatch fans docs across a bounded worker pool and returns one
-// result slice per document, in input order regardless of completion
-// order. The query is compiled once (or served from cache) before any
-// worker starts. Cancellation via ctx stops all workers; the first
-// error wins and the partial results are discarded. A panic in a
-// worker is recovered and fails the batch with ErrInternal.
+// ExtractBatch is ExtractBatchInto for callers that keep the results:
+// it returns one result slice per document, copied out of the Batch.
 func (s *Service) ExtractBatch(ctx context.Context, q Query, docs []string) ([][]Result, error) {
-	compiled, err := s.CompileQueryCtx(ctx, q)
-	if err != nil {
+	b := NewBatch()
+	if err := s.ExtractBatchInto(ctx, q, docs, b); err != nil {
+		b.Release()
 		return nil, err
 	}
-	return compiled.batch(ctx, docs)
+	return b.detach(), nil
 }
 
-// batch is ExtractBatch after compilation.
-func (c *Compiled) batch(ctx context.Context, docs []string) ([][]Result, error) {
+// ExtractBatchInto fans docs across a bounded worker pool and appends
+// one result slice per document to b.Docs, in input order regardless
+// of completion order. The query is compiled once (or served from
+// cache) before any worker starts. Cancellation via ctx stops all
+// workers; the first error wins and appends nothing. A panic in a
+// worker is recovered and fails the batch with ErrInternal.
+func (s *Service) ExtractBatchInto(ctx context.Context, q Query, docs []string, b *Batch) error {
+	compiled, err := s.CompileQueryCtx(ctx, q)
+	if err != nil {
+		return err
+	}
+	return compiled.batch(ctx, docs, b)
+}
+
+// batch is ExtractBatchInto after compilation. Each worker encodes into
+// a buffer of its own, so the views are taken once all have finished.
+func (c *Compiled) batch(ctx context.Context, docs []string, b *Batch) error {
 	s := c.svc
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
@@ -690,7 +718,6 @@ func (c *Compiled) batch(ctx context.Context, docs []string) ([][]Result, error)
 		obs.TraceFrom(ctx).AddSpan(obs.StageBatch, batchStart, total, traceDetail(len(docs), "docs"))
 	}()
 
-	results := make([][]Result, len(docs))
 	workers := s.cfg.Workers
 	if workers > len(docs) {
 		workers = len(docs)
@@ -698,6 +725,8 @@ func (c *Compiled) batch(ctx context.Context, docs []string) ([][]Result, error)
 	if workers < 1 {
 		workers = 1
 	}
+	spans := slices.Grow(b.spans[:0], len(docs))[:len(docs)]
+	b.spans = spans
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -710,6 +739,7 @@ func (c *Compiled) batch(ctx context.Context, docs []string) ([][]Result, error)
 	)
 	fail := func(err error) { errOnce.Do(func() { firstErr = err; cancel() }) }
 	for w := 0; w < workers; w++ {
+		e := c.newEncoder(b.newBuf())
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -729,23 +759,23 @@ func (c *Compiled) batch(ctx context.Context, docs []string) ([][]Result, error)
 				if i >= len(docs) || ctx.Err() != nil {
 					return
 				}
-				res, err := c.extractOne(ctx, docs[i], o)
-				if err != nil {
+				if err := e.extract(ctx, docs[i], o); err != nil {
 					fail(err)
 					return
 				}
-				results[i] = res
+				spans[i] = e.end()
 			}
 		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
-		return nil, firstErr
+		return firstErr
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	return results, nil
+	b.view(spans)
+	return nil
 }
 
 // ExtractStream runs q over one document, invoking yield once per

@@ -244,22 +244,25 @@ func (s *Store) ApplySplice(id string, sp Splice) (Doc, error) {
 }
 
 // SplicesSince returns the edits that carry a reader at version v to
-// the document's current version, oldest first. The second result is
-// false when the journal no longer reaches back to v (or the id is
-// unknown): the reader must rebuild from the full text instead.
-func (s *Store) SplicesSince(id string, v int64) ([]Splice, bool) {
+// the document's current version, oldest first, and the document at
+// that version. Both are read under one lock, so the text is exactly
+// what the last returned edit produced and a reader may adopt it
+// instead of building its own. The third result is false when the
+// journal no longer reaches back to v (or the id is unknown): the
+// reader must rebuild from the full text instead.
+func (s *Store) SplicesSince(id string, v int64) ([]Splice, Doc, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.docs[id]
 	if !ok || v < e.journalBase {
-		return nil, false
+		return nil, Doc{}, false
 	}
 	if v >= e.version {
-		return nil, true
+		return nil, e.snapshot(), true
 	}
 	out := make([]Splice, e.version-v)
 	copy(out, e.journal[v-e.journalBase:])
-	return out, true
+	return out, e.snapshot(), true
 }
 
 // Attach parks an opaque value (the service's incremental extraction

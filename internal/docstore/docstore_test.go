@@ -156,8 +156,9 @@ func TestJournalAndSplicesSince(t *testing.T) {
 			t.Fatalf("splice %d: %v", i, err)
 		}
 	}
-	// Catch up from version 3: expect the last 3 splices.
-	got, ok := s.SplicesSince("d", 3)
+	// Catch up from version 3: expect the last 3 splices, ending at the
+	// current text.
+	got, end, ok := s.SplicesSince("d", 3)
 	if !ok || len(got) != 3 {
 		t.Fatalf("SplicesSince(3): %v ok=%v", got, ok)
 	}
@@ -166,10 +167,13 @@ func TestJournalAndSplicesSince(t *testing.T) {
 			t.Fatalf("SplicesSince(3)[%d] = %+v, want %+v", i, sp, applied[i+2])
 		}
 	}
-	if got, ok := s.SplicesSince("d", 6); !ok || len(got) != 0 {
-		t.Fatalf("SplicesSince(current): %v ok=%v", got, ok)
+	if end.Version != 6 || end.Text != "43210base" {
+		t.Fatalf("SplicesSince(3) ends at %+v, want version 6, text 43210base", end)
 	}
-	if _, ok := s.SplicesSince("missing", 1); ok {
+	if got, end, ok := s.SplicesSince("d", 6); !ok || len(got) != 0 || end.Version != 6 {
+		t.Fatalf("SplicesSince(current): %v %+v ok=%v", got, end, ok)
+	}
+	if _, _, ok := s.SplicesSince("missing", 1); ok {
 		t.Fatal("SplicesSince on unknown id succeeded")
 	}
 	// Replacing the document resets the journal: version 6's journal no
@@ -177,7 +181,7 @@ func TestJournalAndSplicesSince(t *testing.T) {
 	if _, err := s.Put("d", "fresh"); err != nil {
 		t.Fatalf("replace: %v", err)
 	}
-	if _, ok := s.SplicesSince("d", 3); ok {
+	if _, _, ok := s.SplicesSince("d", 3); ok {
 		t.Fatal("journal survived a full replace")
 	}
 }
@@ -192,11 +196,11 @@ func TestJournalBound(t *testing.T) {
 			t.Fatalf("splice %d: %v", i, err)
 		}
 	}
-	if _, ok := s.SplicesSince("d", 1); ok {
+	if _, _, ok := s.SplicesSince("d", 1); ok {
 		t.Fatal("journal reached back past its bound")
 	}
 	d, _ := s.Get("d")
-	if got, ok := s.SplicesSince("d", d.Version-maxJournal); !ok || len(got) != maxJournal {
+	if got, _, ok := s.SplicesSince("d", d.Version-maxJournal); !ok || len(got) != maxJournal {
 		t.Fatalf("full-journal catch-up: %d ok=%v", len(got), ok)
 	}
 }

@@ -97,11 +97,6 @@ func (r *incResults) reset() {
 	r.tuples, r.extents = r.tuples[:0], r.extents[:0]
 }
 
-// fpair is a recorded (letters-only, ≥1-op) frontier pair.
-type fpair struct {
-	a, b program.Bits
-}
-
 // IncStats are cumulative counters of an incremental session, surfaced
 // through the service's document-store stats.
 type IncStats struct {
@@ -140,7 +135,15 @@ type IncState struct {
 	emptyOK bool        // the empty mapping is in the result set (always last)
 	stats   IncStats
 
-	tmp, tmp2 program.Bits // sweep scratch
+	// Splice scratch, reused by every splice: the sweep frontiers, the
+	// half snapshots the resweeps recorded (forward pairs in newF,
+	// backward pairs in newB, in sweep order), the window walk's output
+	// and rebuildSnaps' position list.
+	tmp, tmp2              program.Bits
+	f0, f1, t0, t1, b0, b1 program.Bits
+	newF, newB             []incSnap
+	win                    incResults
+	positions              []int
 }
 
 // incBlockSize picks the snapshot spacing for a document of n symbols:
@@ -175,7 +178,9 @@ func newIncremental(e *Engine, d *span.Document, blockK int) *IncState {
 	s := &IncState{e: e, doc: d, blockK: blockK, width: len(e.cols)}
 	s.empty = make([]span.Span, s.width)
 	n := e.prog.NumStates
-	s.tmp, s.tmp2 = program.NewBits(n), program.NewBits(n)
+	for _, b := range []*program.Bits{&s.tmp, &s.tmp2, &s.f0, &s.f1, &s.t0, &s.t1, &s.b0, &s.b1} {
+		*b = program.NewBits(n)
+	}
 	s.rebuild()
 	return s
 }
@@ -235,8 +240,11 @@ const (
 	incExtentBytes = 16
 )
 
-// MemoryBytes estimates the session's retained memory, used by the
-// document store's byte-budget accounting.
+// MemoryBytes estimates the memory the session owns, used by the
+// document store's byte-budget accounting: snapshots, results (the
+// window walk's scratch included) and a non-ASCII document's rune
+// slice. The document text is not counted; the store shares its text
+// with the session and charges it once.
 func (s *IncState) MemoryBytes() int {
 	words := 0
 	if len(s.snaps) > 0 {
@@ -244,7 +252,7 @@ func (s *IncState) MemoryBytes() int {
 	}
 	b := len(s.snaps) * (4*words*8 + 64)
 	b += len(s.results.extents) * (incSpanBytes*s.width + incExtentBytes)
-	b += len(s.doc.Text())
+	b += cap(s.win.tuples)*incSpanBytes + cap(s.win.extents)*incExtentBytes
 	if s.doc.ASCIIText() == "" {
 		b += 4 * s.doc.Len() // a non-ASCII document's rune slice
 	}
@@ -383,14 +391,35 @@ func (s *IncState) sweepAll(d *span.Document) []incSnap {
 // afterwards return exactly what a from-scratch extraction of the new
 // document would, in the same order.
 func (s *IncState) Splice(off, del int, ins string) (SpliceResult, error) {
-	p := s.e.prog
-	old := s.doc
-	n := old.Len()
-	if off < 0 || del < 0 || off > n || off+del > n {
-		return SpliceResult{}, fmt.Errorf("eval: splice [%d,+%d) out of range for document of %d symbols", off, del, n)
+	if err := s.checkSplice(off, del); err != nil {
+		return SpliceResult{}, err
 	}
-	newDoc := old.Splice(off, del, ins)
-	n2 := newDoc.Len()
+	return s.SpliceDoc(off, del, s.doc.Splice(off, del, ins))
+}
+
+func (s *IncState) checkSplice(off, del int) error {
+	if n := s.doc.Len(); off < 0 || del < 0 || off > n || off+del > n {
+		return fmt.Errorf("eval: splice [%d,+%d) out of range for document of %d symbols", off, del, n)
+	}
+	return nil
+}
+
+// SpliceDoc is Splice for a caller that has already built the edited
+// document (a document store hands out the edited text, and
+// span.Document.Edited adopts it): next must be the current document
+// with the del symbols at rune offset off replaced by an insert of
+// next.Len() - (Doc().Len() - del) symbols. The session adopts next,
+// so a splice copies nothing of the document itself.
+func (s *IncState) SpliceDoc(off, del int, next *span.Document) (SpliceResult, error) {
+	if err := s.checkSplice(off, del); err != nil {
+		return SpliceResult{}, err
+	}
+	p := s.e.prog
+	n := s.doc.Len()
+	n2 := next.Len()
+	if n2 < n-del {
+		return SpliceResult{}, fmt.Errorf("eval: edited document of %d symbols is shorter than the %d kept", n2, n-del)
+	}
 	delta := n2 - n
 
 	prefixEnd := off + 1 // boundaries 1..prefixEnd precede unchanged text
@@ -408,21 +437,19 @@ func (s *IncState) Splice(off, del int, ins string) (SpliceResult, error) {
 		}
 		fi = i
 	}
-	f0 := program.NewBits(p.NumStates)
-	f1 := program.NewBits(p.NumStates)
+	f0, f1, t0, t1 := s.f0, s.f1, s.t0, s.t1
 	fpos := 1
 	if fi >= 0 {
 		f0.CopyFrom(s.snaps[fi].f0)
 		f1.CopyFrom(s.snaps[fi].f1)
 		fpos = s.snaps[fi].pos
 	} else {
+		f0.Clear()
+		f1.Clear()
 		f0.Set(p.Start)
 	}
-	t0 := program.NewBits(p.NumStates)
-	t1 := program.NewBits(p.NumStates)
 
-	newF := map[int]fpair{}
-	newB := map[int]fpair{}
+	s.newF, s.newB = s.newF[:0], s.newB[:0]
 
 	suffixSnapStart := sort.Search(len(s.snaps), func(i int) bool { return s.snaps[i].pos >= editEndOld })
 	oi := suffixSnapStart
@@ -433,15 +460,15 @@ func (s *IncState) Splice(off, del int, ins string) (SpliceResult, error) {
 				cf, cfIdx = pos, oi
 				break
 			}
-			newF[pos] = fpair{f0.Clone(), f1.Clone()}
+			s.newF = append(s.newF, incSnap{pos: pos, f0: f0.Clone(), f1: f1.Clone()})
 			oi++
 		} else if pos > fpos && (pos-1)%s.blockK == 0 {
-			newF[pos] = fpair{f0.Clone(), f1.Clone()}
+			s.newF = append(s.newF, incSnap{pos: pos, f0: f0.Clone(), f1: f1.Clone()})
 		}
 		if pos == n2+1 {
 			break
 		}
-		s.stepForward(f0, f1, t0, t1, newDoc.RuneAt(pos))
+		s.stepForward(f0, f1, t0, t1, next.RuneAt(pos))
 		f0, t0 = t0, f0
 		f1, t1 = t1, f1
 		res.FwdSteps++
@@ -456,8 +483,7 @@ func (s *IncState) Splice(off, del int, ins string) (SpliceResult, error) {
 	// Backward resweep: backward frontiers at suffix positions survive
 	// the splice at pos+delta, so seed from the first snapshot past the
 	// edit and sweep down until the pair matches a prefix snapshot.
-	b0 := program.NewBits(p.NumStates)
-	b1 := program.NewBits(p.NumStates)
+	b0, b1 := s.b0, s.b1
 	var bpos int
 	if suffixSnapStart < len(s.snaps) {
 		sn := s.snaps[suffixSnapStart]
@@ -477,19 +503,21 @@ func (s *IncState) Splice(off, del int, ins string) (SpliceResult, error) {
 				cb, cbIdx = pos, bj
 				break
 			}
-			newB[pos] = fpair{b0.Clone(), b1.Clone()}
+			s.newB = append(s.newB, incSnap{pos: pos, b0: b0.Clone(), b1: b1.Clone()})
 			bj--
 		} else if pos < bpos && pos < editEndNew && pos > 1 && (pos-1)%s.blockK == 0 {
-			newB[pos] = fpair{b0.Clone(), b1.Clone()}
+			s.newB = append(s.newB, incSnap{pos: pos, b0: b0.Clone(), b1: b1.Clone()})
 		}
 		if pos == 1 {
 			break
 		}
-		s.stepBackward(b0, b1, t0, t1, newDoc.RuneAt(pos-1))
+		s.stepBackward(b0, b1, t0, t1, next.RuneAt(pos-1))
 		b0, t0 = t0, b0
 		b1, t1 = t1, b1
 		res.BwdSteps++
 	}
+	// The recorded pairs descend; rebuildSnaps reads both lists upwards.
+	slices.Reverse(s.newB)
 
 	// Cut A: the largest converged snapshot at or below cb that no
 	// accepting run crosses. Fallback is boundary 1 (f1 there is empty,
@@ -539,27 +567,31 @@ func (s *IncState) Splice(off, del int, ins string) (SpliceResult, error) {
 		}
 	}
 
-	w := s.windowWalk(newDoc, A, B, startSet, targetB0)
+	w := s.windowWalk(next, A, B, startSet, targetB0)
 
 	// Shift the reused suffix in place (⊥ columns stay zero), then put
 	// the window's tuples where the middle block was.
-	for i := ri * s.width; i < len(r.tuples); i++ {
-		if sp := &r.tuples[i]; *sp != (span.Span{}) {
-			sp.Start += delta
-			sp.End += delta
+	if delta != 0 {
+		for i := ri * s.width; i < len(r.tuples); i++ {
+			if sp := &r.tuples[i]; *sp != (span.Span{}) {
+				sp.Start += delta
+				sp.End += delta
+			}
 		}
-	}
-	for i := ri; i < len(r.extents); i++ {
-		r.extents[i].minPos += delta
-		r.extents[i].maxPos += delta
+		for i := ri; i < len(r.extents); i++ {
+			r.extents[i].minPos += delta
+			r.extents[i].maxPos += delta
+		}
 	}
 	r.tuples = slices.Replace(r.tuples, li*s.width, ri*s.width, w.tuples...)
 	r.extents = slices.Replace(r.extents, li, ri, w.extents...)
 
-	rebuilt := s.rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf, cb, newF, newB)
+	rebuilt := s.rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf, cb)
+	clear(s.newF) // the kept pairs live on in the snapshots
+	clear(s.newB)
 	clear(s.snaps)
 	s.snaps, s.spare = rebuilt, s.snaps[:0]
-	s.doc = newDoc
+	s.doc = next
 	s.emptyOK = newEmptyOK
 
 	res.WindowStart = A
@@ -581,13 +613,15 @@ func (s *IncState) Splice(off, del int, ins string) (SpliceResult, error) {
 // open-ended (to the document end); otherwise B is a cut from which
 // completion is letters-only through targetB0, the cached b0 there.
 // Emission order is the enumerator's, so the output concatenates
-// between the reused prefix and suffix of the cached result list.
-func (s *IncState) windowWalk(d *span.Document, A, B int, startSet, targetB0 program.Bits) incResults {
+// between the reused prefix and suffix of the cached result list. The
+// output is the session's scratch, valid until the next splice.
+func (s *IncState) windowWalk(d *span.Document, A, B int, startSet, targetB0 program.Bits) *incResults {
 	hi, seed := d.Len()+1, program.Bits(nil)
 	if B > 0 {
 		hi, seed = B, targetB0
 	}
-	var out incResults
+	out := &s.win
+	out.reset()
 	s.e.newSeqWalk(d, A, hi, seed).run(startSet, func(t []span.Span) bool {
 		out.add(t)
 		return true
@@ -601,8 +635,8 @@ func (s *IncState) windowWalk(d *span.Document, A, B int, startSet, targetB0 pro
 // re-converged at cf, backward pairs unconditionally), and the resweep
 // loops recorded fresh pairs in newF/newB. A snapshot is kept only
 // when both halves resolved; snapshots that fell inside the edit die.
-func (s *IncState) rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf, cb int, newF, newB map[int]fpair) []incSnap {
-	positions := make([]int, 0, len(s.snaps)+len(newF)+len(newB))
+func (s *IncState) rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf, cb int) []incSnap {
+	positions := s.positions[:0]
 	for i := range s.snaps {
 		pos := s.snaps[i].pos
 		if pos <= prefixEnd {
@@ -612,24 +646,26 @@ func (s *IncState) rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf
 			positions = append(positions, pos+delta)
 		}
 	}
-	for pos := range newF {
-		positions = append(positions, pos)
+	for _, rec := range s.newF {
+		positions = append(positions, rec.pos)
 	}
-	for pos := range newB {
-		positions = append(positions, pos)
+	for _, rec := range s.newB {
+		positions = append(positions, rec.pos)
 	}
 	slices.Sort(positions)
 	positions = slices.Compact(positions)
-	// oldAt finds the cached snapshot at old boundary pos. Positions
-	// ascend, so the lookups at pos and at pos-delta each move one
-	// cursor forward only.
-	at, shifted := 0, 0
-	oldAt := func(cursor *int, pos int) (*incSnap, bool) {
-		for *cursor < len(s.snaps) && s.snaps[*cursor].pos < pos {
+	s.positions = positions
+	// find looks up the snapshot at boundary pos in list, whose
+	// positions ascend. Positions ascend here too, so each lookup moves
+	// its cursor forward only: at and shifted walk the cached list at
+	// pos and at pos-delta, fAt and bAt the recorded ones.
+	at, shifted, fAt, bAt := 0, 0, 0, 0
+	find := func(list []incSnap, cursor *int, pos int) (*incSnap, bool) {
+		for *cursor < len(list) && list[*cursor].pos < pos {
 			*cursor++
 		}
-		if *cursor < len(s.snaps) && s.snaps[*cursor].pos == pos {
-			return &s.snaps[*cursor], true
+		if *cursor < len(list) && list[*cursor].pos == pos {
+			return &list[*cursor], true
 		}
 		return nil, false
 	}
@@ -641,37 +677,37 @@ func (s *IncState) rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf
 		}
 		var f0, f1, b0, b1 program.Bits
 		if pos <= prefixEnd {
-			if old, ok := oldAt(&at, pos); ok {
+			if old, ok := find(s.snaps, &at, pos); ok {
 				f0, f1 = old.f0, old.f1
 			}
 		}
 		// The resweeps record fresh pairs only before they re-converge
 		// (newF below cf, newB above cb), so the cached pairs past the
-		// convergence points are looked up first and the maps only
-		// where they can answer.
+		// convergence points are looked up first and the recorded ones
+		// only where they can answer.
 		if f0 == nil && cf >= 0 && pos >= cf {
-			if old, ok := oldAt(&shifted, pos-delta); ok && old.pos >= editEndOld {
+			if old, ok := find(s.snaps, &shifted, pos-delta); ok && old.pos >= editEndOld {
 				f0, f1 = old.f0, old.f1
 			}
 		}
 		if f0 == nil {
-			if pr, ok := newF[pos]; ok {
-				f0, f1 = pr.a, pr.b
+			if rec, ok := find(s.newF, &fAt, pos); ok {
+				f0, f1 = rec.f0, rec.f1
 			}
 		}
 		if pos >= editEndNew {
-			if old, ok := oldAt(&shifted, pos-delta); ok && old.pos >= editEndOld {
+			if old, ok := find(s.snaps, &shifted, pos-delta); ok && old.pos >= editEndOld {
 				b0, b1 = old.b0, old.b1
 			}
 		}
 		if b0 == nil && cb > 0 && pos <= cb {
-			if old, ok := oldAt(&at, pos); ok {
+			if old, ok := find(s.snaps, &at, pos); ok {
 				b0, b1 = old.b0, old.b1
 			}
 		}
 		if b0 == nil {
-			if pr, ok := newB[pos]; ok {
-				b0, b1 = pr.a, pr.b
+			if rec, ok := find(s.newB, &bAt, pos); ok {
+				b0, b1 = rec.b0, rec.b1
 			}
 		}
 		if f0 != nil && b0 != nil {

@@ -215,6 +215,10 @@ func TestIncrementalSpliceErrors(t *testing.T) {
 			t.Fatalf("splice(%d,%d) succeeded; want out-of-range error", tc.off, tc.del)
 		}
 	}
+	// An edited document shorter than the text the splice keeps.
+	if _, err := inc.SpliceDoc(0, 1, span.NewDocument("abc")); err == nil {
+		t.Fatal("SpliceDoc accepted a document shorter than the kept text")
+	}
 	assertIncremental(t, inc, e, "after rejected splices")
 }
 

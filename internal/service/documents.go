@@ -150,9 +150,11 @@ func (s *Service) sessionFor(c *Compiled, doc docstore.Doc) (sess *incSession, f
 	return sess, true
 }
 
-// catchUp brings a session from its recorded version to doc's, by
-// journal replay when the journal still reaches back that far and by
-// a full rebuild otherwise. Callers hold sess.mu.
+// catchUp brings a session from its recorded version to the store's
+// current one, by journal replay when the journal still reaches back
+// that far and by a full rebuild otherwise. A concurrent PATCH may
+// carry the session past doc.Version; it then serves that later
+// version. Callers hold sess.mu.
 func (s *Service) catchUp(sess *incSession, doc docstore.Doc, fresh bool) error {
 	if sess.version == doc.Version {
 		if !fresh {
@@ -160,24 +162,7 @@ func (s *Service) catchUp(sess *incSession, doc docstore.Doc, fresh bool) error 
 		}
 		return nil
 	}
-	splices, ok := s.docs.SplicesSince(doc.ID, sess.version)
-	if ok {
-		for _, sp := range splices {
-			text := sess.inc.Doc().Text()
-			if sp.Offset > len(text) || sp.Offset+sp.DeleteLen > len(text) {
-				ok = false
-				break
-			}
-			runeOff := utf8.RuneCountInString(text[:sp.Offset])
-			runeDel := utf8.RuneCountInString(text[sp.Offset : sp.Offset+sp.DeleteLen])
-			if _, err := sess.inc.Splice(runeOff, runeDel, sp.Insert); err != nil {
-				ok = false
-				break
-			}
-			sess.version++
-		}
-	}
-	if ok {
+	if splices, end, ok := s.docs.SplicesSince(doc.ID, sess.version); ok && replay(sess, splices, end) {
 		s.incReplays.Add(1)
 		return nil
 	}
@@ -195,4 +180,38 @@ func (s *Service) catchUp(sess *incSession, doc docstore.Doc, fresh bool) error 
 	sess.version = cur.Version
 	s.incRebuilds.Add(1)
 	return nil
+}
+
+// replay applies the journal's splices to the session, reporting
+// whether every one applied. The last splice ends at end's version, so
+// it adopts the store's text instead of building its own: catching up
+// after one edit copies nothing of the document. Earlier splices have
+// no text in the store and build theirs.
+func replay(sess *incSession, splices []docstore.Splice, end docstore.Doc) bool {
+	for i, sp := range splices {
+		d := sess.inc.Doc()
+		text := d.Text()
+		if sp.Offset > len(text) || sp.Offset+sp.DeleteLen > len(text) {
+			return false
+		}
+		// In an ASCII document byte offsets are rune offsets.
+		off, del := sp.Offset, sp.DeleteLen
+		if d.Len() != len(text) {
+			off = utf8.RuneCountInString(text[:sp.Offset])
+			del = utf8.RuneCountInString(text[sp.Offset : sp.Offset+sp.DeleteLen])
+		}
+		var next *span.Document
+		if i < len(splices)-1 {
+			next = d.Splice(off, del, sp.Insert)
+		} else if len(end.Text) == len(text)-sp.DeleteLen+len(sp.Insert) {
+			next = d.Edited(off, del, sp.Insert, end.Text)
+		} else {
+			return false // the document was replaced under the session
+		}
+		if _, err := sess.inc.SpliceDoc(off, del, next); err != nil {
+			return false
+		}
+		sess.version++
+	}
+	return true
 }

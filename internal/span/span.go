@@ -144,22 +144,52 @@ func (d *Document) ASCIIText() string {
 // the insertion are pure ASCII the text splices by substring
 // concatenation, a single copy of the text.
 func (d *Document) Splice(off, del int, ins string) *Document {
-	if off < 0 || del < 0 || off+del > d.Len() {
-		panic(fmt.Sprintf("splice [%d,+%d) invalid for document of length %d", off, del, d.Len()))
-	}
+	d.checkSplice(off, del)
 	if d.runes == nil {
-		text := d.text[:off] + ins + d.text[off+del:]
+		return d.Edited(off, del, ins, d.text[:off]+ins+d.text[off+del:])
+	}
+	nr := d.splicedRunes(off, del, ins)
+	return withRunes(string(nr), nr)
+}
+
+// Edited is Splice for a caller that already holds the edited text:
+// text must equal the document's text with the del symbols at rune
+// offset off replaced by ins. The document adopts text without
+// copying or rescanning it, so an ASCII document edited by an ASCII
+// insert costs O(|ins|). A non-ASCII document splices its rune slice
+// as Splice does.
+func (d *Document) Edited(off, del int, ins, text string) *Document {
+	d.checkSplice(off, del)
+	if d.runes == nil {
+		if len(text) != len(d.text)-del+len(ins) {
+			panic(fmt.Sprintf("edited text of %d bytes, want %d", len(text), len(d.text)-del+len(ins)))
+		}
 		if isASCII(ins) {
 			return &Document{text: text}
 		}
-		return NewDocument(text)
+		return &Document{text: text, runes: []rune(text)}
 	}
+	return withRunes(text, d.splicedRunes(off, del, ins))
+}
+
+func (d *Document) checkSplice(off, del int) {
+	if off < 0 || del < 0 || off+del > d.Len() {
+		panic(fmt.Sprintf("splice [%d,+%d) invalid for document of length %d", off, del, d.Len()))
+	}
+}
+
+// splicedRunes returns a fresh rune slice of the non-ASCII document
+// with the del runes at off replaced by ins.
+func (d *Document) splicedRunes(off, del int, ins string) []rune {
 	insRunes := []rune(ins)
 	nr := make([]rune, 0, len(d.runes)+len(insRunes)-del)
 	nr = append(nr, d.runes[:off]...)
 	nr = append(nr, insRunes...)
-	nr = append(nr, d.runes[off+del:]...)
-	text := string(nr)
+	return append(nr, d.runes[off+del:]...)
+}
+
+// withRunes is the document of text whose rune decomposition is nr.
+func withRunes(text string, nr []rune) *Document {
 	if len(text) == len(nr) {
 		return &Document{text: text} // the edit removed every multi-byte rune
 	}

@@ -1,8 +1,10 @@
 package span
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestSpanBasics(t *testing.T) {
@@ -114,7 +116,8 @@ func TestUnicodeDocument(t *testing.T) {
 
 // TestSpliceAcrossRepresentations: splices that keep, gain or lose
 // multi-byte runes agree symbol for symbol with a document built from
-// the spliced text, ASCII view included.
+// the spliced text, ASCII view included, whether the document builds
+// the edited text (Splice) or adopts it (Edited).
 func TestSpliceAcrossRepresentations(t *testing.T) {
 	for _, c := range []struct {
 		text     string
@@ -128,21 +131,40 @@ func TestSpliceAcrossRepresentations(t *testing.T) {
 		{"añb", 0, 3, ""},      // empties
 		{"", 0, 0, "plain"},    // grows from empty
 	} {
-		got := NewDocument(c.text).Splice(c.off, c.del, c.ins)
 		r := []rune(c.text)
 		want := NewDocument(string(r[:c.off]) + c.ins + string(r[c.off+c.del:]))
-		if got.Text() != want.Text() || got.Len() != want.Len() || got.ASCIIText() != want.ASCIIText() {
-			t.Fatalf("%q.Splice(%d,%d,%q) = %q (len %d, ascii %q), want %q (len %d, ascii %q)",
-				c.text, c.off, c.del, c.ins, got.Text(), got.Len(), got.ASCIIText(), want.Text(), want.Len(), want.ASCIIText())
-		}
-		for i := 1; i <= want.Len(); i++ {
-			if got.RuneAt(i) != want.RuneAt(i) {
-				t.Fatalf("%q: RuneAt(%d) = %q, want %q", got.Text(), i, got.RuneAt(i), want.RuneAt(i))
+		for how, got := range map[string]*Document{
+			"Splice": NewDocument(c.text).Splice(c.off, c.del, c.ins),
+			"Edited": NewDocument(c.text).Edited(c.off, c.del, c.ins, want.Text()),
+		} {
+			if got.Text() != want.Text() || got.Len() != want.Len() || got.ASCIIText() != want.ASCIIText() {
+				t.Fatalf("%q.%s(%d,%d,%q) = %q (len %d, ascii %q), want %q (len %d, ascii %q)",
+					c.text, how, c.off, c.del, c.ins, got.Text(), got.Len(), got.ASCIIText(), want.Text(), want.Len(), want.ASCIIText())
+			}
+			for i := 1; i <= want.Len(); i++ {
+				if got.RuneAt(i) != want.RuneAt(i) {
+					t.Fatalf("%s %q: RuneAt(%d) = %q, want %q", how, got.Text(), i, got.RuneAt(i), want.RuneAt(i))
+				}
+			}
+			if got.Len() > 0 && got.Content(got.Whole()) != want.Text() {
+				t.Fatalf("%s %q: Content of the whole document = %q", how, want.Text(), got.Content(got.Whole()))
 			}
 		}
-		if got.Len() > 0 && got.Content(got.Whole()) != want.Text() {
-			t.Fatalf("%q: Content of the whole document = %q", want.Text(), got.Content(got.Whole()))
-		}
+	}
+}
+
+// TestEditedAdoptsText: an edited ASCII document shares the text it was
+// handed and allocates nothing that grows with it.
+func TestEditedAdoptsText(t *testing.T) {
+	old := NewDocument(strings.Repeat("GET /index.html 200\n", 1<<12))
+	text := old.Text() + "GET /a 404\n"
+	var got *Document
+	allocs := testing.AllocsPerRun(10, func() { got = old.Edited(old.Len(), 0, "GET /a 404\n", text) })
+	if unsafe.StringData(got.Text()) != unsafe.StringData(text) {
+		t.Fatal("Edited copied the text it was handed")
+	}
+	if allocs > 1 {
+		t.Fatalf("Edited allocated %.0f times, want at most the Document itself", allocs)
 	}
 }
 

@@ -567,9 +567,10 @@ func (i *Incremental) Stats() IncrementalStats {
 	}
 }
 
-// MemoryBytes estimates the session's retained memory (document,
-// result set, frontier snapshots), the unit of the document store's
-// byte budget.
+// MemoryBytes estimates the memory the session owns (result set,
+// frontier snapshots, and a non-ASCII document's rune slice), the unit
+// of the document store's byte budget. The document text is not
+// counted: a store shares it with its sessions and charges it once.
 func (i *Incremental) MemoryBytes() int { return i.inc.MemoryBytes() }
 
 // Constraints is a partial assignment used by Extendable: each

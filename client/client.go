@@ -67,12 +67,10 @@ type ExtractRequest struct {
 	DocIDs []string `json:"doc_ids,omitempty"`
 }
 
-// ExtractResponse pairs per-document results (input order) with the
-// server's stats snapshot, kept raw so the client does not chase the
-// server's counter schema.
+// ExtractResponse holds the per-document results, in input order.
+// The server's counters are on Healthz, not on each answer.
 type ExtractResponse struct {
-	Results [][]Result      `json:"results"`
-	Stats   json.RawMessage `json:"stats"`
+	Results [][]Result `json:"results"`
 }
 
 // RawExtractResponse is ExtractResponse with each document's result
@@ -81,7 +79,6 @@ type ExtractResponse struct {
 // single server answering the whole batch.
 type RawExtractResponse struct {
 	Results []json.RawMessage `json:"results"`
-	Stats   json.RawMessage   `json:"stats"`
 }
 
 // ExtractRaw runs one query over a batch of documents like Extract,
@@ -128,8 +125,8 @@ type Splice struct {
 
 // Manifest describes one stored registry artifact: the
 // content-addressed version, the source it was compiled from and the
-// compiled program's shape. Program stats stay raw for the same
-// reason ExtractResponse.Stats does.
+// compiled program's shape. Program stats stay raw so the client
+// does not chase the server's counter schema.
 type Manifest struct {
 	Name       string          `json:"name"`
 	Version    string          `json:"version"`
@@ -146,11 +143,11 @@ type Manifest struct {
 func (m Manifest) Ref() string { return m.Name + "@" + m.Version }
 
 // Healthz is the /v1/healthz body: the liveness status plus the
-// server's subsystem summaries, kept raw.
+// server's counters, kept raw.
 type Healthz struct {
 	Status string `json:"status"`
 	// Raw is the full response body, for callers that want the
-	// engine/DFA/registry/algebra/documents detail.
+	// cache/engine/DFA/registry/algebra/documents detail.
 	Raw json.RawMessage `json:"-"`
 }
 

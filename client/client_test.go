@@ -90,8 +90,18 @@ func TestExtractBatch(t *testing.T) {
 			t.Fatalf("doc %d: degenerate span %+v", i, sp)
 		}
 	}
-	if len(resp.Stats) == 0 {
-		t.Fatal("stats missing from batch response")
+	// The cache counters the batch moved are on Healthz.
+	h, err := c.Healthz(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hz struct {
+		Spanners struct {
+			Misses uint64 `json:"misses"`
+		} `json:"spanner_cache"`
+	}
+	if err := json.Unmarshal(h.Raw, &hz); err != nil || hz.Spanners.Misses == 0 {
+		t.Fatalf("healthz spanner_cache after a batch: %s (err %v)", h.Raw, err)
 	}
 }
 

@@ -58,10 +58,6 @@ const (
 	// (spangate: every shard's circuit is open). Retry after the
 	// Retry-After hint.
 	CodeUnavailable = "unavailable"
-	// CodeGone: a legacy unprefixed route requested on a server
-	// running with -legacy-routes=false; the Link header names the
-	// /v1 successor.
-	CodeGone = "gone"
 	// CodeOverloaded: spangate shed the request because its in-flight
 	// gauge saturated; retry after the Retry-After hint.
 	CodeOverloaded = "overloaded"
@@ -131,7 +127,6 @@ var (
 	ErrInternal            = codeSentinel(CodeInternal)
 	ErrBadRequest          = codeSentinel(CodeBadRequest)
 	ErrUnavailable         = codeSentinel(CodeUnavailable)
-	ErrGone                = codeSentinel(CodeGone)
 	ErrOverloaded          = codeSentinel(CodeOverloaded)
 	ErrUpstream            = codeSentinel(CodeUpstream)
 )

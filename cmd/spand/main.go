@@ -8,19 +8,15 @@
 //	      [-max-body 8388608] [-request-timeout 60s] [-registry DIR]
 //	      [-persist-dfa=true] [-doc-store-bytes 67108864]
 //	      [-trace-retain 128] [-slow-request 0] [-pprof-addr ADDR]
-//	      [-legacy-routes=true]
 //
-// Endpoints (canonical under /v1; the pre-v1 unprefixed paths answer
-// identically but set a Deprecation header and a Link to their
-// successor — new clients should use /v1. Operators sunset the
-// aliases with -legacy-routes=false, after which they answer 410
-// Gone, code "gone", still carrying the successor Link):
+// Endpoints (each has one route, under /v1; no unprefixed path is
+// served):
 //
 //	POST /v1/extract       {"expr"|"rule"|"spanner"|"algebra": …,
 //	                        "docs": [...], "doc_ids": [...], "limit": n}
 //	                       → JSON batch: one result array per document
 //	                         (inline docs first, then referenced
-//	                         doc_ids) plus cache/worker stats.
+//	                         doc_ids).
 //	POST /v1/extract/stream {"expr"|…: …, "doc": …|"doc_id": …, "limit": n}
 //	                       → NDJSON: one mapping per line with the
 //	                         enumerator's polynomial delay (Theorem
@@ -47,14 +43,12 @@
 //	GET    /v1/registry         list stored spanners (latest versions).
 //	GET    /v1/registry/{name}  manifest of the latest (?version= pins).
 //	DELETE /v1/registry/{name}  drop a name (?version= drops one).
-//	GET  /v1/healthz       liveness + engine + registry + document
-//	                       store summary.
-//	GET  /v1/metrics       expvar by default, including the "spand"
-//	                       snapshot: cache hit/miss/eviction counters,
-//	                       registry pre-warm/hit/fallback counters,
-//	                       in-flight requests, mappings emitted. With
-//	                       ?format=prom (or a text/plain / OpenMetrics
-//	                       Accept header): Prometheus text exposition —
+//	GET  /v1/healthz       the counters as JSON: liveness plus compile
+//	                       cache hit/miss/eviction, engine, DFA,
+//	                       registry pre-warm/hit/fallback, algebra and
+//	                       document store summaries, in-flight
+//	                       requests, mappings emitted.
+//	GET  /v1/metrics       the counters as Prometheus text exposition —
 //	                       per-stage latency and stream emission-delay
 //	                       histograms plus the counter families (see
 //	                       docs/OBSERVABILITY.md).
@@ -67,7 +61,7 @@
 // …, "message": …}}, where code is a stable machine-readable string
 // (syntax, unbound, difference_budget, bad_query, bad_splice,
 // document_not_found, not_found, too_large, deadline, canceled,
-// registry_unavailable, bad_artifact, bad_request, gone). The public
+// registry_unavailable, bad_artifact, internal, bad_request). The public
 // spanners/client package decodes the envelope into typed errors;
 // the code constants live there as the single source of truth.
 //
@@ -93,7 +87,8 @@
 // warmed by traffic persist as registry sidecars on graceful shutdown
 // (-persist-dfa, on by default) and are loaded back at the next
 // start, so a restart serves with the determinized state space
-// already resident (dfa.* counters on /healthz and /metrics).
+// already resident (dfa.* counters on /v1/healthz, spand_dfa_*
+// families on /v1/metrics).
 //
 // An "algebra" query composes registered spanners on the server with
 // the closure operators of Theorem 4.5 — e.g. "join(project(invoices,
@@ -141,10 +136,9 @@ func main() {
 		precompose   = flag.Bool("precompose", false, "with -registry: re-plan every registered algebra artifact at startup so its composition is cache-warm")
 		diffBudget   = flag.Int("difference-budget", spanners.DefaultDifferenceBudget, "determinization state budget per algebra difference; exhaustion is a typed client error")
 		docStoreB    = flag.Int64("doc-store-bytes", service.DefaultConfig().DocStoreBytes, "byte budget of the /v1/documents store (LRU-evicted)")
-		traceRetain  = flag.Int("trace-retain", obs.DefaultTraceRetention, "request traces retained for /debug/trace")
+		traceRetain  = flag.Int("trace-retain", obs.DefaultTraceRetention, "request traces retained for /v1/debug/trace")
 		slowRequest  = flag.Duration("slow-request", 0, "log the full span tree of requests slower than this (0 disables)")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty disables)")
-		legacyRoutes = flag.Bool("legacy-routes", true, "serve the pre-v1 unprefixed route aliases (false sunsets them with 410 Gone)")
 	)
 	flag.Parse()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -200,11 +194,10 @@ func main() {
 	srv := &http.Server{
 		Addr: *addr,
 		Handler: httpapi.New(svc, httpapi.Options{
-			MaxBody:             *maxBody,
-			RequestTimeout:      *reqTimeout,
-			SlowRequest:         *slowRequest,
-			Logger:              logger,
-			DisableLegacyRoutes: !*legacyRoutes,
+			MaxBody:        *maxBody,
+			RequestTimeout: *reqTimeout,
+			SlowRequest:    *slowRequest,
+			Logger:         logger,
 		}),
 		ReadHeaderTimeout: 10 * time.Second,
 	}

@@ -29,9 +29,9 @@
 //     the content-addressed artifact set — the thing that makes any
 //     shard able to serve any pinned spanner — stays identical
 //     everywhere. GETs fail over across healthy shards.
-//   - GET /v1/healthz: the gate's own shard map (ok | degraded |
-//     down). GET /v1/metrics: gate stats as JSON, or the
-//     spand_gate_* Prometheus families with ?format=prom.
+//   - GET /v1/healthz: the gate's counters as JSON — its own shard
+//     map (ok | degraded | down) and gate stats. GET /v1/metrics:
+//     the same counters as the spand_gate_* Prometheus families.
 //
 // Shards are probed every -probe-interval; -fail-threshold
 // consecutive failures open a shard's circuit (requests route around

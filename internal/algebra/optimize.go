@@ -47,7 +47,7 @@ const (
 // RuleNames lists every planner rule that can appear in a
 // Rewrite.Rule, in documentation order. The service uses it to
 // pre-register per-rule counters so all label values are visible in
-// /metrics from startup.
+// /v1/metrics from startup.
 func RuleNames() []string {
 	return []string{
 		ruleProjectIdentity, ruleProjectCollapse, ruleProjectPastUnion,

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"spanners/client"
+	"spanners/internal/obs"
 )
 
 // TestAdmissionShedding: with the in-flight cap saturated, the gate
@@ -175,9 +176,9 @@ func TestRegistryBroadcast(t *testing.T) {
 	}
 }
 
-// TestMetricsExposition: the gate's Prometheus surface carries every
-// spand_gate_* family with HELP/TYPE, and the default /v1/metrics is
-// the JSON stats snapshot.
+// TestMetricsExposition: a bare GET /v1/metrics (no query, no Accept)
+// answers the Prometheus exposition with every spand_gate_* family
+// under HELP/TYPE, and /v1/healthz carries the same counters as JSON.
 func TestMetricsExposition(t *testing.T) {
 	shards := bootShards(t, 2)
 	_, gate := bootGate(t, Options{ProbeInterval: -1}, shards[0].URL, shards[1].URL)
@@ -187,13 +188,16 @@ func TestMetricsExposition(t *testing.T) {
 	resp := postJSON(t, gate.URL+"/v1/extract/stream", map[string]any{"expr": sellerExpr, "doc": corpus(1)[0]})
 	drainBody(resp)
 
-	resp, err := http.Get(gate.URL + "/v1/metrics?format=prom")
+	resp, err := http.Get(gate.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
 	text := string(body)
+	if ct := resp.Header.Get("Content-Type"); ct != obs.ContentType || !strings.HasPrefix(text, "# HELP ") {
+		t.Fatalf("bare /v1/metrics: Content-Type %q, body %.40q; want the exposition", ct, text)
+	}
 	for _, fam := range []string{
 		"spand_gate_shard_requests_total",
 		"spand_gate_fanout_duration_seconds",
@@ -214,17 +218,17 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatal("shard request family missing its labels")
 	}
 
-	var st Stats
-	resp2, err := http.Get(gate.URL + "/v1/metrics")
+	var hz healthzResponse
+	resp2, err := http.Get(gate.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	if err := json.NewDecoder(resp2.Body).Decode(&st); err != nil {
+	if err := json.NewDecoder(resp2.Body).Decode(&hz); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Shards) != 2 || st.StreamedLines == 0 {
-		t.Fatalf("JSON stats: %+v", st)
+	if len(hz.Shards) != 2 || hz.StreamedLines == 0 {
+		t.Fatalf("healthz stats: %+v", hz.Stats)
 	}
 }
 

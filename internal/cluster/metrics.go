@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"net/http"
-	"strings"
 	"sync/atomic"
 
 	"spanners/internal/obs"
@@ -21,7 +20,7 @@ type gateCounters struct {
 }
 
 // registerMetrics wires the cluster-level Prometheus families into
-// the gate's registry, served by /v1/metrics?format=prom. Counters
+// the gate's registry, served by /v1/metrics. Counters
 // collect from the live atomics at scrape time; the histograms are
 // registered directly.
 func (g *Gate) registerMetrics() {
@@ -92,9 +91,8 @@ type ShardStats struct {
 }
 
 // Stats is the gate's own snapshot: per-shard health and outcome
-// counters plus the cluster-level gauges. It is the "stats" object in
-// gate batch responses and the body of /v1/healthz and the default
-// /v1/metrics.
+// counters plus the cluster-level gauges, embedded whole in the
+// gate's /v1/healthz body.
 type Stats struct {
 	Shards        []ShardStats `json:"shards"`
 	Healthy       int          `json:"healthy"`
@@ -157,28 +155,9 @@ func (g *Gate) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(healthzResponse{Status: status, Stats: st})
 }
 
-// handleMetrics serves the gate stats: the Prometheus exposition with
-// ?format=prom (or a text/plain / OpenMetrics Accept header), the
-// JSON snapshot otherwise — mirroring spand's /v1/metrics negotiation.
-func (g *Gate) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsPrometheus(r) {
-		w.Header().Set("Content-Type", obs.ContentType)
-		g.prom.WritePrometheus(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(g.Stats())
-}
-
-// wantsPrometheus mirrors the spand /metrics content negotiation.
-func wantsPrometheus(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prom", "prometheus":
-		return true
-	case "":
-	default:
-		return false
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics")
+// handleMetrics serves the spand_gate_* Prometheus exposition,
+// whatever the query or Accept header asks for.
+func (g *Gate) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", obs.ContentType)
+	g.prom.WritePrometheus(w)
 }

@@ -52,7 +52,7 @@ func TestScatterPanicFailsGroupAsInternal(t *testing.T) {
 		t.Fatalf("spand_gate_panics_total = %d, want 3 (two inline groups, one owner group)", n)
 	}
 
-	mresp, err := http.Get(gate.URL + "/v1/metrics?format=prom")
+	mresp, err := http.Get(gate.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

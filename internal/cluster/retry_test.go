@@ -49,7 +49,7 @@ func (f *fakeShard) handler() http.Handler {
 			results[i] = []struct{}{}
 		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"results": results, "stats": map[string]any{}})
+		json.NewEncoder(w).Encode(map[string]any{"results": results})
 	})
 	return mux
 }

@@ -48,8 +48,7 @@ func (g *Gate) handleExtract(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(struct {
 		Results []json.RawMessage `json:"results"`
-		Stats   Stats             `json:"stats"`
-	}{Results: results, Stats: g.Stats()})
+	}{Results: results})
 }
 
 // leaderUnit is one unit this request leads: its position in the

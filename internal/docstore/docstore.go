@@ -50,7 +50,7 @@ type Doc struct {
 	Text    string `json:"text"`
 }
 
-// Stats is a counter snapshot for /healthz and /metrics.
+// Stats is a counter snapshot for /v1/healthz and /v1/metrics.
 type Stats struct {
 	Documents   int    `json:"documents"`
 	Bytes       int64  `json:"bytes"`

@@ -28,22 +28,28 @@ func localJoin(t *testing.T, doc string) []service.Result {
 
 func TestAlgebraExtractEndToEnd(t *testing.T) {
 	ts, _ := newRegistryTestServer(t, t.TempDir(), 0)
-	doJSON(t, http.MethodPut, ts.URL+"/registry/y3", map[string]string{"expr": ".*y{...}.*"}, nil)
-	doJSON(t, http.MethodPut, ts.URL+"/registry/z3", map[string]string{"expr": ".*z{...}.*"}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/v1/registry/y3", map[string]string{"expr": ".*y{...}.*"}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/v1/registry/z3", map[string]string{"expr": ".*z{...}.*"}, nil)
 
 	doc := "abcde"
 	req := map[string]any{"algebra": "join(y3, z3)", "docs": []string{doc}}
 
-	var first, second extractResponse
-	for i, dst := range []*extractResponse{&first, &second} {
-		resp := postJSON(t, ts.URL+"/extract", req)
+	var first extractResponse
+	var hz [2]healthzResponse
+	for i := range hz {
+		var out extractResponse
+		resp := postJSON(t, ts.URL+"/v1/extract", req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status %d", i, resp.StatusCode)
 		}
-		if err := json.NewDecoder(resp.Body).Decode(dst); err != nil {
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatalf("request %d: decode: %v", i, err)
 		}
 		resp.Body.Close()
+		if i == 0 {
+			first = out
+		}
+		hz[i] = getHealthz(t, ts.URL)
 	}
 
 	// Byte-identical to the local composition, in the same order.
@@ -55,52 +61,35 @@ func TestAlgebraExtractEndToEnd(t *testing.T) {
 
 	// Composed once, then served from the LRU: the repeat is a cache
 	// hit (spanner-cache hits grow, misses and compositions do not).
-	if first.Stats.Algebra.Compositions != 1 || first.Stats.Algebra.LeafBuilds != 2 {
-		t.Fatalf("first algebra stats = %+v, want 1 composition over 2 leaf builds", first.Stats.Algebra)
+	before, after := hz[0], hz[1]
+	if before.Algebra.Compositions != 1 || before.Algebra.LeafBuilds != 2 {
+		t.Fatalf("first algebra stats = %+v, want 1 composition over 2 leaf builds", before.Algebra)
 	}
-	if second.Stats.Algebra.CacheHits != first.Stats.Algebra.CacheHits+1 ||
-		second.Stats.Algebra.Compositions != first.Stats.Algebra.Compositions {
-		t.Fatalf("repeat not served from cache: %+v then %+v", first.Stats.Algebra, second.Stats.Algebra)
+	if after.Algebra.CacheHits != before.Algebra.CacheHits+1 ||
+		after.Algebra.Compositions != before.Algebra.Compositions {
+		t.Fatalf("repeat not served from cache: %+v then %+v", before.Algebra, after.Algebra)
 	}
-	if second.Stats.Spanners.Hits <= first.Stats.Spanners.Hits ||
-		second.Stats.Spanners.Misses != first.Stats.Spanners.Misses {
+	if after.Spanners.Hits <= before.Spanners.Hits ||
+		after.Spanners.Misses != before.Spanners.Misses {
 		t.Fatalf("LRU counters: hits %d→%d misses %d→%d, want hit growth only",
-			first.Stats.Spanners.Hits, second.Stats.Spanners.Hits,
-			first.Stats.Spanners.Misses, second.Stats.Spanners.Misses)
+			before.Spanners.Hits, after.Spanners.Hits,
+			before.Spanners.Misses, after.Spanners.Misses)
 	}
 
 	// The composition runs the compiled engine, not the interpreted
 	// fallback.
-	if first.Stats.Engine.InterpretedFallbacks != 0 {
-		t.Fatalf("engine stats = %+v, want no interpreted fallbacks", first.Stats.Engine)
-	}
-
-	// /metrics exposes the same counters under the expvar snapshot.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var metrics struct {
-		Spand struct {
-			Algebra service.AlgebraStats `json:"algebra"`
-		} `json:"spand"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	if metrics.Spand.Algebra.Compositions != 1 || metrics.Spand.Algebra.CacheHits < 1 {
-		t.Fatalf("/metrics algebra = %+v, want the served counters", metrics.Spand.Algebra)
+	if before.Engine.InterpretedFallbacks != 0 {
+		t.Fatalf("engine stats = %+v, want no interpreted fallbacks", before.Engine)
 	}
 }
 
 func TestAlgebraStreamEndToEnd(t *testing.T) {
 	ts, _ := newRegistryTestServer(t, t.TempDir(), 0)
-	doJSON(t, http.MethodPut, ts.URL+"/registry/y3", map[string]string{"expr": ".*y{...}.*"}, nil)
-	doJSON(t, http.MethodPut, ts.URL+"/registry/z3", map[string]string{"expr": ".*z{...}.*"}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/v1/registry/y3", map[string]string{"expr": ".*y{...}.*"}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/v1/registry/z3", map[string]string{"expr": ".*z{...}.*"}, nil)
 
 	doc := "abcde"
-	resp := postJSON(t, ts.URL+"/extract/stream", map[string]any{"algebra": "join(y3, z3)", "doc": doc})
+	resp := postJSON(t, ts.URL+"/v1/extract/stream", map[string]any{"algebra": "join(y3, z3)", "doc": doc})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stream status %d", resp.StatusCode)
@@ -128,7 +117,7 @@ func TestAlgebraStreamEndToEnd(t *testing.T) {
 // client mistakes are 400 or 404, never 500.
 func TestAlgebraErrorStatuses(t *testing.T) {
 	ts, _ := newRegistryTestServer(t, t.TempDir(), 0)
-	doJSON(t, http.MethodPut, ts.URL+"/registry/y3", map[string]string{"expr": ".*y{...}.*"}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/v1/registry/y3", map[string]string{"expr": ".*y{...}.*"}, nil)
 
 	cases := []struct {
 		name string
@@ -145,12 +134,12 @@ func TestAlgebraErrorStatuses(t *testing.T) {
 		{"unknown named spanner", map[string]any{"spanner": "ghost"}, http.StatusNotFound},
 	}
 	for _, c := range cases {
-		for _, path := range []string{"/extract", "/extract/stream"} {
+		for _, path := range []string{"/v1/extract", "/v1/extract/stream"} {
 			body := map[string]any{}
 			for k, v := range c.q {
 				body[k] = v
 			}
-			if path == "/extract" {
+			if path == "/v1/extract" {
 				body["docs"] = []string{"abc"}
 			} else {
 				body["doc"] = "abc"
@@ -172,12 +161,12 @@ func TestAlgebraErrorStatuses(t *testing.T) {
 // difference is a typed 422 — never a 500 or an OOM.
 func TestAlgebraDifferenceOverHTTP(t *testing.T) {
 	ts, _ := newRegistryTestServer(t, t.TempDir(), 0)
-	doJSON(t, http.MethodPut, ts.URL+"/registry/runs", map[string]string{"expr": "x{a+}.*"}, nil)
-	doJSON(t, http.MethodPut, ts.URL+"/registry/pairs", map[string]string{"expr": "x{aa}.*"}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/v1/registry/runs", map[string]string{"expr": "x{a+}.*"}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/v1/registry/pairs", map[string]string{"expr": "x{aa}.*"}, nil)
 
 	doc := "aaab"
 	var out extractResponse
-	resp := doJSON(t, http.MethodPost, ts.URL+"/extract",
+	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/extract",
 		map[string]any{"algebra": "difference(runs, pairs)", "docs": []string{doc}}, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("difference extract status %d", resp.StatusCode)
@@ -204,7 +193,7 @@ func TestAlgebraDifferenceOverHTTP(t *testing.T) {
 
 	// A schema-mismatched difference is the client's fault: 400 with
 	// the "unbound" code.
-	resp = postJSON(t, ts.URL+"/extract",
+	resp = postJSON(t, ts.URL+"/v1/extract",
 		map[string]any{"algebra": "difference(runs, project(runs))", "docs": []string{doc}})
 	var envelope struct {
 		Error struct {
@@ -229,9 +218,9 @@ func TestAlgebraDifferenceBudget422(t *testing.T) {
 	svc := service.New(service.Config{Workers: 2, Registry: reg, DifferenceBudget: 2})
 	ts := httptest.NewServer(New(svc, Options{}))
 	t.Cleanup(ts.Close)
-	doJSON(t, http.MethodPut, ts.URL+"/registry/aa", map[string]string{"expr": ".*y{a+}.*"}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/v1/registry/aa", map[string]string{"expr": ".*y{a+}.*"}, nil)
 
-	resp := postJSON(t, ts.URL+"/extract",
+	resp := postJSON(t, ts.URL+"/v1/extract",
 		map[string]any{"algebra": "difference(aa, aa)", "docs": []string{"aaa"}})
 	defer resp.Body.Close()
 	var envelope struct {
@@ -254,11 +243,11 @@ func TestAlgebraDifferenceBudget422(t *testing.T) {
 func TestRegisterAlgebraOverHTTP(t *testing.T) {
 	dir := t.TempDir()
 	ts, _ := newRegistryTestServer(t, dir, 0)
-	doJSON(t, http.MethodPut, ts.URL+"/registry/y3", map[string]string{"expr": ".*y{...}.*"}, nil)
-	doJSON(t, http.MethodPut, ts.URL+"/registry/z3", map[string]string{"expr": ".*z{...}.*"}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/v1/registry/y3", map[string]string{"expr": ".*y{...}.*"}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/v1/registry/z3", map[string]string{"expr": ".*z{...}.*"}, nil)
 
 	var reg registerResponse
-	resp := doJSON(t, http.MethodPut, ts.URL+"/registry/pair",
+	resp := doJSON(t, http.MethodPut, ts.URL+"/v1/registry/pair",
 		map[string]string{"algebra": "join(y3, z3)"}, &reg)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("register algebra status %d", resp.StatusCode)
@@ -270,7 +259,7 @@ func TestRegisterAlgebraOverHTTP(t *testing.T) {
 	// Served by name like any other registered spanner…
 	doc := "abcde"
 	var out extractResponse
-	resp = doJSON(t, http.MethodPost, ts.URL+"/extract",
+	resp = doJSON(t, http.MethodPost, ts.URL+"/v1/extract",
 		map[string]any{"spanner": "pair", "docs": []string{doc}}, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("extract by algebra name: status %d", resp.StatusCode)
@@ -285,7 +274,7 @@ func TestRegisterAlgebraOverHTTP(t *testing.T) {
 	// with zero compile-cache misses.
 	ts2, _ := newRegistryTestServer(t, dir, 0)
 	var out2 extractResponse
-	resp = doJSON(t, http.MethodPost, ts2.URL+"/extract",
+	resp = doJSON(t, http.MethodPost, ts2.URL+"/v1/extract",
 		map[string]any{"spanner": reg.Ref(), "docs": []string{doc}}, &out2)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("extract after restart: status %d", resp.StatusCode)
@@ -294,9 +283,9 @@ func TestRegisterAlgebraOverHTTP(t *testing.T) {
 	if string(got2) != string(want) {
 		t.Fatalf("named algebra after restart = %s, want %s", got2, want)
 	}
-	if out2.Stats.Spanners.Misses != 0 || out2.Stats.Algebra.Compositions != 0 {
+	if hz := getHealthz(t, ts2.URL); hz.Spanners.Misses != 0 || hz.Algebra.Compositions != 0 {
 		t.Fatalf("restart stats = misses %d, compositions %d; want 0, 0",
-			out2.Stats.Spanners.Misses, out2.Stats.Algebra.Compositions)
+			hz.Spanners.Misses, hz.Algebra.Compositions)
 	}
 
 	// Registering with both or neither body field is a 400.
@@ -304,13 +293,13 @@ func TestRegisterAlgebraOverHTTP(t *testing.T) {
 		{"expr": "a*", "algebra": "y3"},
 		{},
 	} {
-		resp := doJSON(t, http.MethodPut, ts.URL+"/registry/bad", body, nil)
+		resp := doJSON(t, http.MethodPut, ts.URL+"/v1/registry/bad", body, nil)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("register with body %v: status %d, want 400", body, resp.StatusCode)
 		}
 	}
 	// Algebra registration over an unknown leaf is a 404.
-	resp = doJSON(t, http.MethodPut, ts.URL+"/registry/bad",
+	resp = doJSON(t, http.MethodPut, ts.URL+"/v1/registry/bad",
 		map[string]string{"algebra": "join(y3, ghost)"}, nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("register over unknown leaf: status %d, want 404", resp.StatusCode)

@@ -254,120 +254,58 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 	}
 }
 
-// TestV1AndLegacyRoutes asserts the canonical /v1 surface answers
-// without deprecation headers while the legacy unprefixed aliases
-// answer identically but signal their successor.
-func TestV1AndLegacyRoutes(t *testing.T) {
+// TestV1Routes asserts every endpoint answers on its /v1 route.
+func TestV1Routes(t *testing.T) {
 	ts, _ := newTestServer(t)
-	body := map[string]any{"expr": "x{a*}b", "docs": []string{"aab"}}
-
-	for _, path := range []string{"/extract", "/v1/extract"} {
-		resp := postJSON(t, ts.URL+path, body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
-		}
-		var er extractResponse
-		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if len(er.Results) != 1 || len(er.Results[0]) != 1 {
-			t.Fatalf("%s: results %+v", path, er.Results)
-		}
-		dep, link := resp.Header.Get("Deprecation"), resp.Header.Get("Link")
-		if strings.HasPrefix(path, "/v1") {
-			if dep != "" || link != "" {
-				t.Fatalf("%s: canonical route carries deprecation headers %q %q", path, dep, link)
-			}
-		} else {
-			if dep != "true" {
-				t.Fatalf("%s: Deprecation header %q", path, dep)
-			}
-			if want := `</v1` + path + `>; rel="successor-version"`; link != want {
-				t.Fatalf("%s: Link header %q, want %q", path, link, want)
-			}
-		}
-	}
-
-	// The whole legacy surface aliases /v1, including GETs.
-	for _, path := range []string{"/healthz", "/metrics", "/debug/trace"} {
-		for _, prefix := range []string{"", "/v1"} {
-			resp, err := http.Get(ts.URL + prefix + path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("GET %s%s: status %d", prefix, path, resp.StatusCode)
-			}
-			if dep := resp.Header.Get("Deprecation"); (prefix == "") != (dep == "true") {
-				t.Fatalf("GET %s%s: Deprecation %q", prefix, path, dep)
-			}
-		}
-	}
-
-	// Documents are /v1-only: the unprefixed path does not exist.
-	resp := doReq(t, http.MethodPut, ts.URL+"/documents/x", putDocumentRequest{Text: "a"})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unprefixed documents: status %d", resp.StatusCode)
-	}
-}
-
-// TestLegacyRouteSunset asserts the -legacy-routes=false mode: every
-// unprefixed alias answers 410 Gone with the stable "gone" code and
-// still carries the successor Link, while the canonical /v1 surface
-// is untouched.
-func TestLegacyRouteSunset(t *testing.T) {
-	svc := service.New(service.Config{Workers: 2})
-	ts := httptest.NewServer(New(svc, Options{DisableLegacyRoutes: true}))
-	defer ts.Close()
-	body := map[string]any{"expr": "x{a*}b", "docs": []string{"aab"}}
-
-	// Canonical route: unaffected by the sunset.
-	resp := postJSON(t, ts.URL+"/v1/extract", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/extract under sunset: status %d", resp.StatusCode)
+	resp := postJSON(t, ts.URL+"/v1/extract", map[string]any{"expr": "x{a*}b", "docs": []string{"aab"}})
+	var er extractResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatal(err)
 	}
 	resp.Body.Close()
-
-	// Legacy POST alias: 410 with the envelope and the successor Link.
-	resp = postJSON(t, ts.URL+"/extract", body)
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("/extract under sunset: status %d, want 410", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || len(er.Results) != 1 || len(er.Results[0]) != 1 {
+		t.Fatalf("/v1/extract: status %d, results %+v", resp.StatusCode, er.Results)
 	}
-	if want := `</v1/extract>; rel="successor-version"`; resp.Header.Get("Link") != want {
-		t.Fatalf("/extract sunset Link %q, want %q", resp.Header.Get("Link"), want)
+	resp = postJSON(t, ts.URL+"/v1/extract/stream", map[string]any{"expr": "x{a*}b", "doc": "aab"})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/extract/stream: status %d", resp.StatusCode)
 	}
-	if dep := resp.Header.Get("Deprecation"); dep != "" {
-		t.Fatalf("/extract sunset still sets Deprecation %q", dep)
-	}
-	detail := decodeError(t, resp)
-	if detail.Code != "gone" {
-		t.Fatalf("/extract sunset code %q, want gone", detail.Code)
-	}
-
-	// The sunset covers the whole legacy surface, GETs included.
-	for _, path := range []string{"/healthz", "/metrics", "/debug/trace"} {
+	for _, path := range []string{"/v1/healthz", "/v1/metrics", "/v1/debug/trace"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusGone {
-			t.Fatalf("GET %s under sunset: status %d, want 410", path, resp.StatusCode)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
 		}
-		if resp.Header.Get("Link") == "" {
-			t.Fatalf("GET %s under sunset: missing successor Link", path)
-		}
-		v1, err := http.Get(ts.URL + "/v1" + path)
+	}
+}
+
+// TestUnprefixedRoutesNotFound: the pre-v1 unprefixed paths are not
+// routes — each answers 404.
+func TestUnprefixedRoutesNotFound(t *testing.T) {
+	ts, _ := newTestServer(t)
+	resp := postJSON(t, ts.URL+"/extract", map[string]any{"expr": "x{a*}b", "docs": []string{"aab"}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /extract: status %d, want 404", resp.StatusCode)
+	}
+	for _, path := range []string{"/healthz", "/metrics", "/debug/trace", "/registry"} {
+		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1.Body.Close()
-		if v1.StatusCode != http.StatusOK {
-			t.Fatalf("GET /v1%s under sunset: status %d", path, v1.StatusCode)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404", path, resp.StatusCode)
 		}
+	}
+	resp = doReq(t, http.MethodPut, ts.URL+"/documents/x", putDocumentRequest{Text: "a"})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("PUT /documents/x: status %d, want 404", resp.StatusCode)
 	}
 }
 

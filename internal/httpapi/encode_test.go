@@ -85,8 +85,7 @@ func TestExtractBodiesMatchOracle(t *testing.T) {
 	for _, c := range cases {
 		body := post("/v1/extract", map[string]any{"expr": c.expr, "docs": c.docs})
 		var decoded struct {
-			Results [][]resultMap   `json:"results"`
-			Stats   json.RawMessage `json:"stats"`
+			Results [][]resultMap `json:"results"`
 		}
 		if err := json.Unmarshal(body, &decoded); err != nil {
 			t.Fatal(err)

@@ -17,13 +17,13 @@ import (
 
 // TestRequestIDAndDebugTrace covers the request-ID plumbing end to
 // end: an inbound X-Request-ID is honored and echoed, keys the
-// retained trace, and /debug/trace/{id} serves that trace's span
+// retained trace, and /v1/debug/trace/{id} serves that trace's span
 // tree; a request without the header gets a generated ID back.
 func TestRequestIDAndDebugTrace(t *testing.T) {
 	ts, _ := newTestServer(t)
 
 	body := `{"expr": "x{a*}b", "docs": ["aab"]}`
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/extract", strings.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/extract", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestRequestIDAndDebugTrace(t *testing.T) {
 		t.Fatalf("X-Request-ID echoed as %q, want req-42", got)
 	}
 
-	tr, err := http.Get(ts.URL + "/debug/trace/req-42")
+	tr, err := http.Get(ts.URL + "/v1/debug/trace/req-42")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +54,14 @@ func TestRequestIDAndDebugTrace(t *testing.T) {
 	}
 
 	// No inbound ID: one is generated and echoed.
-	resp2 := postJSON(t, ts.URL+"/extract", map[string]any{"expr": "a", "docs": []string{"a"}})
+	resp2 := postJSON(t, ts.URL+"/v1/extract", map[string]any{"expr": "a", "docs": []string{"a"}})
 	resp2.Body.Close()
 	if resp2.Header.Get("X-Request-ID") == "" {
 		t.Fatal("no generated X-Request-ID on response")
 	}
 
 	// The list endpoint returns both traces, most recent first.
-	lr, err := http.Get(ts.URL + "/debug/trace")
+	lr, err := http.Get(ts.URL + "/v1/debug/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +74,8 @@ func TestRequestIDAndDebugTrace(t *testing.T) {
 		t.Fatalf("trace list = %d entries (last %+v), want req-42 second", len(list), list)
 	}
 
-	// Unknown IDs are 404; probe traffic (GET /healthz) is not traced.
-	nr, err := http.Get(ts.URL + "/debug/trace/ghost")
+	// Unknown IDs are 404; probe traffic (GET /v1/healthz) is not traced.
+	nr, err := http.Get(ts.URL + "/v1/debug/trace/ghost")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,28 +85,18 @@ func TestRequestIDAndDebugTrace(t *testing.T) {
 	}
 }
 
-// TestMetricsContentNegotiation pins the /metrics contract: expvar
-// JSON by default, Prometheus text exposition via ?format=prom or an
-// Accept header, and no side effects on the handler (the expvar
-// publication happens at construction).
-func TestMetricsContentNegotiation(t *testing.T) {
+// TestMetricsPrometheusOnly pins the /v1/metrics contract: the
+// Prometheus text exposition, whatever the request asks for. A bare
+// GET (no query, no Accept) gets it, and so do the ?format=prom
+// scrapes written for the old negotiation.
+func TestMetricsPrometheusOnly(t *testing.T) {
 	ts, _ := newTestServer(t)
-	postJSON(t, ts.URL+"/extract", map[string]any{"expr": "x{a*}b", "docs": []string{"aab"}}).Body.Close()
+	postJSON(t, ts.URL+"/v1/extract", map[string]any{"expr": "x{a*}b", "docs": []string{"aab"}}).Body.Close()
 
-	// Explicit format query.
-	resp, err := http.Get(ts.URL + "/metrics?format=prom")
-	if err != nil {
-		t.Fatal(err)
+	out := getMetrics(t, ts.URL)
+	if !strings.HasPrefix(out, "# HELP ") {
+		t.Fatalf("bare /v1/metrics starts %.40q, want # HELP", out)
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != obs.ContentType {
-		t.Fatalf("Content-Type = %q, want %q", ct, obs.ContentType)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := string(raw)
 	for _, want := range []string{
 		"# TYPE spand_extract_duration_seconds histogram",
 		`spand_extract_duration_seconds_bucket{stage="enumerate"`,
@@ -118,30 +108,43 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		}
 	}
 
-	// Accept-header negotiation (what a Prometheus scraper sends).
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
-	req.Header.Set("Accept", "text/plain;version=0.0.4;q=0.5,*/*;q=0.1")
-	aresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	for _, q := range []string{"?format=prom", "?format=json"} {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/metrics"+q, nil)
+		req.Header.Set("Accept", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); ct != obs.ContentType || !strings.HasPrefix(string(raw), "# HELP ") {
+			t.Fatalf("/v1/metrics%s: Content-Type %q, body %.40q; want the exposition", q, ct, raw)
+		}
 	}
-	defer aresp.Body.Close()
-	if ct := aresp.Header.Get("Content-Type"); ct != obs.ContentType {
-		t.Fatalf("Accept negotiation: Content-Type = %q", ct)
-	}
+}
 
-	// Default stays the expvar JSON map.
-	dresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+// TestDebugTraceList: /v1/debug/trace lists the whole retention by
+// default, also when -trace-retain exceeds the default, and a ?n= far
+// beyond the retention lists the same with a 200; it is not an
+// allocation size.
+func TestDebugTraceList(t *testing.T) {
+	retain := obs.DefaultTraceRetention + 2
+	svc := service.New(service.Config{Workers: 1, TraceRetention: retain})
+	ts := newHTTPServer(t, svc)
+	for i := 0; i < retain+1; i++ {
+		postJSON(t, ts.URL+"/v1/extract", map[string]any{"expr": "a", "docs": []string{"a"}}).Body.Close()
 	}
-	defer dresp.Body.Close()
-	var vars map[string]json.RawMessage
-	if err := json.NewDecoder(dresp.Body).Decode(&vars); err != nil {
-		t.Fatalf("default /metrics is not a JSON object: %v", err)
-	}
-	if _, ok := vars["spand"]; !ok {
-		t.Fatal("default /metrics missing spand var")
+	for _, q := range []string{"", "?n=4611686018427387904"} {
+		resp, err := http.Get(ts.URL + "/v1/debug/trace" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var list []obs.TraceSnapshot
+		err = json.NewDecoder(resp.Body).Decode(&list)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || len(list) != retain {
+			t.Fatalf("/v1/debug/trace%s: status %d, %d traces (%v); want 200 and %d", q, resp.StatusCode, len(list), err, retain)
+		}
 	}
 }
 
@@ -153,7 +156,7 @@ func TestDeadlineTyped503(t *testing.T) {
 	ts := httptest.NewServer(New(svc, Options{RequestTimeout: 50 * time.Millisecond}))
 	t.Cleanup(ts.Close)
 
-	resp := postJSON(t, ts.URL+"/extract", map[string]any{
+	resp := postJSON(t, ts.URL+"/v1/extract", map[string]any{
 		"expr": `a*x{a*}a*`, "docs": []string{strings.Repeat("a", 3000)},
 	})
 	defer resp.Body.Close()
@@ -183,14 +186,13 @@ func TestInternalErrorTyped500(t *testing.T) {
 }
 
 // TestDebugTraceDisabled: with observability off, the trace
-// endpoints 404 and the Prometheus exposition is empty while the
-// expvar map still serves.
+// endpoints 404 and the Prometheus exposition is empty.
 func TestDebugTraceDisabled(t *testing.T) {
 	svc := service.New(service.Config{DisableObservability: true})
 	ts := httptest.NewServer(New(svc, Options{}))
 	t.Cleanup(ts.Close)
 
-	resp, err := http.Get(ts.URL + "/debug/trace")
+	resp, err := http.Get(ts.URL + "/v1/debug/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +200,7 @@ func TestDebugTraceDisabled(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("debug/trace with observability off: status %d", resp.StatusCode)
 	}
-	mresp, err := http.Get(ts.URL + "/metrics?format=prom")
+	mresp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func TestRegistryLifecycleAcrossRestart(t *testing.T) {
 	ts, _ := newRegistryTestServer(t, dir, 0)
 
 	var reg registerResponse
-	resp := doJSON(t, http.MethodPut, ts.URL+"/registry/seller",
+	resp := doJSON(t, http.MethodPut, ts.URL+"/v1/registry/seller",
 		map[string]string{"expr": `.*(Seller: x{[^,\n]*},[^\n]*\n).*`}, &reg)
 	if resp.StatusCode != http.StatusCreated || !reg.Created {
 		t.Fatalf("PUT: status %d created=%v", resp.StatusCode, reg.Created)
@@ -78,7 +78,7 @@ func TestRegistryLifecycleAcrossRestart(t *testing.T) {
 
 	// Idempotent re-registration: same version, 200 not 201.
 	var again registerResponse
-	resp = doJSON(t, http.MethodPut, ts.URL+"/registry/seller",
+	resp = doJSON(t, http.MethodPut, ts.URL+"/v1/registry/seller",
 		map[string]string{"expr": `.*(Seller: x{[^,\n]*},[^\n]*\n).*`}, &again)
 	if resp.StatusCode != http.StatusOK || again.Created || again.Version != reg.Version {
 		t.Fatalf("re-PUT: status %d %+v", resp.StatusCode, again)
@@ -89,7 +89,7 @@ func TestRegistryLifecycleAcrossRestart(t *testing.T) {
 	ts2, svc2 := newRegistryTestServer(t, dir, 0)
 
 	var out extractResponse
-	resp = doJSON(t, http.MethodPost, ts2.URL+"/extract", map[string]any{
+	resp = doJSON(t, http.MethodPost, ts2.URL+"/v1/extract", map[string]any{
 		"spanner": "seller@" + reg.Version,
 		"docs":    []string{"Seller: Anna, 12 Hill St\n"},
 	}, &out)
@@ -99,36 +99,32 @@ func TestRegistryLifecycleAcrossRestart(t *testing.T) {
 	if len(out.Results) != 1 || len(out.Results[0]) != 1 || field(t, out.Results[0][0], "x").Content != "Anna" {
 		t.Fatalf("extract by pin: %v", out.Results)
 	}
-	if out.Stats.Spanners.Misses != 0 {
-		t.Fatalf("compile-cache misses = %d after restart + pre-warm, want 0", out.Stats.Spanners.Misses)
-	}
-	if out.Stats.Registry.Prewarmed != 1 || out.Stats.Registry.ArtifactLoads != 1 {
-		t.Fatalf("registry stats after restart: %+v", out.Stats.Registry)
-	}
-
-	// healthz exposes the registry summary.
+	// healthz exposes the cache and registry summaries.
 	var hz healthzResponse
-	doJSON(t, http.MethodGet, ts2.URL+"/healthz", nil, &hz)
-	if !hz.Registry.Enabled || hz.Registry.Prewarmed != 1 {
-		t.Fatalf("healthz registry = %+v", hz.Registry)
+	doJSON(t, http.MethodGet, ts2.URL+"/v1/healthz", nil, &hz)
+	if hz.Spanners.Misses != 0 {
+		t.Fatalf("compile-cache misses = %d after restart + pre-warm, want 0", hz.Spanners.Misses)
+	}
+	if !hz.Registry.Enabled || hz.Registry.Prewarmed != 1 || hz.Registry.ArtifactLoads != 1 {
+		t.Fatalf("healthz registry after restart = %+v", hz.Registry)
 	}
 
 	// List + manifest + delete round out the lifecycle.
 	var list []registry.Manifest
-	doJSON(t, http.MethodGet, ts2.URL+"/registry", nil, &list)
+	doJSON(t, http.MethodGet, ts2.URL+"/v1/registry", nil, &list)
 	if len(list) != 1 || list[0].Name != "seller" {
 		t.Fatalf("list = %v", list)
 	}
 	var man registry.Manifest
-	resp = doJSON(t, http.MethodGet, ts2.URL+"/registry/seller?version="+reg.Version, nil, &man)
+	resp = doJSON(t, http.MethodGet, ts2.URL+"/v1/registry/seller?version="+reg.Version, nil, &man)
 	if resp.StatusCode != http.StatusOK || man.Version != reg.Version {
 		t.Fatalf("GET manifest: %d %+v", resp.StatusCode, man)
 	}
-	resp = doJSON(t, http.MethodDelete, ts2.URL+"/registry/seller", nil, nil)
+	resp = doJSON(t, http.MethodDelete, ts2.URL+"/v1/registry/seller", nil, nil)
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("DELETE: status %d", resp.StatusCode)
 	}
-	resp = doJSON(t, http.MethodGet, ts2.URL+"/registry/seller", nil, nil)
+	resp = doJSON(t, http.MethodGet, ts2.URL+"/v1/registry/seller", nil, nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET after delete: status %d", resp.StatusCode)
 	}
@@ -140,17 +136,17 @@ func TestRegistryEndpointsWithoutRegistry(t *testing.T) {
 	ts := httptest.NewServer(New(svc, Options{}))
 	t.Cleanup(ts.Close)
 
-	resp := doJSON(t, http.MethodPut, ts.URL+"/registry/x", map[string]string{"expr": "a"}, nil)
+	resp := doJSON(t, http.MethodPut, ts.URL+"/v1/registry/x", map[string]string{"expr": "a"}, nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("PUT without registry: status %d", resp.StatusCode)
 	}
-	resp = doJSON(t, http.MethodGet, ts.URL+"/registry", nil, nil)
+	resp = doJSON(t, http.MethodGet, ts.URL+"/v1/registry", nil, nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("GET without registry: status %d", resp.StatusCode)
 	}
 	// A spanner-reference query on a registry-less service maps to the
 	// same typed error (and 503) as the registry endpoints themselves.
-	resp = doJSON(t, http.MethodPost, ts.URL+"/extract",
+	resp = doJSON(t, http.MethodPost, ts.URL+"/v1/extract",
 		map[string]any{"spanner": "x", "docs": []string{"a"}}, nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("spanner query without registry: status %d", resp.StatusCode)
@@ -161,17 +157,17 @@ func TestRegistryValidationOverHTTP(t *testing.T) {
 	ts, _ := newRegistryTestServer(t, t.TempDir(), 0)
 
 	// Uncompilable expression.
-	resp := doJSON(t, http.MethodPut, ts.URL+"/registry/bad", map[string]string{"expr": "x{["}, nil)
+	resp := doJSON(t, http.MethodPut, ts.URL+"/v1/registry/bad", map[string]string{"expr": "x{["}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad expr: status %d", resp.StatusCode)
 	}
 	// Unknown name.
-	resp = doJSON(t, http.MethodGet, ts.URL+"/registry/ghost", nil, nil)
+	resp = doJSON(t, http.MethodGet, ts.URL+"/v1/registry/ghost", nil, nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown name: status %d", resp.StatusCode)
 	}
 	// Malformed version pin on extraction.
-	resp = doJSON(t, http.MethodPost, ts.URL+"/extract",
+	resp = doJSON(t, http.MethodPost, ts.URL+"/v1/extract",
 		map[string]any{"spanner": "ghost@nothex", "docs": []string{"a"}}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad version: status %d", resp.StatusCode)
@@ -187,7 +183,7 @@ func TestRequestTimeout(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	start := time.Now()
-	resp := doJSON(t, http.MethodPost, ts.URL+"/extract", map[string]any{
+	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/extract", map[string]any{
 		"expr": `a*x{a*}a*`, "docs": []string{strings.Repeat("a", 3000)},
 	}, nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -202,7 +198,7 @@ func TestRequestTimeout(t *testing.T) {
 	ts2 := httptest.NewServer(New(svc, Options{RequestTimeout: -1}))
 	t.Cleanup(ts2.Close)
 	var out extractResponse
-	resp = doJSON(t, http.MethodPost, ts2.URL+"/extract", map[string]any{
+	resp = doJSON(t, http.MethodPost, ts2.URL+"/v1/extract", map[string]any{
 		"expr": `x{a*}b`, "docs": []string{"aab"},
 	}, &out)
 	if resp.StatusCode != http.StatusOK || len(out.Results) != 1 {
@@ -218,7 +214,7 @@ func TestStreamTimeoutAborts(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	buf, _ := json.Marshal(map[string]any{"expr": `a*x{a*}a*`, "doc": strings.Repeat("a", 3000)})
-	resp, err := http.Post(ts.URL+"/extract/stream", "application/json", strings.NewReader(string(buf)))
+	resp, err := http.Post(ts.URL+"/v1/extract/stream", "application/json", strings.NewReader(string(buf)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,14 +16,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"spanners/client"
@@ -102,8 +100,7 @@ const DefaultRequestTimeout = 60 * time.Second
 
 // Options configures New. The zero value selects the production
 // defaults: DefaultMaxBody, DefaultRequestTimeout, no slow-request
-// dumping, no request logs, legacy unprefixed routes answering with
-// deprecation headers.
+// dumping, no request logs.
 type Options struct {
 	// MaxBody caps request body size in bytes (0 selects
 	// DefaultMaxBody) so an oversized batch cannot exhaust memory
@@ -117,11 +114,6 @@ type Options struct {
 	SlowRequest time.Duration
 	// Logger receives structured request logs; nil discards them.
 	Logger *slog.Logger
-	// DisableLegacyRoutes sunsets the historical unprefixed aliases:
-	// instead of answering with deprecation headers they return 410
-	// Gone (code "gone") with a Link naming the /v1 successor. The
-	// default (false) keeps the aliases serving.
-	DisableLegacyRoutes bool
 }
 
 type server struct {
@@ -131,14 +123,12 @@ type server struct {
 	reqTimeout time.Duration
 	slowReq    time.Duration
 	log        *slog.Logger
-	legacyGone bool
 }
 
 // New wires the service into an http.Handler exposing /v1/extract,
 // /v1/extract/stream, /v1/documents, /v1/registry, /v1/healthz,
-// /v1/metrics and /v1/debug/trace (plus the legacy unprefixed
-// aliases unless sunset). It also publishes the service's expvar
-// snapshot, so /metrics stays a side-effect-free read path.
+// /v1/metrics and /v1/debug/trace. Every endpoint has that one route;
+// no other path is served.
 func New(svc *service.Service, opt Options) http.Handler {
 	if opt.MaxBody <= 0 {
 		opt.MaxBody = DefaultMaxBody
@@ -156,54 +146,23 @@ func New(svc *service.Service, opt Options) http.Handler {
 		reqTimeout: opt.RequestTimeout,
 		slowReq:    opt.SlowRequest,
 		log:        opt.Logger,
-		legacyGone: opt.DisableLegacyRoutes,
 	}
-	// Every pre-v1 endpoint is registered twice: canonically under /v1
-	// and at its historical unprefixed path, which answers identically
-	// but carries deprecation headers pointing at the successor. The
-	// documents API is /v1-only — it never had an unprefixed form.
-	s.route("POST /extract", s.handleExtract)
-	s.route("POST /extract/stream", s.handleStream)
-	s.route("PUT /registry/{name}", s.handleRegistryPut)
-	s.route("GET /registry/{name}", s.handleRegistryGet)
-	s.route("DELETE /registry/{name}", s.handleRegistryDelete)
-	s.route("GET /registry", s.handleRegistryList)
-	s.route("GET /registry/{$}", s.handleRegistryList)
-	s.route("GET /healthz", s.handleHealthz)
-	s.route("GET /metrics", s.handleMetrics)
-	s.route("GET /debug/trace", s.handleTraceList)
-	s.route("GET /debug/trace/{id}", s.handleTraceGet)
+	s.mux.HandleFunc("POST /v1/extract", s.handleExtract)
+	s.mux.HandleFunc("POST /v1/extract/stream", s.handleStream)
 	s.mux.HandleFunc("PUT /v1/documents/{id}", s.handleDocumentPut)
 	s.mux.HandleFunc("GET /v1/documents/{id}", s.handleDocumentGet)
 	s.mux.HandleFunc("PATCH /v1/documents/{id}", s.handleDocumentPatch)
 	s.mux.HandleFunc("DELETE /v1/documents/{id}", s.handleDocumentDelete)
-	publishExpvar(svc)
+	s.mux.HandleFunc("PUT /v1/registry/{name}", s.handleRegistryPut)
+	s.mux.HandleFunc("GET /v1/registry/{name}", s.handleRegistryGet)
+	s.mux.HandleFunc("DELETE /v1/registry/{name}", s.handleRegistryDelete)
+	s.mux.HandleFunc("GET /v1/registry", s.handleRegistryList)
+	s.mux.HandleFunc("GET /v1/registry/{$}", s.handleRegistryList)
+	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	s.mux.HandleFunc("GET /v1/debug/trace", s.handleTraceList)
+	s.mux.HandleFunc("GET /v1/debug/trace/{id}", s.handleTraceGet)
 	return s
-}
-
-// route registers pattern (e.g. "POST /extract") under the canonical
-// /v1 prefix and at the legacy unprefixed path. Legacy responses set
-// the Deprecation header (RFC 9745) and a Link to the successor so
-// clients can migrate mechanically; with the sunset flag on
-// (DisableLegacyRoutes) the alias instead answers 410 Gone, still
-// carrying the successor Link so the migration path stays machine
-// readable.
-func (s *server) route(pattern string, h http.HandlerFunc) {
-	method, path, ok := strings.Cut(pattern, " ")
-	if !ok {
-		panic("route pattern must be \"METHOD /path\": " + pattern)
-	}
-	s.mux.HandleFunc(method+" /v1"+path, h)
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Link", "</v1"+r.URL.Path+`>; rel="successor-version"`)
-		if s.legacyGone {
-			WriteError(w, http.StatusGone, client.CodeGone,
-				"legacy route sunset: use /v1"+r.URL.Path)
-			return
-		}
-		w.Header().Set("Deprecation", "true")
-		h(w, r)
-	})
 }
 
 // ServeHTTP is the request middleware: assign (or honor) the request
@@ -250,15 +209,12 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // tracedRoute reports whether a request should carry a trace: only
-// the extraction endpoints (canonical or legacy) — tracing probe
-// traffic (/healthz, scrape hits on /metrics) would churn the
-// retention ring with empty traces.
+// the extraction endpoints — tracing probe traffic (/v1/healthz,
+// scrape hits on /v1/metrics) would churn the retention ring with
+// empty traces.
 func tracedRoute(r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		return false
-	}
-	p := strings.TrimPrefix(r.URL.Path, "/v1")
-	return p == "/extract" || p == "/extract/stream"
+	return r.Method == http.MethodPost &&
+		(r.URL.Path == "/v1/extract" || r.URL.Path == "/v1/extract/stream")
 }
 
 // statusWriter records the response status for the request log. It
@@ -520,7 +476,7 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.writeExtractResponse(w, b.Docs)
+	writeExtractResponse(w, b.Docs)
 }
 
 // respBufPool recycles the response buffers of /v1/extract.
@@ -530,16 +486,10 @@ var respBufPool = sync.Pool{New: func() any { return new([]byte) }}
 const maxPooledRespBytes = 4 << 20
 
 // writeExtractResponse writes the /v1/extract body with one Write:
-// {"results": …, "stats": …}, the per-document results (input order)
-// beside a cache snapshot so clients can observe compile amortization.
-// The already-encoded results are copied into one buffer around the
-// stats, which encoding/json renders.
-func (s *server) writeExtractResponse(w http.ResponseWriter, results [][]service.Result) {
-	stats, err := json.Marshal(s.svc.Stats())
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
+// {"results": …}, the per-document results in input order. The
+// already-encoded results are copied into one buffer. The service
+// counters live on /v1/healthz and /v1/metrics, not on each answer.
+func writeExtractResponse(w http.ResponseWriter, results [][]service.Result) {
 	bp := respBufPool.Get().(*[]byte)
 	buf := append((*bp)[:0], `{"results":[`...)
 	for i, res := range results {
@@ -555,9 +505,7 @@ func (s *server) writeExtractResponse(w http.ResponseWriter, results [][]service
 		}
 		buf = append(buf, ']')
 	}
-	buf = append(buf, `],"stats":`...)
-	buf = append(buf, stats...)
-	buf = append(buf, "}\n"...)
+	buf = append(buf, "]}\n"...)
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(buf)
 	if cap(buf) <= maxPooledRespBytes {
@@ -761,64 +709,29 @@ func (s *server) handleRegistryList(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(mans)
 }
 
-// healthzResponse is the /healthz body: liveness plus the
-// engine-selection, lazy-DFA, registry and algebra summaries, so
-// probes (and operators) can see at a glance whether the cached
-// spanners run compiled sequential programs, how the DFA transition
-// caches are hitting (and whether they are flushing or falling back),
-// whether the pre-warmed registry is serving, and how algebra
-// compositions split between cache hits and fresh leaf work.
+// healthzResponse is the /v1/healthz body: liveness plus the whole
+// service snapshot — compile caches, engine selection, lazy DFA,
+// registry, algebra, documents, in-flight extractions and mappings
+// emitted — so probes (and operators) read every counter in one JSON
+// document, the way the gate's /v1/healthz embeds its Stats.
 type healthzResponse struct {
-	Status    string                `json:"status"`
-	Engine    service.EngineStats   `json:"engine"`
-	DFA       service.DFAStats      `json:"dfa"`
-	Registry  service.RegistryStats `json:"registry"`
-	Algebra   service.AlgebraStats  `json:"algebra"`
-	Documents service.DocumentStats `json:"documents"`
+	Status string `json:"status"`
+	service.Stats
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	st := s.svc.Stats()
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(healthzResponse{
-		Status: "ok", Engine: st.Engine, DFA: st.DFA, Registry: st.Registry,
-		Algebra: st.Algebra, Documents: st.Documents,
-	})
+	json.NewEncoder(w).Encode(healthzResponse{Status: "ok", Stats: s.svc.Stats()})
 }
 
-// handleMetrics serves the process metrics in one of two formats:
-// the expvar JSON map by default (which includes the "spand" service
-// snapshot published at construction — the handler itself is a pure
-// read), or the Prometheus text exposition when the client asks for
-// it via ?format=prom or an Accept header naming text/plain or
-// OpenMetrics. With observability disabled the Prometheus body is
-// empty (a valid exposition of zero families).
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsPrometheus(r) {
-		w.Header().Set("Content-Type", obs.ContentType)
-		if err := s.svc.Observability().WritePrometheus(w); err != nil {
-			s.log.Error("metrics exposition", slog.Any("error", err))
-		}
-		return
+// handleMetrics serves the Prometheus text exposition, whatever the
+// query or Accept header asks for. With observability disabled the
+// body is empty (a valid exposition of zero families).
+func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", obs.ContentType)
+	if err := s.svc.Observability().WritePrometheus(w); err != nil {
+		s.log.Error("metrics exposition", slog.Any("error", err))
 	}
-	expvar.Handler().ServeHTTP(w, r)
-}
-
-// wantsPrometheus implements the /metrics content negotiation. The
-// explicit ?format= query wins; otherwise any Accept header naming
-// text/plain or an OpenMetrics type selects the exposition format
-// (Prometheus scrapers send both; plain `curl` and expvar tooling
-// send neither and keep the JSON map).
-func wantsPrometheus(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prom", "prometheus":
-		return true
-	case "":
-	default:
-		return false
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics")
 }
 
 // handleTraceList serves the retained request traces, most recent
@@ -829,7 +742,7 @@ func (s *server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, errors.New("tracing disabled"))
 		return
 	}
-	n := obs.DefaultTraceRetention
+	n := math.MaxInt // Tracer.Last caps it at the retained count
 	if q := r.URL.Query().Get("n"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil || v <= 0 {
@@ -861,25 +774,4 @@ func (s *server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(snap)
-}
-
-// publishExpvar registers the service snapshot under the "spand"
-// expvar name. expvar.Publish panics on duplicate names, so the
-// registration happens once per process and re-points at the most
-// recent service — in production there is exactly one.
-var (
-	expvarOnce sync.Once
-	expvarSvc  atomic.Pointer[service.Service]
-)
-
-func publishExpvar(svc *service.Service) {
-	expvarSvc.Store(svc)
-	expvarOnce.Do(func() {
-		expvar.Publish("spand", expvar.Func(func() any {
-			if s := expvarSvc.Load(); s != nil {
-				return s.Stats()
-			}
-			return nil
-		}))
-	})
 }

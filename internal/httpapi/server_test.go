@@ -4,15 +4,17 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"spanners/client"
+	"spanners/internal/obs"
 	"spanners/internal/service"
 )
 
@@ -27,7 +29,59 @@ func newTestServer(t *testing.T) (*httptest.Server, *service.Service) {
 // extractResponse is the decoded /v1/extract body.
 type extractResponse struct {
 	Results [][]service.Result `json:"results"`
-	Stats   service.Stats      `json:"stats"`
+}
+
+// getHealthz reads /v1/healthz, the JSON view of the service counters.
+func getHealthz(t *testing.T, base string) healthzResponse {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: status %d", resp.StatusCode)
+	}
+	var hz healthzResponse
+	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
+		t.Fatalf("healthz decode: %v", err)
+	}
+	return hz
+}
+
+// getMetrics reads /v1/metrics, the Prometheus view of the counters.
+func getMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != obs.ContentType {
+		t.Fatalf("metrics: status %d, Content-Type %q", resp.StatusCode, ct)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// promValue returns the value of one series ("name{labels}") in a
+// Prometheus exposition.
+func promValue(t *testing.T, text, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", series, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("exposition has no series %s:\n%s", series, text)
+	return 0
 }
 
 // field decodes one encoded result and returns the span of variable v.
@@ -64,8 +118,9 @@ func TestExtractEndToEnd(t *testing.T) {
 	}
 
 	var first, second extractResponse
+	var hz [2]healthzResponse
 	for i, dst := range []*extractResponse{&first, &second} {
-		resp := postJSON(t, ts.URL+"/extract", req)
+		resp := postJSON(t, ts.URL+"/v1/extract", req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status %d", i, resp.StatusCode)
 		}
@@ -73,6 +128,7 @@ func TestExtractEndToEnd(t *testing.T) {
 			t.Fatalf("request %d: decode: %v", i, err)
 		}
 		resp.Body.Close()
+		hz[i] = getHealthz(t, ts.URL)
 	}
 
 	if len(first.Results) != 2 {
@@ -87,21 +143,45 @@ func TestExtractEndToEnd(t *testing.T) {
 	}
 
 	// The second identical request must be served from the compile
-	// cache: hits strictly increase, misses do not.
-	if second.Stats.Spanners.Hits <= first.Stats.Spanners.Hits {
+	// cache: /v1/healthz spanner_cache hits strictly increase, misses
+	// do not.
+	if hz[1].Spanners.Hits <= hz[0].Spanners.Hits {
 		t.Fatalf("cache hits did not increase: %d then %d",
-			first.Stats.Spanners.Hits, second.Stats.Spanners.Hits)
+			hz[0].Spanners.Hits, hz[1].Spanners.Hits)
 	}
-	if second.Stats.Spanners.Misses != first.Stats.Spanners.Misses {
+	if hz[1].Spanners.Misses != hz[0].Spanners.Misses {
 		t.Fatalf("cache misses grew on a repeated expression: %d then %d",
-			first.Stats.Spanners.Misses, second.Stats.Spanners.Misses)
+			hz[0].Spanners.Misses, hz[1].Spanners.Misses)
+	}
+}
+
+// TestExtractAnswerHasOnlyResults: a /v1/extract answer is
+// {"results": …} and nothing else — the counters are on /v1/healthz
+// and /v1/metrics, not rebuilt for every answer.
+func TestExtractAnswerHasOnlyResults(t *testing.T) {
+	ts, _ := newTestServer(t)
+	resp := postJSON(t, ts.URL+"/v1/extract", map[string]any{"expr": "x{a*}b", "docs": []string{"aab", "b"}})
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &body); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := body["results"]; !ok || len(body) != 1 {
+		t.Fatalf("answer %s, want a results key and nothing else", raw)
 	}
 }
 
 func TestExtractRuleAndErrors(t *testing.T) {
 	ts, _ := newTestServer(t)
 
-	resp := postJSON(t, ts.URL+"/extract", map[string]any{
+	resp := postJSON(t, ts.URL+"/v1/extract", map[string]any{
 		"rule": `.*<x>.* && x.(ab*)`,
 		"docs": []string{"abb"},
 	})
@@ -126,12 +206,12 @@ func TestExtractRuleAndErrors(t *testing.T) {
 		var resp *http.Response
 		if s, ok := body.(string); ok {
 			var err error
-			resp, err = http.Post(ts.URL+"/extract", "application/json", strings.NewReader(s))
+			resp, err = http.Post(ts.URL+"/v1/extract", "application/json", strings.NewReader(s))
 			if err != nil {
 				t.Fatal(err)
 			}
 		} else {
-			resp = postJSON(t, ts.URL+"/extract", body)
+			resp = postJSON(t, ts.URL+"/v1/extract", body)
 		}
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
@@ -152,7 +232,7 @@ func TestStreamEndToEnd(t *testing.T) {
 	// early line proves results are flushed before completion.
 	req := map[string]any{"expr": `a*x{a*}a*`, "doc": strings.Repeat("a", 250)}
 	buf, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/extract/stream", "application/json", bytes.NewReader(buf))
+	resp, err := http.Post(ts.URL+"/v1/extract/stream", "application/json", bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +292,7 @@ func TestBodyTooLarge(t *testing.T) {
 	ts := httptest.NewServer(New(svc, Options{MaxBody: 128}))
 	t.Cleanup(ts.Close)
 
-	resp := postJSON(t, ts.URL+"/extract", map[string]any{
+	resp := postJSON(t, ts.URL+"/v1/extract", map[string]any{
 		"expr": "a*", "docs": []string{strings.Repeat("a", 1024)},
 	})
 	defer resp.Body.Close()
@@ -275,7 +355,7 @@ func TestDeepExpressionRefused(t *testing.T) {
 
 func TestStreamCompileError(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp := postJSON(t, ts.URL+"/extract/stream", map[string]any{"expr": "x{[", "doc": "a"})
+	resp := postJSON(t, ts.URL+"/v1/extract/stream", map[string]any{"expr": "x{[", "doc": "a"})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
@@ -284,66 +364,41 @@ func TestStreamCompileError(t *testing.T) {
 
 func TestHealthzAndMetrics(t *testing.T) {
 	ts, svc := newTestServer(t)
+	getHealthz(t, ts.URL)
 
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: status %d", resp.StatusCode)
-	}
+	// Warm the cache so the counters are non-trivial.
+	postJSON(t, ts.URL+"/v1/extract", map[string]any{"expr": "x{a*}", "docs": []string{"aa"}}).Body.Close()
 
-	// Warm the cache so the metrics snapshot is non-trivial.
-	postJSON(t, ts.URL+"/extract", map[string]any{"expr": "x{a*}", "docs": []string{"aa"}}).Body.Close()
-
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	var vars map[string]json.RawMessage
-	if err := json.NewDecoder(mresp.Body).Decode(&vars); err != nil {
-		t.Fatalf("metrics is not a JSON object: %v", err)
-	}
-	raw, ok := vars["spand"]
-	if !ok {
-		t.Fatalf("metrics missing spand var; has %d vars", len(vars))
-	}
-	var st service.Stats
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatalf("spand var: %v", err)
-	}
+	hz := getHealthz(t, ts.URL)
 	want := svc.Stats()
-	if st.Spanners.Misses != want.Spanners.Misses || st.Emitted != want.Emitted {
-		t.Fatalf("metrics snapshot %+v diverges from service stats %+v", st, want)
+	if hz.Status != "ok" || hz.Spanners.Misses != want.Spanners.Misses || hz.Emitted != want.Emitted {
+		t.Fatalf("healthz snapshot %+v diverges from service stats %+v", hz.Stats, want)
+	}
+	if hz.Spanners.Capacity == 0 {
+		t.Fatal("cache capacity missing from healthz")
 	}
 
-	if fmt.Sprint(st.Spanners.Capacity) == "0" {
-		t.Fatal("cache capacity missing from snapshot")
+	prom := getMetrics(t, ts.URL)
+	if got := promValue(t, prom, `spand_cache_events_total{cache="spanner",event="miss"}`); got != float64(want.Spanners.Misses) {
+		t.Fatalf("metrics spanner misses = %v, want %d", got, want.Spanners.Misses)
+	}
+	if got := promValue(t, prom, "spand_mappings_emitted_total"); got != float64(want.Emitted) {
+		t.Fatalf("metrics mappings emitted = %v, want %d", got, want.Emitted)
 	}
 }
 
 // TestEngineMetricsExported asserts the engine-selection counters of
-// the compiled execution core appear on both /healthz and /metrics
-// after a spanner has been compiled.
+// the compiled execution core appear on both /v1/healthz and
+// /v1/metrics after a spanner has been compiled.
 func TestEngineMetricsExported(t *testing.T) {
 	ts, _ := newTestServer(t)
 
 	// One sequential expression compiles into a program; (x{a})* is
 	// non-sequential and exercises the FPT counter.
-	postJSON(t, ts.URL+"/extract", map[string]any{"expr": "x{a*}b", "docs": []string{"aab"}}).Body.Close()
-	postJSON(t, ts.URL+"/extract", map[string]any{"expr": "(x{a})*", "docs": []string{"a"}}).Body.Close()
+	postJSON(t, ts.URL+"/v1/extract", map[string]any{"expr": "x{a*}b", "docs": []string{"aab"}}).Body.Close()
+	postJSON(t, ts.URL+"/v1/extract", map[string]any{"expr": "(x{a})*", "docs": []string{"a"}}).Body.Close()
 
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var hz healthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
-		t.Fatalf("healthz decode: %v", err)
-	}
+	hz := getHealthz(t, ts.URL)
 	if hz.Status != "ok" {
 		t.Fatalf("healthz status = %q", hz.Status)
 	}
@@ -357,58 +412,38 @@ func TestEngineMetricsExported(t *testing.T) {
 		t.Fatalf("healthz compile_ns_total = %d, want > 0", hz.Engine.CompileNanos)
 	}
 
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	prom := getMetrics(t, ts.URL)
+	seq := promValue(t, prom, `spand_spanners_compiled_total{engine="sequential"}`)
+	fpt := promValue(t, prom, `spand_spanners_compiled_total{engine="fpt"}`)
+	if seq != float64(hz.Engine.SequentialSpanners) || fpt != float64(hz.Engine.FPTSpanners) {
+		t.Fatalf("metrics engine selection sequential=%v fpt=%v diverges from healthz %+v", seq, fpt, hz.Engine)
 	}
-	defer mresp.Body.Close()
-	var vars struct {
-		Spand service.Stats `json:"spand"`
-	}
-	if err := json.NewDecoder(mresp.Body).Decode(&vars); err != nil {
-		t.Fatalf("metrics decode: %v", err)
-	}
-	if vars.Spand.Engine != hz.Engine {
-		t.Fatalf("metrics engine stats %+v diverge from healthz %+v", vars.Spand.Engine, hz.Engine)
+	if got := promValue(t, prom, "spand_compile_seconds_total"); got <= 0 {
+		t.Fatalf("metrics compile seconds = %v, want > 0", got)
 	}
 }
 
 // TestDFAMetricsExported asserts the dfa.* counters of the lazy-DFA
-// layer appear on /healthz and /metrics once traffic has warmed a
-// cache.
+// layer appear on /v1/healthz and /v1/metrics once traffic has warmed
+// a cache.
 func TestDFAMetricsExported(t *testing.T) {
 	ts, _ := newTestServer(t)
 	for i := 0; i < 2; i++ {
-		postJSON(t, ts.URL+"/extract", map[string]any{
+		postJSON(t, ts.URL+"/v1/extract", map[string]any{
 			"expr": "x{a*}b", "docs": []string{"aaab", "ab"},
 		}).Body.Close()
 	}
 
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var hz healthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
-		t.Fatalf("healthz decode: %v", err)
-	}
+	hz := getHealthz(t, ts.URL)
 	if hz.DFA.Caches != 1 || hz.DFA.States == 0 || hz.DFA.Hits == 0 {
 		t.Fatalf("healthz dfa section did not move with traffic: %+v", hz.DFA)
 	}
 
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	prom := getMetrics(t, ts.URL)
+	if got := promValue(t, prom, `spand_dfa_transitions_total{outcome="hit"}`); got == 0 {
+		t.Fatalf("metrics dfa hits = %v, want > 0", got)
 	}
-	defer mresp.Body.Close()
-	var vars struct {
-		Spand service.Stats `json:"spand"`
-	}
-	if err := json.NewDecoder(mresp.Body).Decode(&vars); err != nil {
-		t.Fatalf("metrics decode: %v", err)
-	}
-	if vars.Spand.DFA.Caches != 1 || vars.Spand.DFA.Hits == 0 {
-		t.Fatalf("metrics dfa section = %+v", vars.Spand.DFA)
+	if got := promValue(t, prom, "spand_dfa_states"); got == 0 {
+		t.Fatalf("metrics dfa states = %v, want > 0", got)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // This file is the Prometheus text-format (version 0.0.4) exposition
 // encoder: a tiny registry of metric families — counters and gauges
 // collected from closures, histograms exported live — rendered without
-// any client-library dependency. The encoder is what /metrics?format=prom
+// any client-library dependency. The encoder is what /v1/metrics
 // serves; scripts/check_metrics.sh validates its output shape in CI.
 
 // ContentType is the Content-Type of the exposition format.

@@ -224,13 +224,14 @@ func (tr *Tracer) Get(id string) (TraceSnapshot, bool) {
 }
 
 // Last returns snapshots of up to n retained traces, most recent
-// first.
+// first. n may exceed the retention: it is capped at the number of
+// traces held, so it never sizes an allocation by itself.
 func (tr *Tracer) Last(n int) []TraceSnapshot {
 	if tr == nil || n <= 0 {
 		return nil
 	}
 	tr.mu.Lock()
-	ts := make([]*Trace, 0, n)
+	ts := make([]*Trace, 0, min(n, len(tr.ring)))
 	// The ring is ordered oldest→newest starting at next (once full);
 	// walk it backwards.
 	for i := 0; i < len(tr.ring) && len(ts) < n; i++ {

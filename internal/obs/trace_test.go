@@ -103,6 +103,23 @@ func TestTracerRingEviction(t *testing.T) {
 	}
 }
 
+// TestTracerLastHugeN: a count far beyond the retention (as a
+// ?n= query can ask) returns at most the retained traces instead of
+// sizing an allocation by the count.
+func TestTracerLastHugeN(t *testing.T) {
+	tr := NewTracer(4)
+	for _, id := range []string{"a", "b", "c", "d", "e", "f"} {
+		tr.Begin(id)
+	}
+	last := tr.Last(1 << 62)
+	if len(last) != 4 || last[0].ID != "f" || last[3].ID != "c" {
+		t.Fatalf("Last(1<<62) = %d traces (%+v), want f..c", len(last), last)
+	}
+	if got := NewTracer(4).Last(1 << 62); len(got) != 0 {
+		t.Fatalf("empty tracer: Last(1<<62) = %d traces, want 0", len(got))
+	}
+}
+
 func TestNilTracerAndTrace(t *testing.T) {
 	var tr *Tracer
 	trace := tr.Begin("x")

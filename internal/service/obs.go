@@ -18,7 +18,7 @@ import (
 // nil-safe, so the instrumented paths pay one pointer test when the
 // service is built with DisableObservability.
 type Observability struct {
-	// Tracer retains the last-N request traces for /debug/trace.
+	// Tracer retains the last-N request traces for /v1/debug/trace.
 	Tracer *obs.Tracer
 	// StageDur is spand_extract_duration_seconds: per-stage pipeline
 	// latency, labeled by the internal/obs stage taxonomy.

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Live validation of the /metrics Prometheus exposition, run in CI and
-# locally:
+# Live validation of the /v1/metrics Prometheus exposition, run in CI
+# and locally:
 #
 #   1. start spand and drive one batch and one streaming extraction
 #      (plus a request that hits the extraction deadline) so the
 #      histograms and counters are non-trivial,
-#   2. scrape /metrics?format=prom and validate the exposition shape:
+#   2. scrape a bare /v1/metrics and validate the exposition shape:
 #      every series name carries # HELP and # TYPE headers, no series
 #      line is duplicated, histogram _bucket series are cumulative and
 #      end in an le="+Inf" bucket equal to _count,
@@ -13,10 +13,12 @@
 #      has per-stage series, spand_stream_emission_delay_seconds saw
 #      one sample per streamed mapping, and the deadline 503 ticked
 #      spand_deadline_expiries_total,
-#   4. assert Accept-header negotiation serves the same exposition and
-#      the default stays the expvar JSON map,
+#   4. assert the one metrics surface: /v1/metrics answers the
+#      exposition whatever the query asks, /v1/healthz carries the
+#      service counters as JSON, and the unprefixed /metrics and
+#      /healthz are 404,
 #   5. assert the request-ID plumbing: an inbound X-Request-ID is
-#      echoed and its trace is retrievable from /debug/trace/{id},
+#      echoed and its trace is retrievable from /v1/debug/trace/{id},
 #   6. assert the algebra planner contract: the per-operator
 #      composition histogram carries an op="difference" series after a
 #      difference query, and the per-rule planner rewrite counters are
@@ -25,7 +27,10 @@
 #   7. start a spangate over the spand and assert the cluster surface:
 #      every spand_gate_* family is exposed with HELP/TYPE headers and
 #      the driven batch + stream traffic lands on the shard-request
-#      and streamed-lines counters.
+#      and streamed-lines counters,
+#   8. assert no drift between the scrapes and the docs: every family
+#      named on a # TYPE line of the spand or the spangate scrape has
+#      a row in docs/OBSERVABILITY.md.
 #
 # Requires: go, curl, jq.
 set -euo pipefail
@@ -48,7 +53,7 @@ die() { echo "check_metrics: FAIL: $*" >&2; exit 1; }
 
 wait_ready() {
   for _ in $(seq 1 100); do
-    if curl -sf "$base/healthz" >/dev/null 2>&1; then return 0; fi
+    if curl -sf "$base/v1/healthz" >/dev/null 2>&1; then return 0; fi
     sleep 0.1
   done
   die "spand did not become ready on $base"
@@ -61,14 +66,14 @@ pid=$!
 wait_ready
 
 echo "== drive traffic"
-batch=$(curl -sf "$base/extract" \
+batch=$(curl -sf "$base/v1/extract" \
   -H 'X-Request-ID: check-metrics-1' \
   -d '{"expr": ".*(Seller: x{[^,\\n]*},[^\\n]*\\n).*", "docs": ["Seller: Anna, 12 Hill St\nSeller: Bob, 1 Main Rd\n"]}') \
   || die "batch extract failed"
 n=$(echo "$batch" | jq -r '.results[0] | length')
 [ "$n" = "2" ] || die "batch extracted $n mappings, want 2"
 
-stream_lines=$(curl -sf "$base/extract/stream" \
+stream_lines=$(curl -sf "$base/v1/extract/stream" \
   -d '{"expr": "x{a*}b", "doc": "aaab"}' | wc -l)
 [ "$stream_lines" -ge 1 ] || die "stream produced no mappings"
 
@@ -99,32 +104,32 @@ n=$(curl -sf "$base/v1/extract" -d "{\"expr\": \"$seller\", \"doc_ids\": [\"m1\"
 for leaf in 'xy .*x{[ab]}y{[ab]}.*' 'yz .*y{[ab]}z{[ab]*}.*'; do
   name=${leaf%% *}
   expr=${leaf#* }
-  code=$(curl -s -o /dev/null -w '%{http_code}' -X PUT "$base/registry/$name" \
+  code=$(curl -s -o /dev/null -w '%{http_code}' -X PUT "$base/v1/registry/$name" \
     -d "$(jq -n --arg e "$expr" '{expr: $e}')")
   [ "$code" = "201" ] || die "registry PUT $name returned $code, want 201"
 done
-n=$(curl -sf "$base/extract" \
+n=$(curl -sf "$base/v1/extract" \
   -d '{"algebra": "project(join(xy, yz), x)", "docs": ["abab"]}' \
   | jq -r '.results[0] | length') || die "rewriting algebra query failed"
 [ "$n" -ge 1 ] || die "rewriting algebra query extracted $n mappings, want >= 1"
-curl -sf "$base/extract" -d '{"algebra": "difference(xy, xy)", "docs": ["abab"]}' >/dev/null \
+curl -sf "$base/v1/extract" -d '{"algebra": "difference(xy, xy)", "docs": ["abab"]}' >/dev/null \
   || die "difference algebra query failed"
 
 # A pathological enumeration must hit the 1s deadline as a typed 503
 # with a Retry-After hint.
-code=$(curl -s -o /dev/null -w '%{http_code}' "$base/extract" \
+code=$(curl -s -o /dev/null -w '%{http_code}' "$base/v1/extract" \
   -d "{\"expr\": \"a*x{a*}a*\", \"docs\": [\"$(printf 'a%.0s' $(seq 1 3000))\"]}")
 [ "$code" = "503" ] || die "deadline request returned $code, want 503"
-retry=$(curl -s -D - -o /dev/null "$base/extract" \
+retry=$(curl -s -D - -o /dev/null "$base/v1/extract" \
   -d "{\"expr\": \"a*x{a*}a*\", \"docs\": [\"$(printf 'a%.0s' $(seq 1 3000))\"]}" \
   | tr -d '\r' | awk 'tolower($1) == "retry-after:" {print $2}')
 [ "$retry" = "1" ] || die "Retry-After=$retry, want 1"
 
 echo "== scrape and validate exposition shape"
 prom="$workdir/metrics.prom"
-curl -sf "$base/metrics?format=prom" > "$prom" || die "prom scrape failed"
+curl -sf "$base/v1/metrics" > "$prom" || die "prom scrape failed"
 
-ctype=$(curl -sf -o /dev/null -w '%{content_type}' "$base/metrics?format=prom")
+ctype=$(curl -sf -o /dev/null -w '%{content_type}' "$base/v1/metrics")
 case "$ctype" in
   text/plain*version=0.0.4*) ;;
   *) die "Content-Type $ctype is not the 0.0.4 text exposition" ;;
@@ -191,32 +196,41 @@ for want in 'spand_docstore_documents 1' \
   grep -qF "$want" "$prom" || die "document metrics: missing series \"$want\""
 done
 
-# /healthz mirrors the same counters as JSON.
-curl -sf "$base/healthz" | jq -e \
+# /v1/healthz mirrors the same counters as JSON.
+curl -sf "$base/v1/healthz" | jq -e \
   '.documents.store.documents == 1 and .documents.incremental_replays == 1' >/dev/null \
   || die "healthz documents summary does not match the driven lifecycle"
 
-echo "== content negotiation"
-# Capture to a file before head: piping curl straight into head -1
-# dies of SIGPIPE (exit 23) under pipefail once the exposition
-# outgrows the pipe buffer.
-curl -sf -H 'Accept: text/plain;version=0.0.4' "$base/metrics" > "$workdir/accept.prom" \
-  || die "Accept-negotiated scrape failed"
-accept=$(head -1 "$workdir/accept.prom")
-case "$accept" in
-  '# HELP'*) ;;
-  *) die "Accept negotiation did not serve the exposition (got: $accept)" ;;
-esac
-curl -sf "$base/metrics" | jq -e '.spand.spanner_cache' >/dev/null \
-  || die "default /metrics is no longer the expvar JSON map"
+echo "== one metrics surface"
+[[ $(head -1 "$prom") == '# HELP '* ]] || die "bare /v1/metrics does not start with # HELP"
+# The format query of the old negotiation is ignored. Capture to a
+# file before head: piping curl straight into head -1 dies of SIGPIPE
+# (exit 23) under pipefail once the exposition outgrows the pipe
+# buffer.
+for q in '?format=prom' '?format=json'; do
+  curl -sf -H 'Accept: application/json' "$base/v1/metrics$q" > "$workdir/q.prom" \
+    || die "/v1/metrics$q scrape failed"
+  first=$(head -1 "$workdir/q.prom")
+  case "$first" in
+    '# HELP'*) ;;
+    *) die "/v1/metrics$q did not serve the exposition (got: $first)" ;;
+  esac
+done
+curl -sf "$base/v1/healthz" | jq -e \
+  '.spanner_cache.misses >= 1 and .rule_cache != null and .in_flight == 0 and .mappings_emitted >= 1' >/dev/null \
+  || die "/v1/healthz lacks the service counters"
+for path in /metrics /healthz; do
+  code=$(curl -s -o /dev/null -w '%{http_code}' "$base$path")
+  [ "$code" = "404" ] || die "unprefixed $path answered $code, want 404"
+done
 
 echo "== request-ID plumbing and retained traces"
-trace=$(curl -sf "$base/debug/trace/check-metrics-1") || die "trace for check-metrics-1 not retained"
+trace=$(curl -sf "$base/v1/debug/trace/check-metrics-1") || die "trace for check-metrics-1 not retained"
 tid=$(echo "$trace" | jq -r '.id')
 spans=$(echo "$trace" | jq -r '.spans | length')
 [ "$tid" = "check-metrics-1" ] || die "trace id=$tid"
 [ "$spans" -ge 2 ] || die "trace has $spans spans, want >= 2 (compile + batch)"
-retained=$(curl -sf "$base/debug/trace" | jq -r 'length')
+retained=$(curl -sf "$base/v1/debug/trace" | jq -r 'length')
 [ "$retained" -ge 3 ] || die "only $retained retained traces, want >= 3"
 
 echo "== spangate cluster families"
@@ -240,7 +254,13 @@ gate_lines=$(curl -sf "$gate_base/v1/extract/stream" \
 [ "$gate_lines" -ge 1 ] || die "gate stream produced no mappings"
 
 gprom="$workdir/gate.prom"
-curl -sf "$gate_base/v1/metrics?format=prom" > "$gprom" || die "gate prom scrape failed"
+curl -sf "$gate_base/v1/metrics" > "$gprom" || die "gate prom scrape failed"
+[[ $(head -1 "$gprom") == '# HELP '* ]] || die "bare gate /v1/metrics does not start with # HELP"
+gctype=$(curl -sf -o /dev/null -w '%{content_type}' "$gate_base/v1/metrics")
+case "$gctype" in
+  text/plain*version=0.0.4*) ;;
+  *) die "gate Content-Type $gctype is not the 0.0.4 text exposition" ;;
+esac
 for fam in spand_gate_shard_requests_total spand_gate_fanout_duration_seconds \
            spand_gate_stream_ttfb_seconds spand_gate_coalesced_total \
            spand_gate_shed_total spand_gate_retries_total \
@@ -260,4 +280,10 @@ ginf=$(awk -F' ' '/^spand_gate_fanout_duration_seconds_bucket\{le="\+Inf"\}/ {pr
 gcnt=$(awk -F' ' '/^spand_gate_fanout_duration_seconds_count/ {print $2}' "$gprom")
 [ -n "$ginf" ] && [ "$ginf" = "$gcnt" ] || die "gate fanout +Inf bucket $ginf != count $gcnt"
 
-echo "check_metrics: PASS (exposition well-formed, per-stage + emission-delay histograms live, deadline 503 counted, traces retrievable by request ID, spand_gate_* families live)"
+echo "== every scraped family is documented"
+for fam in $(awk '/^# TYPE / {print $3}' "$prom" "$gprom" | sort -u); do
+  grep -qF "\`$fam\`" docs/OBSERVABILITY.md \
+    || die "family $fam is exposed but has no row in docs/OBSERVABILITY.md"
+done
+
+echo "check_metrics: PASS (exposition well-formed, per-stage + emission-delay histograms live, deadline 503 counted, traces retrievable by request ID, spand_gate_* families live, every family documented)"

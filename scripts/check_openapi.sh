@@ -1,41 +1,56 @@
 #!/usr/bin/env bash
 # Route/spec drift check, run in CI and locally:
 #
-#   The canonical /v1 routes that internal/httpapi/server.go registers
-#   must match the paths documented in docs/openapi.yaml exactly, in
-#   both directions — an endpoint added to the mux without a spec
-#   entry fails, and so does a spec path with no backing route.
+#   The /v1 routes that internal/httpapi/server.go registers must
+#   match the paths documented in docs/openapi.yaml exactly, in both
+#   directions — an endpoint added to the mux without a spec entry
+#   fails, and so does a spec path with no backing route.
 #
-# Both sides are normalized to "METHOD /v1/path" lines: s.route()
-# registrations gain the /v1 prefix they are served under (their
-# legacy unprefixed aliases are deliberately undocumented), the
-# "{$}" trailing-slash alias of a list route is dropped, and spec
-# paths are paired with their four-space-indented method keys.
+#   Each endpoint has one route: internal/httpapi/server.go and
+#   internal/cluster/gate.go may register only "METHOD /v1/..."
+#   patterns, passed as literals to HandleFunc/Handle, so an
+#   unprefixed alias (or a helper that mounts one) fails the check.
+#
+# Both sides are normalized to "METHOD /v1/path" lines: the "{$}"
+# trailing-slash alias of a list route is dropped, and spec paths are
+# paired with their four-space-indented method keys.
 #
 # Run from the repository root.
 set -uo pipefail
 
 SERVER=internal/httpapi/server.go
+GATE=internal/cluster/gate.go
 SPEC=docs/openapi.yaml
 
 fail=0
-for f in "$SERVER" "$SPEC"; do
+for f in "$SERVER" "$GATE" "$SPEC"; do
   if [ ! -f "$f" ]; then
     echo "check_openapi: missing $f" >&2
     exit 1
   fi
 done
 
+echo "== one /v1 route per endpoint"
+for f in "$SERVER" "$GATE"; do
+  bad=$({
+    # Every mux registration takes a literal "METHOD /v1/..." pattern.
+    grep -nE '\.Handle(Func)?\(' "$f" | grep -vE '\.Handle(Func)?\("[A-Z]+ /v1/'
+    # No other method-qualified pattern literal may name a path
+    # outside /v1 (a route helper would register it).
+    grep -nE '"[A-Z]+ /[^"]*"' "$f" | grep -vE '"[A-Z]+ /v1/[^"]*"'
+  } | sort -un)
+  if [ -n "$bad" ]; then
+    echo "$f registers a pattern outside METHOD /v1/:" >&2
+    echo "$bad" | sed 's/^/  /' >&2
+    fail=1
+  fi
+done
+
 # Routes the server actually registers, as "METHOD /v1/path".
 routes=$(
-  {
-    # s.route("METHOD /path", …) serves /v1/path plus a legacy alias.
-    grep -oE 's\.route\("[A-Z]+ /[^"]*"' "$SERVER" |
-      sed -E 's/^s\.route\("([A-Z]+) (\/[^"]*)"$/\1 \/v1\2/'
-    # Direct /v1 registrations (documents endpoints are /v1-only).
-    grep -oE 'HandleFunc\("[A-Z]+ /v1/[^"]*"' "$SERVER" |
-      sed -E 's/^HandleFunc\("([A-Z]+) (\/v1\/[^"]*)"$/\1 \2/'
-  } | grep -v '{\$}' | sort -u
+  grep -oE 'HandleFunc\("[A-Z]+ /v1/[^"]*"' "$SERVER" |
+    sed -E 's/^HandleFunc\("([A-Z]+) (\/v1\/[^"]*)"$/\1 \2/' |
+    grep -v '{\$}' | sort -u
 )
 
 # Paths + methods documented in the spec, as "METHOD /v1/path".

@@ -14,7 +14,7 @@
 #      still answers that batch — and every later batch — with output
 #      identical to the single spand, with its healthz degraded to the
 #      surviving shards,
-#   6. scrape the gate's /v1/metrics?format=prom and assert the
+#   6. scrape the gate's /v1/metrics and assert the
 #      spand_gate_* families carry the traffic driven above.
 #
 # Requires: go, curl, jq.
@@ -146,7 +146,7 @@ healthy=$(curl -sf "$gbase/v1/healthz" | jq -r '.healthy')
 
 echo "== gate metrics exposition"
 prom="$workdir/gate.prom"
-curl -sf "$gbase/v1/metrics?format=prom" > "$prom" || die "gate prom scrape failed"
+curl -sf "$gbase/v1/metrics" > "$prom" || die "gate prom scrape failed"
 for fam in spand_gate_shard_requests_total spand_gate_fanout_duration_seconds \
            spand_gate_stream_ttfb_seconds spand_gate_coalesced_total \
            spand_gate_shed_total spand_gate_retries_total \

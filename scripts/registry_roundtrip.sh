@@ -4,9 +4,10 @@
 #   1. register a spanner offline with spanreg,
 #   2. start spand over the registry and extract by pinned name@version,
 #   3. kill the server, restart it on the same directory,
-#   4. extract by the same pin again and assert — via the exported
-#      counters — that the pre-warmed cache served it with ZERO
-#      compile-cache misses (the artifact was decoded, not recompiled),
+#   4. extract by the same pin again and assert — via the counters on
+#      /v1/healthz and /v1/metrics — that the pre-warmed cache served
+#      it with ZERO compile-cache misses (the artifact was decoded, not
+#      recompiled),
 #   5. serve a join ALGEBRA expression over the pinned pair and assert
 #      the leaves cost zero expression-cache misses (leaf rebuilds are
 #      accounted under algebra.leaf_builds, outside the LRU), the only
@@ -14,7 +15,7 @@
 #      is a pure cache hit;
 #   6. assert the restart loaded the DFA-cache sidecars the first
 #      server persisted on graceful shutdown (dfa.sidecars_loaded,
-#      dfa.prewarmed_states on /healthz);
+#      dfa.prewarmed_states on /v1/healthz);
 #   7. assert speed-ladder identity across the restart: the decoded
 #      artifact derives the same required-literal prefilter as the
 #      freshly compiled spanner — an identical request pair (one
@@ -45,7 +46,7 @@ die() { echo "registry_roundtrip: FAIL: $*" >&2; exit 1; }
 
 wait_ready() {
   for _ in $(seq 1 100); do
-    if curl -sf "$base/healthz" >/dev/null 2>&1; then return 0; fi
+    if curl -sf "$base/v1/healthz" >/dev/null 2>&1; then return 0; fi
     sleep 0.1
   done
   die "spand did not become ready on $base"
@@ -71,18 +72,18 @@ stop_spand() {
 # must be equal: the decoded artifact derives the same literals.
 ladder_probe() {
   local h0 h1 resp n
-  h0=$(curl -sf "$base/healthz")
-  resp=$(curl -sf "$base/extract" \
+  h0=$(curl -sf "$base/v1/healthz")
+  resp=$(curl -sf "$base/v1/extract" \
     -d "$(jq -n --arg ref "$ref" '{spanner: $ref, docs: ["no auction lines in this document\n"]}')") \
     || die "ladder probe (pruned doc) failed"
   n=$(echo "$resp" | jq -r '.results[0] | length')
   [ "$n" = "0" ] || die "literal-free document extracted $n mappings, want 0"
-  resp=$(curl -sf "$base/extract" \
+  resp=$(curl -sf "$base/v1/extract" \
     -d "$(jq -n --arg ref "$ref" '{spanner: $ref, docs: ["Seller: Anna, 12 Hill St\nSeller: Bob, 1 Main Rd\n"]}')") \
     || die "ladder probe (matching doc) failed"
   n=$(echo "$resp" | jq -r '.results[0] | length')
   [ "$n" = "2" ] || die "matching document extracted $n mappings, want 2"
-  h1=$(curl -sf "$base/healthz")
+  h1=$(curl -sf "$base/v1/healthz")
   jq -rn --argjson a "$(echo "$h0" | jq '.dfa')" --argjson b "$(echo "$h1" | jq '.dfa')" \
     '[($b.prefilter_checks - $a.prefilter_checks),
       ($b.prefilter_prunes - $a.prefilter_prunes)] | join(" ")'
@@ -100,7 +101,7 @@ case "$ref" in seller@*) ;; *) die "unexpected ref $ref";; esac
 echo "== first server: extract by pin"
 start_spand
 body=$(jq -n --arg ref "$ref" '{spanner: $ref, docs: ["Seller: Anna, 12 Hill St\nSeller: Bob, 1 Main Rd\n"]}')
-resp=$(curl -sf "$base/extract" -d "$body") || die "extract by pin failed"
+resp=$(curl -sf "$base/v1/extract" -d "$body") || die "extract by pin failed"
 names=$(echo "$resp" | jq -r '.results[0][].x.content' | paste -sd, -)
 [ "$names" = "Anna,Bob" ] || die "extracted [$names], want [Anna,Bob]"
 
@@ -111,7 +112,7 @@ read -r _ prunes <<<"$probe_fresh"
 [ "$prunes" -ge 1 ] || die "prefilter never pruned the literal-free document: $probe_fresh"
 
 echo "== register a second spanner over HTTP, then kill the server"
-tax_ver=$(curl -sf -X PUT "$base/registry/tax" -d '{"expr": ".*\\$y{[0-9,]+}\\n.*"}' | jq -r '.version') \
+tax_ver=$(curl -sf -X PUT "$base/v1/registry/tax" -d '{"expr": ".*\\$y{[0-9,]+}\\n.*"}' | jq -r '.version') \
   || die "HTTP registration failed"
 case "$tax_ver" in [0-9a-f][0-9a-f][0-9a-f]*) ;; *) die "unexpected tax version $tax_ver";; esac
 stop_spand
@@ -119,7 +120,7 @@ stop_spand
 echo "== restart on the same registry directory"
 start_spand
 
-health=$(curl -sf "$base/healthz")
+health=$(curl -sf "$base/v1/healthz")
 prewarmed=$(echo "$health" | jq -r '.registry.prewarmed')
 [ "$prewarmed" = "2" ] || die "prewarmed=$prewarmed after restart, want 2"
 
@@ -131,19 +132,21 @@ dfa_prewarmed=$(echo "$health" | jq -r '.dfa.prewarmed_states')
 [ "$dfa_loaded" -ge 1 ] || die "dfa.sidecars_loaded=$dfa_loaded after restart, want >= 1"
 [ "$dfa_prewarmed" -gt 0 ] || die "dfa.prewarmed_states=$dfa_prewarmed after restart, want > 0"
 
-resp=$(curl -sf "$base/extract" -d "$body") || die "extract by pin after restart failed"
+resp=$(curl -sf "$base/v1/extract" -d "$body") || die "extract by pin after restart failed"
 names=$(echo "$resp" | jq -r '.results[0][].x.content' | paste -sd, -)
 [ "$names" = "Anna,Bob" ] || die "after restart extracted [$names], want [Anna,Bob]"
 
-misses=$(echo "$resp" | jq -r '.stats.spanner_cache.misses')
-loads=$(echo "$resp" | jq -r '.stats.registry.artifact_loads')
-fallbacks=$(echo "$resp" | jq -r '.stats.registry.source_fallbacks')
+hz=$(curl -sf "$base/v1/healthz")
+misses=$(echo "$hz" | jq -r '.spanner_cache.misses')
+loads=$(echo "$hz" | jq -r '.registry.artifact_loads')
+fallbacks=$(echo "$hz" | jq -r '.registry.source_fallbacks')
 [ "$misses" = "0" ] || die "spanner_cache.misses=$misses after pre-warmed pinned extraction, want 0"
 [ "$loads" = "2" ] || die "registry.artifact_loads=$loads, want 2"
 [ "$fallbacks" = "0" ] || die "registry.source_fallbacks=$fallbacks, want 0"
 
-metrics_misses=$(curl -sf "$base/metrics" | jq -r '.spand.spanner_cache.misses')
-[ "$metrics_misses" = "0" ] || die "/metrics reports $metrics_misses compile misses, want 0"
+metrics_misses=$(curl -sf "$base/v1/metrics" \
+  | awk '/^spand_cache_events_total\{cache="spanner",event="miss"\} / {print $2}')
+[ "$metrics_misses" = "0" ] || die "/v1/metrics reports $metrics_misses compile misses, want 0"
 
 echo "== speed-ladder probe against the artifact-decoded spanner"
 probe_warm=$(ladder_probe)
@@ -153,7 +156,7 @@ echo "warm ladder deltas (checks prunes): $probe_warm"
 
 echo "== join the pinned pair server-side, post-restart"
 joinbody=$(jq -n --arg e "join($ref, tax@$tax_ver)" '{algebra: $e, docs: ["Seller: Mark, ID7, $35,000\n"]}')
-resp=$(curl -sf "$base/extract" -d "$joinbody") || die "algebra join failed"
+resp=$(curl -sf "$base/v1/extract" -d "$joinbody") || die "algebra join failed"
 x=$(echo "$resp" | jq -r '.results[0][0].x.content')
 y=$(echo "$resp" | jq -r '.results[0][0].y.content')
 n=$(echo "$resp" | jq -r '.results[0] | length')
@@ -164,24 +167,23 @@ n=$(echo "$resp" | jq -r '.results[0] | length')
 # rebuilt from their manifest sources outside the LRU (counted in
 # algebra.leaf_builds), so pinned-leaf traffic still costs zero
 # compile-cache misses.
-misses=$(echo "$resp" | jq -r '.stats.spanner_cache.misses')
-leaf_builds=$(echo "$resp" | jq -r '.stats.algebra.leaf_builds')
-compositions=$(echo "$resp" | jq -r '.stats.algebra.compositions')
+hz=$(curl -sf "$base/v1/healthz")
+misses=$(echo "$hz" | jq -r '.spanner_cache.misses')
+leaf_builds=$(echo "$hz" | jq -r '.algebra.leaf_builds')
+compositions=$(echo "$hz" | jq -r '.algebra.compositions')
 [ "$misses" = "1" ] || die "spanner_cache.misses=$misses after the join, want 1 (the composition only)"
 [ "$leaf_builds" = "2" ] || die "algebra.leaf_builds=$leaf_builds, want 2"
 [ "$compositions" = "1" ] || die "algebra.compositions=$compositions, want 1"
 
 echo "== repeat the join: pure cache hit"
-resp=$(curl -sf "$base/extract" -d "$joinbody") || die "repeated algebra join failed"
-misses=$(echo "$resp" | jq -r '.stats.spanner_cache.misses')
-hits=$(echo "$resp" | jq -r '.stats.algebra.cache_hits')
-compositions=$(echo "$resp" | jq -r '.stats.algebra.compositions')
+curl -sf "$base/v1/extract" -d "$joinbody" >/dev/null || die "repeated algebra join failed"
+hz=$(curl -sf "$base/v1/healthz")
+misses=$(echo "$hz" | jq -r '.spanner_cache.misses')
+hits=$(echo "$hz" | jq -r '.algebra.cache_hits')
+compositions=$(echo "$hz" | jq -r '.algebra.compositions')
 [ "$misses" = "1" ] || die "repeat grew spanner_cache.misses to $misses, want 1"
 [ "$hits" = "1" ] || die "algebra.cache_hits=$hits on repeat, want 1"
 [ "$compositions" = "1" ] || die "repeat recomposed: compositions=$compositions, want 1"
-
-algebra_health=$(curl -sf "$base/healthz" | jq -r '.algebra.compositions')
-[ "$algebra_health" = "1" ] || die "/healthz algebra.compositions=$algebra_health, want 1"
 
 echo "== difference composition as a first-class artifact, pre-composed at startup"
 stop_spand
@@ -191,7 +193,7 @@ diff_ref=$("$workdir/spanreg" -dir "$regdir" register-algebra rest 'difference(r
 case "$diff_ref" in rest@*) ;; *) die "unexpected difference ref $diff_ref";; esac
 
 start_spand -precompose
-health=$(curl -sf "$base/healthz")
+health=$(curl -sf "$base/v1/healthz")
 prewarmed=$(echo "$health" | jq -r '.registry.prewarmed')
 [ "$prewarmed" = "5" ] || die "prewarmed=$prewarmed after -precompose restart, want 5"
 pre=$(echo "$health" | jq -r '.algebra.precomposed')
@@ -201,22 +203,23 @@ pre=$(echo "$health" | jq -r '.algebra.precomposed')
 # artifact cache with zero further compile misses: the only LRU miss
 # on the whole server is the -precompose composition pass itself.
 diffbody=$(jq -n --arg ref "$diff_ref" '{spanner: $ref, docs: ["aaab"]}')
-resp=$(curl -sf "$base/extract" -d "$diffbody") || die "difference artifact by pin failed"
+resp=$(curl -sf "$base/v1/extract" -d "$diffbody") || die "difference artifact by pin failed"
 n=$(echo "$resp" | jq -r '.results[0] | length')
 [ "$n" = "2" ] || die "difference artifact extracted $n mappings, want 2 (a, aaa)"
-misses=$(echo "$resp" | jq -r '.stats.spanner_cache.misses')
+misses=$(curl -sf "$base/v1/healthz" | jq -r '.spanner_cache.misses')
 [ "$misses" = "1" ] || die "spanner_cache.misses=$misses serving the difference artifact, want 1 (the -precompose composition only)"
 
 # -precompose already planned and composed the registered expression,
 # so the equivalent ad-hoc algebra query never recomposes: it pins to
 # the same leaf versions and hits the warm plan cache.
 exprbody=$(jq -n '{algebra: "difference(runs, pairs)", docs: ["aaab"]}')
-resp=$(curl -sf "$base/extract" -d "$exprbody") || die "difference algebra query failed"
+resp=$(curl -sf "$base/v1/extract" -d "$exprbody") || die "difference algebra query failed"
 n=$(echo "$resp" | jq -r '.results[0] | length')
 [ "$n" = "2" ] || die "difference query extracted $n mappings, want 2"
-hits=$(echo "$resp" | jq -r '.stats.algebra.cache_hits')
-compositions=$(echo "$resp" | jq -r '.stats.algebra.compositions')
-misses=$(echo "$resp" | jq -r '.stats.spanner_cache.misses')
+hz=$(curl -sf "$base/v1/healthz")
+hits=$(echo "$hz" | jq -r '.algebra.cache_hits')
+compositions=$(echo "$hz" | jq -r '.algebra.compositions')
+misses=$(echo "$hz" | jq -r '.spanner_cache.misses')
 [ "$hits" = "1" ] || die "algebra.cache_hits=$hits after pre-composed difference query, want 1"
 [ "$compositions" = "1" ] || die "algebra.compositions=$compositions, want 1 (the -precompose pass only)"
 [ "$misses" = "1" ] || die "difference traffic grew spanner_cache.misses to $misses, want 1"

@@ -372,7 +372,7 @@ func (s *Spanner) EnumerateContext(ctx context.Context, d *Document, yield func(
 // engine's internal span tuple, so yield may retain it. The extraction
 // service reaches the same observed enumeration without the map: it
 // encodes each tuple straight to the wire, and its delays land in the
-// histograms served on /metrics.
+// histograms served on /v1/metrics.
 func (s *Spanner) EnumerateObserved(ctx context.Context, d *Document, o *obs.StageObserver, yield func(Mapping) bool) error {
 	var err error
 	s.engine.EnumerateObserved(d, o, func(m Mapping) bool {

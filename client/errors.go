@@ -37,8 +37,9 @@ const (
 	// CodeNotFound: a registry name/version (or other resource) that
 	// does not exist.
 	CodeNotFound = "not_found"
-	// CodeTooLarge: the request body exceeded the server's cap, or a
-	// document would exceed the store budget.
+	// CodeTooLarge: the request body exceeded the server's cap, a
+	// document would exceed the store budget, or an expression's parse
+	// tree has more nodes than the parser accepts.
 	CodeTooLarge = "too_large"
 	// CodeDeadline: the server-imposed extraction deadline expired;
 	// back off or simplify the query.

@@ -23,11 +23,9 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
@@ -308,30 +306,11 @@ func (g *Gate) backoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// errTrailingValue refuses a body that holds more than one JSON value.
-var errTrailingValue = errors.New("body holds more than one JSON value")
-
-// decodeBody parses the JSON request body under the gate's size cap.
-// The body must hold exactly one JSON value, optionally followed by
-// whitespace, as spand requires.
-func (g *Gate) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, g.maxBody))
-	err := dec.Decode(dst)
-	if err == nil {
-		if err = dec.Decode(&json.RawMessage{}); err == io.EOF {
-			return true
-		}
-		if err == nil {
-			err = errTrailingValue
-		}
-	}
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		httpapi.WriteError(w, http.StatusRequestEntityTooLarge, client.CodeTooLarge, err.Error())
-		return false
-	}
-	httpapi.WriteError(w, http.StatusBadRequest, client.CodeBadRequest, "decode request: "+err.Error())
-	return false
+// decodeBody decodes the request body into fields under the gate's
+// size cap, with spand's decoder (httpapi.DecodeBody), so the gate
+// accepts and refuses exactly the bodies spand does.
+func (g *Gate) decodeBody(w http.ResponseWriter, r *http.Request, fields []httpapi.Field) bool {
+	return httpapi.DecodeBody(w, r, g.maxBody, fields)
 }
 
 // writeUpstream relays an upstream failure to the caller. A decoded

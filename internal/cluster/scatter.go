@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"spanners/client"
+	"spanners/internal/httpapi"
 )
 
 // unit is one (query, document) extraction work item: exactly one of
@@ -29,7 +30,7 @@ type unit struct {
 func (g *Gate) handleExtract(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req client.ExtractRequest
-	if !g.decodeBody(w, r, &req) {
+	if f := httpapi.ExtractFields(&req); !g.decodeBody(w, r, f[:]) {
 		return
 	}
 	units := make([]unit, 0, len(req.Docs)+len(req.DocIDs))

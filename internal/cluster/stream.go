@@ -30,7 +30,7 @@ import (
 // must never read as a complete result set.
 func (g *Gate) handleStream(w http.ResponseWriter, r *http.Request) {
 	var req client.StreamRequest
-	if !g.decodeBody(w, r, &req) {
+	if f := httpapi.StreamFields(&req); !g.decodeBody(w, r, f[:]) {
 		return
 	}
 	ctx := r.Context()

@@ -94,3 +94,30 @@ func BenchmarkEnumerateShapes(b *testing.B) {
 		})
 	}
 }
+
+// TestGlideSteps: the walk glides over the letters on which its one
+// live frontier's state loops raw, without a step. On the sparse_scan
+// shape that leaves the steps at prune points and near the three
+// matches, at most 1 000 of them (24 785 when every letter took a
+// step); the other shapes take no more steps than they did then.
+func TestGlideSteps(t *testing.T) {
+	limits := map[string]int{"sparse_scan": 1000, "weblog_stream": 11298, "batch_rows": 27065}
+	steps := 0
+	testHookWalkDone = func(w *seqWalk) { steps += w.steps }
+	defer func() { testHookWalkDone = nil }()
+	for _, sh := range workloadShapes() {
+		limit, ok := limits[sh.name]
+		if !ok {
+			continue
+		}
+		e := CompileRGX(rgx.MustParse(sh.expr))
+		steps = 0
+		for _, d := range sh.docs {
+			e.EnumerateTuples(d, nil, func([]span.Span) bool { return true })
+		}
+		if steps > limit {
+			t.Errorf("%s: %d letter steps, want at most %d", sh.name, steps, limit)
+		}
+		t.Logf("%s: %d letter steps", sh.name, steps)
+	}
+}

@@ -613,17 +613,42 @@ func (w *seqWalk) sweep(start program.Bits) {
 
 // glide steps f, the only frontier of its layer, raw across the
 // boundaries from pos on, stopping at the first where it fires or at
-// stop, and returns that boundary; false means it died on the way.
+// stop, and returns that boundary; false means it died on the way. An
+// ASCII letter on which the raw step is known to map the frontier's
+// state to itself (DState.Loops) is crossed without a step and counted
+// as a DFA hit, so between matches the glide tests one bit per
+// boundary, and the firers only where the co-reach state changes.
 func (w *seqWalk) glide(f *liveFrontier, pos, stop int) (int, bool) {
 	p, s := w.e.prog, f.s
-	for ; pos < stop && !s.Frontier().Intersects(w.co[pos-w.lo].Firers()); pos++ {
-		c := p.ClassOf(w.d.RuneAt(pos))
+	loops := s.Loops(program.StepRaw)
+	var co *program.DState // the co-reach state last found not to fire s
+	for ; pos < stop; pos++ {
+		if c := w.co[pos-w.lo]; c != co {
+			if s.Frontier().Intersects(c.Firers()) {
+				break
+			}
+			co = c
+		}
+		r := w.d.RuneAt(pos)
+		if r >= 0 && r < 128 && loops[r>>6]&(1<<(uint(r)&63)) != 0 {
+			w.dfaHits++
+			continue
+		}
+		c := p.ClassOf(r)
 		if c < 0 {
 			return pos, false
 		}
 		w.steps++
-		if s = w.stepRaw(s, c); s.Dead() {
+		ns := w.stepRaw(s, c)
+		switch {
+		case ns.Dead():
 			return pos, false
+		case ns == s:
+			if r < 128 {
+				loops = w.e.dfa.NoteLoop(s, program.StepRaw, c)
+			}
+		default:
+			s, loops, co = ns, ns.Loops(program.StepRaw), nil
 		}
 	}
 	f.s = s

@@ -209,7 +209,7 @@ func TestDocumentTooLargeOverHTTP(t *testing.T) {
 	svc := service.New(service.Config{DocStoreBytes: 1024})
 	ts := newHTTPServer(t, svc)
 	resp := doReq(t, http.MethodPut, ts.URL+"/v1/documents/big",
-		putDocumentRequest{Text: docText(strings.Repeat("x", 2048))})
+		putDocumentRequest{Text: strings.Repeat("x", 2048)})
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized put: status %d", resp.StatusCode)
 	}

@@ -12,7 +12,6 @@
 package httpapi
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -33,36 +32,23 @@ import (
 	"spanners/internal/service"
 )
 
-// extractRequest is the body of POST /v1/extract: one query applied to
-// a batch of documents, given inline (docs) and/or by reference to the
-// document store (doc_ids). Results follow input order: docs first,
-// then doc_ids.
-type extractRequest struct {
-	service.Query
-	Docs   []docText `json:"docs"`
-	DocIDs []string  `json:"doc_ids"`
-}
-
-// streamRequest is the body of POST /v1/extract/stream: one query and
-// one document — inline (doc) or by store reference (doc_id) — with
-// results streamed back as NDJSON.
-type streamRequest struct {
-	service.Query
-	Doc   docText `json:"doc"`
-	DocID string  `json:"doc_id"`
-}
-
 // putDocumentRequest is the body of PUT /v1/documents/{id}.
 type putDocumentRequest struct {
-	Text docText `json:"text"`
+	Text string `json:"text"`
 }
 
-// patchDocumentRequest is the body of PATCH /v1/documents/{id}: a
-// docstore.Splice.
-type patchDocumentRequest struct {
-	Offset    int     `json:"offset"`
-	DeleteLen int     `json:"delete_len"`
-	Insert    docText `json:"insert"`
+func (req *putDocumentRequest) fields() [1]Field {
+	return [1]Field{stringField("text", &req.Text)}
+}
+
+// spliceFields returns the fields of a PATCH /v1/documents/{id} body,
+// a docstore.Splice.
+func spliceFields(sp *docstore.Splice) [3]Field {
+	return [3]Field{
+		intField("offset", &sp.Offset),
+		intField("delete_len", &sp.DeleteLen),
+		stringField("insert", &sp.Insert),
+	}
 }
 
 // documentResponse describes a stored document without echoing its
@@ -80,6 +66,10 @@ type documentResponse struct {
 type registerRequest struct {
 	Expr    string `json:"expr"`
 	Algebra string `json:"algebra"`
+}
+
+func (req *registerRequest) fields() [2]Field {
+	return [2]Field{stringField("expr", &req.Expr), stringField("algebra", &req.Algebra)}
 }
 
 // registerResponse wraps the stored manifest with whether this call
@@ -354,7 +344,8 @@ func WriteError(w http.ResponseWriter, status int, code, message string) {
 // (the response is unread anyway); a query referencing a registry name
 // or version that does not exist — directly or as an algebra leaf —
 // is 404; malformed queries (RGX or algebra syntax, unbound projection
-// variables, bad splices) are the client's fault, 400; a difference
+// variables, bad splices) are the client's fault, 400; an RGX whose
+// tree has more than rgx.MaxSize nodes is 413 too_large; a difference
 // whose determinization blows the configured state budget is a
 // well-formed but unprocessable query, 422. Only storage-level
 // corruption and a recovered extraction panic map to a 500.
@@ -383,6 +374,8 @@ func errorCode(err error) (int, string) {
 		return http.StatusInternalServerError, client.CodeInternal
 	case errors.Is(err, service.ErrBadQuery):
 		return http.StatusBadRequest, client.CodeBadQuery
+	case errors.Is(err, rgx.ErrTooLarge):
+		return http.StatusRequestEntityTooLarge, client.CodeTooLarge
 	case errors.As(err, &parseErr), errors.Is(err, algebra.ErrSyntax):
 		return http.StatusBadRequest, client.CodeSyntax
 	case errors.Is(err, algebra.ErrUnbound):
@@ -412,49 +405,18 @@ func registryErrCode(err error) int {
 	return status
 }
 
-// bodyBufPool recycles the buffers request bodies are read into.
-var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledBodyBytes keeps the buffers of large bodies out of the pool.
-const maxPooledBodyBytes = 1 << 20
-
-// decodeBody parses the JSON request body under the server's size
-// cap, translating an exceeded cap into 413 rather than a generic 400.
-// The body is read whole into a pooled buffer and must hold exactly
-// one JSON value. dst must keep nothing of the buffer: a document
-// field is a docText, which unquotes into a string of its own, and
-// encoding/json copies every other string it decodes.
-func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	buf := bodyBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer func() {
-		if buf.Cap() <= maxPooledBodyBytes {
-			bodyBufPool.Put(buf)
-		}
-	}()
-	if r.ContentLength > 0 && r.ContentLength <= s.maxBody {
-		buf.Grow(int(r.ContentLength) + bytes.MinRead)
-	}
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err == nil {
-		if err = json.Unmarshal(buf.Bytes(), dst); err == nil {
-			return true
-		}
-	}
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		httpError(w, http.StatusRequestEntityTooLarge, err)
-		return false
-	}
-	httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-	return false
+// decodeBody decodes the request body into fields under the server's
+// size cap (DecodeBody).
+func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, fields []Field) bool {
+	return DecodeBody(w, r, s.maxBody, fields)
 }
 
 func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
-	var req extractRequest
-	if !s.decodeBody(w, r, &req) {
+	var req client.ExtractRequest
+	if f := ExtractFields(&req); !s.decodeBody(w, r, f[:]) {
 		return
 	}
+	q := service.Query(req.Query)
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	// The results stay in the Batch's pooled buffers until the response
@@ -462,7 +424,7 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	b := service.NewBatch()
 	defer b.Release()
 	if len(req.Docs) > 0 || len(req.DocIDs) == 0 {
-		if err := s.svc.ExtractBatchInto(ctx, req.Query, texts(req.Docs), b); err != nil {
+		if err := s.svc.ExtractBatchInto(ctx, q, req.Docs, b); err != nil {
 			s.extractError(ctx, w, err)
 			return
 		}
@@ -471,7 +433,7 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	// one at a time: an unchanged document costs a cache read, not an
 	// extraction.
 	for _, id := range req.DocIDs {
-		if err := s.svc.ExtractDocumentInto(ctx, req.Query, id, b); err != nil {
+		if err := s.svc.ExtractDocumentInto(ctx, q, id, b); err != nil {
 			s.extractError(ctx, w, err)
 			return
 		}
@@ -522,8 +484,8 @@ func writeExtractResponse(w http.ResponseWriter, results [][]service.Result) {
 // one write per mapping. Client disconnect or the request deadline
 // cancels the context, which stops enumeration between outputs.
 func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
-	var req streamRequest
-	if !s.decodeBody(w, r, &req) {
+	var req client.StreamRequest
+	if f := StreamFields(&req); !s.decodeBody(w, r, f[:]) {
 		return
 	}
 	// Compile (one cache lookup) before committing to the NDJSON
@@ -543,9 +505,9 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 			apiError(w, fmt.Errorf("%w: %q", docstore.ErrNotFound, req.DocID))
 			return
 		}
-		req.Doc = docText(doc.Text)
+		req.Doc = doc.Text
 	}
-	compiled, err := s.svc.CompileQueryCtx(ctx, req.Query)
+	compiled, err := s.svc.CompileQueryCtx(ctx, service.Query(req.Query))
 	if err != nil {
 		s.extractError(ctx, w, err)
 		return
@@ -556,7 +518,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// stops) on every exit, the abort below included.
 	lw := NewLineWriter(w)
 	defer lw.Close()
-	err = compiled.Stream(ctx, string(req.Doc), func(res service.Result) bool {
+	err = compiled.Stream(ctx, req.Doc, func(res service.Result) bool {
 		return lw.WriteLine(res) == nil
 	})
 	if err != nil {
@@ -578,10 +540,10 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 // incremental sessions attached to the document.
 func (s *server) handleDocumentPut(w http.ResponseWriter, r *http.Request) {
 	var req putDocumentRequest
-	if !s.decodeBody(w, r, &req) {
+	if f := req.fields(); !s.decodeBody(w, r, f[:]) {
 		return
 	}
-	doc, err := s.svc.Documents().Put(r.PathValue("id"), string(req.Text))
+	doc, err := s.svc.Documents().Put(r.PathValue("id"), req.Text)
 	if err != nil {
 		apiError(w, err)
 		return
@@ -611,11 +573,10 @@ func (s *server) handleDocumentGet(w http.ResponseWriter, r *http.Request) {
 // is {"offset": <current length>, "insert": "..."}. Offsets are bytes
 // and must fall on UTF-8 rune boundaries; an edit past EOF is a 400.
 func (s *server) handleDocumentPatch(w http.ResponseWriter, r *http.Request) {
-	var req patchDocumentRequest
-	if !s.decodeBody(w, r, &req) {
+	var sp docstore.Splice
+	if f := spliceFields(&sp); !s.decodeBody(w, r, f[:]) {
 		return
 	}
-	sp := docstore.Splice{Offset: req.Offset, DeleteLen: req.DeleteLen, Insert: string(req.Insert)}
 	doc, err := s.svc.Documents().ApplySplice(r.PathValue("id"), sp)
 	if err != nil {
 		apiError(w, err)
@@ -636,7 +597,7 @@ func (s *server) handleDocumentDelete(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleRegistryPut(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
-	if !s.decodeBody(w, r, &req) {
+	if f := req.fields(); !s.decodeBody(w, r, f[:]) {
 		return
 	}
 	if (req.Expr == "") == (req.Algebra == "") {

@@ -353,6 +353,40 @@ func TestDeepExpressionRefused(t *testing.T) {
 	}
 }
 
+// TestLargeExpressionRefused: the 20 000-arm dictionary .*x{ab|…|c}.*
+// (60 005 bytes, 60 005 nodes), which took seconds and gigabytes to
+// compile, is a 413 too_large within 100 ms, on both extraction
+// endpoints, and the server goes on serving.
+func TestLargeExpressionRefused(t *testing.T) {
+	ts, _ := newTestServer(t)
+	expr := ".*x{" + strings.Repeat("ab|", 19_999) + "c}.*"
+	for _, c := range []struct {
+		path string
+		body map[string]any
+	}{
+		{"/v1/extract", map[string]any{"expr": expr, "docs": []string{"ab"}}},
+		{"/v1/extract/stream", map[string]any{"expr": expr, "doc": "ab"}},
+	} {
+		start := time.Now()
+		resp := postJSON(t, ts.URL+c.path, c.body)
+		took := time.Since(start)
+		var body client.ErrorEnvelope
+		json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || body.Err.Code != client.CodeTooLarge {
+			t.Fatalf("%s: status %d, error %+v; want 413 %q", c.path, resp.StatusCode, body.Err, client.CodeTooLarge)
+		}
+		if took > 100*time.Millisecond {
+			t.Errorf("%s: refusing a %d-byte expression took %v, want under 100ms", c.path, len(expr), took)
+		}
+	}
+	resp := postJSON(t, ts.URL+"/v1/extract", map[string]any{"expr": "x{a}", "docs": []string{"a"}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("the next request: status %d, want 200", resp.StatusCode)
+	}
+}
+
 func TestStreamCompileError(t *testing.T) {
 	ts, _ := newTestServer(t)
 	resp := postJSON(t, ts.URL+"/v1/extract/stream", map[string]any{"expr": "x{[", "doc": "a"})

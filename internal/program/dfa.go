@@ -187,6 +187,11 @@ type DState struct {
 	next     []atomic.Pointer[DState]
 	fwdReady atomic.Bool
 	skip     atomic.Pointer[skipInfo]
+	// loops[kind] are the ASCII bytes (bit b of word b>>6) on which the
+	// raw or reverse step is known to map the state to itself: the
+	// counterpart of skip for the rows that fill per class, learned from
+	// the steps sweeps take (NoteLoop), never persisted.
+	loops [numStepKinds][2]atomic.Uint64
 
 	// Fused-run superinstruction, set when the frontier is the
 	// singleton head of a program-level fused letter run.
@@ -610,6 +615,24 @@ func (d *DFA) deriveSkip(s *DState) {
 	s.skip.Store(&si)
 }
 
+// Loops returns the ASCII bytes, bit b of word b>>6, on which the step
+// of kind is known to map s to itself. A sweep crosses such a byte
+// without taking the step.
+func (s *DState) Loops(kind StepKind) [2]uint64 {
+	return [2]uint64{s.loops[kind][0].Load(), s.loops[kind][1].Load()}
+}
+
+// NoteLoop records that the step of kind on class c maps s to itself,
+// and returns the loops of s with the ASCII bytes of class c added.
+func (d *DFA) NoteLoop(s *DState, kind StepKind, c int) [2]uint64 {
+	for b, bc := range d.p.asciiClass {
+		if int(bc) == c {
+			s.loops[kind][b>>6].Or(1 << (uint(b) & 63))
+		}
+	}
+	return s.Loops(kind)
+}
+
 // jumpStops returns the first index in [from, to) of text holding one
 // of the stop bytes, scanning at most accelWindow bytes; a window
 // with no stop byte is entirely self-looping, so the jump lands at
@@ -857,7 +880,9 @@ func (d *DFA) ForwardFrontiers(doc *span.Document) (out []Bits, ok bool) {
 // determinized tables, one reverse row step per rune — and returns
 // out[:hi-lo+1]. A nil seed is the final co-reach state interned with
 // the cache generation, which makes hi = n+1 and the frontiers those
-// from which acceptance is reachable. out is grown only when it is too
+// from which acceptance is reachable. On an ASCII document a byte on
+// which the state's reverse step is known to return it (Loops) takes
+// no step. out is grown only when it is too
 // short, so a caller that keeps the returned slice sweeps the next
 // document without allocating; nil asks for a fresh one. ok is false
 // when the sweep abandoned the cache, and out is then nil. Counter
@@ -876,21 +901,43 @@ func (d *DFA) BackwardFrontiers(doc *span.Document, lo, hi int, seed *DState, ou
 		d.misses.Add(misses)
 	}()
 	base := int(StepReverse) * d.p.NumClasses
+	// On an ASCII document a letter's class is one table load by byte,
+	// and a byte the state is known to loop on takes no step.
+	text, ascii := doc.ASCIIText(), &d.p.asciiClass
+	loops := s.Loops(StepReverse)
 	for pos := hi - 1; pos >= lo; pos-- {
 		if pos%FlushCheckInterval == 0 && d.flushes.Load()-flush0 > MaxFlushesPerSweep {
 			d.NoteFallback()
 			return nil, false
 		}
-		if c := d.p.ClassOf(doc.RuneAt(pos)); c >= 0 {
-			if ns := s.next[base+c].Load(); ns != nil {
+		var c int
+		if text != "" {
+			b := text[pos-1]
+			if loops[b>>6&1]&(1<<(b&63)) != 0 {
 				hits++
-				s = ns
+				out[pos-lo] = s
+				continue
+			}
+			c = int(ascii[b])
+		} else {
+			c = d.p.ClassOf(doc.RuneAt(pos))
+		}
+		var ns *DState
+		switch {
+		case c < 0:
+			ns = d.dead.Load()
+		default:
+			if ns = s.next[base+c].Load(); ns != nil {
+				hits++
 			} else {
 				misses++
-				s = d.stepSlow(s, c, StepReverse)
+				ns = d.stepSlow(s, c, StepReverse)
 			}
-		} else {
-			s = d.dead.Load()
+		}
+		if ns != s {
+			s, loops = ns, ns.Loops(StepReverse)
+		} else if text != "" {
+			loops = d.NoteLoop(s, StepReverse, c)
 		}
 		out[pos-lo] = s
 	}

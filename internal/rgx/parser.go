@@ -1,6 +1,7 @@
 package rgx
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -15,11 +16,25 @@ import (
 type ParseError struct {
 	Pos int    // 0-based rune offset
 	Msg string // what went wrong
+	Err error  // the cause a caller can match, ErrTooLarge or nil
 }
 
 func (e *ParseError) Error() string {
 	return fmt.Sprintf("rgx: parse error at position %d: %s", e.Pos, e.Msg)
 }
+
+func (e *ParseError) Unwrap() error { return e.Err }
+
+// MaxSize is the most nodes (Size) the tree of an accepted expression
+// may have. A larger tree is refused with a ParseError wrapping
+// ErrTooLarge: the compilers downstream build automata and tables that
+// grow with every node, so one 60 KB alternation would otherwise cost
+// seconds and gigabytes before the first letter is read.
+const MaxSize = 1 << 14
+
+// ErrTooLarge is the cause of the ParseError for an expression whose
+// tree has more than MaxSize nodes.
+var ErrTooLarge = errors.New("rgx: expression too large")
 
 // Parse parses the concrete RGX syntax:
 //
@@ -40,7 +55,8 @@ func (e *ParseError) Error() string {
 // or '_'; a run not followed by '{' is read as a sequence of literal
 // letters. Whitespace is significant (documents contain spaces), so
 // there is no layout skipping. The empty input parses to ε. An
-// expression nested deeper than maxDepth is refused.
+// expression nested deeper than maxDepth, or whose tree has more than
+// MaxSize nodes, is refused.
 func Parse(input string) (Node, error) {
 	p := &parser{src: []rune(input)}
 	if len(p.src) == 0 {
@@ -53,7 +69,39 @@ func Parse(input string) (Node, error) {
 	if p.pos != len(p.src) {
 		return nil, p.errf("unexpected %q", p.src[p.pos])
 	}
+	if left := MaxSize; countNodes(n, &left) < 0 {
+		return nil, &ParseError{Pos: 0, Msg: fmt.Sprintf("expression has more than %d nodes", MaxSize), Err: ErrTooLarge}
+	}
 	return n, nil
+}
+
+// countNodes takes the nodes of n, counted as Size counts them, from
+// *left and returns what is left, stopping once it is negative: e+
+// shares e, so a chain of them has a tree exponentially larger than
+// its text, which must not be walked whole.
+func countNodes(n Node, left *int) int {
+	if *left--; *left < 0 {
+		return *left
+	}
+	switch n := n.(type) {
+	case Var:
+		return countNodes(n.Sub, left)
+	case Star:
+		return countNodes(n.Sub, left)
+	case Concat:
+		for _, p := range n.Parts {
+			if countNodes(p, left) < 0 {
+				break
+			}
+		}
+	case Alt:
+		for _, p := range n.Parts {
+			if countNodes(p, left) < 0 {
+				break
+			}
+		}
+	}
+	return *left
 }
 
 // MustParse is Parse that panics on error, for tests and examples
@@ -81,6 +129,10 @@ type parser struct {
 	src  []rune
 	pos  int
 	open int // groups and variable bodies open at pos
+	// lits is the end of the identifier run last found to be literal
+	// letters: every letter before it is one without a rescan, which
+	// keeps a run of n letters O(n) rather than O(n²).
+	lits int
 }
 
 // tooDeep is the error for an expression nested deeper than maxDepth.
@@ -262,6 +314,10 @@ func (p *parser) atom() (Node, int, error) {
 // operators bind to single letters (ab* is a·b*, as usual in regex).
 func (p *parser) identOrLiterals() (Node, int, error) {
 	start := p.pos
+	if start < p.lits {
+		p.pos++
+		return Lit(p.src[start]), 0, nil
+	}
 	for !p.eof() && isIdentRune(p.peek()) {
 		p.pos++
 	}
@@ -283,7 +339,7 @@ func (p *parser) identOrLiterals() (Node, int, error) {
 		return p.level(Var{Name: span.Var(name), Sub: sub}, h+1)
 	}
 	// Not a variable: rewind and take a single literal letter.
-	p.pos = start + 1
+	p.lits, p.pos = p.pos, start+1
 	return Lit(p.src[start]), 0, nil
 }
 

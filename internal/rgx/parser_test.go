@@ -369,3 +369,44 @@ func TestSizeMonotone(t *testing.T) {
 		t.Errorf("Size(%v) = %d, Size(%v) = %d", small, Size(small), big, Size(big))
 	}
 }
+
+// TestParseRefusesLargeTree: a tree of more than MaxSize nodes is
+// refused with a ParseError wrapping ErrTooLarge, quickly, however
+// much larger it is — a chain of e+ doubles the tree per link — while
+// a 1 000-word dictionary (9 007 nodes) parses.
+func TestParseRefusesLargeTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	words := make([]string, 1000)
+	for i := range words {
+		w := make([]byte, 8)
+		for j := range w {
+			w[j] = byte('a' + rng.Intn(26))
+		}
+		words[i] = string(w)
+	}
+	n, err := Parse(".*x{" + strings.Join(words, "|") + "}.*")
+	if err != nil {
+		t.Fatalf("the 1 000-word dictionary: %v", err)
+	}
+	if Size(n) != 9007 {
+		t.Fatalf("the 1 000-word dictionary has %d nodes, want 9007", Size(n))
+	}
+	for _, in := range []string{
+		".*x{" + strings.Repeat("ab|", 19_999) + "c}.*", // 60 005 nodes
+		"x{a" + strings.Repeat("+", 100) + "}",          // 2^100 nodes
+		strings.Repeat("a", MaxSize),                    // MaxSize+1 nodes
+	} {
+		start := time.Now()
+		_, err := Parse(in)
+		if took := time.Since(start); took > 100*time.Millisecond {
+			t.Errorf("refusing %.20q… took %v, want under 100ms", in, took)
+		}
+		var pe *ParseError
+		if !errors.As(err, &pe) || !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("%.20q…: got %v, want a ParseError wrapping ErrTooLarge", in, err)
+		}
+	}
+	if _, err := Parse(strings.Repeat("a", MaxSize-1)); err != nil {
+		t.Fatalf("a tree of MaxSize nodes: %v", err)
+	}
+}

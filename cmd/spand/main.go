@@ -6,7 +6,7 @@
 //
 //	spand [-addr :8080] [-spanner-cache 256] [-rule-cache 64] [-workers 4]
 //	      [-max-body 8388608] [-request-timeout 60s] [-registry DIR]
-//	      [-persist-dfa=true] [-doc-store-bytes 67108864]
+//	      [-doc-store-bytes 67108864]
 //	      [-trace-retain 128] [-slow-request 0] [-pprof-addr ADDR]
 //
 // Endpoints (each has one route, under /v1; no unprefixed path is
@@ -84,11 +84,8 @@
 // cache is pre-warmed from the registry, so queries that pin
 // "name@version" never compile at all — the stored instruction tables
 // are decoded and executed directly. The lazy-DFA transition caches
-// warmed by traffic persist as registry sidecars on graceful shutdown
-// (-persist-dfa, on by default) and are loaded back at the next
-// start, so a restart serves with the determinized state space
-// already resident (dfa.* counters on /v1/healthz, spand_dfa_*
-// families on /v1/metrics).
+// are rebuilt by traffic after every start (dfa.* counters on
+// /v1/healthz, spand_dfa_* families on /v1/metrics).
 //
 // An "algebra" query composes registered spanners on the server with
 // the closure operators of Theorem 4.5 — e.g. "join(project(invoices,
@@ -132,7 +129,6 @@ func main() {
 		maxBody      = flag.Int64("max-body", httpapi.DefaultMaxBody, "request body size cap in bytes")
 		reqTimeout   = flag.Duration("request-timeout", httpapi.DefaultRequestTimeout, "per-request extraction deadline (negative disables)")
 		registryDir  = flag.String("registry", "", "persistent spanner registry directory (empty disables)")
-		persistDFA   = flag.Bool("persist-dfa", true, "with -registry: save warmed DFA caches as sidecars on shutdown and load them at startup")
 		precompose   = flag.Bool("precompose", false, "with -registry: re-plan every registered algebra artifact at startup so its composition is cache-warm")
 		diffBudget   = flag.Int("difference-budget", spanners.DefaultDifferenceBudget, "determinization state budget per algebra difference; exhaustion is a typed client error")
 		docStoreB    = flag.Int64("doc-store-bytes", service.DefaultConfig().DocStoreBytes, "byte budget of the /v1/documents store (LRU-evicted)")
@@ -223,15 +219,6 @@ func main() {
 		if err := srv.Shutdown(shutdownCtx); err != nil {
 			log.Printf("spand: drain window expired: %v", err)
 			srv.Close()
-		}
-		// Persist the warmed DFA caches so the next start serves with
-		// the determinized state space already resident.
-		if cfg.Registry != nil && *persistDFA {
-			if n, err := svc.SaveDFAs(); err != nil {
-				log.Printf("spand: persist DFA caches: %v", err)
-			} else {
-				log.Printf("spand: persisted %d DFA cache sidecar(s)", n)
-			}
 		}
 	}
 }

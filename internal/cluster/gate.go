@@ -2,7 +2,7 @@
 // spand shards speaking the same /v1 wire contract as a single spand.
 //
 // The content-addressed registry makes routing stateless: every shard
-// pre-warms an identical artifact + DFA-sidecar set, so any shard can
+// pre-warms an identical artifact set, so any shard can
 // serve any pinned name@version or algebra query, and the gate only
 // has to shard documents. Inline batch documents scatter across the
 // healthy shards and the per-shard responses merge back in input

@@ -242,11 +242,6 @@ func (e *Engine) DFAStats() (program.DFAStats, bool) {
 	return e.dfa.Stats(), true
 }
 
-// DFA returns the engine's lazy-DFA cache, or nil for interpreted
-// engines. Callers use it to persist (Encode) or seed
-// (WarmFromArtifact) the cache.
-func (e *Engine) DFA() *program.DFA { return e.dfa }
-
 // ProgramStats returns the compiled program's statistics; ok is false
 // when the automaton could not be compiled and the engine interprets.
 func (e *Engine) ProgramStats() (program.Stats, bool) {

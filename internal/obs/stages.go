@@ -10,7 +10,6 @@ const (
 	StageCacheLookup  = "cache-lookup"  // compiled-spanner LRU probe
 	StageCompile      = "compile"       // parse → decompose → VA → program
 	StageRegistryLoad = "registry-load" // artifact decode or source fallback
-	StageDFAWarm      = "dfa-warm"      // lazy-DFA seeding from a sidecar
 
 	// Engine-level stages (EnumerateObserved).
 	StageEval           = "eval"            // NonEmp oracle before filtering

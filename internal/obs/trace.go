@@ -11,7 +11,7 @@ import (
 )
 
 // Span is one recorded pipeline stage of a request: a name from the
-// stage taxonomy (cache-lookup, compile, registry-load, dfa-warm,
+// stage taxonomy (cache-lookup, compile, registry-load,
 // co-reach-sweep, enumerate, batch, stream, algebra:* …), its offset
 // from the trace start, and its wall duration. Detail optionally
 // carries a small free-form annotation (a document count, an operator

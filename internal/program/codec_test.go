@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spanners/internal/rgx"
+	"spanners/internal/span"
 	"spanners/internal/va"
 )
 
@@ -223,6 +224,15 @@ func TestDecodedProgramEvaluates(t *testing.T) {
 		gi, gok := q.VarID(v)
 		if wi != gi || wok != gok {
 			t.Errorf("VarID(%q): (%d,%v) -> (%d,%v)", v, wi, wok, gi, gok)
+		}
+	}
+	// The decoded program's lazy DFA decides what the compiled one does.
+	d := NewDFA(q, 64)
+	for _, text := range []string{"", "b", "aab", "aaba", "abc"} {
+		doc := span.NewDocument(text)
+		got, ok := d.Match(doc)
+		if !ok || got != matchDirect(p, doc) {
+			t.Errorf("%q: decoded DFA match = %v (ok=%v), compiled program says %v", text, got, ok, matchDirect(p, doc))
 		}
 	}
 }

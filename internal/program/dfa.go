@@ -126,9 +126,6 @@ type DFAStats struct {
 	// skips.
 	FusedExecs   uint64 `json:"fused_execs"`
 	SkippedRunes uint64 `json:"skipped_runes"`
-	// PrewarmedStates counts states seeded from a persisted cache
-	// artifact rather than discovered during execution.
-	PrewarmedStates uint64 `json:"prewarmed_states"`
 	// Blocked is the variable-operation mask this cache's forward
 	// closures exclude; zero on the shared permissive cache.
 	Blocked uint64 `json:"blocked,omitempty"`
@@ -171,11 +168,10 @@ type DState struct {
 	// firers are the states of the frontier with an operation edge
 	// into the frontier (Program.FirersIn): read as a co-reach set, the
 	// states where an operation can fire on a branch that still
-	// completes. Derived when the state is interned, never persisted.
+	// completes. Derived when the state is interned.
 	firers Bits
 	// choices are the boundary choices of the frontier, set once by the
-	// first walk that forms a DAG node on the state (SetChoices) and
-	// never persisted.
+	// first walk that forms a DAG node on the state (SetChoices).
 	choices atomic.Pointer[[]Choice]
 
 	// next holds the memoized transitions, numStepKinds rows of
@@ -190,7 +186,7 @@ type DState struct {
 	// loops[kind] are the ASCII bytes (bit b of word b>>6) on which the
 	// raw or reverse step is known to map the state to itself: the
 	// counterpart of skip for the rows that fill per class, learned from
-	// the steps sweeps take (NoteLoop), never persisted.
+	// the steps sweeps take (NoteLoop).
 	loops [numStepKinds][2]atomic.Uint64
 
 	// Fused-run superinstruction, set when the frontier is the
@@ -277,7 +273,6 @@ type DFA struct {
 	fallbacks   atomic.Uint64
 	fused       atomic.Uint64
 	skipped     atomic.Uint64
-	prewarmed   atomic.Uint64
 	prefChecks  atomic.Uint64
 	prefPrunes  atomic.Uint64
 	candSkipped atomic.Uint64
@@ -287,8 +282,8 @@ type DFA struct {
 
 // DFA returns the program's shared lazy-DFA cache, creating it with
 // DefaultDFABudget on first use. Every engine executing the program
-// shares the instance, so transition work warmed by one request (or
-// restored from a persisted artifact) is visible to all.
+// shares the instance, so transition work warmed by one request is
+// visible to all.
 func (p *Program) DFA() *DFA {
 	p.dfaOnce.Do(func() { p.dfa = NewDFA(p, DefaultDFABudget) })
 	return p.dfa
@@ -384,7 +379,6 @@ func (d *DFA) Stats() DFAStats {
 		Fallbacks:             d.fallbacks.Load(),
 		FusedExecs:            d.fused.Load(),
 		SkippedRunes:          d.skipped.Load(),
-		PrewarmedStates:       d.prewarmed.Load(),
 		Blocked:               d.blocked,
 		PrefilterChecks:       d.prefChecks.Load(),
 		PrefilterPrunes:       d.prefPrunes.Load(),
@@ -504,7 +498,7 @@ func singleBit(b Bits) (int, bool) {
 // forward row on first visit.
 func (d *DFA) Step(s *DState, c int, kind StepKind) *DState {
 	if kind == StepForward {
-		d.fillFwdRow(s, true)
+		d.fillFwdRow(s)
 	}
 	idx := int(kind)*d.p.NumClasses + c
 	if ns := s.next[idx].Load(); ns != nil {
@@ -533,11 +527,10 @@ func (d *DFA) NoteHits(n uint64) { d.hits.Add(n) }
 
 // fillFwdRow materializes the complete forward row of s (lazy per
 // state, eager per row) and derives the skip superinstruction from
-// it. counted selects whether the computed transitions show up in the
-// miss counter — artifact warming provisions rows silently.
-// Concurrent fills are benign: targets dedup through interning and
-// skip derivation is idempotent.
-func (d *DFA) fillFwdRow(s *DState, counted bool) {
+// it. The computed transitions count as misses. Concurrent fills are
+// benign: targets dedup through interning and skip derivation is
+// idempotent.
+func (d *DFA) fillFwdRow(s *DState) {
 	if s.fwdReady.Load() {
 		return
 	}
@@ -551,7 +544,7 @@ func (d *DFA) fillFwdRow(s *DState, counted bool) {
 	}
 	d.deriveSkip(s)
 	s.fwdReady.Store(true)
-	if counted && computed > 0 {
+	if computed > 0 {
 		d.misses.Add(uint64(computed))
 	}
 }
@@ -789,7 +782,7 @@ func (d *DFA) SweepForward(s *DState, doc *span.Document, text string, from, to 
 		if ns != nil {
 			hits++
 		} else {
-			d.fillFwdRow(s, true)
+			d.fillFwdRow(s)
 			ns = s.next[fwdBase+c].Load()
 		}
 		if ns.dead {
@@ -864,7 +857,7 @@ func (d *DFA) ForwardFrontiers(doc *span.Document) (out []Bits, ok bool) {
 				hits++
 				s = ns
 			} else {
-				d.fillFwdRow(s, true)
+				d.fillFwdRow(s)
 				s = s.next[base+c].Load()
 			}
 		} else {

@@ -1,7 +1,6 @@
 package program
 
 import (
-	"errors"
 	"math/rand"
 	"strings"
 	"sync"
@@ -289,137 +288,6 @@ func TestFusedRunsRespectDocEndAndFinalInteriors(t *testing.T) {
 	}
 }
 
-func TestDFAEncodeWarmRoundTrip(t *testing.T) {
-	p := compileCorpus(t, `.*(Seller: x{[^,\n]*}, ID\d*(, \$y{[^\n]*}|)\n).*`)
-	warm := NewDFA(p, 256)
-	for _, text := range []string{"Seller: A, ID1\n", "Buyer: B, ID2, P3\n", "noise"} {
-		if _, ok := warm.Match(span.NewDocument(text)); !ok {
-			t.Fatal("warming run fell back")
-		}
-	}
-	art := warm.Encode()
-
-	// Warming an equal program (decoded from its artifact) restores
-	// the state space without traffic.
-	q, err := Decode(p.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := NewDFA(q, 256)
-	before := cold.Stats().States
-	added, err := cold.WarmFromArtifact(art)
-	if err != nil {
-		t.Fatalf("WarmFromArtifact: %v", err)
-	}
-	if added == 0 {
-		t.Fatal("warming added no states")
-	}
-	st := cold.Stats()
-	// Row materialization may intern successor frontiers the warming
-	// workload never visited, so States can exceed before+added.
-	if st.PrewarmedStates != uint64(added) || st.States < before+added {
-		t.Fatalf("prewarm accounting off: added=%d before=%d stats=%+v", added, before, st)
-	}
-	if st.Misses != 0 {
-		t.Fatalf("row materialization counted as misses: %+v", st)
-	}
-	// A warmed cache serves the warming workload without new states.
-	preStates := cold.Stats().States
-	if got, ok := cold.Match(span.NewDocument("Seller: A, ID1\n")); !ok || !got {
-		t.Fatalf("warmed match: got=%v ok=%v", got, ok)
-	}
-	if cold.Stats().States != preStates {
-		t.Fatalf("warmed cache still discovered states: %d → %d", preStates, cold.Stats().States)
-	}
-
-	// Idempotent re-warm.
-	added2, err := cold.WarmFromArtifact(art)
-	if err != nil || added2 != 0 {
-		t.Fatalf("re-warm: added=%d err=%v", added2, err)
-	}
-}
-
-func TestDFAWarmRejectsHostileArtifacts(t *testing.T) {
-	p := compileCorpus(t, `x{a*}b`)
-	other := compileCorpus(t, `abc`)
-	warm := NewDFA(p, 64)
-	if _, ok := warm.Match(span.NewDocument("aab")); !ok {
-		t.Fatal("warming run fell back")
-	}
-	art := warm.Encode()
-
-	cases := []struct {
-		name string
-		data []byte
-		want error
-	}{
-		{"empty", nil, ErrDFABadMagic},
-		{"wrong magic", []byte("SPRGxxxxxxxxxxxxxxxxxxxx"), ErrDFABadMagic},
-		{"truncated header", art[:8], ErrTruncated},
-		{"truncated payload", art[:len(art)-9], ErrTruncated},
-		{"bit flip", flip(art, len(art)/2), ErrChecksum},
-		{"version", reseal(setU16(art, 4, 99)), ErrVersion},
-		{"reserved", reseal(setU16(art, 6, 1)), ErrCorrupt},
-	}
-	for _, tc := range cases {
-		fresh := NewDFA(p, 64)
-		if _, err := fresh.WarmFromArtifact(tc.data); !errors.Is(err, tc.want) {
-			t.Fatalf("%s: got %v, want %v", tc.name, err, tc.want)
-		}
-		if fresh.Stats().PrewarmedStates != 0 {
-			t.Fatalf("%s: rejected artifact still seeded states", tc.name)
-		}
-	}
-
-	// Artifact of a different program: typed mismatch.
-	if _, err := NewDFA(other, 64).WarmFromArtifact(art); !errors.Is(err, ErrDFAMismatch) {
-		t.Fatalf("cross-program warm: got %v, want ErrDFAMismatch", err)
-	}
-}
-
-// flip returns data with one bit flipped at off.
-func flip(data []byte, off int) []byte {
-	out := append([]byte(nil), data...)
-	out[off] ^= 1
-	return out
-}
-
-// setU16 returns data with a little-endian uint16 overwritten at off.
-func setU16(data []byte, off int, v uint16) []byte {
-	out := append([]byte(nil), data...)
-	out[off] = byte(v)
-	out[off+1] = byte(v >> 8)
-	return out
-}
-
-// reseal recomputes the trailing checksum after a deliberate header
-// or payload edit, so the test exercises the validation behind the
-// checksum rather than the checksum itself. Header fields (before the
-// payload) are not covered by the checksum, so resealing leaves it
-// unchanged for them — which is exactly what we want: the typed error
-// for the edited field.
-func reseal(data []byte) []byte {
-	out := append([]byte(nil), data...)
-	if len(out) < headerLen+trailerLen {
-		return out
-	}
-	payload := out[headerLen : len(out)-trailerLen]
-	h := fnv64a(payload)
-	for i := 0; i < 8; i++ {
-		out[len(out)-8+i] = byte(h >> (8 * i))
-	}
-	return out
-}
-
-func fnv64a(b []byte) uint64 {
-	var h uint64 = 14695981039346656037
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
 func TestDFAStatsCounters(t *testing.T) {
 	p := compileCorpus(t, `a*x{a*}a*`)
 	d := NewDFA(p, 64)
@@ -438,7 +306,7 @@ func TestDFAStatsCounters(t *testing.T) {
 	if st2.Hits <= st1.Hits {
 		t.Fatalf("warm run recorded no new hits: %+v → %+v", st1, st2)
 	}
-	if st2.Misses != st1.Misses {
+	if st2.Misses != st1.Misses || st2.States != st1.States {
 		t.Fatalf("warm run recomputed transitions: %+v → %+v", st1, st2)
 	}
 }

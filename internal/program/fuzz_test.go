@@ -53,23 +53,20 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzDecodeDFA throws arbitrary bytes at the DFA-cache sidecar
-// decoder. The invariants: WarmFromArtifact never panics, rejects
-// hostile input with a typed error, and anything it accepts leaves
-// the cache semantically intact — the warmed DFA must still agree
-// with direct bitset stepping (transitions are recomputed, never
-// trusted, so even an accepted artifact cannot corrupt execution).
+// FuzzDecodeDFA throws arbitrary bytes at the artifact decoder and
+// runs whatever it accepts through the lazy DFA, the path a served
+// registry artifact takes. The invariants: neither Decode nor the DFA
+// panics on a hostile artifact, and an accepted program's DFA agrees
+// with direct bitset stepping on the probe document.
 func FuzzDecodeDFA(f *testing.F) {
 	for _, expr := range codecCorpus {
 		p, err := Compile(va.FromRGX(rgx.MustParse(expr)))
 		if err != nil {
 			f.Fatal(err)
 		}
-		// A genuinely warmed cache artifact, plus structural
-		// truncations and deterministic corruptions of it.
-		warm := NewDFA(p, 64)
-		warm.Match(span.NewDocument("Seller: ab, ID1\naba"))
-		enc := warm.Encode()
+		// A valid artifact, plus structural truncations and
+		// deterministic corruptions of it.
+		enc := p.Encode()
 		f.Add(enc)
 		for _, n := range []int{0, 3, headerLen, headerLen + 7, headerLen + 19, len(enc) / 2, len(enc) - 9, len(enc) - 1} {
 			if n >= 0 && n <= len(enc) {
@@ -85,23 +82,18 @@ func FuzzDecodeDFA(f *testing.F) {
 		}
 	}
 
-	target, err := Compile(va.FromRGX(rgx.MustParse(codecCorpus[2])))
-	if err != nil {
-		f.Fatal(err)
-	}
-	probe := span.NewDocument("Seller: ab, ID1\n")
+	probe := span.NewDocument("Seller: ab, ID1\naba")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := NewDFA(target, 64)
-		if _, err := d.WarmFromArtifact(data); err != nil {
+		p, err := Decode(data)
+		if err != nil {
 			return
 		}
-		// Accepted: the warmed cache must still execute correctly.
-		got, ok := d.Match(probe)
+		got, ok := NewDFA(p, 64).Match(probe)
 		if !ok {
 			return
 		}
-		if want := matchDirect(target, probe); got != want {
-			t.Fatalf("warmed cache diverges from direct stepping: %v vs %v", got, want)
+		if want := matchDirect(p, probe); got != want {
+			t.Fatalf("decoded program's DFA diverges from direct stepping: %v vs %v", got, want)
 		}
 	})
 }

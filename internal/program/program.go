@@ -121,7 +121,7 @@ type Program struct {
 	runs       []fusedRun
 
 	// Lazily created shared state: the per-program lazy-DFA cache and
-	// the artifact fingerprint binding persisted caches to the program.
+	// the artifact fingerprint.
 	dfaOnce sync.Once
 	dfa     *DFA
 	fpOnce  sync.Once
@@ -138,9 +138,9 @@ type Program struct {
 }
 
 // Fingerprint returns the FNV-64a hash of the program's encoded
-// artifact. It is the identity a persisted DFA-cache sidecar is bound
-// to: because Encode is deterministic, equal programs — compiled or
-// decoded — share a fingerprint.
+// artifact. It is the identity incremental document sessions are
+// keyed on: because Encode is deterministic, equal programs — compiled
+// or decoded — share a fingerprint.
 func (p *Program) Fingerprint() uint64 {
 	p.fpOnce.Do(func() {
 		h := fnv.New64a()

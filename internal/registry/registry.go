@@ -333,45 +333,6 @@ func (r *Registry) Artifact(name, version string) ([]byte, Manifest, error) {
 	return b, man, nil
 }
 
-// SaveDFA stores data as the lazy-DFA-cache sidecar of name at
-// version ("" = latest): <dir>/<name>/<version>.dfa, written
-// atomically. Unlike the artifact the sidecar is mutable — it is a
-// snapshot of a cache that keeps warming — and is not part of the
-// content address; a stale or damaged sidecar degrades to a cold
-// cache, never to a wrong result, because warming recomputes every
-// transition it loads. The named version must exist.
-func (r *Registry) SaveDFA(name, version string, data []byte) error {
-	v, err := r.resolve(name, version)
-	if err != nil {
-		return err
-	}
-	if _, err := r.readManifest(name, v); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return writeAtomic(filepath.Join(r.namePath(name), v+".dfa"), data)
-}
-
-// DFAArtifact returns the stored DFA-cache sidecar bytes of name at
-// version ("" = latest), or ErrNotFound when no sidecar has been
-// saved. The bytes are returned as stored; validation happens in
-// Spanner.WarmDFA, whose typed errors callers treat as "start cold".
-func (r *Registry) DFAArtifact(name, version string) ([]byte, error) {
-	v, err := r.resolve(name, version)
-	if err != nil {
-		return nil, err
-	}
-	b, err := os.ReadFile(filepath.Join(r.namePath(name), v+".dfa"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: DFA cache of %s@%s", ErrNotFound, name, v)
-		}
-		return nil, fmt.Errorf("registry: %w", err)
-	}
-	return b, nil
-}
-
 // Load decodes the stored artifact of name at version ("" = latest)
 // into a ready-to-evaluate spanner — no recompilation. Decode
 // failures surface as ErrBadArtifact; the caller can fall back to
@@ -469,6 +430,8 @@ func (r *Registry) Delete(name, version string) error {
 		return fmt.Errorf("registry: %w", err)
 	}
 	os.Remove(filepath.Join(dir, version+".bin"))
+	// Older binaries wrote a lazy-DFA cache sidecar beside each
+	// artifact; nothing reads it any more, but it goes with its version.
 	os.Remove(filepath.Join(dir, version+".dfa"))
 	remaining, err := r.Versions(name)
 	if err != nil || len(remaining) == 0 {

@@ -258,40 +258,56 @@ func TestListSortedByName(t *testing.T) {
 	}
 }
 
-func TestDFASidecarStorage(t *testing.T) {
+// TestLegacyDFAFileIsHarmless covers registry directories written by
+// older binaries, which kept a lazy-DFA cache sidecar
+// (<version>.dfa) beside each artifact: such a version still lists,
+// loads and deletes, and deleting it leaves no file of it behind.
+func TestLegacyDFAFileIsHarmless(t *testing.T) {
 	dir := t.TempDir()
 	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	man, _, err := r.Register("s", `x{a*}b`)
+	old, _, err := r.Register("s", `x{a*}b`)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// No sidecar yet.
-	if _, err := r.DFAArtifact("s", ""); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing sidecar: got %v, want ErrNotFound", err)
-	}
-	// Sidecars require an existing version.
-	if err := r.SaveDFA("s", "aaaaaaaaaaaa", []byte("x")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("sidecar for absent version: got %v, want ErrNotFound", err)
-	}
-
-	payload := []byte("opaque sidecar bytes")
-	if err := r.SaveDFA("s", "", payload); err != nil {
+	cur, _, err := r.Register("s", `x{a*}c`)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.DFAArtifact("s", man.Version)
-	if err != nil || string(got) != string(payload) {
-		t.Fatalf("DFAArtifact = %q, %v", got, err)
-	}
-
-	// Deleting the version removes its sidecar.
-	if err := r.Delete("s", man.Version); err != nil {
+	legacy := filepath.Join(dir, "s", old.Version+".dfa")
+	if err := os.WriteFile(legacy, []byte("SPDF legacy cache bytes"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "s", man.Version+".dfa")); !os.IsNotExist(err) {
-		t.Fatalf("sidecar survived version delete: %v", err)
+
+	if l, err := r.List(); err != nil || len(l) != 1 || l[0].Name != "s" {
+		t.Fatalf("List = %+v, %v", l, err)
+	}
+	if vs, err := r.Versions("s"); err != nil || len(vs) != 2 {
+		t.Fatalf("Versions = %+v, %v", vs, err)
+	}
+	sp, _, err := r.Load("s", old.Version)
+	if err != nil {
+		t.Fatalf("Load beside a legacy .dfa file: %v", err)
+	}
+	if !sp.Matches(spanners.NewDocument("aab")) {
+		t.Fatal("loaded version does not match its own language")
+	}
+
+	if err := r.Delete("s", old.Version); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), old.Version) {
+			t.Errorf("deleted version left %s behind", e.Name())
+		}
+	}
+	if latest, err := r.Manifest("s", ""); err != nil || latest.Version != cur.Version {
+		t.Fatalf("latest after delete = %+v, %v", latest, err)
 	}
 }

@@ -8,7 +8,8 @@ import (
 
 // TestDFAStatsSurface asserts the dfa.* aggregate moves with request
 // traffic: after serving a letter-heavy document twice, the tracked
-// cache reports resident states and hits.
+// cache reports resident states and hits, and a third request interns
+// no new state.
 func TestDFAStatsSurface(t *testing.T) {
 	svc := New(Config{})
 	ctx := context.Background()
@@ -29,86 +30,13 @@ func TestDFAStatsSurface(t *testing.T) {
 	if st.Truncated {
 		t.Fatalf("one cache cannot truncate the index: %+v", st)
 	}
-}
-
-// TestDFASidecarRoundTrip is the persistence story end to end:
-// register, serve (warming the cache), SaveDFAs, then restart on the
-// same directory and verify the pre-warm loads the sidecar and seeds
-// determinized states before any traffic.
-func TestDFASidecarRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	svc := newRegistryService(t, dir)
-	if _, _, err := svc.RegisterSpanner("seller", sellerExpr); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	doc := "Seller: Ana, ID7\nBuyer: Bo, ID8, P1\n"
-	if _, err := svc.Extract(ctx, Query{Spanner: "seller"}, doc); err != nil {
-		t.Fatal(err)
-	}
-	saved, err := svc.SaveDFAs()
-	if err != nil || saved != 1 {
-		t.Fatalf("SaveDFAs = %d, %v", saved, err)
-	}
-	if got := svc.Stats().DFA.SidecarsSaved; got != 1 {
-		t.Fatalf("sidecars_saved = %d, want 1", got)
-	}
-
-	// Restart: the pre-warm must load the sidecar.
-	svc2 := newRegistryService(t, dir)
-	if n, err := svc2.Prewarm(); err != nil || n != 1 {
-		t.Fatalf("Prewarm = %d, %v", n, err)
-	}
-	st := svc2.Stats().DFA
-	if st.SidecarsLoaded != 1 {
-		t.Fatalf("sidecars_loaded = %d, want 1: %+v", st.SidecarsLoaded, st)
-	}
-	if st.PrewarmedStates == 0 {
-		t.Fatalf("restart seeded no determinized states: %+v", st)
-	}
 
 	// The warmed cache serves the same document without discovering
 	// new states.
-	before := svc2.Stats().DFA.States
-	if _, err := svc2.Extract(ctx, Query{Spanner: "seller"}, doc); err != nil {
+	if _, err := svc.Extract(ctx, q, doc); err != nil {
 		t.Fatal(err)
 	}
-	if after := svc2.Stats().DFA.States; after != before {
-		t.Fatalf("warmed cache still discovered states: %d → %d", before, after)
-	}
-}
-
-// TestDFASidecarCorruptionDegradesToCold flips bytes in the stored
-// sidecar and asserts the restart still serves correctly, just cold.
-func TestDFASidecarCorruptionDegradesToCold(t *testing.T) {
-	dir := t.TempDir()
-	svc := newRegistryService(t, dir)
-	man, _, err := svc.RegisterSpanner("seller", sellerExpr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	doc := "Seller: Ana, ID7\n"
-	if _, err := svc.Extract(ctx, Query{Spanner: "seller"}, doc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.SaveDFAs(); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Registry().SaveDFA(man.Name, man.Version, []byte("garbage sidecar")); err != nil {
-		t.Fatal(err)
-	}
-
-	svc2 := newRegistryService(t, dir)
-	if n, err := svc2.Prewarm(); err != nil || n != 1 {
-		t.Fatalf("Prewarm = %d, %v", n, err)
-	}
-	st := svc2.Stats().DFA
-	if st.SidecarsLoaded != 0 || st.PrewarmedStates != 0 {
-		t.Fatalf("corrupt sidecar should start cold: %+v", st)
-	}
-	out, err := svc2.Extract(ctx, Query{Spanner: "seller"}, doc)
-	if err != nil || len(out) == 0 {
-		t.Fatalf("cold-start extraction broken: %d results, %v", len(out), err)
+	if after := svc.Stats().DFA.States; after != st.States {
+		t.Fatalf("warmed cache still discovered states: %d → %d", st.States, after)
 	}
 }

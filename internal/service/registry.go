@@ -59,7 +59,6 @@ func (s *Service) loadNamed(name, version string) (*spanners.Spanner, registry.M
 	sp, man, err := s.reg.Load(name, version)
 	if err == nil {
 		s.artifactLoads.Add(1)
-		s.warmDFASidecar(sp, man)
 		return sp, man, false, nil
 	}
 	man, merr := s.reg.Manifest(name, version)
@@ -77,61 +76,6 @@ func (s *Service) loadNamed(name, version string) (*spanners.Spanner, registry.M
 	}
 	s.fallbacks.Add(1)
 	return sp, man, true, nil
-}
-
-// warmDFASidecar seeds sp's lazy-DFA cache from the registry's
-// persisted sidecar, when one exists. Every failure mode — no
-// sidecar, hostile bytes, a sidecar for a different program version —
-// degrades to a cold cache: warming validates and recomputes
-// everything it loads, so a bad sidecar can cost a little time but
-// never a wrong result.
-func (s *Service) warmDFASidecar(sp *spanners.Spanner, man registry.Manifest) {
-	data, err := s.reg.DFAArtifact(man.Name, man.Version)
-	if err != nil {
-		return
-	}
-	start := time.Now()
-	if _, err := sp.WarmDFA(data); err == nil {
-		s.sidecarsLoaded.Add(1)
-	}
-	s.obs.stage(obs.StageDFAWarm, time.Since(start))
-}
-
-// SaveDFAs persists the warmed lazy-DFA cache of every resident named
-// spanner as a registry sidecar, returning how many were written. A
-// long-lived process calls it on graceful shutdown so the next start
-// pre-warms not just the compiled programs but their determinized
-// state spaces.
-func (s *Service) SaveDFAs() (int, error) {
-	if s.reg == nil {
-		return 0, ErrNoRegistry
-	}
-	s.namedMu.Lock()
-	refs := make(map[string]*spanners.Spanner, len(s.named))
-	for ref, sp := range s.named {
-		refs[ref] = sp
-	}
-	s.namedMu.Unlock()
-
-	var errs []error
-	saved := 0
-	for ref, sp := range refs {
-		name, version, err := registry.ParseRef(ref)
-		if err != nil {
-			continue
-		}
-		data, err := sp.DFAArtifact()
-		if err != nil {
-			continue // interpreted fallback: nothing to persist
-		}
-		if err := s.reg.SaveDFA(name, version, data); err != nil {
-			errs = append(errs, fmt.Errorf("save DFA sidecar %s: %w", ref, err))
-			continue
-		}
-		saved++
-		s.sidecarsSaved.Add(1)
-	}
-	return saved, errors.Join(errs...)
 }
 
 // namedCall deduplicates concurrent cold lookups of one reference, in

@@ -126,10 +126,8 @@ type Service struct {
 	// snapshot. The index is also capped; a service churning through
 	// more distinct programs than the cap reports a lower bound, which
 	// the snapshot flags.
-	dfaMu          sync.Mutex
-	dfaSpanners    map[uint64]weak.Pointer[spanners.Spanner]
-	sidecarsLoaded atomic.Uint64
-	sidecarsSaved  atomic.Uint64
+	dfaMu       sync.Mutex
+	dfaSpanners map[uint64]weak.Pointer[spanners.Spanner]
 
 	inFlight atomic.Int64
 	emitted  atomic.Uint64
@@ -206,20 +204,18 @@ func (s *Service) trackDFA(sp *spanners.Spanner) {
 // DFAStats aggregates the lazy-DFA transition caches behind every
 // compiled spanner the service has produced or loaded: resident
 // determinized states, transition hit/miss traffic, budget flushes
-// with their evictions, sweeps that fell back to bitset stepping,
-// superinstruction activity, and how much of the state space came
-// pre-warmed from persisted sidecars.
+// with their evictions, sweeps that fell back to bitset stepping, and
+// superinstruction activity.
 type DFAStats struct {
-	Caches          int    `json:"caches"`
-	States          int    `json:"states"`
-	Hits            uint64 `json:"hits"`
-	Misses          uint64 `json:"misses"`
-	Evictions       uint64 `json:"evictions"`
-	Flushes         uint64 `json:"flushes"`
-	Fallbacks       uint64 `json:"fallbacks"`
-	FusedExecs      uint64 `json:"fused_execs"`
-	SkippedRunes    uint64 `json:"skipped_runes"`
-	PrewarmedStates uint64 `json:"prewarmed_states"`
+	Caches       int    `json:"caches"`
+	States       int    `json:"states"`
+	Hits         uint64 `json:"hits"`
+	Misses       uint64 `json:"misses"`
+	Evictions    uint64 `json:"evictions"`
+	Flushes      uint64 `json:"flushes"`
+	Fallbacks    uint64 `json:"fallbacks"`
+	FusedExecs   uint64 `json:"fused_execs"`
+	SkippedRunes uint64 `json:"skipped_runes"`
 	// Speed-ladder counters: required-literal prefilter checks and
 	// the documents they pruned, runes skipped by stop-byte candidate
 	// jumps, sweeps whose density heuristic disabled the jumps, and
@@ -231,10 +227,6 @@ type DFAStats struct {
 	ConstrainedCaches     int    `json:"constrained_caches"`
 	ConstrainedStates     int    `json:"constrained_states"`
 	ConstrainedSegments   uint64 `json:"constrained_segments"`
-	// SidecarsLoaded and SidecarsSaved count registry DFA-cache
-	// sidecar round trips (load at pre-warm, save on shutdown).
-	SidecarsLoaded uint64 `json:"sidecars_loaded"`
-	SidecarsSaved  uint64 `json:"sidecars_saved"`
 	// Truncated reports that the observability index hit its cap and
 	// the sums above are a lower bound.
 	Truncated bool `json:"truncated,omitempty"`
@@ -255,10 +247,8 @@ func (s *Service) dfaStats() DFAStats {
 	truncated := len(s.dfaSpanners) >= maxTrackedDFAs
 	s.dfaMu.Unlock()
 	out := DFAStats{
-		Caches:         len(tracked),
-		SidecarsLoaded: s.sidecarsLoaded.Load(),
-		SidecarsSaved:  s.sidecarsSaved.Load(),
-		Truncated:      truncated,
+		Caches:    len(tracked),
+		Truncated: truncated,
 	}
 	for _, sp := range tracked {
 		st := sp.DFAStats()
@@ -270,7 +260,6 @@ func (s *Service) dfaStats() DFAStats {
 		out.Fallbacks += st.Fallbacks
 		out.FusedExecs += st.FusedExecs
 		out.SkippedRunes += st.SkippedRunes
-		out.PrewarmedStates += st.PrewarmedStates
 		out.PrefilterChecks += st.PrefilterChecks
 		out.PrefilterPrunes += st.PrefilterPrunes
 		out.CandidateSkippedRunes += st.CandidateSkippedRunes

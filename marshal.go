@@ -138,34 +138,3 @@ func LoadCompiledSpanner(data []byte) (*Spanner, error) {
 		engine:     eval.FromProgram(p, flags&seqFlag != 0),
 	}, nil
 }
-
-// DFAArtifact serializes the spanner's warmed lazy-DFA cache as a
-// standalone artifact a registry can store beside the spanner
-// artifact ("SPDF" envelope: versioned, checksummed, bound to the
-// program's fingerprint). Only the determinized state space is
-// persisted; transitions are recomputed — and thereby verified — when
-// the artifact is loaded, so a sidecar can warm a cache but never
-// corrupt one. Spanners running the interpreted fallback have no
-// cache and return an error.
-func (s *Spanner) DFAArtifact() ([]byte, error) {
-	d := s.engine.DFA()
-	if d == nil {
-		return nil, fmt.Errorf("spanners: %q runs the interpreted fallback and has no DFA cache", s.source)
-	}
-	return d.Encode(), nil
-}
-
-// WarmDFA seeds the spanner's lazy-DFA cache from DFAArtifact output,
-// returning how many determinized states were added. Errors wrap the
-// typed sentinels of internal/program (program.ErrDFABadMagic,
-// program.ErrDFAMismatch for a sidecar of a different program, and
-// the shared ErrTruncated/ErrChecksum/ErrCorrupt/ErrVersion/
-// ErrTooLarge); hostile bytes never panic and leave the cache
-// unchanged. Warming a spanner without a cache is an error.
-func (s *Spanner) WarmDFA(data []byte) (int, error) {
-	d := s.engine.DFA()
-	if d == nil {
-		return 0, fmt.Errorf("spanners: %q runs the interpreted fallback and has no DFA cache", s.source)
-	}
-	return d.WarmFromArtifact(data)
-}

@@ -65,6 +65,9 @@ func TestMarshalRoundTripDifferential(t *testing.T) {
 			if !loaded.Compiled() {
 				t.Error("loaded spanner is not compiled")
 			}
+			if !loaded.DFAStats().Enabled {
+				t.Error("loaded spanner runs without its lazy-DFA cache")
+			}
 			if loaded.Automaton() != nil || loaded.Expr() != nil {
 				t.Error("loaded spanner claims an automaton or syntax tree")
 			}
@@ -172,47 +175,5 @@ func TestMarshalBinaryInterpretedFallback(t *testing.T) {
 	}
 	if _, err := s.MarshalBinary(); err == nil {
 		t.Fatal("MarshalBinary succeeded on an interpreted spanner")
-	}
-}
-
-// TestDFAArtifactRoundTripPublicAPI covers the public sidecar
-// surface: DFAArtifact on a warmed spanner seeds a freshly loaded
-// twin via WarmDFA, and hostile bytes yield typed errors.
-func TestDFAArtifactRoundTripPublicAPI(t *testing.T) {
-	sp := MustCompile(`x{a*}b`)
-	d := NewDocument("aaab")
-	if !sp.Matches(d) {
-		t.Fatal("corpus spanner should match")
-	}
-	art, err := sp.DFAArtifact()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	bin, err := sp.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadCompiledSpanner(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	added, err := loaded.WarmDFA(art)
-	if err != nil || added == 0 {
-		t.Fatalf("WarmDFA = %d, %v", added, err)
-	}
-	if st := loaded.DFAStats(); !st.Enabled || st.PrewarmedStates == 0 {
-		t.Fatalf("loaded spanner not warmed: %+v", st)
-	}
-	if !loaded.Matches(d) {
-		t.Fatal("warmed loaded spanner must still match")
-	}
-
-	if _, err := loaded.WarmDFA([]byte("junk")); !errors.Is(err, program.ErrDFABadMagic) {
-		t.Fatalf("hostile warm: got %v, want ErrDFABadMagic", err)
-	}
-	other := MustCompile(`abc`)
-	if _, err := other.WarmDFA(art); !errors.Is(err, program.ErrDFAMismatch) {
-		t.Fatalf("cross-spanner warm: got %v, want ErrDFAMismatch", err)
 	}
 }

@@ -227,9 +227,6 @@ type DFAStats struct {
 	// SkippedRunes the runes consumed by memchr-style self-loop skips.
 	FusedExecs   uint64 `json:"fused_execs"`
 	SkippedRunes uint64 `json:"skipped_runes"`
-	// PrewarmedStates counts states seeded from a persisted cache
-	// artifact (WarmDFA) rather than discovered during evaluation.
-	PrewarmedStates uint64 `json:"prewarmed_states"`
 	// PrefilterChecks counts required-literal absence scans and
 	// PrefilterPrunes the documents those scans rejected outright
 	// (no DFA or bitset work at all).
@@ -289,7 +286,6 @@ func (s *Spanner) DFAStats() DFAStats {
 		Fallbacks:       st.Fallbacks,
 		FusedExecs:      st.FusedExecs,
 		SkippedRunes:    st.SkippedRunes,
-		PrewarmedStates: st.PrewarmedStates,
 		PrefilterChecks: st.PrefilterChecks,
 		PrefilterPrunes: st.PrefilterPrunes,
 	}
@@ -437,9 +433,9 @@ func (s *Spanner) First(d *Document) (Mapping, bool) {
 }
 
 // ProgramFingerprint returns the FNV-64 fingerprint of the compiled
-// program backing the spanner — the identity under which artifacts,
-// DFA sidecars and incremental document sessions are keyed — or 0 for
-// interpreted spanners, which have no program.
+// program backing the spanner — the identity under which incremental
+// document sessions are keyed — or 0 for interpreted spanners, which
+// have no program.
 func (s *Spanner) ProgramFingerprint() uint64 {
 	if !s.engine.Compiled() {
 		return 0

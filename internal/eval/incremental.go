@@ -636,8 +636,19 @@ func (s *IncState) windowWalk(d *span.Document, A, B int, startSet, targetB0 pro
 // loops recorded fresh pairs in newF/newB. A snapshot is kept only
 // when both halves resolved; snapshots that fell inside the edit die.
 func (s *IncState) rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf, cb int) []incSnap {
+	// A snapshot before the edit and below the backward re-convergence
+	// point survives verbatim: both resweeps record pairs only past it
+	// (newF past the last snapshot before the edit, newB from cb up).
+	// The cached list is thinned already, so the run of such snapshots
+	// is copied whole and the resolution below starts after it.
+	keep := 0
+	if cb > 0 {
+		lim := min(prefixEnd+1, editEndNew, cb)
+		keep = sort.Search(len(s.snaps), func(i int) bool { return s.snaps[i].pos >= lim })
+	}
+	out := append(s.spare[:0], s.snaps[:keep]...)
 	positions := s.positions[:0]
-	for i := range s.snaps {
+	for i := keep; i < len(s.snaps); i++ {
 		pos := s.snaps[i].pos
 		if pos <= prefixEnd {
 			positions = append(positions, pos)
@@ -659,7 +670,7 @@ func (s *IncState) rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf
 	// positions ascend. Positions ascend here too, so each lookup moves
 	// its cursor forward only: at and shifted walk the cached list at
 	// pos and at pos-delta, fAt and bAt the recorded ones.
-	at, shifted, fAt, bAt := 0, 0, 0, 0
+	at, shifted, fAt, bAt := keep, 0, 0, 0
 	find := func(list []incSnap, cursor *int, pos int) (*incSnap, bool) {
 		for *cursor < len(list) && list[*cursor].pos < pos {
 			*cursor++
@@ -670,7 +681,7 @@ func (s *IncState) rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf
 		return nil, false
 	}
 
-	out := slices.Grow(s.spare[:0], len(positions))
+	out = slices.Grow(out, len(positions))
 	for _, pos := range positions {
 		if pos < 2 || pos > n2+1 {
 			continue
@@ -719,8 +730,8 @@ func (s *IncState) rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf
 	// accelerative, so halving density only lengthens future resweeps,
 	// never changes results.
 	if minGap := s.blockK / 2; len(out) > 1 && minGap > 0 {
-		kept := out[:1]
-		for _, sn := range out[1:] {
+		kept := out[:max(keep, 1)]
+		for _, sn := range out[len(kept):] {
 			if sn.pos-kept[len(kept)-1].pos >= minGap {
 				kept = append(kept, sn)
 			}

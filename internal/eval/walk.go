@@ -28,17 +28,20 @@ import (
 // With the lazy DFA on, the co-reach is one interned state per
 // boundary, and the sweep runs at DFA speed: whether a frontier fires
 // is one AND against the co-reach state's precomputed firers, and
-// between prune points a frontier takes one memoized raw step per
-// letter, neither intersected with the co-reach nor re-interned. Co-
-// reach is backward-closed — a state outside it at one boundary has no
-// letter successor inside it at the next — so pruning commutes with
-// letter steps, and pruning once after many raw steps gives the
-// frontier pruning after each would have. Prune points are the
-// boundaries where a frontier fires, the window's end, and every
-// lazyPruneEvery boundaries. At a DAG node the frontier's boundary
-// choices come from its interned state, derived once per state
-// (Engine.choices) and cut to the boundary's co-reach by the walk
-// (branch); the bitset path derives them at every node.
+// between prune points a frontier takes memoized raw steps, neither
+// intersected with the co-reach nor re-interned. Co-reach is
+// backward-closed — a state outside it at one boundary has no letter
+// successor inside it at the next — so pruning commutes with letter
+// steps, and pruning once after many raw steps gives the frontier
+// pruning after each would have. Prune points are the boundaries where
+// a frontier fires, the window's end, and every lazyPruneEvery
+// boundaries. Between them the whole layer glides (glide): a letter on
+// which every live frontier's state is known to loop takes no step,
+// and on any other only the frontiers not known to loop on it step. At
+// a DAG node the frontier's boundary choices come from its interned
+// state, derived once per state (Engine.choices) and cut to the
+// boundary's co-reach by the walk (branch); the bitset path derives
+// them at every node.
 
 // opOrder is the emission order of boundary choices (see "Emission
 // order" in docs/ARCHITECTURE.md): the order of the canonical key
@@ -312,6 +315,21 @@ func (w *seqWalk) fires(set program.Bits, pos int) bool {
 	return w.e.firesInto(set, w.coRaw[pos-w.lo])
 }
 
+// layerFires reports whether an operation can fire from a frontier of
+// l at boundary pos; the bitset path takes every boundary as one where
+// one can, and prunes and derives the choices there.
+func (w *seqWalk) layerFires(l *sweepLayer, pos int) bool {
+	if !w.dfa {
+		return true
+	}
+	for i := range l.fs {
+		if w.fires(l.fs[i].s.Frontier(), pos) {
+			return true
+		}
+	}
+	return false
+}
+
 // testHookWalkDone, when set by a test, sees every walk as it finishes.
 var testHookWalkDone func(*seqWalk)
 
@@ -478,14 +496,15 @@ func (w *seqWalk) resolve(head, to int32) {
 //
 // On the DFA path a layer is pruned only at a prune point: a boundary
 // where one of its frontiers fires, the window's end, or lazyPruneEvery
-// boundaries after the last prune. In between every frontier takes one
-// raw step per letter, merged by pointer, and a layer of one frontier
-// glides. The steps out of a boundary where a frontier fired are eager
-// — pruned and settled at the next boundary — so a run of firing
-// boundaries prunes each layer once. Only a pruned, non-empty frontier
-// takes the op-free shortcut to completion (settle), and at a cut only
-// one that meets the seed completes. The bitset path prunes at every
-// boundary.
+// boundaries after the last prune. In between the layer glides: its
+// frontiers step raw, merged by pointer, and only on the letters they
+// are not known to loop on. The steps out of a boundary where a
+// frontier fired are eager — pruned and settled at the next boundary —
+// so a run of firing boundaries prunes each layer once, and the steps
+// out of a prune point where none fired are raw (drift). Only a
+// pruned, non-empty frontier takes the op-free shortcut to completion
+// (settle), and at a cut only one that meets the seed completes. The
+// bitset path prunes at every boundary.
 func (w *seqWalk) sweep(start program.Bits) {
 	p := w.e.prog
 	words := len(start)
@@ -529,32 +548,19 @@ func (w *seqWalk) sweep(start program.Bits) {
 				}
 			}
 		}
-		if w.dfa && len(cur.fs) == 1 {
-			at, alive := w.glide(&cur.fs[0], pos, min(prune, w.hi))
-			if !alive {
-				return
+		fire := w.layerFires(cur, pos)
+		if stop := min(prune, w.hi); !fire && pos < stop {
+			at, fired := w.glide(cur, pos, stop)
+			if len(cur.fs) == 0 {
+				return // every frontier died
 			}
-			if at > pos {
-				pos, cur.pruned = at, false
-			}
-		}
-		fire := !w.dfa
-		for i := 0; i < len(cur.fs) && !fire; i++ {
-			fire = w.fires(cur.frontier(i, words), pos)
+			pos, cur.pruned = at, false
+			fire = fired || w.layerFires(cur, pos)
 		}
 		last := pos == w.hi
 		c := -1
 		if !last {
 			c = p.ClassOf(w.d.RuneAt(pos))
-		}
-		if !fire && !last && pos < prune {
-			next.reset()
-			for i := range cur.fs {
-				w.drift(next, &cur.fs[i], c)
-			}
-			next.pruned = false
-			cur, next = next, cur
-			continue
 		}
 		prune = pos + lazyPruneEvery
 		co := w.coAt(pos)
@@ -611,48 +617,100 @@ func (w *seqWalk) sweep(start program.Bits) {
 	}
 }
 
-// glide steps f, the only frontier of its layer, raw across the
-// boundaries from pos on, stopping at the first where it fires or at
-// stop, and returns that boundary; false means it died on the way. An
-// ASCII letter on which the raw step is known to map the frontier's
-// state to itself (DState.Loops) is crossed without a step and counted
-// as a DFA hit, so between matches the glide tests one bit per
-// boundary, and the firers only where the co-reach state changes.
-func (w *seqWalk) glide(f *liveFrontier, pos, stop int) (int, bool) {
-	p, s := w.e.prog, f.s
-	loops := s.Loops(program.StepRaw)
-	var co *program.DState // the co-reach state last found not to fire s
+// glide steps the layer l, none of whose frontiers fires at pos < stop,
+// raw across the boundaries from pos on, stopping at the first where
+// one of them fires, with true, or at stop, and returns that boundary;
+// l is left empty when every frontier died on the way. An ASCII letter
+// on which every frontier's state is known to map to itself under the
+// raw step (DState.Loops) is crossed without a step (skim), one DFA hit
+// per frontier. On any other letter only the frontiers whose loops miss
+// it step: those that die are dropped, equal states merge by pointer
+// with their pending edges spliced as in join, and a step that returns
+// its state records the loop. The bytes every frontier loops on are
+// gathered there too, so none are known before the first such letter.
+func (w *seqWalk) glide(l *sweepLayer, pos, stop int) (int, bool) {
+	p, fs := w.e.prog, l.fs
+	var all [2]uint64    // the bytes every frontier loops on; none known yet
+	co := w.co[pos-w.lo] // the co-reach state last found to fire no frontier
+	for {
+		at, last, fired := w.skim(fs, all, co, pos, stop)
+		w.dfaHits += uint64((at - pos) * len(fs))
+		if pos, co = at, last; fired || pos == stop {
+			l.fs = fs
+			return pos, fired
+		}
+		r := w.d.RuneAt(pos)
+		c := p.ClassOf(r)
+		if c < 0 {
+			fs = fs[:0]
+			break
+		}
+		ascii, word, bit := uint32(r) < 128, r>>6&1, uint64(1)<<(uint(r)&63)
+		k := 0
+		all = [2]uint64{^uint64(0), ^uint64(0)}
+		for _, f := range fs {
+			loops := f.s.Loops(program.StepRaw)
+			if ascii && loops[word]&bit != 0 {
+				w.dfaHits++
+			} else {
+				w.steps++
+				switch ns := w.stepRaw(f.s, c); {
+				case ns.Dead():
+					co = nil
+					continue
+				case ns != f.s:
+					f.s, co, loops = ns, nil, ns.Loops(program.StepRaw)
+				case ascii:
+					loops = w.e.dfa.NoteLoop(f.s, program.StepRaw, c)
+				}
+			}
+			all[0] &= loops[0]
+			all[1] &= loops[1]
+			if j := slices.IndexFunc(fs[:k], func(g liveFrontier) bool { return g.s == f.s }); j >= 0 {
+				w.edges[fs[j].tail].next = f.head
+				fs[j].tail = f.tail
+				continue
+			}
+			fs[k] = f
+			k++
+		}
+		if fs = fs[:k]; k == 0 {
+			break
+		}
+		pos++
+	}
+	l.fs = fs
+	return pos, false
+}
+
+// skim returns the first boundary from pos before stop at which a
+// frontier of fs fires, with true, or whose letter is not an ASCII byte
+// of all, the bytes every frontier of fs loops on; stop if there is
+// none. co is the co-reach state last found to fire no frontier of fs,
+// and skim returns the one it last found: the firers are tested only
+// where the co-reach state changes, so between matches a boundary
+// costs one bit test.
+func (w *seqWalk) skim(fs []liveFrontier, all [2]uint64, co *program.DState, pos, stop int) (int, *program.DState, bool) {
+	cos, lo, d := w.co, w.lo, w.d
 	for ; pos < stop; pos++ {
-		if c := w.co[pos-w.lo]; c != co {
-			if s.Frontier().Intersects(c.Firers()) {
-				break
+		if c := cos[pos-lo]; c != co {
+			for i := range fs {
+				if fs[i].s.Frontier().Intersects(c.Firers()) {
+					return pos, co, true
+				}
 			}
 			co = c
 		}
-		r := w.d.RuneAt(pos)
-		if r >= 0 && r < 128 && loops[r>>6]&(1<<(uint(r)&63)) != 0 {
-			w.dfaHits++
-			continue
+		r := d.RuneAt(pos)
+		m := all[0]
+		if r >= 64 {
+			m = all[1]
 		}
-		c := p.ClassOf(r)
-		if c < 0 {
-			return pos, false
-		}
-		w.steps++
-		ns := w.stepRaw(s, c)
-		switch {
-		case ns.Dead():
-			return pos, false
-		case ns == s:
-			if r < 128 {
-				loops = w.e.dfa.NoteLoop(s, program.StepRaw, c)
-			}
-		default:
-			s, loops, co = ns, ns.Loops(program.StepRaw), nil
+		if uint32(r) >= 128 || m&(1<<(uint(r)&63)) == 0 {
+			break
 		}
 	}
-	f.s = s
-	return pos, true
+	return pos, co, false
 }
 
 // walkFrame is a node's untried edges [next, end); base is the number

@@ -79,12 +79,13 @@ const poolReuseWideExpr = `.*(\n|())m{GET|POST|PUT|DELETE|PATCH|OPTIONS|CONNECT|
 // next. Goroutines interleave whole-document enumerations and counts
 // and session-window walks over a two-word program, a one-word one and
 // the two-word one on a 3-state DFA budget, which abandons the DFA
-// mid-sweep; windows step the reverse DFA from their interned seed
-// into the pooled co-reach, so a walk handed the buffers of the last
-// one sees its co-reach in the same slots. Every result must equal
-// the interpreted enumerator's, which shares no storage with the walk:
-// a window's results are the full results whose operations all lie in
-// it.
+// mid-sweep, and enumerate the weblog_stream and batch_rows shapes on
+// engines that start cold. Windows step the reverse DFA from their
+// interned seed into the pooled co-reach, so a walk handed the buffers
+// of the last one sees its co-reach in the same slots. Every result
+// must equal the interpreted enumerator's, which shares no storage
+// with the walk: a window's results are the full results whose
+// operations all lie in it.
 func TestWalkPoolReuse(t *testing.T) {
 	wide := CompileRGX(rgx.MustParse(poolReuseWideExpr))
 	if wide.prog.NumStates <= 64 {
@@ -134,6 +135,26 @@ func TestWalkPoolReuse(t *testing.T) {
 				}, inWindow(full, width, a.pos, end)})
 			}
 		}
+	}
+
+	// The weblog_stream and batch_rows shapes on one cold engine each,
+	// which the goroutines below share: their layers glide on loops
+	// that other goroutines learn on the same states at the same time.
+	for _, sh := range workloadShapes() {
+		if sh.name != "weblog_stream" && sh.name != "batch_rows" {
+			continue
+		}
+		e, oracle := CompileRGX(rgx.MustParse(sh.expr)), CompileRGX(rgx.MustParse(sh.expr))
+		oracle.ForceInterpreted()
+		docs := sh.docs[:min(len(sh.docs), 8)]
+		all := func(e *Engine) []span.Span {
+			return collectTuples(func(yield func([]span.Span) bool) {
+				for _, d := range docs {
+					e.EnumerateTuples(d, nil, yield)
+				}
+			})
+		}
+		jobs = append(jobs, job{sh.name + "/cold-shared", func() []span.Span { return all(e) }, all(oracle)})
 	}
 
 	// Back to back on one goroutine the pool usually hands the last walk

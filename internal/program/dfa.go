@@ -616,13 +616,15 @@ func (s *DState) Loops(kind StepKind) [2]uint64 {
 }
 
 // NoteLoop records that the step of kind on class c maps s to itself,
-// and returns the loops of s with the ASCII bytes of class c added.
+// and returns the loops of s with the ASCII bytes of class c added:
+// two atomic ORs of the class's byte mask. Callers note a loop only on
+// a byte whose bit they found unset. The ORs' old values are not used:
+// go1.24.0 on amd64 returns wrong ones when two are combined in one
+// expression.
 func (d *DFA) NoteLoop(s *DState, kind StepKind, c int) [2]uint64 {
-	for b, bc := range d.p.asciiClass {
-		if int(bc) == c {
-			s.loops[kind][b>>6].Or(1 << (uint(b) & 63))
-		}
-	}
+	m := d.p.asciiMask[c]
+	s.loops[kind][0].Or(m[0])
+	s.loops[kind][1].Or(m[1])
 	return s.Loops(kind)
 }
 
@@ -929,7 +931,7 @@ func (d *DFA) BackwardFrontiers(doc *span.Document, lo, hi int, seed *DState, ou
 		}
 		if ns != s {
 			s, loops = ns, ns.Loops(StepReverse)
-		} else if text != "" {
+		} else if text != "" && c >= 0 {
 			loops = d.NoteLoop(s, StepReverse, c)
 		}
 		out[pos-lo] = s

@@ -60,6 +60,12 @@ func (p *Program) finishTables() {
 			p.asciiClass[r] = int16(p.cls[i])
 		}
 	}
+	p.asciiMask = make([][2]uint64, p.NumClasses)
+	for b, c := range p.asciiClass {
+		if c >= 0 {
+			p.asciiMask[c][b>>6] |= 1 << (uint(b) & 63)
+		}
+	}
 
 	// Single-exit map: out[q] = (class, successor) when state q has
 	// exactly one outgoing letter class and that class has exactly one

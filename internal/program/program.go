@@ -114,9 +114,11 @@ type Program struct {
 	HasOps  Bits
 	RHasOps Bits
 
-	// Derived accelerators (fuse.go): O(1) ASCII classification and
+	// Derived accelerators (fuse.go): O(1) ASCII classification, each
+	// class's ASCII bytes as a two-word mask (bit b of word b>>6), and
 	// the superinstruction tables of the peephole pass.
 	asciiClass [128]int16
+	asciiMask  [][2]uint64
 	runOf      []int32
 	runs       []fusedRun
 

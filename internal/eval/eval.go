@@ -623,10 +623,12 @@ func (e *Engine) evalFPT(d *span.Document, mu span.Extended) bool {
 // proves it possible (Theorem 5.1 + 5.7). Three strategies exist:
 //
 //   - sequential automata use a direct branch-per-boundary walk whose
-//     every branch provably yields output — on the compiled program one
-//     sweep linear in |d| builds the branches' DAG and a DFS emits them
-//     with a delay independent of |d| (walk.go); the interpreted walk,
-//     beyond 32 variables, has delay O(|d|·|δ|);
+//     every branch provably yields output — on the compiled program a
+//     DFS emits the branches from a DAG that one forward sweep, linear
+//     in |d|, builds only as far as the next emission needs, after a
+//     co-reach sweep (walk.go), so the delay is polynomial and a caller
+//     that stops early pays for the prefix it read; the interpreted
+//     walk, beyond 32 variables, has delay O(|d|·|δ|);
 //   - other automata fall back to EnumerateFiltered, Algorithm 2 with
 //     a reachability prefilter on candidate spans;
 //   - EnumerateOracle is the paper's Algorithm 2 verbatim, kept for

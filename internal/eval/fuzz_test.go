@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -18,9 +19,12 @@ const fuzzMaxMappings = 4096
 // FuzzEnumerateOrder checks the compiled sequential walk, with the
 // lazy DFA on (cold, then warm) and off, against the interpreted
 // enumerator on arbitrary patterns and documents: the same mappings in
-// the same order, and a Count equal to their number.
+// the same order, and a Count equal to their number. Each engine first
+// enumerates only the first k mappings, which leaves its walk
+// mid-sweep when the DFS stops, and must emit the full enumeration's
+// first k; the full enumeration after it then reuses that pooled walk.
 func FuzzEnumerateOrder(f *testing.F) {
-	for _, seed := range []struct{ expr, doc string }{
+	for i, seed := range []struct{ expr, doc string }{
 		{`.*(\n|())m{GET|POST|PUT|DELETE} (p{[^ ]*}) (st{\d\d\d}) \d* "[^"]*"( ref=(r{[^\n]*})|)\n.*`,
 			"1.2.3.4 GET / 200 7 \"c\"\n5.6.7.8 PUT /a 404 1 \"m\" ref=/\n"},
 		{`.*m{TRACE} (p{/admin/[^ ]*}) (st{\d\d\d}) \d* "[^"]*"( ref=(r{[^\n]*})|)\n.*`,
@@ -34,10 +38,10 @@ func FuzzEnumerateOrder(f *testing.F) {
 		{`(a(bbb)*x{}|a(bb)*z{})b*y{c}`, "abbbbbbbbbbbbbc"},
 		{`.*(x{a}bbbb|y{a}b)b*z{c}.*`, "abbbbbbbcabbbc"},
 	} {
-		f.Add(seed.expr, seed.doc)
+		f.Add(seed.expr, seed.doc, uint8(1+i))
 	}
 
-	f.Fuzz(func(t *testing.T, expr, text string) {
+	f.Fuzz(func(t *testing.T, expr, text string, k uint8) {
 		// e+ compiles as e e*, so nested repetitions double the
 		// automaton per level; keep it small enough to test quickly.
 		if len(expr) > 128 || strings.Count(expr, "+") > 6 ||
@@ -70,6 +74,11 @@ func FuzzEnumerateOrder(f *testing.F) {
 			e    *Engine
 		}{{"dfa", eng}, {"dfa-warm", eng}, {"bitset", bitset}} {
 			name, e := r.name, r.e
+			stop := max(int(k), 1)
+			prefix := fuzzPrefix(e, d, stop)
+			if n := min(len(want), stop); !slices.Equal(prefix, want[:n]) {
+				t.Fatalf("%s: stopped after %d, emitted %q, interpreted %q, on %q / %q", name, n, prefix, want[:n], expr, text)
+			}
 			got := fuzzKeys(e, d)
 			if len(got) != len(want) {
 				t.Fatalf("%s: %d mappings, interpreted %d, on %q / %q", name, len(got), len(want), expr, text)
@@ -91,10 +100,16 @@ func FuzzEnumerateOrder(f *testing.F) {
 // fuzzKeys returns the canonical keys of the first fuzzMaxMappings
 // mappings e emits on d, in emission order.
 func fuzzKeys(e *Engine, d *span.Document) []string {
+	return fuzzPrefix(e, d, fuzzMaxMappings)
+}
+
+// fuzzPrefix returns the canonical keys of the first k mappings e
+// emits on d, in emission order, stopping the enumeration there.
+func fuzzPrefix(e *Engine, d *span.Document, k int) []string {
 	var keys []string
 	e.Enumerate(d, func(m span.Mapping) bool {
 		keys = append(keys, m.Key())
-		return len(keys) < fuzzMaxMappings
+		return len(keys) < k
 	})
 	return keys
 }

@@ -182,11 +182,11 @@ func TestGlideMatchesStepwise(t *testing.T) {
 			if len(want) != c.frontiers {
 				t.Fatalf("stepwise: %d frontiers, want %d", len(want), c.frontiers)
 			}
-			l := &w.cur
+			l := &w.layers[0]
 			for range 2 { // the second glide reads the loops the first learned
 				l.fs, w.edges = l.fs[:0], w.edges[:0]
 				for i, f := range fs {
-					w.edges = append(w.edges, dagEdge{to: toDead, next: -1})
+					w.edges = append(w.edges, dagEdge{to: toPending, next: -1})
 					l.fs = append(l.fs, liveFrontier{s: e.dfa.State(f), head: int32(i), tail: int32(i)})
 				}
 				at, fired := w.glide(l, 3, stop)

@@ -19,11 +19,16 @@ import (
 // frontiers of each boundary and records a DAG node only where a
 // frontier can fire an operation; op-free stretches in between are
 // jump edges to the next node. The paths of the DAG are the branches
-// of the walk, so a DFS over it emits them in the walk's order with a
-// delay independent of the document: O(|d|) preprocessing, then
-// output-linear. Enumerate, Count (a path count over the same sweep)
-// and incremental sessions' window re-walks all go through it; nothing
-// else advances a frontier during enumeration.
+// of the walk, and a DFS over it emits them in the walk's order. The
+// sweep is resumable, and the DFS pulls it only as far as the edge it
+// reads next (pull): the co-reach is the only preprocessing, the first
+// mapping waits for the sweep up to its completion, and a run stopped
+// after k mappings has stepped only the prefix they needed — never
+// more letters than one whole sweep — so the delay is polynomial
+// (Theorem 5.7) and the cost prefix-only. Enumerate, Count (a path
+// count over the whole sweep) and incremental sessions' window
+// re-walks all go through it; nothing else advances a frontier during
+// enumeration.
 //
 // With the lazy DFA on, the co-reach is one interned state per
 // boundary, and the sweep runs at DFA speed: whether a frontier fires
@@ -144,11 +149,12 @@ func fillTuple(t []span.Span, fired []firedOp) {
 	}
 }
 
-// Edge targets besides node indexes. An edge starts out dead and is
-// resolved when the frontier it leads to reaches a node or completes.
+// Edge targets besides node indexes. An edge starts out pending and is
+// resolved when the frontier it leads to reaches a node or completes;
+// one still pending when the sweep has ended is dead.
 const (
-	toEnd  int32 = -1 // the branch completes: emit it
-	toDead int32 = -2 // the branch dies before completing
+	toEnd     int32 = -1 // the branch completes: emit it
+	toPending int32 = -2 // not reached yet, or, once the sweep has ended, dead
 )
 
 // dagNode is a boundary where a live frontier can fire an operation;
@@ -224,28 +230,37 @@ type seqWalk struct {
 	dfaHits uint64 // memoized DFA transitions taken, added to the cache's count by done
 	steps   int    // letter steps taken
 
+	// The sweep's state between pulls: the boundary it sweeps next, its
+	// next prune point and flush check, the DFA's flush count when it
+	// began, its live layer and the spare one, and the boundaries the
+	// next pull sweeps at least.
+	pos, prune, check int
+	flush0            uint64
+	cur, next         *sweepLayer
+	ahead             int
+
 	walkBufs
 }
 
 // walkBufs are the storage of one walk: its co-reach, the DAG its
 // sweep builds (edges[0] is the root edge) with the arena of the
-// boundary choices the bitset path resolves, the sweep's two live
-// layers and bitset scratch, the DFS's stack and the tuple it emits,
+// boundary choices the bitset path resolves, the sweep's two layers
+// and bitset scratch, the DFS's stack and the tuple it emits,
 // and Count's path counts. Every slab is resliced, never trusted for
 // its contents, so a buffer that comes back from a wider program or a
 // longer document serves the next walk as is.
 type walkBufs struct {
 	coBufs
-	nodes     []dagNode
-	edges     []dagEdge
-	arena     emArena
-	cur, next sweepLayer
-	scratch   program.Bits
-	key       []byte
-	stack     []walkFrame
-	fired     []firedOp
-	tuple     []span.Span
-	paths     []int
+	nodes   []dagNode
+	edges   []dagEdge
+	arena   emArena
+	layers  [2]sweepLayer
+	scratch program.Bits
+	key     []byte
+	stack   []walkFrame
+	fired   []firedOp
+	tuple   []span.Span
+	paths   []int
 }
 
 // coBufs hold a co-reach: one interned state per boundary on the DFA
@@ -370,7 +385,7 @@ func (w *seqWalk) branch(next *sweepLayer, mask uint64, s *program.DState, to, c
 		return
 	}
 	e := int32(len(w.edges))
-	w.edges = append(w.edges, dagEdge{mask: mask, to: toDead, next: -1})
+	w.edges = append(w.edges, dagEdge{mask: mask, to: toPending, next: -1})
 	switch {
 	case last:
 		if to.Intersects(w.e.prog.Final) {
@@ -489,10 +504,11 @@ func (w *seqWalk) resolve(head, to int32) {
 	}
 }
 
-// sweep builds the DAG of every branch from the frontier start at lo.
-// Frontiers are deduplicated per boundary, so the work is linear in
-// the window times the live frontiers per boundary, and storage is
-// linear in the boundaries where an operation can fire.
+// begin starts the sweep that builds the DAG of every branch from the
+// frontier start at lo; sweepTo carries it on until no frontier is
+// live (sweeping). Frontiers are deduplicated per boundary, so the
+// work is linear in the window times the live frontiers per boundary,
+// and storage is linear in the boundaries where an operation can fire.
 //
 // On the DFA path a layer is pruned only at a prune point: a boundary
 // where one of its frontiers fires, the window's end, or lazyPruneEvery
@@ -505,39 +521,66 @@ func (w *seqWalk) resolve(head, to int32) {
 // pruned, non-empty frontier takes the op-free shortcut to completion
 // (settle), and at a cut only one that meets the seed completes. The
 // bitset path prunes at every boundary.
-func (w *seqWalk) sweep(start program.Bits) {
-	p := w.e.prog
-	words := len(start)
+func (w *seqWalk) begin(start program.Bits) {
 	w.nodes = w.nodes[:0]
-	w.edges = append(w.edges[:0], dagEdge{to: toDead, next: -1})
+	w.edges = append(w.edges[:0], dagEdge{to: toPending, next: -1})
 	w.arena.reset()
+	w.cur, w.next = &w.layers[0], &w.layers[1]
+	w.cur.reset()
+	w.ahead = lazyPruneEvery
 	if w.cut && w.lo == w.hi {
 		w.edges[0].to = toEnd
 		return
 	}
 	w.dfa = w.co != nil
-	var flush0 uint64
 	if w.dfa {
-		flush0 = w.e.dfa.Flushes()
+		w.flush0 = w.e.dfa.Flushes()
 	}
-	cur, next := &w.cur, &w.next
-	cur.reset()
 	w.scratch.CopyFrom(start)
 	w.scratch.And(w.coAt(w.lo))
 	if !w.scratch.Any() {
 		return
 	}
-	w.settle(cur, nil, w.scratch, 0, 0)
-	cur.pruned = true
+	w.settle(w.cur, nil, w.scratch, 0, 0)
+	w.cur.pruned = true
+	w.pos = w.lo
+	w.check = w.lo + program.FlushCheckInterval
+	w.prune = w.lo + lazyPruneEvery
+}
 
-	check := w.lo + program.FlushCheckInterval
-	prune := w.lo + lazyPruneEvery
-	for pos := w.lo; len(cur.fs) > 0; pos++ {
+// sweeping reports whether the sweep has live frontiers left to step.
+func (w *seqWalk) sweeping() bool { return len(w.cur.fs) > 0 }
+
+// sweep runs the whole sweep from start.
+func (w *seqWalk) sweep(start program.Bits) {
+	w.begin(start)
+	w.sweepTo(0, w.hi+1)
+}
+
+// pull sweeps on until the target of edge e is known, and at least
+// ahead boundaries past where it started; ahead doubles on every pull.
+// A DFS that pulled only to each edge would hand the sweep back and
+// forth at every node; the doubling keeps the sweep far enough ahead
+// that a DFS pulls O(log |d|) times.
+func (w *seqWalk) pull(e int32) {
+	stop := w.pos + w.ahead
+	w.ahead *= 2
+	w.sweepTo(e, stop)
+}
+
+// sweepTo sweeps on, a boundary or a glide at a time, until the target
+// of edge e is known and the sweep has reached the boundary until, or
+// until no frontier is live.
+func (w *seqWalk) sweepTo(e int32, until int) {
+	p, words := w.e.prog, len(w.scratch)
+	cur, next := w.cur, w.next
+	pos := w.pos
+	for ; len(cur.fs) > 0 && (pos < until || w.edges[e].to == toPending); pos++ {
 		// The flush counter is shared, so it is read only every
 		// FlushCheckInterval positions, as the DFA's own sweeps do.
-		if w.dfa && pos >= check {
-			check = pos + program.FlushCheckInterval
-			if w.e.dfa.Flushes()-flush0 > program.MaxFlushesPerSweep {
+		if w.dfa && pos >= w.check {
+			w.check = pos + program.FlushCheckInterval
+			if w.e.dfa.Flushes()-w.flush0 > program.MaxFlushesPerSweep {
 				// The cache thrashes its budget: step bitsets from here on.
 				w.e.dfa.NoteFallback()
 				w.dfa = false
@@ -549,10 +592,10 @@ func (w *seqWalk) sweep(start program.Bits) {
 			}
 		}
 		fire := w.layerFires(cur, pos)
-		if stop := min(prune, w.hi); !fire && pos < stop {
+		if stop := min(w.prune, w.hi); !fire && pos < stop {
 			at, fired := w.glide(cur, pos, stop)
 			if len(cur.fs) == 0 {
-				return // every frontier died
+				break // every frontier died
 			}
 			pos, cur.pruned = at, false
 			fire = fired || w.layerFires(cur, pos)
@@ -562,7 +605,7 @@ func (w *seqWalk) sweep(start program.Bits) {
 		if !last {
 			c = p.ClassOf(w.d.RuneAt(pos))
 		}
-		prune = pos + lazyPruneEvery
+		w.prune = pos + lazyPruneEvery
 		co := w.coAt(pos)
 		if !cur.pruned {
 			next.reset()
@@ -576,7 +619,8 @@ func (w *seqWalk) sweep(start program.Bits) {
 			for i := range cur.fs {
 				w.resolve(cur.fs[i].head, toEnd)
 			}
-			return
+			cur.reset()
+			break
 		}
 		var coNext program.Bits
 		if !last {
@@ -615,6 +659,7 @@ func (w *seqWalk) sweep(start program.Bits) {
 		next.pruned = fire
 		cur, next = next, cur
 	}
+	w.cur, w.next, w.pos = cur, next, pos
 }
 
 // glide steps the layer l, none of whose frontiers fires at pos < stop,
@@ -724,12 +769,16 @@ type walkFrame struct {
 // start at lo — in emission order, the empty mapping included — as a
 // tuple over the program's variables (Engine.Columns), until emit
 // returns false. The tuple is reused: emit must not retain it.
-// The sweep does every letter step before the first call; the DFS
-// after it keeps a frame only for a node with an untried edge, and the
-// first edge of every node fires an operation, so the work between two
-// emissions is bounded by the number of variables, not by |d|.
+// The DFS pulls the sweep only as far as the edge it reads next, so
+// the first call waits for the co-reach and the sweep up to the first
+// completion, and a run that stops after k calls has stepped only the
+// prefix those k branches needed, never more than the whole sweep. The
+// DFS keeps a frame only for a node with an untried edge, and the
+// first edge of every node fires an operation, so between two calls it
+// does work bounded by the number of variables plus the letter steps
+// of the sweep it pulls: polynomial delay (Theorem 5.7).
 func (w *seqWalk) run(start program.Bits, emit func(t []span.Span) bool) {
-	w.sweep(start)
+	w.begin(start)
 	fired, stack := w.fired[:0], append(w.stack[:0], walkFrame{end: 1})
 	t := slices.Grow(w.tuple[:0], len(w.e.prog.Vars))[:len(w.e.prog.Vars)]
 	for len(stack) > 0 {
@@ -737,6 +786,9 @@ func (w *seqWalk) run(start program.Bits, emit func(t []span.Span) bool) {
 		f := stack[top]
 		if stack[top].next++; f.next+1 == f.end {
 			stack = stack[:top]
+		}
+		if w.edges[f.next].to == toPending && w.sweeping() {
+			w.pull(f.next)
 		}
 		e := w.edges[f.next]
 		fired = appendFired(fired[:f.base], e.mask, f.pos)
@@ -746,7 +798,7 @@ func (w *seqWalk) run(start program.Bits, emit func(t []span.Span) bool) {
 			if !emit(t) {
 				stack = stack[:0]
 			}
-		case toDead:
+		case toPending: // dead: the sweep ended without reaching it
 		default:
 			n := w.nodes[e.to]
 			stack = append(stack, walkFrame{next: n.first, end: n.end, pos: int(n.pos), base: len(fired)})
@@ -769,7 +821,7 @@ func (w *seqWalk) count(start program.Bits) int {
 		switch to {
 		case toEnd:
 			return 1
-		case toDead:
+		case toPending:
 			return 0
 		}
 		return paths[to]

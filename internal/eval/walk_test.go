@@ -187,12 +187,14 @@ func weblogWalkEngines() map[string]*Engine {
 
 // walkWebLog runs the walk over a generated web log of the given
 // number of lines and returns the letter steps it took in all and the
-// count reached at each emission. The walk goes back to the pool when
-// it ends, so the total is read at the last emission: the trailing
-// part of the DFS steps no letter (TestWalkDelayIndependentOfDocumentLength).
+// count reached at each emission. The DFS pulls the sweep as it goes,
+// so the count grows between emissions, and the total is read as the
+// walk ends (TestWalkStepsBeforeEachEmission).
 func walkWebLog(t *testing.T, e *Engine, lines int) (steps int, atEmit []int) {
 	t.Helper()
-	d := span.NewDocument(workload.WebLog(workload.WebLogOptions{Lines: lines, ReferProb: 0.35, Seed: int64(lines)}))
+	d := webLogDoc(lines, int64(lines))
+	testHookWalkDone = func(w *seqWalk) { steps = w.steps }
+	defer func() { testHookWalkDone = nil }()
 	w := e.newSeqWalk(d, 1, d.Len()+1, nil)
 	w.run(e.start, func([]span.Span) bool {
 		atEmit = append(atEmit, w.steps)
@@ -201,7 +203,18 @@ func walkWebLog(t *testing.T, e *Engine, lines int) (steps int, atEmit []int) {
 	if len(atEmit) != lines {
 		t.Fatalf("%d lines gave %d mappings", lines, len(atEmit))
 	}
-	return atEmit[len(atEmit)-1], atEmit
+	return steps, atEmit
+}
+
+// sweepSteps returns the letter steps of the whole sweep, as Count
+// takes it, over the same web log as walkWebLog.
+func sweepSteps(e *Engine, lines int) int {
+	d := webLogDoc(lines, int64(lines))
+	w := e.newSeqWalk(d, 1, d.Len()+1, nil)
+	w.sweep(e.start)
+	steps := w.steps
+	w.done()
+	return steps
 }
 
 // TestWalkStepsLinearInDocumentLength: doubling the document at most
@@ -222,18 +235,37 @@ func TestWalkStepsLinearInDocumentLength(t *testing.T) {
 	}
 }
 
-// TestWalkDelayIndependentOfDocumentLength: every letter step happens
-// before the first emission, so the work between two emissions cannot
-// grow with the document.
-func TestWalkDelayIndependentOfDocumentLength(t *testing.T) {
+// firstEmitSteps bounds the letter steps before a web log's first
+// mapping: the first line's branch plus the look-ahead of the pulls
+// that reach it. It reads 33–106 with the DFA and 115–359 on bitsets
+// at 96 to 768 lines; the whole sweep of 96 lines takes 3 182 and
+// 10 456.
+const firstEmitSteps = 512
+
+// TestWalkStepsBeforeEachEmission: the DFS pulls the sweep only as far
+// as the edge it reads next, so the steps before the first emission
+// stay under one bound at every document length, the steps taken by
+// any emission are at most the whole sweep's, and the walk that runs
+// to the end takes exactly the whole sweep's steps: the pulls step no
+// letter twice. The sweep runs once first so both walks read the same
+// learned loops.
+func TestWalkStepsBeforeEachEmission(t *testing.T) {
 	for name, e := range weblogWalkEngines() {
-		for _, lines := range []int{96, 192, 384} {
-			_, atEmit := walkWebLog(t, e, lines)
-			for i := 1; i < len(atEmit); i++ {
-				if atEmit[i] != atEmit[i-1] {
-					t.Fatalf("%s, %d lines: %d letter steps between emissions %d and %d",
-						name, lines, atEmit[i]-atEmit[i-1], i-1, i)
+		for _, lines := range []int{96, 192, 384, 768} {
+			sweepSteps(e, lines)
+			full := sweepSteps(e, lines)
+			steps, atEmit := walkWebLog(t, e, lines)
+			if atEmit[0] > firstEmitSteps {
+				t.Errorf("%s, %d lines: %d letter steps before the first emission, want at most %d",
+					name, lines, atEmit[0], firstEmitSteps)
+			}
+			for i, n := range atEmit {
+				if n > full {
+					t.Fatalf("%s, %d lines: %d letter steps at emission %d, the whole sweep takes %d", name, lines, n, i, full)
 				}
+			}
+			if steps != full {
+				t.Errorf("%s, %d lines: the walk took %d letter steps, the whole sweep %d", name, lines, steps, full)
 			}
 		}
 	}

@@ -387,6 +387,61 @@ func TestLargeExpressionRefused(t *testing.T) {
 	}
 }
 
+// TestExtractLimitOnePaysForThePrefix: /v1/extract with limit 1 on
+// 2 MiB of a under a*x{a*}a* answers the first mapping after the
+// co-reach and a short stretch of the forward sweep, not after the DAG
+// of every boundary (about 630 B per document byte and 1.9 s): under
+// 16 B per byte — the body, the decoded document and the co-reach's
+// 8 — and 250 ms. A short request first compiles the query and warms
+// its DFA, so the timed one interns no state.
+func TestExtractLimitOnePaysForThePrefix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("extracts from a 2 MiB document")
+	}
+	ts, _ := newTestServer(t)
+	const expr = `a*x{a*}a*`
+	post := func(doc string) (extractResponse, time.Duration) {
+		t.Helper()
+		buf, err := json.Marshal(map[string]any{"expr": expr, "docs": []string{doc}, "limit": 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		resp, err := http.Post(ts.URL+"/v1/extract", "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out extractResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, %v", resp.StatusCode, err)
+		}
+		return out, time.Since(start)
+	}
+	post("aaaa")
+	doc := strings.Repeat("a", 2<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, took := post(doc)
+	runtime.ReadMemStats(&after)
+	if len(out.Results) != 1 || len(out.Results[0]) != 1 {
+		t.Fatalf("results %v, want one mapping", out.Results)
+	}
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(doc))
+	t.Logf("%v, %.2f B per document byte", took, perByte)
+	if raceEnabled {
+		// The race detector slows the sweeps several times over, and
+		// slices.Grow allocates its buffer twice under it.
+		return
+	}
+	if took > 250*time.Millisecond {
+		t.Errorf("limit 1 on 2 MiB took %v, want under 250ms", took)
+	}
+	if perByte > 16 {
+		t.Errorf("limit 1 on 2 MiB allocated %.2f B per document byte, want under 16", perByte)
+	}
+}
+
 func TestStreamCompileError(t *testing.T) {
 	ts, _ := newTestServer(t)
 	resp := postJSON(t, ts.URL+"/v1/extract/stream", map[string]any{"expr": "x{[", "doc": "a"})

@@ -331,10 +331,11 @@ func (s *Spanner) Extendable(d *Document, c Constraints) bool {
 
 // Enumerate streams every output mapping on d to yield in a
 // deterministic order, stopping early when yield returns false. On a
-// sequential spanner it first sweeps d once, in time linear in |d|,
-// and then emits with a delay that does not depend on |d|; beyond the
-// compiled engine's 32 variables the delay is polynomial, as Theorems
-// 5.1 and 5.7 bound it.
+// sequential spanner it first sweeps d backwards once, in time linear
+// in |d|, and then emits with polynomial delay, as Theorems 5.1 and
+// 5.7 bound it: the forward sweep runs only as far as the next mapping
+// needs, so stopping after k mappings costs the prefix they read, and
+// all of them together cost one forward sweep plus the output.
 func (s *Spanner) Enumerate(d *Document, yield func(Mapping) bool) {
 	s.engine.Enumerate(d, yield)
 }
@@ -342,8 +343,9 @@ func (s *Spanner) Enumerate(d *Document, yield func(Mapping) bool) {
 // EnumerateContext is Enumerate with cancellation: the stream stops
 // as soon as ctx is done, and the context error is returned. ctx is
 // consulted before each output, so on a sequential spanner a
-// cancellation waits at most for Enumerate's linear sweep of d, then
-// for one delay, which does not depend on |d|. A nil error means
+// cancellation waits at most for Enumerate's backward sweep of d, then
+// for one delay: the stretch of the forward sweep up to the next
+// mapping. A nil error means
 // enumeration ran to completion or yield stopped it — a cancellation
 // that never interrupted delivery is not reported.
 func (s *Spanner) EnumerateContext(ctx context.Context, d *Document, yield func(Mapping) bool) error {
@@ -383,9 +385,9 @@ func (s *Spanner) EnumerateObserved(ctx context.Context, d *Document, o *obs.Sta
 // Stream returns a channel carrying every output mapping on d in
 // enumeration order. The channel is closed when enumeration finishes
 // or ctx is cancelled. On a sequential spanner the first mapping
-// arrives after one sweep of d, linear in |d|, and the rest with a
-// delay that does not depend on |d| — long before the full output set
-// is materialized. Callers that stop
+// arrives after the backward sweep of d and the forward sweep up to
+// it, and the rest with polynomial delay — long before the full output
+// set is materialized. Callers that stop
 // receiving before the channel closes must cancel ctx, or the
 // producer goroutine blocks forever on the abandoned channel.
 func (s *Spanner) Stream(ctx context.Context, d *Document) <-chan Mapping {
@@ -421,7 +423,9 @@ func (s *Spanner) ExtractAll(d *Document) []Mapping {
 // and none of the mappings.
 func (s *Spanner) Count(d *Document) int { return s.engine.Count(d) }
 
-// First returns the first output mapping in enumeration order.
+// First returns the first output mapping in enumeration order. On a
+// sequential spanner it costs the backward sweep of d and the forward
+// sweep up to that mapping, not the whole enumeration's forward sweep.
 func (s *Spanner) First(d *Document) (Mapping, bool) {
 	var out Mapping
 	found := false

@@ -1,8 +1,10 @@
 package spanners
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"spanners/internal/workload"
 )
@@ -325,5 +327,48 @@ func TestProgramStatsExposed(t *testing.T) {
 	}
 	if got := u.ProgramStats().Vars; got != 3 {
 		t.Errorf("union program has %d vars, want 3", got)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestFirstPaysForThePrefix: First stops the walk at its first mapping,
+// and the walk sweeps forward only as far as that mapping needs, so on
+// 2 MiB of a under a*x{a*}a* — where every boundary is a DAG node and
+// a whole sweep held the DAG of all of them (about 630 B per document
+// byte, 1.9 s) — it costs the co-reach, 8 B per byte, and a short
+// stretch of the sweep. The engine warms its DFA on a short document
+// first, so the timed call interns no state.
+func TestFirstPaysForThePrefix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("walks a 2 MiB document")
+	}
+	s := MustCompile(`a*x{a*}a*`)
+	if m, ok := s.First(NewDocument("aaaa")); !ok || m["x"] != Sp(1, 1) {
+		t.Fatalf("First on aaaa = %v, %v; want x = %v", m, ok, Sp(1, 1))
+	}
+	d := NewDocument(strings.Repeat("a", 2<<20))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	m, ok := s.First(d)
+	took := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if !ok || m["x"] != Sp(1, 1) {
+		t.Fatalf("First = %v, %v; want x = %v", m, ok, Sp(1, 1))
+	}
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(2<<20)
+	t.Logf("%v, %.2f B per document byte", took, perByte)
+	if raceEnabled {
+		// The race detector slows the sweeps several times over, and
+		// slices.Grow allocates its buffer twice under it.
+		return
+	}
+	if took > 250*time.Millisecond {
+		t.Errorf("First on 2 MiB took %v, want under 250ms", took)
+	}
+	if perByte > 16 {
+		t.Errorf("First on 2 MiB allocated %.2f B per document byte, want under 16", perByte)
 	}
 }

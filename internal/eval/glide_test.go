@@ -243,9 +243,9 @@ func letterStep(p *program.Program, f program.Bits, r rune) program.Bits {
 // boundaries: the reverse one at multiples of it, the forward one that
 // many boundaries after its start. Log lines fill the document up to
 // near the interval, and the referer of one more line spans it: the
-// reverse sweep reaches its test over that run, on which it loops and
-// flushes little, and the forward sweep reaches its own at a lazy prune
-// point inside it.
+// reverse sweep reaches its test over that run, on which its state
+// returns itself and it flushes little, and the forward sweep reaches
+// its own at a lazy prune point inside it.
 func TestMultiFrontierGlideFallback(t *testing.T) {
 	n := rgx.MustParse(weblogStreamExpr)
 	var text strings.Builder

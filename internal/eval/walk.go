@@ -31,18 +31,22 @@ import (
 // enumeration.
 //
 // With the lazy DFA on, the co-reach is one interned state per
-// boundary, and the sweep runs at DFA speed: whether a frontier fires
-// is one AND against the co-reach state's precomputed firers, and
-// between prune points a frontier takes memoized raw steps, neither
-// intersected with the co-reach nor re-interned. Co-reach is
-// backward-closed — a state outside it at one boundary has no letter
-// successor inside it at the next — so pruning commutes with letter
-// steps, and pruning once after many raw steps gives the frontier
-// pruning after each would have. Prune points are the boundaries where
+// boundary, swept backwards at one load per byte of an ASCII document
+// (DFA.BackwardFrontiers), and the sweep runs at DFA speed: whether a
+// frontier fires is one AND against the co-reach state's precomputed
+// firers, and between prune points a frontier takes memoized raw
+// steps, neither intersected with the co-reach nor re-interned.
+// Co-reach is backward-closed — a state outside it at one boundary has
+// no letter successor inside it at the next — so pruning commutes with
+// letter steps, and pruning once after many raw steps gives the
+// frontier pruning after each would have. Prune points are the boundaries where
 // a frontier fires, the window's end, and every lazyPruneEvery
 // boundaries. Between them the whole layer glides (glide): a letter on
 // which every live frontier's state is known to loop takes no step,
-// and on any other only the frontiers not known to loop on it step. At
+// and on any other only the frontiers not known to loop on it step.
+// While it glides, whether a frontier fires is first one AND of two
+// words, the co-reach state's firers and the layer's frontiers each
+// folded onto one (Bits.Fold), and exact only where those meet. At
 // a DAG node the frontier's boundary choices come from its interned
 // state, derived once per state (Engine.choices) and cut to the
 // boundary's co-reach by the walk (branch); the bitset path derives
@@ -226,9 +230,10 @@ type seqWalk struct {
 	coRaw  []program.Bits
 	cut    bool
 
-	dfa     bool   // frontiers step through the lazy DFA, interned
-	dfaHits uint64 // memoized DFA transitions taken, added to the cache's count by done
-	steps   int    // letter steps taken
+	dfa        bool   // frontiers step through the lazy DFA, interned
+	dfaHits    uint64 // memoized DFA transitions taken, added to the cache's count by done
+	steps      int    // letter steps taken
+	firerTests int    // exact firer tests skim took
 
 	// The sweep's state between pulls: the boundary it sweeps next, its
 	// next prune point and flush check, the DFA's flush count when it
@@ -675,12 +680,11 @@ func (w *seqWalk) sweepTo(e int32, until int) {
 // gathered there too, so none are known before the first such letter.
 func (w *seqWalk) glide(l *sweepLayer, pos, stop int) (int, bool) {
 	p, fs := w.e.prog, l.fs
-	var all [2]uint64    // the bytes every frontier loops on; none known yet
-	co := w.co[pos-w.lo] // the co-reach state last found to fire no frontier
+	var all [2]uint64 // the bytes every frontier loops on; none known yet
 	for {
-		at, last, fired := w.skim(fs, all, co, pos, stop)
+		at, fired := w.skim(fs, all, pos, stop)
 		w.dfaHits += uint64((at - pos) * len(fs))
-		if pos, co = at, last; fired || pos == stop {
+		if pos = at; fired || pos == stop {
 			l.fs = fs
 			return pos, fired
 		}
@@ -694,19 +698,18 @@ func (w *seqWalk) glide(l *sweepLayer, pos, stop int) (int, bool) {
 		k := 0
 		all = [2]uint64{^uint64(0), ^uint64(0)}
 		for _, f := range fs {
-			loops := f.s.Loops(program.StepRaw)
+			loops := f.s.Loops()
 			if ascii && loops[word]&bit != 0 {
 				w.dfaHits++
 			} else {
 				w.steps++
 				switch ns := w.stepRaw(f.s, c); {
 				case ns.Dead():
-					co = nil
 					continue
 				case ns != f.s:
-					f.s, co, loops = ns, nil, ns.Loops(program.StepRaw)
+					f.s, loops = ns, ns.Loops()
 				case ascii:
-					loops = w.e.dfa.NoteLoop(f.s, program.StepRaw, c)
+					loops = w.e.dfa.NoteLoop(f.s, c)
 				}
 			}
 			all[0] &= loops[0]
@@ -731,31 +734,52 @@ func (w *seqWalk) glide(l *sweepLayer, pos, stop int) (int, bool) {
 // skim returns the first boundary from pos before stop at which a
 // frontier of fs fires, with true, or whose letter is not an ASCII byte
 // of all, the bytes every frontier of fs loops on; stop if there is
-// none. co is the co-reach state last found to fire no frontier of fs,
-// and skim returns the one it last found: the firers are tested only
-// where the co-reach state changes, so between matches a boundary
-// costs one bit test.
-func (w *seqWalk) skim(fs []liveFrontier, all [2]uint64, co *program.DState, pos, stop int) (int, *program.DState, bool) {
-	cos, lo, d := w.co, w.lo, w.d
-	for ; pos < stop; pos++ {
-		if c := cos[pos-lo]; c != co {
-			for i := range fs {
-				if fs[i].s.Frontier().Intersects(c.Firers()) {
-					return pos, co, true
-				}
+// none. The frontiers' folds are ORed once (Bits.Fold), and a boundary
+// costs one AND of that word with the co-reach state's folded firers
+// and one bit test of its letter: only where the folds meet does the
+// exact test run (firesExact). On an ASCII document the letters are
+// read from its text, in step with the co-reach: a loop of its own
+// keeps RuneAt's branch out of the one sparse documents spend most of
+// their walk in.
+func (w *seqWalk) skim(fs []liveFrontier, all [2]uint64, pos, stop int) (int, bool) {
+	var fm uint64
+	for i := range fs {
+		fm |= fs[i].s.Frontier().Fold()
+	}
+	cos := w.co[pos-w.lo : stop-w.lo]
+	if text := w.d.ASCIIText(); text != "" {
+		bs := text[pos-1 : stop-1][:len(cos)] // the letter at boundary pos is text[pos-1]
+		for k, c := range cos {
+			if c.FirersFold()&fm != 0 && w.firesExact(fs, c) {
+				return pos + k, true
 			}
-			co = c
+			if b := bs[k]; all[b>>6&1]&(1<<(b&63)) == 0 {
+				return pos + k, false
+			}
 		}
-		r := d.RuneAt(pos)
-		m := all[0]
-		if r >= 64 {
-			m = all[1]
+		return stop, false
+	}
+	for k, c := range cos {
+		if c.FirersFold()&fm != 0 && w.firesExact(fs, c) {
+			return pos + k, true
 		}
-		if uint32(r) >= 128 || m&(1<<(uint(r)&63)) == 0 {
-			break
+		if r := w.d.RuneAt(pos + k); uint32(r) >= 128 || all[r>>6&1]&(1<<(uint(r)&63)) == 0 {
+			return pos + k, false
 		}
 	}
-	return pos, co, false
+	return stop, false
+}
+
+// firesExact reports whether a frontier of fs meets the firers of the
+// co-reach state c, counting the test in firerTests.
+func (w *seqWalk) firesExact(fs []liveFrontier, c *program.DState) bool {
+	w.firerTests++
+	for i := range fs {
+		if fs[i].s.Frontier().Intersects(c.Firers()) {
+			return true
+		}
+	}
+	return false
 }
 
 // walkFrame is a node's untried edges [next, end); base is the number

@@ -556,18 +556,29 @@ func validString(s []byte) bool {
 	}
 }
 
+// plainByte marks the ASCII bytes that stand for themselves in a JSON
+// string: all but quote, backslash and the control bytes below ' '
+// (0x7f stands for itself). Bytes from 0x80 are not marked: they start
+// a UTF-8 sequence, which plainLen decodes.
+var plainByte = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
 // plainLen returns the length of s's leading run of bytes that stand
 // for themselves in a JSON string: valid UTF-8 without quote,
-// backslash or control byte.
+// backslash or control byte. An ASCII byte is one table load.
 func plainLen(s []byte) int {
 	for i := 0; i < len(s); {
 		c := s[i]
-		if c < utf8.RuneSelf {
-			if c < ' ' || c == '"' || c == '\\' {
-				return i
-			}
+		if plainByte[c] {
 			i++
 			continue
+		}
+		if c < utf8.RuneSelf {
+			return i
 		}
 		r, size := utf8.DecodeRune(s[i:])
 		if r == utf8.RuneError && size == 1 {

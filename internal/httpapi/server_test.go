@@ -356,7 +356,9 @@ func TestDeepExpressionRefused(t *testing.T) {
 // TestLargeExpressionRefused: the 20 000-arm dictionary .*x{ab|…|c}.*
 // (60 005 bytes, 60 005 nodes), which took seconds and gigabytes to
 // compile, is a 413 too_large within 100 ms, on both extraction
-// endpoints, and the server goes on serving.
+// endpoints, and the server goes on serving. Under the race detector
+// the 100 ms bound is not held: its instrumentation alone brings the
+// refusal near it.
 func TestLargeExpressionRefused(t *testing.T) {
 	ts, _ := newTestServer(t)
 	expr := ".*x{" + strings.Repeat("ab|", 19_999) + "c}.*"
@@ -376,7 +378,7 @@ func TestLargeExpressionRefused(t *testing.T) {
 		if resp.StatusCode != http.StatusRequestEntityTooLarge || body.Err.Code != client.CodeTooLarge {
 			t.Fatalf("%s: status %d, error %+v; want 413 %q", c.path, resp.StatusCode, body.Err, client.CodeTooLarge)
 		}
-		if took > 100*time.Millisecond {
+		if took > 100*time.Millisecond && !raceEnabled {
 			t.Errorf("%s: refusing a %d-byte expression took %v, want under 100ms", c.path, len(expr), took)
 		}
 	}

@@ -70,6 +70,17 @@ func (b Bits) Intersects(o Bits) bool {
 	return false
 }
 
+// Fold returns the OR of b's words: bit i&63 of it is set for every
+// set bit i of b. Bitsets that intersect have folds that intersect; for
+// bitsets of one word the converse holds too.
+func (b Bits) Fold() uint64 {
+	var f uint64
+	for _, w := range b {
+		f |= w
+	}
+	return f
+}
+
 // Count returns the number of set bits.
 func (b Bits) Count() int {
 	n := 0

@@ -27,6 +27,11 @@ import (
 //	             closure the engine handles itself (FPT status
 //	             groups, the enumerator's pruned advances).
 //
+// The reverse step has a second row, indexed by ASCII byte rather than
+// by class and inline in the state, so the co-reach sweep of an ASCII
+// document (BackwardFrontiers) takes one load per byte: no class
+// lookup and no test for a loop.
+//
 // The cache is shared by every engine executing the program (it hangs
 // off the Program, which the service caches and the registry decodes)
 // and is safe for concurrent use: the hit path is a single atomic
@@ -168,8 +173,11 @@ type DState struct {
 	// firers are the states of the frontier with an operation edge
 	// into the frontier (Program.FirersIn): read as a co-reach set, the
 	// states where an operation can fire on a branch that still
-	// completes. Derived when the state is interned.
+	// completes. Derived when the state is interned, with fold, their
+	// words ORed into one (Bits.Fold): a frontier whose fold misses it
+	// cannot meet them.
 	firers Bits
+	fold   uint64
 	// choices are the boundary choices of the frontier, set once by the
 	// first walk that forms a DAG node on the state (SetChoices).
 	choices atomic.Pointer[[]Choice]
@@ -183,17 +191,24 @@ type DState struct {
 	next     []atomic.Pointer[DState]
 	fwdReady atomic.Bool
 	skip     atomic.Pointer[skipInfo]
-	// loops[kind] are the ASCII bytes (bit b of word b>>6) on which the
-	// raw or reverse step is known to map the state to itself: the
-	// counterpart of skip for the rows that fill per class, learned from
-	// the steps sweeps take (NoteLoop).
-	loops [numStepKinds][2]atomic.Uint64
+	// loops are the ASCII bytes (bit b of word b>>6) on which the raw
+	// step is known to map the state to itself: the counterpart of skip
+	// for the row that fills per class, learned from the steps walks
+	// take (NoteLoop).
+	loops [2]atomic.Uint64
 
 	// Fused-run superinstruction, set when the frontier is the
 	// singleton head of a program-level fused letter run.
 	runClasses []uint16
 	runLand    int32 // program state the run lands in
 	runTo      atomic.Pointer[DState]
+
+	// rev is the reverse row by ASCII byte, filled per byte from the
+	// class row on the co-reach sweep's first visit (revStep); a byte
+	// outside the alphabet leads to the dead state. It is inline, so it
+	// comes with the state and a sweep allocates nothing for it, and
+	// last, so the fields above share cache lines.
+	rev [128]atomic.Pointer[DState]
 }
 
 // Frontier returns the state's frontier bitset. It is shared across
@@ -211,6 +226,11 @@ func (s *DState) Dead() bool { return s.dead }
 // once when the state was interned. It is shared and must not be
 // modified.
 func (s *DState) Firers() Bits { return s.firers }
+
+// FirersFold returns the words of Firers ORed into one (Bits.Fold): a
+// frontier f can meet the firers only if f.Fold() meets it, and with at
+// most 64 program states only if it does.
+func (s *DState) FirersFold() uint64 { return s.fold }
 
 // Choice is one boundary choice of a frontier: the operations Mask
 // fires, and the interned set To of the states reachable from the
@@ -447,11 +467,13 @@ func (d *DFA) internLocked(frontier Bits) *DState {
 	if len(d.states) >= d.budget {
 		d.flushLocked()
 	}
+	firers := d.p.FirersIn(frontier)
 	s := &DState{
 		frontier: frontier,
 		accept:   frontier.Intersects(d.p.Final),
 		dead:     !frontier.Any(),
-		firers:   d.p.FirersIn(frontier),
+		firers:   firers,
+		fold:     firers.Fold(),
 		next:     make([]atomic.Pointer[DState], numStepKinds*d.p.NumClasses),
 		runLand:  -1,
 	}
@@ -608,24 +630,24 @@ func (d *DFA) deriveSkip(s *DState) {
 	s.skip.Store(&si)
 }
 
-// Loops returns the ASCII bytes, bit b of word b>>6, on which the step
-// of kind is known to map s to itself. A sweep crosses such a byte
-// without taking the step.
-func (s *DState) Loops(kind StepKind) [2]uint64 {
-	return [2]uint64{s.loops[kind][0].Load(), s.loops[kind][1].Load()}
+// Loops returns the ASCII bytes, bit b of word b>>6, on which the raw
+// step is known to map s to itself. A walk crosses such a byte without
+// taking the step.
+func (s *DState) Loops() [2]uint64 {
+	return [2]uint64{s.loops[0].Load(), s.loops[1].Load()}
 }
 
-// NoteLoop records that the step of kind on class c maps s to itself,
-// and returns the loops of s with the ASCII bytes of class c added:
-// two atomic ORs of the class's byte mask. Callers note a loop only on
-// a byte whose bit they found unset. The ORs' old values are not used:
+// NoteLoop records that the raw step on class c maps s to itself, and
+// returns the loops of s with the ASCII bytes of class c added: two
+// atomic ORs of the class's byte mask. Callers note a loop only on a
+// byte whose bit they found unset. The ORs' old values are not used:
 // go1.24.0 on amd64 returns wrong ones when two are combined in one
 // expression.
-func (d *DFA) NoteLoop(s *DState, kind StepKind, c int) [2]uint64 {
+func (d *DFA) NoteLoop(s *DState, c int) [2]uint64 {
 	m := d.p.asciiMask[c]
-	s.loops[kind][0].Or(m[0])
-	s.loops[kind][1].Or(m[1])
-	return s.Loops(kind)
+	s.loops[0].Or(m[0])
+	s.loops[1].Or(m[1])
+	return s.Loops()
 }
 
 // jumpStops returns the first index in [from, to) of text holding one
@@ -875,13 +897,14 @@ func (d *DFA) ForwardFrontiers(doc *span.Document) (out []Bits, ok bool) {
 // determinized tables, one reverse row step per rune — and returns
 // out[:hi-lo+1]. A nil seed is the final co-reach state interned with
 // the cache generation, which makes hi = n+1 and the frontiers those
-// from which acceptance is reachable. On an ASCII document a byte on
-// which the state's reverse step is known to return it (Loops) takes
-// no step. out is grown only when it is too
-// short, so a caller that keeps the returned slice sweeps the next
-// document without allocating; nil asks for a fresh one. ok is false
-// when the sweep abandoned the cache, and out is then nil. Counter
-// traffic is batched per sweep, not per rune.
+// from which acceptance is reachable. On an ASCII document a byte is
+// one load from the state's reverse row by byte (rev); other documents
+// step the class row. The flush counter is read at the positions that
+// are multiples of FlushCheckInterval, between blocks of bytes. out is
+// grown only when it is too short, so a caller that keeps the returned
+// slice sweeps the next document without allocating; nil asks for a
+// fresh one. ok is false when the sweep abandoned the cache, and out is
+// then nil. Counter traffic is batched per sweep, not per rune.
 func (d *DFA) BackwardFrontiers(doc *span.Document, lo, hi int, seed *DState, out []*DState) (_ []*DState, ok bool) {
 	out = slices.Grow(out[:0], hi-lo+1)[:hi-lo+1]
 	s := seed
@@ -896,47 +919,68 @@ func (d *DFA) BackwardFrontiers(doc *span.Document, lo, hi int, seed *DState, ou
 		d.misses.Add(misses)
 	}()
 	base := int(StepReverse) * d.p.NumClasses
-	// On an ASCII document a letter's class is one table load by byte,
-	// and a byte the state is known to loop on takes no step.
-	text, ascii := doc.ASCIIText(), &d.p.asciiClass
-	loops := s.Loops(StepReverse)
-	for pos := hi - 1; pos >= lo; pos-- {
+	text := doc.ASCIIText()
+	for pos := hi - 1; pos >= lo; {
 		if pos%FlushCheckInterval == 0 && d.flushes.Load()-flush0 > MaxFlushesPerSweep {
 			d.NoteFallback()
 			return nil, false
 		}
-		var c int
+		// The block runs down to the next multiple below pos, where the
+		// flush counter is read again.
+		end := max(lo-1, (pos-1)/FlushCheckInterval*FlushCheckInterval)
 		if text != "" {
-			b := text[pos-1]
-			if loops[b>>6&1]&(1<<(b&63)) != 0 {
-				hits++
-				out[pos-lo] = s
-				continue
+			// Positions end+1..pos read the bytes text[end:pos].
+			bs, o := text[end:pos], out[end+1-lo:pos+1-lo]
+			o = o[:len(bs)]
+			missed := misses
+			for k := len(bs) - 1; k >= 0; k-- {
+				b := bs[k] & 127 // the text is ASCII: the mask only drops the bounds check
+				ns := s.rev[b].Load()
+				if ns == nil {
+					ns = d.revStep(s, b, &misses)
+				}
+				s = ns
+				o[k] = s
 			}
-			c = int(ascii[b])
-		} else {
-			c = d.p.ClassOf(doc.RuneAt(pos))
+			hits += uint64(len(bs)) - (misses - missed)
+			pos = end
+			continue
 		}
-		var ns *DState
-		switch {
-		case c < 0:
-			ns = d.dead.Load()
-		default:
-			if ns = s.next[base+c].Load(); ns != nil {
+		for ; pos > end; pos-- {
+			var ns *DState
+			if c := d.p.ClassOf(doc.RuneAt(pos)); c < 0 {
+				ns = d.dead.Load()
+			} else if ns = s.next[base+c].Load(); ns != nil {
 				hits++
 			} else {
 				misses++
 				ns = d.stepSlow(s, c, StepReverse)
 			}
+			s = ns
+			out[pos-lo] = s
 		}
-		if ns != s {
-			s, loops = ns, ns.Loops(StepReverse)
-		} else if text != "" && c >= 0 {
-			loops = d.NoteLoop(s, StepReverse, c)
-		}
-		out[pos-lo] = s
 	}
 	return out, true
+}
+
+// revStep fills the entry of s's reverse row by byte for the ASCII byte
+// b from the class row, computing the class's transition first when it
+// is missing (counted in misses), and returns it: the dead state for a
+// byte outside the alphabet. Concurrent fills are benign: each stores a
+// state of the same frontier.
+func (d *DFA) revStep(s *DState, b byte, misses *uint64) *DState {
+	var ns *DState
+	switch c := int(d.p.asciiClass[b]); {
+	case c < 0:
+		ns = d.dead.Load()
+	default:
+		if ns = s.next[int(StepReverse)*d.p.NumClasses+c].Load(); ns == nil {
+			*misses++
+			ns = d.stepSlow(s, c, StepReverse)
+		}
+	}
+	s.rev[b].Store(ns)
+	return ns
 }
 
 // StepSet interns cur and returns its memoized transition frontier on

@@ -28,14 +28,18 @@ func wholeDocs(docs ...*span.Document) []coReachSweep {
 	return out
 }
 
+// wideWord is 40 distinct letters.
+const wideWord = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMN"
+
 // TestBackwardFrontiersMatchesRaw: the DFA's co-reach sweep, one load
-// from the reverse row by byte per ASCII byte, holds at every boundary
-// the frontier the bitset sweep (coReachRaw) computes: on the workload
-// shapes, on a non-ASCII document, across a letter outside the
-// alphabet, from a session cut's seed, and on a 3-state budget that
-// flushes under the sweep, where a document that crosses a flush check
-// falls back. Two goroutines sweep through one cold DFA at once, so
-// both fill the same rows; -race watches them.
+// from the reverse row per ASCII byte, holds at every boundary the
+// frontier the bitset sweep (coReachRaw) computes: on the workload
+// shapes and the gazetteer, on a non-ASCII document, across a letter
+// outside the alphabet, on classes past the row's width, from a
+// session cut's seed, and on a 3-state budget that flushes under the
+// sweep, where a document that crosses a flush check falls back. Two
+// goroutines sweep through one cold DFA at once, so both fill the same
+// rows; -race watches them.
 func TestBackwardFrontiersMatchesRaw(t *testing.T) {
 	type coCase struct {
 		name, expr string
@@ -44,7 +48,7 @@ func TestBackwardFrontiersMatchesRaw(t *testing.T) {
 		fallback   bool // the budget makes some sweep abandon the DFA
 	}
 	var cases []coCase
-	for _, sh := range workloadShapes() {
+	for _, sh := range append(workloadShapes(), gazetteerShape()) {
 		cases = append(cases, coCase{name: sh.name, expr: sh.expr, sweeps: func(*Engine) []coReachSweep { return wholeDocs(sh.docs...) }})
 	}
 	nonASCII := span.NewDocument(strings.ReplaceAll(webLogDoc(24, 2).Text(), "ref=/", "ref=/é"))
@@ -55,6 +59,26 @@ func TestBackwardFrontiersMatchesRaw(t *testing.T) {
 		coCase{name: "non-ascii", expr: weblogStreamExpr, sweeps: func(*Engine) []coReachSweep { return wholeDocs(nonASCII) }},
 		coCase{name: "out-of-alphabet", expr: `[a-c]*x{a}[a-c]*y{c}[a-c]*`, sweeps: func(*Engine) []coReachSweep {
 			return wholeDocs(span.NewDocument("a"+strings.Repeat("b", 64)+"zbbc"), span.NewDocument("ab"+strings.Repeat("bc", 40)))
+		}},
+		// Every letter of the word is a class of its own, more than a
+		// state's reverse row has slots for. The word ends the document,
+		// so the sweep meets it first; each line before it is a tail of
+		// the word behind a letter other than the one the word has
+		// there, so the state a tail leads to steps on every class.
+		coCase{name: "wide-alphabet", expr: `.*x{` + wideWord + `}.*`, sweeps: func(e *Engine) []coReachSweep {
+			if e.prog.NumClasses <= 32 {
+				t.Fatalf("%d classes: the row covers them all", e.prog.NumClasses)
+			}
+			var text strings.Builder
+			for i := range len(wideWord) {
+				for j := range len(wideWord) {
+					if j != i {
+						text.WriteString(wideWord[j:j+1] + wideWord[i+1:] + "\n")
+					}
+				}
+			}
+			text.WriteString(wideWord + "\n")
+			return wholeDocs(span.NewDocument(text.String()))
 		}},
 		coCase{name: "session-cut", expr: weblogStreamExpr, sweeps: func(e *Engine) []coReachSweep {
 			d := webLogDoc(24, 3)

@@ -737,21 +737,27 @@ func (w *seqWalk) glide(l *sweepLayer, pos, stop int) (int, bool) {
 // none. The frontiers' folds are ORed once (Bits.Fold), and a boundary
 // costs one AND of that word with the co-reach state's folded firers
 // and one bit test of its letter: only where the folds meet does the
-// exact test run (firesExact). On an ASCII document the letters are
-// read from its text, in step with the co-reach: a loop of its own
-// keeps RuneAt's branch out of the one sparse documents spend most of
-// their walk in.
+// exact test run (firesExact), and not again on the co-reach state it
+// last cleared, so a fold that meets falsely (above 64 program states)
+// costs one exact test per co-reach change, not one per boundary. On
+// an ASCII document the letters are read from its text, in step with
+// the co-reach: a loop of its own keeps RuneAt's branch out of the one
+// sparse documents spend most of their walk in.
 func (w *seqWalk) skim(fs []liveFrontier, all [2]uint64, pos, stop int) (int, bool) {
 	var fm uint64
 	for i := range fs {
 		fm |= fs[i].s.Frontier().Fold()
 	}
+	var last *program.DState // the co-reach state the exact test last cleared
 	cos := w.co[pos-w.lo : stop-w.lo]
 	if text := w.d.ASCIIText(); text != "" {
 		bs := text[pos-1 : stop-1][:len(cos)] // the letter at boundary pos is text[pos-1]
 		for k, c := range cos {
-			if c.FirersFold()&fm != 0 && w.firesExact(fs, c) {
-				return pos + k, true
+			if c.FirersFold()&fm != 0 && c != last {
+				if w.firesExact(fs, c) {
+					return pos + k, true
+				}
+				last = c
 			}
 			if b := bs[k]; all[b>>6&1]&(1<<(b&63)) == 0 {
 				return pos + k, false
@@ -760,8 +766,11 @@ func (w *seqWalk) skim(fs []liveFrontier, all [2]uint64, pos, stop int) (int, bo
 		return stop, false
 	}
 	for k, c := range cos {
-		if c.FirersFold()&fm != 0 && w.firesExact(fs, c) {
-			return pos + k, true
+		if c.FirersFold()&fm != 0 && c != last {
+			if w.firesExact(fs, c) {
+				return pos + k, true
+			}
+			last = c
 		}
 		if r := w.d.RuneAt(pos + k); uint32(r) >= 128 || all[r>>6&1]&(1<<(uint(r)&63)) == 0 {
 			return pos + k, false

@@ -27,10 +27,11 @@ import (
 //	             closure the engine handles itself (FPT status
 //	             groups, the enumerator's pruned advances).
 //
-// The reverse step has a second row, indexed by ASCII byte rather than
-// by class and inline in the state, so the co-reach sweep of an ASCII
-// document (BackwardFrontiers) takes one load per byte: no class
-// lookup and no test for a loop.
+// The reverse step has a second row, inline in the state and indexed by
+// an ASCII byte's slot (its class plus one, for the first
+// revSlotNone-1 classes), so the co-reach sweep of an ASCII document
+// (BackwardFrontiers) takes one dependent load per byte: the slot
+// depends only on the byte, and there is no test for a loop.
 //
 // The cache is shared by every engine executing the program (it hangs
 // off the Program, which the service caches and the registry decodes)
@@ -203,13 +204,21 @@ type DState struct {
 	runLand    int32 // program state the run lands in
 	runTo      atomic.Pointer[DState]
 
-	// rev is the reverse row by ASCII byte, filled per byte from the
-	// class row on the co-reach sweep's first visit (revStep); a byte
-	// outside the alphabet leads to the dead state. It is inline, so it
-	// comes with the state and a sweep allocates nothing for it, and
-	// last, so the fields above share cache lines.
-	rev [128]atomic.Pointer[DState]
+	// rev is the reverse row by slot (Program.revSlot): slot 0 holds
+	// the dead state, for a byte outside the alphabet, and slot c+1 the
+	// reverse step on class c, copied from the class row on the
+	// co-reach sweep's first visit (revStep). A class past the row's
+	// width has the slot revSlotNone, which stays empty, so its bytes
+	// step the class row. The row is inline, so it comes with the state
+	// and a sweep allocates nothing for it, and last, so the fields
+	// above share cache lines. Its 32 slots cost a state 256 B; a row
+	// by byte would cost 1 KB.
+	rev [revSlotNone + 1]atomic.Pointer[DState]
 }
+
+// revSlotNone is the reverse-row slot of an ASCII byte whose class is
+// past the row's width; no state fills it.
+const revSlotNone = 31
 
 // Frontier returns the state's frontier bitset. It is shared across
 // the cache and must not be modified.
@@ -898,13 +907,14 @@ func (d *DFA) ForwardFrontiers(doc *span.Document) (out []Bits, ok bool) {
 // out[:hi-lo+1]. A nil seed is the final co-reach state interned with
 // the cache generation, which makes hi = n+1 and the frontiers those
 // from which acceptance is reachable. On an ASCII document a byte is
-// one load from the state's reverse row by byte (rev); other documents
-// step the class row. The flush counter is read at the positions that
-// are multiples of FlushCheckInterval, between blocks of bytes. out is
-// grown only when it is too short, so a caller that keeps the returned
-// slice sweeps the next document without allocating; nil asks for a
-// fresh one. ok is false when the sweep abandoned the cache, and out is
-// then nil. Counter traffic is batched per sweep, not per rune.
+// one load from the state's reverse row at the byte's slot (rev);
+// other documents step the class row. The flush counter is read at the
+// positions that are multiples of FlushCheckInterval, between blocks of
+// bytes. out is grown only when it is too short, so a caller that keeps
+// the returned slice sweeps the next document without allocating; nil
+// asks for a fresh one. ok is false when the sweep abandoned the cache,
+// and out is then nil. Counter traffic is batched per sweep, not per
+// rune.
 func (d *DFA) BackwardFrontiers(doc *span.Document, lo, hi int, seed *DState, out []*DState) (_ []*DState, ok bool) {
 	out = slices.Grow(out[:0], hi-lo+1)[:hi-lo+1]
 	s := seed
@@ -919,7 +929,7 @@ func (d *DFA) BackwardFrontiers(doc *span.Document, lo, hi int, seed *DState, ou
 		d.misses.Add(misses)
 	}()
 	base := int(StepReverse) * d.p.NumClasses
-	text := doc.ASCIIText()
+	text, slots := doc.ASCIIText(), &d.p.revSlot
 	for pos := hi - 1; pos >= lo; {
 		if pos%FlushCheckInterval == 0 && d.flushes.Load()-flush0 > MaxFlushesPerSweep {
 			d.NoteFallback()
@@ -934,8 +944,10 @@ func (d *DFA) BackwardFrontiers(doc *span.Document, lo, hi int, seed *DState, ou
 			o = o[:len(bs)]
 			missed := misses
 			for k := len(bs) - 1; k >= 0; k-- {
-				b := bs[k] & 127 // the text is ASCII: the mask only drops the bounds check
-				ns := s.rev[b].Load()
+				// The text is ASCII and slots are at most revSlotNone: the
+				// masks only drop the bounds checks.
+				b := bs[k] & 127
+				ns := s.rev[slots[b]&revSlotNone].Load()
 				if ns == nil {
 					ns = d.revStep(s, b, &misses)
 				}
@@ -963,11 +975,11 @@ func (d *DFA) BackwardFrontiers(doc *span.Document, lo, hi int, seed *DState, ou
 	return out, true
 }
 
-// revStep fills the entry of s's reverse row by byte for the ASCII byte
-// b from the class row, computing the class's transition first when it
-// is missing (counted in misses), and returns it: the dead state for a
-// byte outside the alphabet. Concurrent fills are benign: each stores a
-// state of the same frontier.
+// revStep returns the reverse step of s on the ASCII byte b, the dead
+// state for a byte outside the alphabet, and stores it at the byte's
+// slot of s's reverse row unless that is revSlotNone. A missing class
+// transition is computed first (counted in misses). Concurrent fills
+// are benign: each stores a state of the same frontier.
 func (d *DFA) revStep(s *DState, b byte, misses *uint64) *DState {
 	var ns *DState
 	switch c := int(d.p.asciiClass[b]); {
@@ -979,7 +991,9 @@ func (d *DFA) revStep(s *DState, b byte, misses *uint64) *DState {
 			ns = d.stepSlow(s, c, StepReverse)
 		}
 	}
-	s.rev[b].Store(ns)
+	if i := d.p.revSlot[b]; i != revSlotNone {
+		s.rev[i].Store(ns)
+	}
 	return ns
 }
 

@@ -66,6 +66,18 @@ func (p *Program) finishTables() {
 			p.asciiMask[c][b>>6] |= 1 << (uint(b) & 63)
 		}
 	}
+	// Reverse-row slots: 0 for a byte outside the alphabet, c+1 for
+	// class c where that fits, and the slot no state fills otherwise.
+	for b, c := range p.asciiClass {
+		switch {
+		case c < 0:
+			p.revSlot[b] = 0
+		case int(c)+1 < revSlotNone:
+			p.revSlot[b] = uint8(c) + 1
+		default:
+			p.revSlot[b] = revSlotNone
+		}
+	}
 
 	// Single-exit map: out[q] = (class, successor) when state q has
 	// exactly one outgoing letter class and that class has exactly one

@@ -115,10 +115,12 @@ type Program struct {
 	RHasOps Bits
 
 	// Derived accelerators (fuse.go): O(1) ASCII classification, each
-	// class's ASCII bytes as a two-word mask (bit b of word b>>6), and
-	// the superinstruction tables of the peephole pass.
+	// class's ASCII bytes as a two-word mask (bit b of word b>>6), each
+	// ASCII byte's slot in a state's reverse row (DState.rev), and the
+	// superinstruction tables of the peephole pass.
 	asciiClass [128]int16
 	asciiMask  [][2]uint64
+	revSlot    [128]uint8
 	runOf      []int32
 	runs       []fusedRun
 

@@ -173,7 +173,7 @@ func TestParseRefusesDeepNesting(t *testing.T) {
 		if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "nests deeper") {
 			t.Errorf("Parse(%.40q…, %d runes) = %v, want a nesting ParseError", in, len(in), err)
 		}
-		if took := time.Since(start); took > 100*time.Millisecond && !raceEnabled {
+		if took := time.Since(start); took > 100*time.Millisecond {
 			t.Errorf("Parse(%.40q…, %d runes) took %v", in, len(in), took)
 		}
 	}

@@ -17,12 +17,13 @@ import (
 	"spanners/internal/workload"
 )
 
-// The -dfa mode benchmarks the lazy-DFA + superinstruction layer
-// (PR 5) head-to-head against the PR 2 bitset-stepping engine on the
-// same compiled programs, plus the service-path numbers tracked in
-// BENCH_dfa.json. Both sides execute the compiled program — the only
-// difference is ForceNoDFA — so the speedups isolate exactly what the
-// determinization cache, fused runs and skip loops buy.
+// The -dfa mode benchmarks the lazy-DFA layer head-to-head against
+// the bitset-stepping engine on the same compiled programs, plus the
+// service-path numbers tracked in BENCH_dfa.json. Both sides execute
+// the compiled program — the only difference is ForceNoDFA — so the
+// speedups isolate exactly what the determinization cache buys: the
+// memoized reverse sweep behind NonEmpty and enumeration, and the
+// self-loop skips of the constrained evaluator's forward segments.
 
 // dfaScenario is one head-to-head measurement.
 type dfaScenario struct {
@@ -78,7 +79,7 @@ func runDFABench(quick bool, jsonPath string) dfaReport {
 			fmt.Sprintf("dfa=%v bitset=%v", time.Duration(dn), time.Duration(bn)))
 	}
 
-	fmt.Println("== lazy DFA + superinstructions vs bitset stepping (both compiled)")
+	fmt.Println("== lazy DFA vs bitset stepping (both compiled)")
 
 	// Boolean evaluation on the letter-heavy registry workload: the
 	// skip-loop home turf (most runes self-loop on the scan state).
@@ -93,8 +94,9 @@ func runDFABench(quick bool, jsonPath string) dfaReport {
 		func() int { boolToInt(dEng.NonEmpty(regDoc)); return 0 },
 		func() int { boolToInt(bEng.NonEmpty(regDoc)); return 0 })
 
-	// Anchored literal prefix over a batch of log lines: the fused-run
-	// home turf (one superinstruction rejects or accepts the prefix).
+	// Anchored literal prefix over a batch of log lines: the
+	// required-literal prefilter rejects the lines without it, and one
+	// reverse sweep decides each of the rest.
 	lines := 512
 	if quick {
 		lines = 64
@@ -156,10 +158,9 @@ func runDFABench(quick bool, jsonPath string) dfaReport {
 
 	// Sparse matching: a needle-in-haystack document that never
 	// contains "Seller: ". The prefilter rung answers from one
-	// substring scan; the twin with ForceNoPrefilter runs the
-	// pre-prefilter DFA path (per-byte skip loop, no candidate
-	// jumps), so the speedup is exactly what the literal rung buys
-	// over the previous DFA.
+	// substring scan; the twin with ForceNoPrefilter runs the DFA's
+	// reverse sweep over the whole document, so the speedup is exactly
+	// what the literal rung buys over the DFA alone.
 	sparseLines := 4096
 	if quick {
 		sparseLines = 512
@@ -252,8 +253,8 @@ func runDFABench(quick bool, jsonPath string) dfaReport {
 	// Cache self-report, so the committed JSON also records how hard
 	// the DFA worked for these numbers.
 	if st, ok := dEng.DFAStats(); ok {
-		fmt.Printf("\n   letter-heavy cache: states=%d hits=%d misses=%d skipped=%d fallbacks=%d\n",
-			st.States, st.Hits, st.Misses, st.SkippedRunes, st.Fallbacks)
+		fmt.Printf("\n   letter-heavy cache: states=%d hits=%d misses=%d fallbacks=%d\n",
+			st.States, st.Hits, st.Misses, st.Fallbacks)
 	}
 
 	if jsonPath != "" {

@@ -20,7 +20,7 @@
 // The -engine mode instead benchmarks the compiled execution core
 // against the interpreted engines (head-to-head on the same automata)
 // and records the service-path numbers tracked in BENCH_engine.json.
-// The -dfa mode benchmarks the lazy-DFA + superinstruction layer
+// The -dfa mode benchmarks the lazy-DFA layer
 // against plain bitset stepping on the same compiled programs,
 // tracked in BENCH_dfa.json. The -incremental mode benchmarks
 // incremental re-extraction under edits (frontier-snapshot sessions)

@@ -21,11 +21,12 @@ import (
 // obligation sets of the interpreted evalSequential become uint64
 // masks: popcount gives the obligation count, and a transition's mask
 // tells in one AND whether it consumes an obligation, is blocked, or
-// passes as ε. The unconstrained case — no obligation may block any
-// operation, which covers NonEmpty/Matches — runs on the lazy DFA
-// (memoized determinized transitions, fused runs, skip loops),
-// falling back to per-rune bitset stepping when the cache thrashes
-// its budget.
+// passes as ε. With the lazy DFA on, the unconstrained case — no
+// obligation may block any operation, which covers NonEmpty/Matches —
+// is one reverse sweep (startCoReaches), and the constrained case runs
+// its obligation-free segments forward through a per-mask cache
+// (evalSeqSegmented). Both fall back to per-rune bitset stepping when
+// the cache thrashes its budget.
 func (e *Engine) evalSeqProg(d *span.Document, mu span.Extended) bool {
 	p := e.prog
 	n := d.Len()
@@ -59,8 +60,8 @@ func (e *Engine) evalSeqProg(d *span.Document, mu span.Extended) bool {
 	if e.DFAEnabled() {
 		if blocked == 0 {
 			// No obligations anywhere (need bits imply blocked bits),
-			// so the permissive forward DFA decides the run.
-			if res, ok := e.dfaMatch(d); ok {
+			// so some run accepts iff the start state co-reaches.
+			if res, ok := e.startCoReaches(d); ok {
 				return res
 			}
 		} else if res, ok := e.evalSeqSegmented(d, need, blocked); ok {
@@ -96,20 +97,37 @@ func (e *Engine) evalSeqProg(d *span.Document, mu span.Extended) bool {
 	return cur.Intersects(p.Final)
 }
 
-// dfaMatch is DFA.Match under the engine's knobs: ForceNoPrefilter
-// also withholds the document's ASCII view, disabling stop-byte
-// candidate jumps, so the switch reproduces the pre-prefilter DFA
-// path exactly (both halves of the literal rung off).
-func (e *Engine) dfaMatch(d *span.Document) (matched, ok bool) {
-	text := d.ASCIIText()
-	if e.noprefilter {
-		text = ""
+// startCoReaches is NonEmpty on the lazy DFA, Eval with the empty
+// mapping: whether the start state lies in the co-reach of boundary 1.
+// The reverse sweep (DFA.BackwardFrontiers) runs from the document end
+// window by window, each window FlushCheckInterval letters seeded with
+// the previous window's first state, and stops where the co-reach
+// dies. Every window is swept into one buffer, a pooled walk's co-reach
+// buffer, so a warm call allocates nothing. The flush count is kept
+// across windows: ok is false when the cache thrashed its budget, and
+// the caller falls back to bitset stepping.
+func (e *Engine) startCoReaches(d *span.Document) (res, ok bool) {
+	w := walkPool.Get().(*seqWalk)
+	defer walkPool.Put(w)
+	hi := d.Len() + 1
+	flush0 := e.dfa.Flushes()
+	var s *program.DState
+	for {
+		lo := max(1, hi-program.FlushCheckInterval)
+		out, ok := e.dfa.BackwardFrontiers(d, lo, hi, s, w.states)
+		if !ok {
+			return false, false
+		}
+		w.states = out
+		if s = out[0]; s.Dead() || lo == 1 {
+			return s.Frontier().Intersects(e.start), true
+		}
+		if e.dfa.Flushes()-flush0 > program.MaxFlushesPerSweep {
+			e.dfa.NoteFallback()
+			return false, false
+		}
+		hi = lo
 	}
-	s, ok := e.dfa.SweepForward(e.dfa.Start(), d, text, 0, d.Len(), true)
-	if !ok {
-		return false, false
-	}
-	return s.Accept(), true
 }
 
 // evalSeqSegmented is the constrained-eval rung of the DFA ladder:
@@ -118,8 +136,8 @@ func (e *Engine) dfaMatch(d *span.Document) (matched, ok bool) {
 // op edges exclude that mask. The sweep therefore splits the document
 // at the obligation positions and runs every obligation-free segment
 // through the program's per-mask constrained cache
-// (program.DFAForMask) — memoized transitions, fused runs, skip
-// loops, candidate jumps — falling back to the caller's byte-wise
+// (program.DFAForMask) — memoized transitions and self-loop skips —
+// falling back to the caller's byte-wise
 // bitset loop (ok=false) when the mask family is full or a segment
 // thrashes the cache budget. The letter crossing into an obligation
 // boundary steps raw: the obligation closure must see the pre-closure
@@ -131,7 +149,6 @@ func (e *Engine) evalSeqSegmented(d *span.Document, need []uint64, blocked uint6
 		return false, false
 	}
 	n := d.Len()
-	text := d.ASCIIText()
 
 	// Obligation boundaries, ascending.
 	var obl []int
@@ -189,7 +206,7 @@ func (e *Engine) evalSeqSegmented(d *span.Document, need []uint64, blocked uint6
 			// landing state's. (An obligation at n+1 takes the general
 			// path below instead: its boundary must see the raw
 			// pre-closure frontier.)
-			s, swept := cdfa.SweepForward(s, d, text, pos-1, n, true)
+			s, swept := cdfa.SweepForward(s, d, pos-1, n)
 			if !swept {
 				return false, false
 			}
@@ -197,7 +214,7 @@ func (e *Engine) evalSeqSegmented(d *span.Document, need []uint64, blocked uint6
 		}
 		// Forward-sweep letters pos..segEnd-2, then step the letter
 		// into the obligation boundary raw.
-		s, swept := cdfa.SweepForward(s, d, text, pos-1, segEnd-2, false)
+		s, swept := cdfa.SweepForward(s, d, pos-1, segEnd-2)
 		if !swept {
 			return false, false
 		}

@@ -14,7 +14,7 @@ import (
 
 // This file is the differential property suite for the lazy-DFA layer
 // (PR 5): on the existing workload corpus, the DFA path, the
-// superinstruction (fused-run / skip) path it contains, the plain
+// self-loop skip path it contains, the plain
 // bitset path (ForceNoDFA), and the interpreted oracle
 // (ForceInterpreted) must produce identical mapping sets, counts and
 // decisions — including at the cache-budget-exhausted fallback
@@ -23,8 +23,8 @@ import (
 
 // workloadCorpus pairs expressions with documents from the workload
 // generators: the land-registry rows of Table 1, web logs with the
-// optional referer field, DNA motifs (an anchored literal chain that
-// exercises fused runs), and a letter-heavy skip-loop document.
+// optional referer field, DNA motifs (an anchored literal chain), and
+// a letter-heavy skip-loop document.
 func workloadCorpus() []struct{ name, expr, doc string } {
 	return []struct{ name, expr, doc string }{
 		{

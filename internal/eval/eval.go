@@ -184,9 +184,9 @@ func (e *Engine) UseDFA(d *program.DFA) { e.dfa = d }
 // DFAEnabled reports whether evaluation consults the lazy-DFA cache.
 func (e *Engine) DFAEnabled() bool { return e.dfa != nil && !e.nodfa && e.Compiled() }
 
-// ForceNoPrefilter disables the required-literal prefilter, keeping
-// every other DFA-layer accelerator. A differential-oracle switch for
-// head-to-head benchmarks and property tests.
+// ForceNoPrefilter disables the required-literal prefilter; the lazy
+// DFA stays on. A differential-oracle switch for head-to-head
+// benchmarks and property tests.
 func (e *Engine) ForceNoPrefilter() { e.noprefilter = true }
 
 // Prefilter returns the engine's required-literal prefilter, nil

@@ -12,8 +12,8 @@ import (
 )
 
 // This file is the differential property suite for the DFA speed
-// ladder: literal prefilters, stop-byte candidate jumps, the boundary
-// choices cached on DFA states, and the constrained-eval DFA must all
+// ladder: literal prefilters, the boundary choices cached on DFA
+// states, and the constrained-eval DFA must all
 // be pure accelerations — identical mapping sets, counts, decisions
 // and Eval verdicts against the bitset path and the interpreted
 // oracle, on adversarial documents chosen to sit on the accelerators'
@@ -40,8 +40,9 @@ func ladderEngines(a *va.VA) map[string]*Engine {
 
 // prefilterCorpus places the required literal of
 // `.*ERROR x{[^\n]*}\n.*` (and documents without it) at the
-// accelerator edges. jumpWindow mirrors program.accelWindow so the
-// straddle cases keep tracking the real constant.
+// accelerator edges. jumpWindow is the 16 KiB scan window of the
+// stop-byte jumps the corpus was first written for; the straddle cases
+// keep its edges.
 const jumpWindow = 1 << 14
 
 func prefilterCorpus() []struct{ name, doc string } {

@@ -230,7 +230,7 @@ func TestDecodedProgramEvaluates(t *testing.T) {
 	d := NewDFA(q, 64)
 	for _, text := range []string{"", "b", "aab", "aaba", "abc"} {
 		doc := span.NewDocument(text)
-		got, ok := d.Match(doc)
+		got, ok := sweepMatch(t, q, d, doc)
 		if !ok || got != matchDirect(p, doc) {
 			t.Errorf("%q: decoded DFA match = %v (ok=%v), compiled program says %v", text, got, ok, matchDirect(p, doc))
 		}

@@ -2,7 +2,6 @@ package program
 
 import (
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -20,8 +19,9 @@ import (
 // Frontiers are interned into DFA states; each state carries one
 // lazily filled transition row per stepping kind:
 //
-//	StepForward  LetterStep then OpClosure(·, 0) — the permissive
-//	             forward simulation of NonEmpty and forward reach;
+//	StepForward  LetterStep then OpClosure(·, blocked) — forward
+//	             reach, and the obligation-free segments of the
+//	             constrained evaluator;
 //	StepReverse  LetterStepBack then ROpClosure — co-reachability;
 //	StepRaw      LetterStep alone — the letter half of a step whose
 //	             closure the engine handles itself (FPT status
@@ -48,18 +48,16 @@ import (
 // runs stay valid after a flush: transitions are pure functions of
 // the frontier, so an old subgraph can never go wrong, only cold.
 //
-// Superinstructions execute inside Match: when a state's frontier is
-// the singleton head of a fused letter run (fuse.go), the whole run
-// is one class-sequence comparison; when a state's completed forward
-// row shows ASCII self-loops, a memchr-style skip consumes the
-// self-looping byte run in one tight loop.
+// A forward sweep (SweepForward) skips: when a state's completed
+// forward row shows ASCII self-loops, one tight loop consumes the
+// self-looping byte run.
 
 // StepKind selects the transition semantics of one DFA step.
 type StepKind uint8
 
 const (
-	// StepForward composes LetterStep with the permissive forward
-	// boundary closure OpClosure(·, 0).
+	// StepForward composes LetterStep with the forward boundary
+	// closure OpClosure(·, blocked) of the cache's mask.
 	StepForward StepKind = iota
 	// StepReverse composes LetterStepBack with ROpClosure.
 	StepReverse
@@ -82,27 +80,6 @@ const MaxFlushesPerSweep = 4
 // FlushCheckInterval is how many positions a sweep advances between
 // looks at the flush counter.
 const FlushCheckInterval = 1024
-
-// maxStopBytes is the largest stop-byte set a state resolves through
-// IndexByte candidate jumps; states with more stop bytes use the
-// plain per-byte skip loop (each extra stop byte costs one more
-// vectorized scan per jump, so small sets are where jumping wins).
-const maxStopBytes = 4
-
-// accelWindow bounds one candidate-jump scan. A window with no stop
-// byte is entirely self-looping and is skipped whole, so the sweep
-// stays linear even when some stop bytes never occur (IndexByte would
-// otherwise re-scan to the end of the document on every jump).
-const accelWindow = 1 << 14
-
-// Density self-disable: after densityProbeJumps candidate jumps, a
-// sweep averaging fewer than densityMinGain skipped runes per jump is
-// on a dense-match document — the jumps are not paying for their
-// scans — and disables the accelerator for the rest of the sweep.
-const (
-	densityProbeJumps = 32
-	densityMinGain    = 4
-)
 
 // maxConstrainedMasks bounds the per-program family of
 // constrained-closure DFA caches (one per distinct blocked-variable
@@ -127,10 +104,8 @@ type DFAStats struct {
 	Evictions uint64 `json:"evictions"`
 	Flushes   uint64 `json:"flushes"`
 	Fallbacks uint64 `json:"fallbacks"`
-	// FusedExecs counts fused-run superinstruction executions;
-	// SkippedRunes counts runes consumed by memchr-style self-loop
+	// SkippedRunes counts runes a forward sweep consumed by self-loop
 	// skips.
-	FusedExecs   uint64 `json:"fused_execs"`
 	SkippedRunes uint64 `json:"skipped_runes"`
 	// Blocked is the variable-operation mask this cache's forward
 	// closures exclude; zero on the shared permissive cache.
@@ -139,11 +114,6 @@ type DFAStats struct {
 	// and the documents they rejected outright.
 	PrefilterChecks uint64 `json:"prefilter_checks"`
 	PrefilterPrunes uint64 `json:"prefilter_prunes"`
-	// Candidate-jump counters: runes skipped by IndexByte stop-byte
-	// jumps (a subset of SkippedRunes) and sweeps whose density
-	// heuristic self-disabled the accelerator.
-	CandidateSkippedRunes uint64 `json:"candidate_skipped_runes"`
-	CandidateDisables     uint64 `json:"candidate_disables"`
 	// ConstrainedSegments counts obligation-free document segments
 	// swept through this cache by the constrained evaluator.
 	ConstrainedSegments uint64 `json:"constrained_segments"`
@@ -152,16 +122,11 @@ type DFAStats struct {
 // dfaIDs hands out process-unique cache identities.
 var dfaIDs atomic.Uint64
 
-// skipInfo is the memchr-style superinstruction of one state: the
-// ASCII bytes whose class self-loops on the state, plus — when the
-// non-self-looping complement is small — the explicit stop-byte list
-// that candidate jumps scan for with IndexByte. stops may be empty
-// but non-nil (every ASCII byte self-loops: whole windows skip); nil
-// means the set is too large for jumping and the per-byte loop runs.
+// skipInfo is the self-loop skip of one state: the ASCII bytes whose
+// class maps the state to itself under the forward step.
 type skipInfo struct {
 	ascii [2]uint64
 	any   bool
-	stops []byte
 }
 
 // DState is one interned frontier of the lazy DFA. All fields are
@@ -186,9 +151,8 @@ type DState struct {
 	// next holds the memoized transitions, numStepKinds rows of
 	// NumClasses entries each; nil = not yet computed. The forward row
 	// is materialized whole on the state's first forward visit (lazy
-	// per state, eager per row — the point where the skip
-	// superinstruction becomes derivable); reverse and raw rows fill
-	// per class.
+	// per state, eager per row — the point where the skip becomes
+	// derivable); reverse and raw rows fill per class.
 	next     []atomic.Pointer[DState]
 	fwdReady atomic.Bool
 	skip     atomic.Pointer[skipInfo]
@@ -197,12 +161,6 @@ type DState struct {
 	// for the row that fills per class, learned from the steps walks
 	// take (NoteLoop).
 	loops [2]atomic.Uint64
-
-	// Fused-run superinstruction, set when the frontier is the
-	// singleton head of a program-level fused letter run.
-	runClasses []uint16
-	runLand    int32 // program state the run lands in
-	runTo      atomic.Pointer[DState]
 
 	// rev is the reverse row by slot (Program.revSlot): slot 0 holds
 	// the dead state, for a byte outside the alphabet, and slot c+1 the
@@ -295,18 +253,15 @@ type DFA struct {
 	dead  atomic.Pointer[DState]
 	final atomic.Pointer[DState]
 
-	hits        atomic.Uint64
-	misses      atomic.Uint64
-	evictions   atomic.Uint64
-	flushes     atomic.Uint64
-	fallbacks   atomic.Uint64
-	fused       atomic.Uint64
-	skipped     atomic.Uint64
-	prefChecks  atomic.Uint64
-	prefPrunes  atomic.Uint64
-	candSkipped atomic.Uint64
-	candOff     atomic.Uint64
-	segments    atomic.Uint64
+	hits       atomic.Uint64
+	misses     atomic.Uint64
+	evictions  atomic.Uint64
+	flushes    atomic.Uint64
+	fallbacks  atomic.Uint64
+	skipped    atomic.Uint64
+	prefChecks atomic.Uint64
+	prefPrunes atomic.Uint64
+	segments   atomic.Uint64
 }
 
 // DFA returns the program's shared lazy-DFA cache, creating it with
@@ -398,22 +353,19 @@ func (d *DFA) Stats() DFAStats {
 	size := len(d.states)
 	d.mu.Unlock()
 	return DFAStats{
-		ID:                    d.id,
-		States:                size,
-		Budget:                d.budget,
-		Hits:                  d.hits.Load(),
-		Misses:                d.misses.Load(),
-		Evictions:             d.evictions.Load(),
-		Flushes:               d.flushes.Load(),
-		Fallbacks:             d.fallbacks.Load(),
-		FusedExecs:            d.fused.Load(),
-		SkippedRunes:          d.skipped.Load(),
-		Blocked:               d.blocked,
-		PrefilterChecks:       d.prefChecks.Load(),
-		PrefilterPrunes:       d.prefPrunes.Load(),
-		CandidateSkippedRunes: d.candSkipped.Load(),
-		CandidateDisables:     d.candOff.Load(),
-		ConstrainedSegments:   d.segments.Load(),
+		ID:                  d.id,
+		States:              size,
+		Budget:              d.budget,
+		Hits:                d.hits.Load(),
+		Misses:              d.misses.Load(),
+		Evictions:           d.evictions.Load(),
+		Flushes:             d.flushes.Load(),
+		Fallbacks:           d.fallbacks.Load(),
+		SkippedRunes:        d.skipped.Load(),
+		Blocked:             d.blocked,
+		PrefilterChecks:     d.prefChecks.Load(),
+		PrefilterPrunes:     d.prefPrunes.Load(),
+		ConstrainedSegments: d.segments.Load(),
 	}
 }
 
@@ -484,15 +436,6 @@ func (d *DFA) internLocked(frontier Bits) *DState {
 		firers:   firers,
 		fold:     firers.Fold(),
 		next:     make([]atomic.Pointer[DState], numStepKinds*d.p.NumClasses),
-		runLand:  -1,
-	}
-	// Fused-run superinstruction: fires only on closed singleton
-	// frontiers whose one state heads a program-level run.
-	if q, ok := singleBit(frontier); ok {
-		if classes, to, ok := d.p.FusedRunOf(q); ok {
-			s.runClasses = classes
-			s.runLand = int32(to)
-		}
 	}
 	d.states[key] = s
 	return s
@@ -511,16 +454,6 @@ func (d *DFA) flushLocked() {
 	d.evictions.Add(uint64(dropped))
 	d.flushes.Add(1)
 	d.seedLocked()
-}
-
-// singleBit reports the index of the only set bit, if exactly one is.
-func singleBit(b Bits) (int, bool) {
-	if b.Count() != 1 {
-		return 0, false
-	}
-	q := -1
-	b.ForEach(func(i int) { q = i })
-	return q, true
 }
 
 // Step returns the memoized transition of s on class c under kind,
@@ -557,10 +490,9 @@ func (d *DFA) StepBatched(s *DState, c int, kind StepKind) (ns *DState, hit bool
 func (d *DFA) NoteHits(n uint64) { d.hits.Add(n) }
 
 // fillFwdRow materializes the complete forward row of s (lazy per
-// state, eager per row) and derives the skip superinstruction from
-// it. The computed transitions count as misses. Concurrent fills are
-// benign: targets dedup through interning and skip derivation is
-// idempotent.
+// state, eager per row) and derives the self-loop skip from it. The
+// computed transitions count as misses. Concurrent fills are benign:
+// targets dedup through interning and skip derivation is idempotent.
 func (d *DFA) fillFwdRow(s *DState) {
 	if s.fwdReady.Load() {
 		return
@@ -603,9 +535,8 @@ func (d *DFA) stepSlow(s *DState, c int, kind StepKind) *DState {
 	return ns
 }
 
-// deriveSkip computes the memchr-style skip superinstruction once the
-// state's forward row is complete: the ASCII bytes whose class leaves
-// the state unchanged.
+// deriveSkip computes the self-loop skip once the state's forward row
+// is complete: the ASCII bytes whose class leaves the state unchanged.
 func (d *DFA) deriveSkip(s *DState) {
 	var si skipInfo
 	for b := 0; b < 128; b++ {
@@ -617,24 +548,6 @@ func (d *DFA) deriveSkip(s *DState) {
 			si.ascii[b>>6] |= 1 << (uint(b) & 63)
 			si.any = true
 		}
-	}
-	if si.any {
-		// Stop bytes: the ASCII complement of the self-loop set
-		// (including bytes no letter edge reads — those kill the
-		// frontier, which a jump must not fly past). A small set turns
-		// the skip loop into IndexByte candidate jumps on ASCII
-		// documents.
-		stops := make([]byte, 0, maxStopBytes)
-		for b := 0; b < 128; b++ {
-			if si.ascii[b>>6]&(1<<(uint(b)&63)) == 0 {
-				if len(stops) == maxStopBytes {
-					stops = nil
-					break
-				}
-				stops = append(stops, byte(b))
-			}
-		}
-		si.stops = stops
 	}
 	s.skip.Store(&si)
 }
@@ -659,79 +572,20 @@ func (d *DFA) NoteLoop(s *DState, c int) [2]uint64 {
 	return s.Loops()
 }
 
-// jumpStops returns the first index in [from, to) of text holding one
-// of the stop bytes, scanning at most accelWindow bytes; a window
-// with no stop byte is entirely self-looping, so the jump lands at
-// its end. text must be pure ASCII (byte index = rune position).
-func jumpStops(text string, from, to int, stops []byte) int {
-	end := to
-	if end-from > accelWindow {
-		end = from + accelWindow
-	}
-	sub := text[from:end]
-	best := len(sub)
-	for _, b := range stops {
-		if k := strings.IndexByte(sub, b); k >= 0 && k < best {
-			best = k
-		}
-	}
-	return from + best
-}
-
-// runTarget interns (once) the landing state of s's fused run: the
-// op-closure of the singleton landing frontier.
-func (d *DFA) runTarget(s *DState) *DState {
-	if t := s.runTo.Load(); t != nil {
-		return t
-	}
-	fr := NewBits(d.p.NumStates)
-	fr.Set(int(s.runLand))
-	d.p.OpClosure(fr, d.blocked)
-	d.mu.Lock()
-	t := d.internLocked(fr)
-	d.mu.Unlock()
-	s.runTo.CompareAndSwap(nil, t)
-	return t
-}
-
-// Match runs the forward DFA over the whole document and reports
-// whether an accepting frontier survives — NonEmpty on the
-// determinized tables, with fused runs, skip loops, and stop-byte
-// candidate jumps. ok is false when the sweep abandoned the cache
-// (budget thrash); the caller must fall back to bitset stepping and
-// ignore matched.
-func (d *DFA) Match(doc *span.Document) (matched, ok bool) {
-	s, ok := d.SweepForward(d.start.Load(), doc, doc.ASCIIText(), 0, doc.Len(), true)
-	if !ok {
-		return false, false
-	}
-	return s.accept, true
-}
-
 // SweepForward advances s across the 0-based rune offsets [from,to)
 // of doc under forward semantics (letter step then op closure
-// excluding this cache's blocked mask), executing fused-run
-// superinstructions, per-byte self-loop skips, and — when text is the
-// document's non-empty
-// ASCIIText — IndexByte candidate jumps over stop-byte gaps, with a
-// density heuristic that self-disables jumping on dense inputs.
-// atEnd marks to as the end of the document, letting a fused run
-// whose chain the input ends inside reject immediately; mid-document
-// segment sweeps pass false and step such tails per rune. Returns
-// the landing state — the dead state as soon as the frontier dies —
-// or ok=false when the sweep abandoned the cache after budget
-// thrash (the caller falls back to bitset stepping). Counter traffic
-// is batched per sweep.
-func (d *DFA) SweepForward(s *DState, doc *span.Document, text string, from, to int, atEnd bool) (_ *DState, ok bool) {
+// excluding this cache's blocked mask), consuming each run of ASCII
+// bytes the state loops on in one skip loop. Returns the landing state
+// — the dead state as soon as the frontier dies — or ok=false when the
+// sweep abandoned the cache after budget thrash (the caller falls back
+// to bitset stepping). Counter traffic is batched per sweep.
+func (d *DFA) SweepForward(s *DState, doc *span.Document, from, to int) (_ *DState, ok bool) {
 	flush0 := d.flushes.Load()
-	var hits, skipped, jumped uint64
+	var hits, skipped uint64
 	defer func() {
 		d.hits.Add(hits)
 		d.skipped.Add(skipped)
-		d.candSkipped.Add(jumped)
 	}()
-	accel := text != ""
-	jumps, gained := 0, 0
 	fwdBase := int(StepForward) * d.p.NumClasses
 	check := from + FlushCheckInterval
 	for i := from; i < to; {
@@ -746,66 +600,21 @@ func (d *DFA) SweepForward(s *DState, doc *span.Document, text string, from, to 
 			return s, true
 		}
 		if si := s.skip.Load(); si != nil && si.any {
-			if accel && si.stops != nil {
-				// Candidate jump: the next position that can change
-				// the state is the next stop byte.
-				if j := jumpStops(text, i, to, si.stops); j > i {
-					n := uint64(j - i)
-					hits += n
-					skipped += n
-					jumped += n
-					jumps++
-					gained += j - i
-					i = j
-					if jumps >= densityProbeJumps && gained < jumps*densityMinGain {
-						accel = false
-						d.candOff.Add(1)
-					}
+			j := i
+			for j < to {
+				r := doc.RuneAt(j + 1)
+				if r >= 0 && r < 128 && si.ascii[r>>6]&(1<<(uint(r)&63)) != 0 {
+					j++
 					continue
 				}
-			} else {
-				// Per-byte skip loop: consume the run of self-looping
-				// ASCII bytes.
-				j := i
-				for j < to {
-					r := doc.RuneAt(j + 1)
-					if r >= 0 && r < 128 && si.ascii[r>>6]&(1<<(uint(r)&63)) != 0 {
-						j++
-						continue
-					}
-					break
-				}
-				if j > i {
-					hits += uint64(j - i)
-					skipped += uint64(j - i)
-					i = j
-					continue
-				}
+				break
 			}
-		}
-		// Fused-run superinstruction on singleton chain heads.
-		if s.runClasses != nil && (to-i >= len(s.runClasses) || atEnd) {
-			if to-i < len(s.runClasses) {
-				// The document ends strictly inside the chain: every
-				// continuation is a non-accepting interior state or a
-				// dead frontier.
-				d.fused.Add(1)
-				return d.dead.Load(), true
+			if j > i {
+				hits += uint64(j - i)
+				skipped += uint64(j - i)
+				i = j
+				continue
 			}
-			match := true
-			for k, want := range s.runClasses {
-				if d.p.ClassOf(doc.RuneAt(i+k+1)) != int(want) {
-					match = false
-					break
-				}
-			}
-			d.fused.Add(1)
-			if !match {
-				return d.dead.Load(), true // single-exit chain: mismatch is death
-			}
-			i += len(s.runClasses)
-			s = d.runTarget(s)
-			continue
 		}
 		c := d.p.ClassOf(doc.RuneAt(i + 1))
 		if c < 0 {
@@ -839,15 +648,8 @@ func (d *DFA) ForwardFrontiers(doc *span.Document) (out []Bits, ok bool) {
 	out = make([]Bits, n+2)
 	s := d.start.Load()
 	flush0 := d.flushes.Load()
-	text := doc.ASCIIText()
-	accel := text != ""
-	jumps, gained := 0, 0
-	var hits, jumped uint64
-	defer func() {
-		d.hits.Add(hits)
-		d.skipped.Add(jumped)
-		d.candSkipped.Add(jumped)
-	}()
+	var hits uint64
+	defer func() { d.hits.Add(hits) }()
 	base := int(StepForward) * d.p.NumClasses
 	check := FlushCheckInterval
 	for pos := 1; pos <= n+1; pos++ {
@@ -861,29 +663,6 @@ func (d *DFA) ForwardFrontiers(doc *span.Document) (out []Bits, ok bool) {
 		out[pos] = s.frontier
 		if pos == n+1 {
 			break
-		}
-		// Candidate jump: every position up to the next stop byte
-		// keeps the frontier, so the skipped range shares (aliases)
-		// the current frontier.
-		if accel {
-			if si := s.skip.Load(); si != nil && si.any && si.stops != nil {
-				if j := jumpStops(text, pos-1, n, si.stops); j > pos-1 {
-					for k := pos + 1; k <= j; k++ {
-						out[k] = s.frontier
-					}
-					m := uint64(j - (pos - 1))
-					hits += m
-					jumped += m
-					jumps++
-					gained += j - (pos - 1)
-					pos = j
-					if jumps >= densityProbeJumps && gained < jumps*densityMinGain {
-						accel = false
-						d.candOff.Add(1)
-					}
-					continue
-				}
-			}
 		}
 		if c := d.p.ClassOf(doc.RuneAt(pos)); c >= 0 {
 			if ns := s.next[base+c].Load(); ns != nil {
@@ -995,11 +774,4 @@ func (d *DFA) revStep(s *DState, b byte, misses *uint64) *DState {
 		s.rev[i].Store(ns)
 	}
 	return ns
-}
-
-// StepSet interns cur and returns its memoized transition frontier on
-// class c under kind. The result aliases an interned frontier and
-// must be treated as read-only (clone before mutating).
-func (d *DFA) StepSet(cur Bits, c int, kind StepKind) Bits {
-	return d.Step(d.State(cur), c, kind).frontier
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"spanners/internal/rgx"
 	"spanners/internal/span"
@@ -37,6 +38,44 @@ func matchDirect(p *Program, d *span.Document) bool {
 	return cur.Intersects(p.Final)
 }
 
+// coReachDirect is the bitset co-reach: out[pos-1] holds the states
+// from which acceptance is reachable reading d[pos..n], for every
+// boundary pos in 1..n+1.
+func coReachDirect(p *Program, d *span.Document) []Bits {
+	n := d.Len()
+	out := make([]Bits, n+1)
+	cur := p.Final.Clone()
+	p.ROpClosure(cur)
+	out[n] = cur
+	for pos := n; pos >= 1; pos-- {
+		prev := NewBits(p.NumStates)
+		if c := p.ClassOf(d.RuneAt(pos)); c >= 0 {
+			p.LetterStepBack(cur, c, prev)
+		}
+		p.ROpClosure(prev)
+		out[pos-1], cur = prev, prev
+	}
+	return out
+}
+
+// sweepMatch is NonEmpty from the reverse sweep: whether the start
+// state lies in the co-reach of boundary 1. Every frontier of the sweep
+// must equal the bitset co-reach. ok is false when the sweep fell back.
+func sweepMatch(t testing.TB, p *Program, d *DFA, doc *span.Document) (matched, ok bool) {
+	t.Helper()
+	out, ok := d.BackwardFrontiers(doc, 1, doc.Len()+1, nil, nil)
+	if !ok {
+		return false, false
+	}
+	for i, want := range coReachDirect(p, doc) {
+		if out[i].Frontier().Key() != want.Key() {
+			t.Errorf("co-reach of boundary %d on %q diverges from bitset stepping", i+1, doc.Text())
+			break
+		}
+	}
+	return out[0].Frontier().Has(p.Start), true
+}
+
 func docsForDFA(rng *rand.Rand) []string {
 	docs := []string{"", "a", "b", "ab", "Seller: X, ID3\n", strings.Repeat("a", 40)}
 	for i := 0; i < 6; i++ {
@@ -57,12 +96,28 @@ func TestDFAMatchAgreesWithDirect(t *testing.T) {
 		d := NewDFA(p, 256)
 		for _, text := range docsForDFA(rng) {
 			doc := span.NewDocument(text)
-			got, ok := d.Match(doc)
+			got, ok := sweepMatch(t, p, d, doc)
 			if !ok {
-				t.Fatalf("%q: Match fell back on a %d-state budget", expr, 256)
+				t.Fatalf("%q: the reverse sweep fell back on a %d-state budget", expr, 256)
 			}
 			if want := matchDirect(p, doc); got != want {
 				t.Fatalf("%q on %q: DFA says %v, direct stepping says %v", expr, text, got, want)
+			}
+		}
+	}
+	// Literal chains: a document that ends before, inside, at or past
+	// the end of a chain, and a chain whose last state repeats.
+	for expr, cases := range map[string]map[string]bool{
+		`ERROR x{[^ ]+}`: {"ERROR disk": true, "ERROR  ": false, "ERRO": false, "": false, "WARNING x": false, "ERROR disks": true},
+		`aaab*`:          {"aaa": true, "aaab": true, "aa": false, "aaaa": false, "aaabb": true},
+	} {
+		p := compileCorpus(t, expr)
+		d := NewDFA(p, 64)
+		for text, want := range cases {
+			doc := span.NewDocument(text)
+			got, ok := sweepMatch(t, p, d, doc)
+			if !ok || got != want || matchDirect(p, doc) != want {
+				t.Fatalf("%q on %q: DFA says %v (ok=%v), direct stepping %v, want %v", expr, text, got, ok, matchDirect(p, doc), want)
 			}
 		}
 	}
@@ -100,24 +155,13 @@ func TestDFAFrontierSweepsAgreeWithDirect(t *testing.T) {
 		if !ok {
 			t.Fatalf("%q: backward sweep fell back", expr)
 		}
-		rcur := p.Final.Clone()
-		p.ROpClosure(rcur)
-		if bwd[n].Frontier().Key() != rcur.Key() {
-			t.Fatalf("%q: backward frontier at %d diverges", expr, n+1)
-		}
-		for pos := n; pos >= 1; pos-- {
-			prev := NewBits(p.NumStates)
-			if c := p.ClassOf(doc.RuneAt(pos)); c >= 0 {
-				p.LetterStepBack(rcur, c, prev)
+		for i, want := range coReachDirect(p, doc) {
+			if bwd[i].Frontier().Key() != want.Key() {
+				t.Fatalf("%q: backward frontier at %d diverges", expr, i+1)
 			}
-			p.ROpClosure(prev)
-			if bwd[pos-1].Frontier().Key() != prev.Key() {
-				t.Fatalf("%q: backward frontier at %d diverges", expr, pos)
+			if bwd[i].Firers().Key() != p.FirersIn(want).Key() {
+				t.Fatalf("%q: firers of the backward state at %d diverge", expr, i+1)
 			}
-			if bwd[pos-1].Firers().Key() != p.FirersIn(prev).Key() {
-				t.Fatalf("%q: firers of the backward state at %d diverge", expr, pos)
-			}
-			rcur = prev
 		}
 	}
 }
@@ -166,7 +210,7 @@ func TestDFATinyBudgetStaysCorrect(t *testing.T) {
 	completed := 0
 	for _, text := range docsForDFA(rng) {
 		doc := span.NewDocument(text)
-		got, ok := d.Match(doc)
+		got, ok := sweepMatch(t, p, d, doc)
 		if !ok {
 			continue // fallback: the caller would re-run direct stepping
 		}
@@ -204,13 +248,10 @@ func TestDFAConcurrentSharedCache(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 50; iter++ {
 				i := (g + iter) % len(docs)
-				got, ok := d.Match(docs[i])
+				got, ok := sweepMatch(t, p, d, docs[i])
 				if ok && got != want[i] {
 					t.Errorf("goroutine %d: doc %d: got %v want %v", g, i, got, want[i])
 					return
-				}
-				if _, ok := d.BackwardFrontiers(docs[i], 1, docs[i].Len()+1, nil, nil); !ok {
-					continue
 				}
 			}
 		}(g)
@@ -227,9 +268,9 @@ func TestDFASkipSuperinstructionFires(t *testing.T) {
 	doc := span.NewDocument(strings.Repeat("padding without trigger\n", 8) + "Seller: A, ID1\n")
 	// First pass materializes rows; later passes should skip.
 	for i := 0; i < 4; i++ {
-		got, ok := d.Match(doc)
-		if !ok || !got {
-			t.Fatalf("pass %d: match=%v ok=%v", i, got, ok)
+		s, ok := d.SweepForward(d.Start(), doc, 0, doc.Len())
+		if !ok || !s.Accept() {
+			t.Fatalf("pass %d: accept=%v ok=%v", i, ok && s.Accept(), ok)
 		}
 	}
 	if st := d.Stats(); st.SkippedRunes == 0 {
@@ -237,69 +278,18 @@ func TestDFASkipSuperinstructionFires(t *testing.T) {
 	}
 }
 
-func TestFusedRunsOnLiteralChain(t *testing.T) {
-	p := compileCorpus(t, `ERROR x{[^ ]+}`)
-	if p.Stats().FusedRuns == 0 {
-		t.Fatalf("literal prefix compiled without fused runs: %+v", p.Stats())
-	}
-	d := NewDFA(p, 256)
-	cases := map[string]bool{
-		"ERROR disk":  true,
-		"ERROR  ":     false,
-		"ERRO":        false,
-		"":            false,
-		"WARNING x":   false,
-		"ERROR disks": true,
-	}
-	for text, want := range cases {
-		doc := span.NewDocument(text)
-		got, ok := d.Match(doc)
-		if !ok {
-			t.Fatalf("%q: fell back", text)
-		}
-		if got != want {
-			t.Fatalf("%q: got %v want %v", text, got, want)
-		}
-		if dw := matchDirect(p, doc); dw != want {
-			t.Fatalf("%q: oracle disagrees with expectation: %v", text, dw)
-		}
-	}
-	if st := d.Stats(); st.FusedExecs == 0 {
-		t.Fatalf("anchored literal never executed a fused run: %+v", st)
-	}
-}
-
-func TestFusedRunsRespectDocEndAndFinalInteriors(t *testing.T) {
-	// a+ compiles to a self-loop: no run may fuse through it, and
-	// acceptance in the middle of repeated letters must survive.
-	p := compileCorpus(t, `aaab*`)
-	d := NewDFA(p, 64)
-	for text, want := range map[string]bool{
-		"aaa": true, "aaab": true, "aa": false, "aaaa": false, "aaabb": true,
-	} {
-		doc := span.NewDocument(text)
-		got, ok := d.Match(doc)
-		if !ok {
-			t.Fatalf("%q: fell back", text)
-		}
-		if got != want || matchDirect(p, doc) != want {
-			t.Fatalf("%q: got %v want %v", text, got, want)
-		}
-	}
-}
-
 func TestDFAStatsCounters(t *testing.T) {
 	p := compileCorpus(t, `a*x{a*}a*`)
 	d := NewDFA(p, 64)
 	doc := span.NewDocument(strings.Repeat("a", 64))
-	if _, ok := d.Match(doc); !ok {
+	if _, ok := sweepMatch(t, p, d, doc); !ok {
 		t.Fatal("fell back")
 	}
 	st1 := d.Stats()
 	if st1.Misses == 0 {
 		t.Fatalf("cold run recorded no misses: %+v", st1)
 	}
-	if _, ok := d.Match(doc); !ok {
+	if _, ok := sweepMatch(t, p, d, doc); !ok {
 		t.Fatal("fell back")
 	}
 	st2 := d.Stats()
@@ -329,7 +319,7 @@ func TestDFARandomizedAgainstDirect(t *testing.T) {
 		for probe := 0; probe < 8; probe++ {
 			text := randomDFAText(rng)
 			doc := span.NewDocument(text)
-			got, ok := d.Match(doc)
+			got, ok := sweepMatch(t, p, d, doc)
 			if !ok {
 				continue
 			}
@@ -384,5 +374,14 @@ func TestASCIIClassTableMatchesBinarySearch(t *testing.T) {
 				t.Fatalf("%q: class of %q: table %d, ranges %d", expr, string(r), fast, slow)
 			}
 		}
+	}
+}
+
+// TestDStateSize pins the bytes of one interned state, which every
+// resident state of every cache pays: a field that raises it must
+// raise this bound and say why.
+func TestDStateSize(t *testing.T) {
+	if n := unsafe.Sizeof(DState{}); n > 384 {
+		t.Fatalf("a DState is %d B, want at most 384", n)
 	}
 }

@@ -88,7 +88,7 @@ func FuzzDecodeDFA(f *testing.F) {
 		if err != nil {
 			return
 		}
-		got, ok := NewDFA(p, 64).Match(probe)
+		got, ok := sweepMatch(t, p, NewDFA(p, 64), probe)
 		if !ok {
 			return
 		}

@@ -6,22 +6,26 @@ import (
 )
 
 // This file is the required-literal prefilter: a program-level
-// analysis extending the fusion pass's literal-run detection
-// (fuse.go) into a per-spanner set of mandatory literals, compiled
+// analysis that finds the literal chains of the compiled tables and
+// keeps the mandatory ones as a per-spanner set of literals, compiled
 // into a multi-literal absence scanner.
 //
-// A fused run is the compiled form of a literal substring when every
-// rune class along the chain contains exactly one ASCII rune. Such a
-// run is *required* when its head state is unavoidable: every path
-// from the start state to an accepting state — over letter edges of
-// any class and over variable-operation edges — passes through the
-// head. Since the head is operation-free, non-final, and has the run
-// as its only continuation, any accepting run of the automaton must
-// read the literal somewhere in the document. Contrapositive: a
-// document not containing every required literal has an empty
-// spanner result, for every candidate mapping µ — so Eval,
-// Enumerate, and Count can all reject it with a handful of
-// memchr-backed substring scans and never touch the DFA.
+// A literal chain is a maximal chain q0 → q1 → … → qk of letter steps
+// in which every state but qk has exactly one outgoing letter class
+// with exactly one successor and no variable operation, and no state
+// strictly inside is accepting: the compiled form of a literal substring
+// ("Seller: ", a log prefix, a DNA motif) when every class along it
+// contains exactly one ASCII rune. Such a chain is *required* when its
+// head q0 is unavoidable: every path from the start state to an
+// accepting state — over letter edges of any class and over
+// variable-operation edges — passes through the head. Since the head
+// is operation-free, non-final, and has the chain as its only
+// continuation, any accepting run of the automaton must read the
+// literal somewhere in the document. Contrapositive: a document not
+// containing every required literal has an empty spanner result, for
+// every candidate mapping µ — so Eval, Enumerate, and Count can all
+// reject it with a handful of memchr-backed substring scans and never
+// touch the DFA.
 //
 // The analysis is a pure function of the compiled dispatch tables,
 // so a decoded (registry-warmed) program derives exactly the same
@@ -36,6 +40,10 @@ const maxPrefilterLiterals = 8
 // maxPrefilterStates bounds the per-run unavoidability BFS; programs
 // beyond it skip the analysis (compile time stays linear-ish).
 const maxPrefilterStates = 1 << 12
+
+// maxChainLen caps the length of one literal chain, bounding the
+// scan.
+const maxChainLen = 64
 
 // minPrefilterLiteralLen is the shortest literal worth scanning for:
 // single bytes are usually too dense to prune anything.
@@ -135,23 +143,21 @@ func rarestByte(lit string) int {
 
 // buildPrefilter runs the required-literal analysis.
 func buildPrefilter(p *Program) *Prefilter {
-	if len(p.runs) == 0 || p.NumStates > maxPrefilterStates {
+	if p.NumStates > maxPrefilterStates {
 		return nil
 	}
 	byteOf := concreteClassBytes(p)
 
 	var lits []string
-	for q := 0; q < p.NumStates; q++ {
-		ri := p.runOf[q]
-		if ri < 0 || p.Final.Has(q) {
+	for q, chain := range literalChains(p) {
+		if chain == nil || p.Final.Has(q) {
 			// A final head lets an accepting run end before reading
 			// the literal, so the literal is not mandatory.
 			continue
 		}
-		run := p.runs[ri]
-		buf := make([]byte, 0, len(run.classes))
+		buf := make([]byte, 0, len(chain))
 		concrete := true
-		for _, c := range run.classes {
+		for _, c := range chain {
 			b := byteOf[c]
 			if b < 0 {
 				concrete = false
@@ -176,6 +182,66 @@ func buildPrefilter(p *Program) *Prefilter {
 		probes[i] = rarestByte(l)
 	}
 	return &Prefilter{literals: lits, probes: probes}
+}
+
+// literalChains returns, for every state q, the class sequence of the
+// literal chain q heads, nil when q has operations, more than one exit,
+// or a chain shorter than two letters.
+func literalChains(p *Program) [][]uint16 {
+	// Single-exit map: out[q] = (class, successor) when state q has
+	// exactly one outgoing letter class and that class has exactly one
+	// successor; otherwise class = -1.
+	type exit struct {
+		class int32
+		to    int32
+	}
+	out := make([]exit, p.NumStates)
+	for q := 0; q < p.NumStates; q++ {
+		out[q] = exit{class: -1}
+		seen := 0
+		for c := 0; c < p.NumClasses && seen <= 1; c++ {
+			bs := p.delta[q*p.NumClasses+c]
+			if !bs.Any() {
+				continue
+			}
+			seen++
+			if bs.Count() != 1 {
+				seen = 2 // multiple successors: not a chain link
+				break
+			}
+			to := -1
+			bs.ForEach(func(i int) { to = i })
+			out[q] = exit{class: int32(c), to: int32(to)}
+		}
+		if seen != 1 {
+			out[q] = exit{class: -1}
+		}
+	}
+
+	// interior reports whether the chain may continue through q:
+	// single exit, no variable operations, not accepting.
+	interior := func(q int32) bool {
+		return out[q].class >= 0 && !p.HasOps.Has(int(q)) && !p.Final.Has(int(q))
+	}
+
+	chains := make([][]uint16, p.NumStates)
+	for q := 0; q < p.NumStates; q++ {
+		if out[q].class < 0 || p.HasOps.Has(q) {
+			continue
+		}
+		classes := []uint16{uint16(out[q].class)}
+		cur := out[q].to
+		onChain := map[int32]bool{int32(q): true, cur: true}
+		for len(classes) < maxChainLen && interior(cur) && !onChain[out[cur].to] {
+			classes = append(classes, uint16(out[cur].class))
+			cur = out[cur].to
+			onChain[cur] = true
+		}
+		if len(classes) >= 2 {
+			chains[q] = classes
+		}
+	}
+	return chains
 }
 
 // concreteClassBytes maps each rune class to its single ASCII byte,

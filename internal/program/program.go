@@ -66,7 +66,6 @@ type Stats struct {
 	OpEdges     int   `json:"op_edges"`
 	LetterEdges int   `json:"letter_edges"`
 	DeltaWords  int   `json:"delta_words"`
-	FusedRuns   int   `json:"fused_runs,omitempty"`
 	CompileNS   int64 `json:"compile_ns"`
 }
 
@@ -114,15 +113,12 @@ type Program struct {
 	HasOps  Bits
 	RHasOps Bits
 
-	// Derived accelerators (fuse.go): O(1) ASCII classification, each
-	// class's ASCII bytes as a two-word mask (bit b of word b>>6), each
-	// ASCII byte's slot in a state's reverse row (DState.rev), and the
-	// superinstruction tables of the peephole pass.
+	// Derived ASCII tables (ascii.go): O(1) classification, each
+	// class's ASCII bytes as a two-word mask (bit b of word b>>6), and
+	// each byte's slot in a state's reverse row (DState.rev).
 	asciiClass [128]int16
 	asciiMask  [][2]uint64
 	revSlot    [128]uint8
-	runOf      []int32
-	runs       []fusedRun
 
 	// Lazily created shared state: the per-program lazy-DFA cache and
 	// the artifact fingerprint.

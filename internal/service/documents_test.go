@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -195,6 +196,7 @@ func TestCatchUpAllocsIndependentOfDocument(t *testing.T) {
 	const line = "10.0.0.9 TRACE /admin/keys 403 17 \"curl/8.0\"\n"
 	q := Query{Expr: sparseLineExpr}
 	ctx := context.Background()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pools
 	for _, size := range []int{64 << 10, 1 << 20} {
 		svc := New(Config{})
 		text := webLogOf(size-len(line)) + line

@@ -118,14 +118,6 @@ func newObservability(svc *Service, traceRetention int) *Observability {
 				{Labels: []string{obs.L("outcome", "passed")}, Value: float64(st.PrefilterChecks - st.PrefilterPrunes)},
 			}
 		})
-	r.RegisterCounterFunc("spand_dfa_candidate_skipped_runes_total",
-		"Runes skipped by stop-byte candidate jumps inside DFA sweeps.", func() []obs.Sample {
-			return []obs.Sample{{Value: float64(svc.dfaStats().CandidateSkippedRunes)}}
-		})
-	r.RegisterCounterFunc("spand_dfa_candidate_disables_total",
-		"Sweeps whose density heuristic disabled candidate jumps.", func() []obs.Sample {
-			return []obs.Sample{{Value: float64(svc.dfaStats().CandidateDisables)}}
-		})
 	r.RegisterGaugeFunc("spand_dfa_constrained_states",
 		"Resident states across the per-mask constrained DFA families.", func() []obs.Sample {
 			return []obs.Sample{{Value: float64(svc.dfaStats().ConstrainedStates)}}

@@ -205,7 +205,7 @@ func (s *Service) trackDFA(sp *spanners.Spanner) {
 // compiled spanner the service has produced or loaded: resident
 // determinized states, transition hit/miss traffic, budget flushes
 // with their evictions, sweeps that fell back to bitset stepping, and
-// superinstruction activity.
+// self-loop skips.
 type DFAStats struct {
 	Caches       int    `json:"caches"`
 	States       int    `json:"states"`
@@ -214,19 +214,15 @@ type DFAStats struct {
 	Evictions    uint64 `json:"evictions"`
 	Flushes      uint64 `json:"flushes"`
 	Fallbacks    uint64 `json:"fallbacks"`
-	FusedExecs   uint64 `json:"fused_execs"`
 	SkippedRunes uint64 `json:"skipped_runes"`
 	// Speed-ladder counters: required-literal prefilter checks and
-	// the documents they pruned, runes skipped by stop-byte candidate
-	// jumps, sweeps whose density heuristic disabled the jumps, and
-	// the per-mask constrained-DFA family behind pinned-span Eval.
-	PrefilterChecks       uint64 `json:"prefilter_checks"`
-	PrefilterPrunes       uint64 `json:"prefilter_prunes"`
-	CandidateSkippedRunes uint64 `json:"candidate_skipped_runes"`
-	CandidateDisables     uint64 `json:"candidate_disables"`
-	ConstrainedCaches     int    `json:"constrained_caches"`
-	ConstrainedStates     int    `json:"constrained_states"`
-	ConstrainedSegments   uint64 `json:"constrained_segments"`
+	// the documents they pruned, and the per-mask constrained-DFA
+	// family behind pinned-span Eval.
+	PrefilterChecks     uint64 `json:"prefilter_checks"`
+	PrefilterPrunes     uint64 `json:"prefilter_prunes"`
+	ConstrainedCaches   int    `json:"constrained_caches"`
+	ConstrainedStates   int    `json:"constrained_states"`
+	ConstrainedSegments uint64 `json:"constrained_segments"`
 	// Truncated reports that the observability index hit its cap and
 	// the sums above are a lower bound.
 	Truncated bool `json:"truncated,omitempty"`
@@ -258,12 +254,9 @@ func (s *Service) dfaStats() DFAStats {
 		out.Evictions += st.Evictions
 		out.Flushes += st.Flushes
 		out.Fallbacks += st.Fallbacks
-		out.FusedExecs += st.FusedExecs
 		out.SkippedRunes += st.SkippedRunes
 		out.PrefilterChecks += st.PrefilterChecks
 		out.PrefilterPrunes += st.PrefilterPrunes
-		out.CandidateSkippedRunes += st.CandidateSkippedRunes
-		out.CandidateDisables += st.CandidateDisables
 		out.ConstrainedCaches += st.ConstrainedCaches
 		out.ConstrainedStates += st.ConstrainedStates
 		out.ConstrainedSegments += st.ConstrainedSegments

@@ -163,10 +163,9 @@ done
 expiries=$(awk '/^spand_deadline_expiries_total/ {print $2}' "$prom")
 [ "$expiries" = "2" ] || die "spand_deadline_expiries_total=$expiries, want 2"
 
-# The DFA speed-ladder families (prefilter, candidate jumps,
-# constrained family) must be exposed.
-for fam in spand_dfa_prefilter_checks_total spand_dfa_candidate_skipped_runes_total \
-           spand_dfa_constrained_segments_total; do
+# The DFA speed-ladder families (prefilter, constrained family) must
+# be exposed.
+for fam in spand_dfa_prefilter_checks_total spand_dfa_constrained_segments_total; do
   grep -q "^# HELP $fam " "$prom" || die "speed-ladder family $fam missing"
 done
 

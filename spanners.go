@@ -173,9 +173,6 @@ type ProgramStats struct {
 	// Vars and OpEdges size the bit-packed variable operation tables.
 	Vars    int `json:"vars"`
 	OpEdges int `json:"op_edges"`
-	// FusedRuns counts the superinstructions the peephole pass fused
-	// out of variable-op-free letter chains.
-	FusedRuns int `json:"fused_runs,omitempty"`
 	// CompileNS is the time spent lowering the automaton.
 	CompileNS int64 `json:"compile_ns"`
 }
@@ -193,7 +190,6 @@ func (s *Spanner) ProgramStats() ProgramStats {
 		Classes:    ps.Classes,
 		Vars:       ps.Vars,
 		OpEdges:    ps.OpEdges,
-		FusedRuns:  ps.FusedRuns,
 		CompileNS:  ps.CompileNS,
 	}
 }
@@ -223,21 +219,14 @@ type DFAStats struct {
 	Evictions uint64 `json:"evictions"`
 	Flushes   uint64 `json:"flushes"`
 	Fallbacks uint64 `json:"fallbacks"`
-	// FusedExecs counts fused-run superinstruction executions and
-	// SkippedRunes the runes consumed by memchr-style self-loop skips.
-	FusedExecs   uint64 `json:"fused_execs"`
+	// SkippedRunes counts the runes forward sweeps consumed by
+	// self-loop skips.
 	SkippedRunes uint64 `json:"skipped_runes"`
 	// PrefilterChecks counts required-literal absence scans and
 	// PrefilterPrunes the documents those scans rejected outright
 	// (no DFA or bitset work at all).
 	PrefilterChecks uint64 `json:"prefilter_checks"`
 	PrefilterPrunes uint64 `json:"prefilter_prunes"`
-	// CandidateSkippedRunes counts runes skipped by IndexByte
-	// stop-byte candidate jumps (a subset of SkippedRunes);
-	// CandidateDisables counts sweeps whose density heuristic turned
-	// the accelerator off.
-	CandidateSkippedRunes uint64 `json:"candidate_skipped_runes"`
-	CandidateDisables     uint64 `json:"candidate_disables"`
 	// ConstrainedCaches / ConstrainedStates size the per-mask DFA
 	// family the constrained evaluator builds for pinned-span Eval;
 	// ConstrainedSegments counts obligation-free segments swept
@@ -284,21 +273,17 @@ func (s *Spanner) DFAStats() DFAStats {
 		Evictions:       st.Evictions,
 		Flushes:         st.Flushes,
 		Fallbacks:       st.Fallbacks,
-		FusedExecs:      st.FusedExecs,
 		SkippedRunes:    st.SkippedRunes,
 		PrefilterChecks: st.PrefilterChecks,
 		PrefilterPrunes: st.PrefilterPrunes,
 	}
 	// The constrained per-mask family shares the program; its caches
-	// fold into the aggregate fields (the permissive cache's own
-	// candidate counters are included in the loop's first pass).
+	// fold into the aggregate fields.
 	for _, cs := range s.engine.AllDFAStats() {
-		out.CandidateSkippedRunes += cs.CandidateSkippedRunes
-		out.CandidateDisables += cs.CandidateDisables
-		out.ConstrainedSegments += cs.ConstrainedSegments
 		if cs.Blocked != 0 {
 			out.ConstrainedCaches++
 			out.ConstrainedStates += cs.States
+			out.ConstrainedSegments += cs.ConstrainedSegments
 		}
 	}
 	return out

@@ -38,8 +38,10 @@ const (
 	// does not exist.
 	CodeNotFound = "not_found"
 	// CodeTooLarge: the request body exceeded the server's cap, a
-	// document would exceed the store budget, or an expression's parse
-	// tree has more nodes than the parser accepts.
+	// document would exceed the store budget, an expression's parse
+	// tree has more nodes than the parser accepts, or a query the
+	// server runs uncompiled would need more memory for a document than
+	// one request may take (the message names the document).
 	CodeTooLarge = "too_large"
 	// CodeDeadline: the server-imposed extraction deadline expired;
 	// back off or simplify the query.

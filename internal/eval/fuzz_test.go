@@ -67,8 +67,9 @@ func FuzzEnumerateOrder(f *testing.F) {
 
 		d := span.NewDocument(text)
 		want := fuzzKeys(interp, d)
-		// The DFA engine runs twice: the warm pass reads the cache the
-		// cold one filled, so loops learned there decide what it glides.
+		// The DFA engine runs twice on one cache: the warm pass replays
+		// the glide rows and boundary effects the cold one recorded on
+		// its layers, and must emit what the cold pass computed.
 		for _, r := range []struct {
 			name string
 			e    *Engine

@@ -183,12 +183,15 @@ func TestGlideMatchesStepwise(t *testing.T) {
 				t.Fatalf("stepwise: %d frontiers, want %d", len(want), c.frontiers)
 			}
 			l := &w.layers[0]
-			for range 2 { // the second glide reads the loops the first learned
+			for range 2 { // the second glide replays the glide row the first filled
 				l.fs, w.edges = l.fs[:0], w.edges[:0]
+				var states []*program.DState
 				for i, f := range fs {
 					w.edges = append(w.edges, dagEdge{to: toPending, next: -1})
-					l.fs = append(l.fs, liveFrontier{s: e.dfa.State(f), head: int32(i), tail: int32(i)})
+					l.fs = append(l.fs, liveFrontier{head: int32(i), tail: int32(i)})
+					states = append(states, e.dfa.State(f))
 				}
+				l.layer, _ = e.dfa.Layer(states, false, nil)
 				at, fired := w.glide(l, 3, stop)
 				if alive := len(l.fs) > 0; alive != (len(want) > 0) {
 					t.Fatalf("glide alive=%v at %d, stepwise %d frontiers", alive, at, len(want))
@@ -216,11 +219,11 @@ func TestGlideMatchesStepwise(t *testing.T) {
 	}
 }
 
-// layerSets returns the frontiers of an interned layer.
+// layerSets returns the frontiers of a layer on the memo path.
 func layerSets(l *sweepLayer) []program.Bits {
 	var out []program.Bits
-	for i := range l.fs {
-		out = append(out, l.fs[i].s.Frontier())
+	for _, s := range l.layer.States() {
+		out = append(out, s.Frontier())
 	}
 	return out
 }

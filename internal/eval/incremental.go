@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"strconv"
 
 	"spanners/internal/program"
 	"spanners/internal/span"
@@ -139,11 +140,65 @@ type IncState struct {
 	// half snapshots the resweeps recorded (forward pairs in newF,
 	// backward pairs in newB, in sweep order), the window walk's output
 	// and rebuildSnaps' position list.
-	tmp, tmp2              program.Bits
-	f0, f1, t0, t1, b0, b1 program.Bits
-	newF, newB             []incSnap
-	win                    incResults
-	positions              []int
+	tmp, tmp2, t0, t1 program.Bits
+	newF, newB        []incSnap
+	win               incResults
+	positions         []int
+
+	// pairs interns the frontier pairs the resweeps step through, so a
+	// pair steps across a letter class once (step); key is its scratch.
+	// start is the forward pair at boundary 1, end the backward pair at
+	// the document end. A resweep's snapshots share its pairs' sets,
+	// which nothing modifies.
+	pairs      map[string]*incPair
+	key        []byte
+	start, end *incPair
+}
+
+// incPair is an interned frontier pair of a resweep, (f0, f1) forward
+// or (b0, b1) backward, with its steps by letter class (the last slot
+// for a rune outside the alphabet).
+type incPair struct {
+	back bool
+	a, b program.Bits
+	next []*incPair
+}
+
+// maxIncPairs bounds a session's interned pairs; past it the map is
+// emptied, and pairs already linked stay valid, as steps are pure.
+const maxIncPairs = 512
+
+// pairOf interns the pair (a, b), forward or back.
+func (s *IncState) pairOf(back bool, a, b program.Bits) *incPair {
+	s.key = b.AppendKey(a.AppendKey(strconv.AppendBool(s.key[:0], back)))
+	if pr := s.pairs[string(s.key)]; pr != nil {
+		return pr
+	}
+	if len(s.pairs) >= maxIncPairs {
+		clear(s.pairs)
+	}
+	pr := &incPair{back: back, a: a.Clone(), b: b.Clone(), next: make([]*incPair, s.e.prog.NumClasses+1)}
+	s.pairs[string(s.key)] = pr
+	return pr
+}
+
+// step returns the pair pr steps to across the rune r: stepForward or
+// stepBackward on a class's first visit, one load after.
+func (s *IncState) step(pr *incPair, r rune) *incPair {
+	c := s.e.prog.ClassOf(r)
+	if c < 0 {
+		c = len(pr.next) - 1
+	}
+	if nx := pr.next[c]; nx != nil {
+		return nx
+	}
+	if pr.back {
+		s.stepBackward(pr.a, pr.b, s.t0, s.t1, r)
+	} else {
+		s.stepForward(pr.a, pr.b, s.t0, s.t1, r)
+	}
+	pr.next[c] = s.pairOf(pr.back, s.t0, s.t1)
+	return pr.next[c]
 }
 
 // incBlockSize picks the snapshot spacing for a document of n symbols:
@@ -175,12 +230,17 @@ func NewIncremental(e *Engine, d *span.Document) (*IncState, bool) {
 // newIncremental is NewIncremental with an explicit snapshot spacing,
 // so tests can force edits to span snapshot boundaries.
 func newIncremental(e *Engine, d *span.Document, blockK int) *IncState {
-	s := &IncState{e: e, doc: d, blockK: blockK, width: len(e.cols)}
+	s := &IncState{e: e, doc: d, blockK: blockK, width: len(e.cols), pairs: make(map[string]*incPair)}
 	s.empty = make([]span.Span, s.width)
 	n := e.prog.NumStates
-	for _, b := range []*program.Bits{&s.tmp, &s.tmp2, &s.f0, &s.f1, &s.t0, &s.t1, &s.b0, &s.b1} {
+	for _, b := range []*program.Bits{&s.tmp, &s.tmp2, &s.t0, &s.t1} {
 		*b = program.NewBits(n)
 	}
+	start := program.NewBits(n)
+	start.Set(e.prog.Start)
+	s.start = s.pairOf(false, start, program.NewBits(n))
+	s.rStrictInto(e.prog.Final, s.t1)
+	s.end = s.pairOf(true, e.prog.Final, s.t1)
 	s.rebuild()
 	return s
 }
@@ -251,6 +311,7 @@ func (s *IncState) MemoryBytes() int {
 		words = len(s.snaps[0].f0)
 	}
 	b := len(s.snaps) * (4*words*8 + 64)
+	b += len(s.pairs) * (2*words*8 + 8*(s.e.prog.NumClasses+1) + 96)
 	b += len(s.results.extents) * (incSpanBytes*s.width + incExtentBytes)
 	b += cap(s.win.tuples)*incSpanBytes + cap(s.win.extents)*incExtentBytes
 	if s.doc.ASCIIText() == "" {
@@ -430,23 +491,10 @@ func (s *IncState) SpliceDoc(off, del int, next *span.Document) (SpliceResult, e
 
 	// Forward resweep: resume at the last snapshot before the edit and
 	// stop at the first suffix-aligned snapshot whose pair matches.
-	fi := -1
-	for i := range s.snaps {
-		if s.snaps[i].pos > prefixEnd {
-			break
-		}
-		fi = i
-	}
-	f0, f1, t0, t1 := s.f0, s.f1, s.t0, s.t1
-	fpos := 1
+	fi := sort.Search(len(s.snaps), func(i int) bool { return s.snaps[i].pos > prefixEnd }) - 1
+	fp, fpos := s.start, 1
 	if fi >= 0 {
-		f0.CopyFrom(s.snaps[fi].f0)
-		f1.CopyFrom(s.snaps[fi].f1)
-		fpos = s.snaps[fi].pos
-	} else {
-		f0.Clear()
-		f1.Clear()
-		f0.Set(p.Start)
+		fp, fpos = s.pairOf(false, s.snaps[fi].f0, s.snaps[fi].f1), s.snaps[fi].pos
 	}
 
 	s.newF, s.newB = s.newF[:0], s.newB[:0]
@@ -455,65 +503,56 @@ func (s *IncState) SpliceDoc(off, del int, next *span.Document) (SpliceResult, e
 	oi := suffixSnapStart
 	cf, cfIdx := -1, -1
 	for pos := fpos; ; pos++ {
+		f0, f1 := fp.a, fp.b
 		if oi < len(s.snaps) && pos == s.snaps[oi].pos+delta {
 			if bitsEq(f0, s.snaps[oi].f0) && bitsEq(f1, s.snaps[oi].f1) {
 				cf, cfIdx = pos, oi
 				break
 			}
-			s.newF = append(s.newF, incSnap{pos: pos, f0: f0.Clone(), f1: f1.Clone()})
+			s.newF = append(s.newF, incSnap{pos: pos, f0: f0, f1: f1})
 			oi++
 		} else if pos > fpos && (pos-1)%s.blockK == 0 {
-			s.newF = append(s.newF, incSnap{pos: pos, f0: f0.Clone(), f1: f1.Clone()})
+			s.newF = append(s.newF, incSnap{pos: pos, f0: f0, f1: f1})
 		}
 		if pos == n2+1 {
 			break
 		}
-		s.stepForward(f0, f1, t0, t1, next.RuneAt(pos))
-		f0, t0 = t0, f0
-		f1, t1 = t1, f1
+		fp = s.step(fp, next.RuneAt(pos))
 		res.FwdSteps++
 	}
 	newEmptyOK := s.emptyOK
 	if cf < 0 {
 		// Swept to the end without re-converging: the letters-only
 		// acceptance is re-derived from the final frontier.
-		newEmptyOK = f0.Intersects(p.Final)
+		newEmptyOK = fp.a.Intersects(p.Final)
 	}
 
 	// Backward resweep: backward frontiers at suffix positions survive
 	// the splice at pos+delta, so seed from the first snapshot past the
 	// edit and sweep down until the pair matches a prefix snapshot.
-	b0, b1 := s.b0, s.b1
-	var bpos int
+	bp, bpos := s.end, n2+1
 	if suffixSnapStart < len(s.snaps) {
 		sn := s.snaps[suffixSnapStart]
-		b0.CopyFrom(sn.b0)
-		b1.CopyFrom(sn.b1)
-		bpos = sn.pos + delta
-	} else {
-		b0.CopyFrom(p.Final)
-		s.rStrictInto(p.Final, b1)
-		bpos = n2 + 1
+		bp, bpos = s.pairOf(true, sn.b0, sn.b1), sn.pos+delta
 	}
 	bj := fi
 	cb, cbIdx := 0, -1
 	for pos := bpos; ; pos-- {
+		b0, b1 := bp.a, bp.b
 		if bj >= 0 && s.snaps[bj].pos == pos && pos <= prefixEnd {
 			if bitsEq(b0, s.snaps[bj].b0) && bitsEq(b1, s.snaps[bj].b1) {
 				cb, cbIdx = pos, bj
 				break
 			}
-			s.newB = append(s.newB, incSnap{pos: pos, b0: b0.Clone(), b1: b1.Clone()})
+			s.newB = append(s.newB, incSnap{pos: pos, b0: b0, b1: b1})
 			bj--
 		} else if pos < bpos && pos < editEndNew && pos > 1 && (pos-1)%s.blockK == 0 {
-			s.newB = append(s.newB, incSnap{pos: pos, b0: b0.Clone(), b1: b1.Clone()})
+			s.newB = append(s.newB, incSnap{pos: pos, b0: b0, b1: b1})
 		}
 		if pos == 1 {
 			break
 		}
-		s.stepBackward(b0, b1, t0, t1, next.RuneAt(pos-1))
-		b0, t0 = t0, b0
-		b1, t1 = t1, b1
+		bp = s.step(bp, next.RuneAt(pos-1))
 		res.BwdSteps++
 	}
 	// The recorded pairs descend; rebuildSnaps reads both lists upwards.

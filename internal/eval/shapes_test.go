@@ -126,21 +126,18 @@ func BenchmarkEnumerateShapes(b *testing.B) {
 	}
 }
 
-// TestGlideSteps: the walk glides over the letters on which every live
-// frontier's state loops raw, without a step, and steps only the
-// frontiers that do not loop on the letter. On the sparse_scan shape
-// that leaves the steps at prune points and near the three matches, at
-// most 1 000 of them (24 785 when every letter took a step). On
-// weblog_stream and batch_rows, whose layers carry about two
-// frontiers, it leaves 3 238 and 13 218 steps, where a glide of
-// single-frontier layers alone took 10 742 and 25 465. While it glides
-// the walk tests a layer's frontiers against a co-reach state's firers
-// exactly only where their folds meet: 14, 429 and 2 786 times on
-// sparse_scan, weblog_stream and batch_rows, where testing wherever the
-// co-reach state changed took 6 171, 2 571 and 10 854. The gazetteer's
-// 1 339-state program folds its firers falsely; the test runs 1 576
-// times, once per co-reach change where the folds meet, where testing at
-// every boundary they meet took 3 448 and at every change 8 937.
+// TestGlideSteps: on a cold engine the walk takes letter steps only
+// to fill its layers' memo — a glide step per (layer, class) and a
+// boundary effect per (layer, key) — and crosses every other letter by
+// a loop-bit test or a glide-row load. On the sparse_scan,
+// weblog_stream and batch_rows shapes that is 236, 174 and 166 steps;
+// stepping every frontier not known to loop on each letter took 545,
+// 3 238 and 13 218, and every letter 24 785 on sparse_scan. Whether a
+// frontier fires is one AND of folded firers (Bits.Fold), which is the
+// exact test up to 64 program states, so those three shapes take no
+// exact test; the gazetteer's 1 339-state program folds its firers
+// falsely and takes 1 549, once per co-reach state in a row where the
+// folds meet (3 448 when every boundary they met took one).
 func TestGlideSteps(t *testing.T) {
 	limits := map[string]struct{ steps, firerTests int }{
 		"sparse_scan":   {1000, 50},

@@ -34,23 +34,22 @@ import (
 // boundary, swept backwards at one load per byte of an ASCII document
 // (DFA.BackwardFrontiers), and the sweep runs at DFA speed: whether a
 // frontier fires is one AND against the co-reach state's precomputed
-// firers, and between prune points a frontier takes memoized raw
-// steps, neither intersected with the co-reach nor re-interned.
-// Co-reach is backward-closed — a state outside it at one boundary has
-// no letter successor inside it at the next — so pruning commutes with
-// letter steps, and pruning once after many raw steps gives the
-// frontier pruning after each would have. Prune points are the boundaries where
+// firers, and between prune points a frontier takes raw steps, neither
+// intersected with the co-reach nor re-interned. Co-reach is
+// backward-closed — a state outside it at one boundary has no letter
+// successor inside it at the next — so pruning commutes with letter
+// steps, and pruning once after many raw steps gives the frontier
+// pruning after each would have. Prune points are the boundaries where
 // a frontier fires, the window's end, and every lazyPruneEvery
-// boundaries. Between them the whole layer glides (glide): a letter on
-// which every live frontier's state is known to loop takes no step,
-// and on any other only the frontiers not known to loop on it step.
-// While it glides, whether a frontier fires is first one AND of two
-// words, the co-reach state's firers and the layer's frontiers each
-// folded onto one (Bits.Fold), and exact only where those meet. At
-// a DAG node the frontier's boundary choices come from its interned
-// state, derived once per state (Engine.choices) and cut to the
-// boundary's co-reach by the walk (branch); the bitset path derives
-// them at every node.
+// boundaries.
+//
+// The layer of live frontiers is one interned state too
+// (program.Layer). Between prune points it glides (glide), a bit test
+// or a glide-row load per letter; at a boundary the sweep stops at,
+// what each frontier does — carried on, completed, dropped, or a DAG
+// node with its out-edges — is one lookup on the layer, replayed onto
+// the pending edges (replay). Both memos fill from the per-frontier
+// code (fillGlide, fillStop), the whole of the bitset path.
 
 // opOrder is the emission order of boundary choices (see "Emission
 // order" in docs/ARCHITECTURE.md): the order of the canonical key
@@ -177,28 +176,33 @@ type dagEdge struct {
 }
 
 // liveFrontier is one distinct frontier of the sweep at the current
-// boundary, with the pending edges (head…tail) that reach it. It is
-// interned (s) while the DFA steps, and a slab slot (off) otherwise.
+// boundary, with the pending edges (head…tail) that reach it: a state
+// of its layer's Layer, interned (s) or a slab slot (off).
 type liveFrontier struct {
 	s          *program.DState
 	off        int32
 	head, tail int32
 }
 
-// sweepLayer holds the live frontiers of one boundary; pruned says
-// they are within the co-reach there and settled.
+// sweepLayer holds the live frontiers of one boundary, interned as
+// layer on the memo path; pruned (or layer.Pruned) says they are
+// within the co-reach there and settled.
 type sweepLayer struct {
 	fs     []liveFrontier
 	slab   []uint64
 	pruned bool
+	layer  *program.Layer
 }
 
 // reset empties l, keeping its storage.
 func (l *sweepLayer) reset() {
-	l.fs, l.slab = l.fs[:0], l.slab[:0]
+	l.fs, l.slab, l.layer = l.fs[:0], l.slab[:0], nil
 }
 
 func (l *sweepLayer) frontier(i, words int) program.Bits {
+	if l.layer != nil {
+		return l.layer.States()[i].Frontier()
+	}
 	if s := l.fs[i].s; s != nil {
 		return s.Frontier()
 	}
@@ -230,10 +234,11 @@ type seqWalk struct {
 	coRaw  []program.Bits
 	cut    bool
 
-	dfa        bool   // frontiers step through the lazy DFA, interned
-	dfaHits    uint64 // memoized DFA transitions taken, added to the cache's count by done
-	steps      int    // letter steps taken
-	firerTests int    // exact firer tests skim took
+	dfa         bool   // frontiers step through the lazy DFA, interned, and layers replay the memo
+	dfaHits     uint64 // memoized DFA transitions taken, added to the cache's count by done
+	steps       int    // letter steps taken
+	firerTests  int    // exact firer tests glide took
+	layerMisses int    // glide steps and boundary effects computed, not replayed
 
 	// The sweep's state between pulls: the boundary it sweeps next, its
 	// next prune point and flush check, the DFA's flush count when it
@@ -250,10 +255,10 @@ type seqWalk struct {
 // walkBufs are the storage of one walk: its co-reach, the DAG its
 // sweep builds (edges[0] is the root edge) with the arena of the
 // boundary choices the bitset path resolves, the sweep's two layers
-// and bitset scratch, the DFS's stack and the tuple it emits,
-// and Count's path counts. Every slab is resliced, never trusted for
-// its contents, so a buffer that comes back from a wider program or a
-// longer document serves the next walk as is.
+// and bitset scratch, a memo miss's scratch, the DFS's stack and the
+// tuple it emits, and Count's path counts. Every slab is resliced,
+// never trusted for its contents, so a buffer that comes back from a
+// wider program or a longer document serves the next walk as is.
 type walkBufs struct {
 	coBufs
 	nodes   []dagNode
@@ -262,10 +267,20 @@ type walkBufs struct {
 	layers  [2]sweepLayer
 	scratch program.Bits
 	key     []byte
+	miss    missBufs
 	stack   []walkFrame
 	fired   []firedOp
 	tuple   []span.Span
 	paths   []int
+}
+
+// missBufs hold what fillStop and fillGlide compute in.
+type missBufs struct {
+	nodes  []dagNode
+	edges  []dagEdge
+	layers [2]sweepLayer
+	into   []int32
+	states []*program.DState
 }
 
 // coBufs hold a co-reach: one interned state per boundary on the DFA
@@ -333,21 +348,6 @@ func (w *seqWalk) fires(set program.Bits, pos int) bool {
 		return set.Intersects(w.co[pos-w.lo].Firers())
 	}
 	return w.e.firesInto(set, w.coRaw[pos-w.lo])
-}
-
-// layerFires reports whether an operation can fire from a frontier of
-// l at boundary pos; the bitset path takes every boundary as one where
-// one can, and prunes and derives the choices there.
-func (w *seqWalk) layerFires(l *sweepLayer, pos int) bool {
-	if !w.dfa {
-		return true
-	}
-	for i := range l.fs {
-		if w.fires(l.fs[i].s.Frontier(), pos) {
-			return true
-		}
-	}
-	return false
 }
 
 // testHookWalkDone, when set by a test, sees every walk as it finishes.
@@ -518,8 +518,8 @@ func (w *seqWalk) resolve(head, to int32) {
 // On the DFA path a layer is pruned only at a prune point: a boundary
 // where one of its frontiers fires, the window's end, or lazyPruneEvery
 // boundaries after the last prune. In between the layer glides: its
-// frontiers step raw, merged by pointer, and only on the letters they
-// are not known to loop on. The steps out of a boundary where a
+// frontiers step raw, merged by pointer, one glide-row load per letter
+// the layer does not loop on. The steps out of a boundary where a
 // frontier fired are eager — pruned and settled at the next boundary —
 // so a run of firing boundaries prunes each layer once, and the steps
 // out of a prune point where none fired are raw (drift). Only a
@@ -548,6 +548,9 @@ func (w *seqWalk) begin(start program.Bits) {
 	}
 	w.settle(w.cur, nil, w.scratch, 0, 0)
 	w.cur.pruned = true
+	if w.dfa && len(w.cur.fs) > 0 {
+		w.cur.layer, w.key = w.e.dfa.Layer([]*program.DState{w.cur.fs[0].s}, true, w.key)
+	}
 	w.pos = w.lo
 	w.check = w.lo + program.FlushCheckInterval
 	w.prune = w.lo + lazyPruneEvery
@@ -590,20 +593,16 @@ func (w *seqWalk) sweepTo(e int32, until int) {
 				w.e.dfa.NoteFallback()
 				w.dfa = false
 				for i := range cur.fs {
-					s := cur.fs[i].s
 					cur.fs[i].s, cur.fs[i].off = nil, int32(len(cur.slab))
-					cur.slab = append(cur.slab, s.Frontier()...)
+					cur.slab = append(cur.slab, cur.frontier(i, words)...)
 				}
+				cur.pruned, cur.layer = cur.layer.Pruned(), nil
 			}
 		}
-		fire := w.layerFires(cur, pos)
-		if stop := min(w.prune, w.hi); !fire && pos < stop {
-			at, fired := w.glide(cur, pos, stop)
-			if len(cur.fs) == 0 {
+		if stop := min(w.prune, w.hi); w.dfa && pos < stop {
+			if pos, _ = w.glide(cur, pos, stop); len(cur.fs) == 0 {
 				break // every frontier died
 			}
-			pos, cur.pruned = at, false
-			fire = fired || w.layerFires(cur, pos)
 		}
 		last := pos == w.hi
 		c := -1
@@ -611,184 +610,293 @@ func (w *seqWalk) sweepTo(e int32, until int) {
 			c = p.ClassOf(w.d.RuneAt(pos))
 		}
 		w.prune = pos + lazyPruneEvery
-		co := w.coAt(pos)
-		if !cur.pruned {
-			next.reset()
-			for i := range cur.fs {
-				f := &cur.fs[i]
-				w.admit(next, f.s, cur.frontier(i, words), co, f.head, f.tail)
-			}
-			cur, next = next, cur
-		}
 		if w.cut && last {
+			co := w.coAt(pos) // completion is letters-only from here
 			for i := range cur.fs {
-				w.resolve(cur.fs[i].head, toEnd)
+				if cur.frontier(i, words).Intersects(co) {
+					w.resolve(cur.fs[i].head, toEnd)
+				}
 			}
 			cur.reset()
 			break
 		}
-		var coNext program.Bits
+		if cur.layer == nil {
+			cur, next = w.boundary(cur, next, pos, c)
+			continue
+		}
+		k := program.StopKey{Co: w.co[pos-w.lo], Class: c}
 		if !last {
-			coNext = w.coAt(pos + 1)
+			k.CoNext = w.co[pos+1-w.lo]
 		}
-		next.reset()
-		for i := range cur.fs {
-			f := &cur.fs[i]
-			set := cur.frontier(i, words) // ⊆ co
-			if !fire || !w.fires(set, pos) {
-				switch {
-				case last:
-					if set.Intersects(p.Final) {
-						w.resolve(f.head, toEnd)
-					}
-				case fire:
-					w.advance(next, f.s, set, c, coNext, f.head, f.tail)
-				default:
-					w.drift(next, f, c)
-				}
-				continue
-			}
-			w.resolve(f.head, int32(len(w.nodes)))
-			first := int32(len(w.edges))
-			if f.s != nil {
-				for _, ch := range w.e.choices(f.s) {
-					w.branch(next, ch.Mask, ch.To, ch.To.Frontier(), co, coNext, c, last)
-				}
-			} else {
-				for _, ch := range w.e.boundaryEmissionsProg(set, co, &w.arena) {
-					w.branch(next, ch.mask, nil, ch.states, co, coNext, c, last)
-				}
-			}
-			w.nodes = append(w.nodes, dagNode{pos: int32(pos), first: first, end: int32(len(w.edges))})
+		st := cur.layer.Stop(k)
+		if st == nil {
+			st = w.fillStop(cur.layer, pos, k)
 		}
-		next.pruned = fire
+		w.replay(cur, next, st, pos)
 		cur, next = next, cur
 	}
 	w.cur, w.next, w.pos = cur, next, pos
 }
 
-// glide steps the layer l, none of whose frontiers fires at pos < stop,
-// raw across the boundaries from pos on, stopping at the first where
-// one of them fires, with true, or at stop, and returns that boundary;
-// l is left empty when every frontier died on the way. An ASCII letter
-// on which every frontier's state is known to map to itself under the
-// raw step (DState.Loops) is crossed without a step (skim), one DFA hit
-// per frontier. On any other letter only the frontiers whose loops miss
-// it step: those that die are dropped, equal states merge by pointer
-// with their pending edges spliced as in join, and a step that returns
-// its state records the loop. The bytes every frontier loops on are
-// gathered there too, so none are known before the first such letter.
-func (w *seqWalk) glide(l *sweepLayer, pos, stop int) (int, bool) {
-	p, fs := w.e.prog, l.fs
-	var all [2]uint64 // the bytes every frontier loops on; none known yet
-	for {
-		at, fired := w.skim(fs, all, pos, stop)
-		w.dfaHits += uint64((at - pos) * len(fs))
-		if pos = at; fired || pos == stop {
-			l.fs = fs
-			return pos, fired
-		}
-		r := w.d.RuneAt(pos)
-		c := p.ClassOf(r)
-		if c < 0 {
-			fs = fs[:0]
-			break
-		}
-		ascii, word, bit := uint32(r) < 128, r>>6&1, uint64(1)<<(uint(r)&63)
-		k := 0
-		all = [2]uint64{^uint64(0), ^uint64(0)}
-		for _, f := range fs {
-			loops := f.s.Loops()
-			if ascii && loops[word]&bit != 0 {
-				w.dfaHits++
-			} else {
-				w.steps++
-				switch ns := w.stepRaw(f.s, c); {
-				case ns.Dead():
-					continue
-				case ns != f.s:
-					f.s, loops = ns, ns.Loops()
-				case ascii:
-					loops = w.e.dfa.NoteLoop(f.s, c)
-				}
-			}
-			all[0] &= loops[0]
-			all[1] &= loops[1]
-			if j := slices.IndexFunc(fs[:k], func(g liveFrontier) bool { return g.s == f.s }); j >= 0 {
-				w.edges[fs[j].tail].next = f.head
-				fs[j].tail = f.tail
-				continue
-			}
-			fs[k] = f
-			k++
-		}
-		if fs = fs[:k]; k == 0 {
-			break
-		}
-		pos++
+// boundary does the work of the boundary pos frontier by frontier and
+// returns the next boundary's layer and the spare one: it prunes cur,
+// makes a DAG node of each frontier that fires, and steps the others,
+// eagerly (advance) when one fired and raw (drift) when none did.
+func (w *seqWalk) boundary(cur, next *sweepLayer, pos, c int) (*sweepLayer, *sweepLayer) {
+	p, words := w.e.prog, len(w.scratch)
+	last := pos == w.hi
+	fire := !w.dfa // the bitset path takes every boundary as one that fires
+	for i := 0; !fire && i < len(cur.fs); i++ {
+		fire = w.fires(cur.frontier(i, words), pos)
 	}
-	l.fs = fs
-	return pos, false
+	co := w.coAt(pos)
+	if !cur.pruned {
+		next.reset()
+		for i := range cur.fs {
+			f := &cur.fs[i]
+			w.admit(next, f.s, cur.frontier(i, words), co, f.head, f.tail)
+		}
+		cur, next = next, cur
+	}
+	var coNext program.Bits
+	if !last {
+		coNext = w.coAt(pos + 1)
+	}
+	next.reset()
+	for i := range cur.fs {
+		f := &cur.fs[i]
+		set := cur.frontier(i, words) // ⊆ co
+		if !fire || !w.fires(set, pos) {
+			switch {
+			case last:
+				if set.Intersects(p.Final) {
+					w.resolve(f.head, toEnd)
+				}
+			case fire:
+				w.advance(next, f.s, set, c, coNext, f.head, f.tail)
+			default:
+				w.drift(next, f, c)
+			}
+			continue
+		}
+		w.resolve(f.head, int32(len(w.nodes)))
+		first := int32(len(w.edges))
+		if f.s != nil {
+			for _, ch := range w.e.choices(f.s) {
+				w.branch(next, ch.Mask, ch.To, ch.To.Frontier(), co, coNext, c, last)
+			}
+		} else {
+			for _, ch := range w.e.boundaryEmissionsProg(set, co, &w.arena) {
+				w.branch(next, ch.mask, nil, ch.states, co, coNext, c, last)
+			}
+		}
+		w.nodes = append(w.nodes, dagNode{pos: int32(pos), first: first, end: int32(len(w.edges))})
+	}
+	next.pruned = fire
+	return next, cur
 }
 
-// skim returns the first boundary from pos before stop at which a
-// frontier of fs fires, with true, or whose letter is not an ASCII byte
-// of all, the bytes every frontier of fs loops on; stop if there is
-// none. The frontiers' folds are ORed once (Bits.Fold), and a boundary
-// costs one AND of that word with the co-reach state's folded firers
-// and one bit test of its letter: only where the folds meet does the
-// exact test run (firesExact), and not again on the co-reach state it
-// last cleared, so a fold that meets falsely (above 64 program states)
-// costs one exact test per co-reach change, not one per boundary. On
-// an ASCII document the letters are read from its text, in step with
-// the co-reach: a loop of its own keeps RuneAt's branch out of the one
-// sparse documents spend most of their walk in.
-func (w *seqWalk) skim(fs []liveFrontier, all [2]uint64, pos, stop int) (int, bool) {
-	var fm uint64
-	for i := range fs {
-		fm |= fs[i].s.Frontier().Fold()
+// fillStop computes and records the effect of the boundary pos on l:
+// where boundary sends an edge of each frontier's own, in a scratch
+// DAG, and the out-edges of the nodes it forms.
+func (w *seqWalk) fillStop(l *program.Layer, pos int, k program.StopKey) *program.Stop {
+	w.layerMisses++
+	m := &w.miss
+	nodes, edges := w.nodes, w.edges
+	w.nodes, w.edges = m.nodes[:0], m.edges[:0]
+	in := &m.layers[0]
+	in.reset()
+	in.pruned = l.Pruned()
+	for i, s := range l.States() {
+		w.edges = append(w.edges, dagEdge{to: toPending, next: -1})
+		in.fs = append(in.fs, liveFrontier{s: s, head: int32(i), tail: int32(i)})
 	}
-	var last *program.DState // the co-reach state the exact test last cleared
-	cos := w.co[pos-w.lo : stop-w.lo]
-	if text := w.d.ASCIIText(); text != "" {
-		bs := text[pos-1 : stop-1][:len(cos)] // the letter at boundary pos is text[pos-1]
-		for k, c := range cos {
-			if c.FirersFold()&fm != 0 && c != last {
-				if w.firesExact(fs, c) {
-					return pos + k, true
-				}
-				last = c
+	out, _ := w.boundary(in, &m.layers[1], pos, k.Class)
+	into := slices.Grow(m.into[:0], len(w.edges))[:len(w.edges)]
+	for e, ed := range w.edges {
+		switch into[e] = program.MoveDrop; {
+		case ed.to == toEnd:
+			into[e] = program.MoveEnd
+		case ed.to >= 0: // a frontier that formed a node
+			into[e] = program.MoveNode - ed.to
+		}
+	}
+	m.states = m.states[:0]
+	for j, f := range out.fs {
+		m.states = append(m.states, f.s)
+		for e := f.head; e >= 0; e = w.edges[e].next {
+			into[e] = int32(j)
+		}
+	}
+	st := &program.Stop{Key: k, Moves: slices.Clone(into[:len(l.States())])}
+	for _, n := range w.nodes {
+		for e := n.first; e < n.end; e++ {
+			st.Edges = append(st.Edges, program.StopEdge{Mask: w.edges[e].mask, To: into[e]})
+		}
+		st.Nodes = append(st.Nodes, int32(len(st.Edges)))
+	}
+	st.Next, w.key = w.e.dfa.Layer(m.states, out.pruned, w.key)
+	m.nodes, m.edges, m.into = w.nodes, w.edges, into
+	w.nodes, w.edges = nodes, edges
+	return l.AddStop(st)
+}
+
+// replay applies the effect st of the boundary pos to cur, filling
+// next, and appends its DAG nodes and out-edges in order.
+func (w *seqWalk) replay(cur, next *sweepLayer, st *program.Stop, pos int) {
+	next.reset()
+	for range st.Next.States() {
+		next.fs = append(next.fs, liveFrontier{head: -1, tail: -1})
+	}
+	node0, first := int32(len(w.nodes)), int32(0)
+	for _, end := range st.Nodes {
+		from := int32(len(w.edges))
+		for _, se := range st.Edges[first:end] {
+			e := int32(len(w.edges))
+			w.edges = append(w.edges, dagEdge{mask: se.Mask, to: toPending, next: -1})
+			if se.To == program.MoveEnd {
+				w.edges[e].to = toEnd
+			} else {
+				w.link(&next.fs[se.To], e, e)
 			}
-			if b := bs[k]; all[b>>6&1]&(1<<(b&63)) == 0 {
+		}
+		w.nodes = append(w.nodes, dagNode{pos: int32(pos), first: from, end: int32(len(w.edges))})
+		first = end
+	}
+	for i, m := range st.Moves {
+		f := &cur.fs[i]
+		switch {
+		case m >= 0:
+			w.link(&next.fs[m], f.head, f.tail)
+		case m == program.MoveEnd:
+			w.resolve(f.head, toEnd)
+		case m <= program.MoveNode:
+			w.resolve(f.head, node0+program.MoveNode-m)
+		}
+	}
+	next.layer = st.Next
+}
+
+// link appends the pending edges head…tail to those reaching f.
+func (w *seqWalk) link(f *liveFrontier, head, tail int32) {
+	if f.head < 0 {
+		f.head = head
+	} else {
+		w.edges[f.tail].next = head
+	}
+	f.tail = tail
+}
+
+// glide carries the layer of cur raw across the boundaries from pos
+// on, stopping at the first where a frontier fires, with true, or at
+// stop, and returns that boundary; cur is left empty when every
+// frontier died. A byte the layer loops on costs one bit test, any
+// other letter one glide-row load (fillGlide on a miss). Whether a
+// frontier fires is one AND of folded firers (Bits.Fold), exact up to
+// 64 program states; above, the exact test runs where the folds meet,
+// once per co-reach state in a row. On an ASCII document the letters come from its text,
+// in step with the co-reach, which keeps RuneAt's branch out of the
+// loop sparse documents spend most of their walk in.
+func (w *seqWalk) glide(cur *sweepLayer, pos, stop int) (int, bool) {
+	p, l := w.e.prog, cur.layer
+	fm, loops := l.Fold(), l.Loops()
+	foldExact := len(w.scratch) == 1 // a one-word fold is the set itself
+	var cleared *program.DState      // the co-reach state l last cleared
+	cos := w.co[pos-w.lo : stop-w.lo]
+	var bs string
+	if text := w.d.ASCIIText(); text != "" {
+		bs = text[pos-1 : stop-1][:len(cos)] // the letter at boundary pos is text[pos-1]
+	}
+	k, misses := 0, w.layerMisses
+	for ; k < len(cos); k++ {
+		for bs != "" && k < len(cos) && cos[k].FirersFold()&fm == 0 && loops[bs[k]>>6&1]&(1<<(bs[k]&63)) != 0 {
+			k++ // the sparse documents' loop: no fold meets, the layer loops
+		}
+		if k == len(cos) {
+			break
+		}
+		if co := cos[k]; co.FirersFold()&fm != 0 && co != cleared {
+			if foldExact || w.firesExact(l, co) {
+				break
+			}
+			cleared = co
+		}
+		r := w.d.RuneAt(pos + k)
+		if uint32(r) < 128 && loops[r>>6&1]&(1<<(uint(r)&63)) != 0 {
+			continue
+		}
+		c := p.ClassOf(r)
+		if c < 0 {
+			cur.fs = cur.fs[:0]
+			return pos + k, false
+		}
+		to, remap := l.Glide(c)
+		if to == nil {
+			to, remap = w.fillGlide(l, c)
+		}
+		if remap != nil {
+			if cur.fs = w.regroup(cur.fs, remap); len(cur.fs) == 0 {
 				return pos + k, false
 			}
 		}
-		return stop, false
+		l, fm, loops, cleared = to, to.Fold(), to.Loops(), nil
 	}
-	for k, c := range cos {
-		if c.FirersFold()&fm != 0 && c != last {
-			if w.firesExact(fs, c) {
-				return pos + k, true
-			}
-			last = c
-		}
-		if r := w.d.RuneAt(pos + k); uint32(r) >= 128 || all[r>>6&1]&(1<<(uint(r)&63)) == 0 {
-			return pos + k, false
-		}
-	}
-	return stop, false
+	w.dfaHits += uint64(k - (w.layerMisses - misses))
+	cur.layer = l
+	return pos + k, k < len(cos)
 }
 
-// firesExact reports whether a frontier of fs meets the firers of the
+// fillGlide computes and records the glide step of l on class c: every
+// frontier steps raw, the dead drop out and equal states merge.
+func (w *seqWalk) fillGlide(l *program.Layer, c int) (*program.Layer, []int32) {
+	w.layerMisses++
+	m := &w.miss
+	m.states = m.states[:0]
+	remap := make([]int32, len(l.States()))
+	for i, s := range l.States() {
+		w.steps++
+		ns := w.stepRaw(s, c)
+		switch j := slices.Index(m.states, ns); {
+		case ns.Dead():
+			remap[i] = -1
+		case j < 0:
+			remap[i], m.states = int32(len(m.states)), append(m.states, ns)
+		default:
+			remap[i] = int32(j)
+		}
+	}
+	if len(m.states) == len(l.States()) {
+		remap = nil
+	}
+	var to *program.Layer
+	to, w.key = w.e.dfa.Layer(m.states, false, w.key)
+	return w.e.dfa.SetGlide(l, c, to, remap)
+}
+
+// firesExact reports whether a frontier of l meets the firers of the
 // co-reach state c, counting the test in firerTests.
-func (w *seqWalk) firesExact(fs []liveFrontier, c *program.DState) bool {
+func (w *seqWalk) firesExact(l *program.Layer, c *program.DState) bool {
 	w.firerTests++
-	for i := range fs {
-		if fs[i].s.Frontier().Intersects(c.Firers()) {
+	for _, s := range l.States() {
+		if s.Frontier().Intersects(c.Firers()) {
 			return true
 		}
 	}
 	return false
+}
+
+// regroup moves the frontiers fs, in place, to where remap sends them:
+// -1 drops one, and an index already taken merges it there.
+func (w *seqWalk) regroup(fs []liveFrontier, remap []int32) []liveFrontier {
+	k := int32(0)
+	for i, j := range remap {
+		if j == k {
+			fs[k], k = fs[i], k+1
+		} else if j >= 0 {
+			w.link(&fs[j], fs[i].head, fs[i].tail)
+		}
+	}
+	return fs[:k]
 }
 
 // walkFrame is a node's untried edges [next, end); base is the number

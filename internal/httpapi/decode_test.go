@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 
 	"spanners/client"
 	"spanners/internal/docstore"
@@ -385,4 +386,43 @@ func TestConcurrentExtractReusesResultBuffers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// plainLenBytes is plainLen a byte at a time, as it read before it
+// tested words.
+func plainLenBytes(s []byte) int {
+	for i := 0; i < len(s); {
+		c := s[i]
+		if plainByte[c] {
+			i++
+			continue
+		}
+		if c < utf8.RuneSelf {
+			return i
+		}
+		r, size := utf8.DecodeRune(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			return i
+		}
+		i += size
+	}
+	return len(s)
+}
+
+// TestPlainLenWordAtATime: each byte a word test must catch — a quote,
+// a backslash, a control byte, a high bit, a valid multi-byte rune and
+// an invalid one — at every offset 0–15 of plain strings 16–24 bytes
+// long, where plainLen answers what the byte loop answers.
+func TestPlainLenWordAtATime(t *testing.T) {
+	for _, ins := range []string{`"`, `\`, "\x1f", "\x80", "é", "€", "\xe2\x82"} {
+		for n := 16; n <= 24; n++ {
+			for off := 0; off < 16; off++ {
+				s := []byte(strings.Repeat("a~ z0", 5)[:n])
+				s = append(append(s[:off:off], ins...), s[off:]...)
+				if got, want := plainLen(s), plainLenBytes(s); got != want {
+					t.Errorf("%q: plainLen %d, the byte loop %d", s, got, want)
+				}
+			}
+		}
+	}
 }

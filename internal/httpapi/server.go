@@ -345,7 +345,8 @@ func WriteError(w http.ResponseWriter, status int, code, message string) {
 // or version that does not exist — directly or as an algebra leaf —
 // is 404; malformed queries (RGX or algebra syntax, unbound projection
 // variables, bad splices) are the client's fault, 400; an RGX whose
-// tree has more than rgx.MaxSize nodes is 413 too_large; a difference
+// tree has more than rgx.MaxSize nodes, or a query served uncompiled
+// over a document its reach cannot afford, is 413 too_large; a difference
 // whose determinization blows the configured state budget is a
 // well-formed but unprocessable query, 422. Only storage-level
 // corruption and a recovered extraction panic map to a 500.
@@ -374,7 +375,7 @@ func errorCode(err error) (int, string) {
 		return http.StatusInternalServerError, client.CodeInternal
 	case errors.Is(err, service.ErrBadQuery):
 		return http.StatusBadRequest, client.CodeBadQuery
-	case errors.Is(err, rgx.ErrTooLarge):
+	case errors.Is(err, rgx.ErrTooLarge), errors.Is(err, service.ErrUnaffordable):
 		return http.StatusRequestEntityTooLarge, client.CodeTooLarge
 	case errors.As(err, &parseErr), errors.Is(err, algebra.ErrSyntax):
 		return http.StatusBadRequest, client.CodeSyntax
@@ -508,6 +509,9 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 		req.Doc = doc.Text
 	}
 	compiled, err := s.svc.CompileQueryCtx(ctx, service.Query(req.Query))
+	if err == nil {
+		err = compiled.Affordable(req.Doc)
+	}
 	if err != nil {
 		s.extractError(ctx, w, err)
 		return

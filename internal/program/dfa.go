@@ -39,14 +39,15 @@ import (
 // pointer load, misses take the cache mutex to compute and intern.
 //
 // The budget keeps determinization from exploding: when the interned
-// state count would exceed it, the whole cache is flushed (counted in
-// evictions/flushes) and rebuilding starts from the live run — the
-// classic lazy-DFA policy of RE2 and regexp. Callers performing a
-// document sweep watch the flush counter; a run that keeps flushing
-// abandons the DFA for that document and falls back to plain bitset
-// stepping (counted in fallbacks). Stale states held by in-flight
-// runs stay valid after a flush: transitions are pure functions of
-// the frontier, so an old subgraph can never go wrong, only cold.
+// states and the walk's layers (layer.go) would exceed it, the whole
+// cache is flushed (counted in evictions/flushes) and rebuilding
+// starts from the live run — the classic lazy-DFA policy of RE2 and
+// regexp. Callers performing a document sweep watch the flush
+// counter; a run that keeps flushing abandons the DFA for that
+// document and falls back to plain bitset stepping (counted in
+// fallbacks). Stale states held by in-flight runs stay valid after a
+// flush: transitions are pure functions of the frontier, so an old
+// subgraph can never go wrong, only cold.
 //
 // A forward sweep (SweepForward) skips: when a state's completed
 // forward row shows ASCII self-loops, one tight loop consumes the
@@ -156,11 +157,6 @@ type DState struct {
 	next     []atomic.Pointer[DState]
 	fwdReady atomic.Bool
 	skip     atomic.Pointer[skipInfo]
-	// loops are the ASCII bytes (bit b of word b>>6) on which the raw
-	// step is known to map the state to itself: the counterpart of skip
-	// for the row that fills per class, learned from the steps walks
-	// take (NoteLoop).
-	loops [2]atomic.Uint64
 
 	// rev is the reverse row by slot (Program.revSlot): slot 0 holds
 	// the dead state, for a byte outside the alphabet, and slot c+1 the
@@ -244,6 +240,7 @@ type DFA struct {
 
 	mu     sync.RWMutex
 	states map[string]*DState
+	layers map[string]*Layer // the walk's (layer.go), budgeted with the states
 	// start, dead and final (the co-reach of the document end, where
 	// the reverse sweep starts) are replaced wholesale on a budget flush
 	// (so the old transition graph they anchor becomes collectable);
@@ -288,6 +285,7 @@ func newDFA(p *Program, budget int, blocked uint64) *DFA {
 		budget:  budget,
 		blocked: blocked,
 		states:  make(map[string]*DState),
+		layers:  make(map[string]*Layer),
 	}
 	d.mu.Lock()
 	d.seedLocked()
@@ -425,7 +423,7 @@ func (d *DFA) internLocked(frontier Bits) *DState {
 	if s, ok := d.states[key]; ok {
 		return s
 	}
-	if len(d.states) >= d.budget {
+	if len(d.states)+len(d.layers) >= d.budget {
 		d.flushLocked()
 	}
 	firers := d.p.FirersIn(frontier)
@@ -441,16 +439,18 @@ func (d *DFA) internLocked(frontier Bits) *DState {
 	return s
 }
 
-// flushLocked drops every interned state — including the current
-// start and dead states, which are re-created fresh so the old
+// flushLocked drops every interned state and layer — including the
+// current start and dead states, which are re-created fresh so the old
 // transition graph they anchor becomes garbage once in-flight sweeps
 // finish. Stale pointers held by those sweeps remain semantically
 // valid (transitions are pure functions of the frontier); new states
 // they link are interned into the new generation, never the reverse,
-// so nothing old stays reachable from the cache afterwards.
+// so nothing old stays reachable from the cache afterwards but the
+// states of layers those sweeps intern (layer.go).
 func (d *DFA) flushLocked() {
 	dropped := len(d.states)
 	d.states = make(map[string]*DState, d.budget)
+	d.layers = make(map[string]*Layer)
 	d.evictions.Add(uint64(dropped))
 	d.flushes.Add(1)
 	d.seedLocked()
@@ -550,26 +550,6 @@ func (d *DFA) deriveSkip(s *DState) {
 		}
 	}
 	s.skip.Store(&si)
-}
-
-// Loops returns the ASCII bytes, bit b of word b>>6, on which the raw
-// step is known to map s to itself. A walk crosses such a byte without
-// taking the step.
-func (s *DState) Loops() [2]uint64 {
-	return [2]uint64{s.loops[0].Load(), s.loops[1].Load()}
-}
-
-// NoteLoop records that the raw step on class c maps s to itself, and
-// returns the loops of s with the ASCII bytes of class c added: two
-// atomic ORs of the class's byte mask. Callers note a loop only on a
-// byte whose bit they found unset. The ORs' old values are not used:
-// go1.24.0 on amd64 returns wrong ones when two are combined in one
-// expression.
-func (d *DFA) NoteLoop(s *DState, c int) [2]uint64 {
-	m := d.p.asciiMask[c]
-	s.loops[0].Or(m[0])
-	s.loops[1].Or(m[1])
-	return s.Loops()
 }
 
 // SweepForward advances s across the 0-based rune offsets [from,to)

@@ -98,6 +98,9 @@ func (s *Service) ExtractDocumentInto(ctx context.Context, q Query, id string, b
 func (s *Service) encodeDocument(ctx context.Context, c *Compiled, doc docstore.Doc, e *encoder) error {
 	sess, fresh := s.sessionFor(c, doc)
 	if sess == nil {
+		if err := c.Affordable(doc.Text); err != nil {
+			return fmt.Errorf("document %q: %w", doc.ID, err)
+		}
 		s.incFull.Add(1)
 		return e.extract(ctx, doc.Text, nil)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 	"weak"
 
 	"spanners"
@@ -577,6 +578,35 @@ func (s *Service) CompileQueryCtx(ctx context.Context, q Query) (*Compiled, erro
 	return &Compiled{svc: s, limit: q.Limit, enum: r.enum, eng: r.eng}, nil
 }
 
+// ErrUnaffordable is returned when a query served uncompiled (by the
+// interpreted enumerator) would need more memory for one document than
+// maxReachBytes; the HTTP layer answers 413 with code "too_large".
+var ErrUnaffordable = errors.New("service: query too costly for the document")
+
+// maxReachBytes is the most reach footprint an uncompiled query may
+// need for any one document of a request. The interpreted enumerator
+// keeps one []bool of VA states per boundary, VA states × (runes + 2)
+// bytes; the compiled walk keeps 8 B per boundary whatever the query.
+// The bound admits the 1 000-word gazetteer (9 010 VA states) over a
+// 4 KB document.
+const maxReachBytes = 64 << 20
+
+// Affordable reports ErrUnaffordable when the query is served
+// uncompiled and its reach footprint over text passes maxReachBytes;
+// nil otherwise, and always for a compiled query or a rule. Callers
+// name the document in the error.
+func (c *Compiled) Affordable(text string) error {
+	if c.eng == nil || c.eng.Compiled() {
+		return nil
+	}
+	states, runes := c.eng.Automaton().NumStates, utf8.RuneCountInString(text)
+	if need := int64(states) * int64(runes+2); need > maxReachBytes {
+		return fmt.Errorf("%w: the query is served uncompiled, and its reach over %d runes with %d VA states needs %d bytes, more than the %d one document may take",
+			ErrUnaffordable, runes, states, need, maxReachBytes)
+	}
+	return nil
+}
+
 // admit applies the per-mapping semantics shared by every extraction
 // path to a document's n-th mapping: it counts the emission and reports
 // whether the limit lets the document yield another.
@@ -589,6 +619,9 @@ func (c *Compiled) admit(n int) bool {
 // per output mapping as enumeration produces it; see
 // Service.ExtractStream for the delivery and cancellation contract.
 func (c *Compiled) Stream(ctx context.Context, doc string, yield func(Result) bool) error {
+	if err := c.Affordable(doc); err != nil {
+		return err
+	}
 	c.svc.inFlight.Add(1)
 	defer c.svc.inFlight.Add(-1)
 
@@ -690,6 +723,11 @@ func (s *Service) ExtractBatchInto(ctx context.Context, q Query, docs []string, 
 // batch is ExtractBatchInto after compilation. Each worker encodes into
 // a buffer of its own, so the views are taken once all have finished.
 func (c *Compiled) batch(ctx context.Context, docs []string, b *Batch) error {
+	for i, doc := range docs {
+		if err := c.Affordable(doc); err != nil {
+			return fmt.Errorf("document %d: %w", i, err)
+		}
+	}
 	s := c.svc
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)

@@ -97,8 +97,18 @@ func NewDocument(text string) *Document {
 	return &Document{text: text, runes: []rune(text)}
 }
 
+// isASCII reports whether every byte of s is below utf8.RuneSelf,
+// eight bytes to a test.
 func isASCII(s string) bool {
-	for i := 0; i < len(s); i++ {
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		w := uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
+			uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
+		if w&0x8080808080808080 != 0 {
+			return false
+		}
+	}
+	for ; i < len(s); i++ {
 		if s[i] >= utf8.RuneSelf {
 			return false
 		}

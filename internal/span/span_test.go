@@ -269,3 +269,29 @@ func TestCompatibleSymmetric(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestIsASCIIWordAtATime: a byte from 0x80 up — alone, or the first or
+// last byte of a valid or an invalid multi-byte rune — at every offset
+// 0–15 of ASCII strings 16–24 bytes long makes isASCII false, as the
+// byte loop says, and without it isASCII is true.
+func TestIsASCIIWordAtATime(t *testing.T) {
+	byteLoop := func(s string) bool {
+		for i := 0; i < len(s); i++ {
+			if s[i] >= 0x80 {
+				return false
+			}
+		}
+		return true
+	}
+	for _, ins := range []string{"", `"`, `\`, "\x1f", "\x7f", "\x80", "é", "€", "\xe2\x82", "\xff"} {
+		for n := 16; n <= 24; n++ {
+			for off := 0; off < 16; off++ {
+				base := strings.Repeat("a~ z0", 5)[:n]
+				s := base[:off] + ins + base[off:]
+				if got, want := isASCII(s), byteLoop(s); got != want {
+					t.Errorf("%q: isASCII %v, the byte loop %v", s, got, want)
+				}
+			}
+		}
+	}
+}

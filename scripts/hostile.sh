@@ -10,7 +10,11 @@
 #      is a 413 "too_large", not seconds and gigabytes of compiling;
 #   3. 13 nested +: x{((…(a+)+…)+)} doubles per level past the node
 #      cap and is a 413 "too_large";
-#   4. limit 1 on a dense document just under the 8 MiB body cap:
+#   4. the 1 000-word gazetteer .*x{w1|…|w1000}.* (9 KB), which the
+#      compiled tier does not take, over a 600 KB document: the
+#      interpreted enumerator's reach would need 5.4 GB, so it is a 413
+#      "too_large" in under 1 s, not 38 s and 7.8 GB;
+#   5. limit 1 on a dense document just under the 8 MiB body cap:
 #      a*x{a*}a* on a run of a, where every boundary is a DAG node,
 #      answers 200 with one mapping in under 2 s, and spand's peak RSS
 #      (VmHWM) stays under 256 MiB.
@@ -83,6 +87,17 @@ expect "node cap" "$workdir/dict.json" 413 too_large
 
 { printf '{"expr": "x{'; repeat '(' 13; printf a; for _ in $(seq 1 13); do printf '+)'; done; printf '}", "docs": ["a"]}'; } >"$workdir/plus.json"
 expect "13 nested +" "$workdir/plus.json" 413 too_large
+
+{
+  printf '{"expr": ".*x{'
+  awk 'BEGIN { srand(1); for (i = 0; i < 1000; i++) { w = ""; for (j = 0; j < 8; j++) w = w sprintf("%c", 97 + int(rand() * 26)); printf "%s%s", (i ? "|" : ""), w } }'
+  printf '}.*", "docs": ["'
+  awk 'BEGIN { for (i = 0; i < 61440; i++) printf "0123 4567 " }' # digits and spaces: no match
+  printf '"]}'
+} >"$workdir/gazetteer.json"
+expect "uncompiled gazetteer on 600 KB" "$workdir/gazetteer.json" 413 too_large
+awk -v t="$(cat "$workdir/took")" 'BEGIN { exit !(t < 1) }' \
+  || die "refusing the gazetteer took $(cat "$workdir/took") s, want under 1 s"
 
 # The body is 1 KiB under the default 8 MiB cap.
 pre='{"expr": "a*x{a*}a*", "limit": 1, "docs": ["'

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"strconv"
 
 	"spanners/internal/program"
 	"spanners/internal/span"
@@ -129,7 +128,7 @@ type IncState struct {
 	doc     *span.Document
 	blockK  int
 	snaps   []incSnap
-	spare   []incSnap // storage of the list before last, reused by rebuildSnaps
+	spare   []incSnap // rebuildSnaps' scratch for the snapshots past the kept run
 	width   int       // spans per tuple: len(e.Columns())
 	results incResults
 	empty   []span.Span // the empty mapping's tuple
@@ -140,65 +139,11 @@ type IncState struct {
 	// half snapshots the resweeps recorded (forward pairs in newF,
 	// backward pairs in newB, in sweep order), the window walk's output
 	// and rebuildSnaps' position list.
-	tmp, tmp2, t0, t1 program.Bits
-	newF, newB        []incSnap
-	win               incResults
-	positions         []int
-
-	// pairs interns the frontier pairs the resweeps step through, so a
-	// pair steps across a letter class once (step); key is its scratch.
-	// start is the forward pair at boundary 1, end the backward pair at
-	// the document end. A resweep's snapshots share its pairs' sets,
-	// which nothing modifies.
-	pairs      map[string]*incPair
-	key        []byte
-	start, end *incPair
-}
-
-// incPair is an interned frontier pair of a resweep, (f0, f1) forward
-// or (b0, b1) backward, with its steps by letter class (the last slot
-// for a rune outside the alphabet).
-type incPair struct {
-	back bool
-	a, b program.Bits
-	next []*incPair
-}
-
-// maxIncPairs bounds a session's interned pairs; past it the map is
-// emptied, and pairs already linked stay valid, as steps are pure.
-const maxIncPairs = 512
-
-// pairOf interns the pair (a, b), forward or back.
-func (s *IncState) pairOf(back bool, a, b program.Bits) *incPair {
-	s.key = b.AppendKey(a.AppendKey(strconv.AppendBool(s.key[:0], back)))
-	if pr := s.pairs[string(s.key)]; pr != nil {
-		return pr
-	}
-	if len(s.pairs) >= maxIncPairs {
-		clear(s.pairs)
-	}
-	pr := &incPair{back: back, a: a.Clone(), b: b.Clone(), next: make([]*incPair, s.e.prog.NumClasses+1)}
-	s.pairs[string(s.key)] = pr
-	return pr
-}
-
-// step returns the pair pr steps to across the rune r: stepForward or
-// stepBackward on a class's first visit, one load after.
-func (s *IncState) step(pr *incPair, r rune) *incPair {
-	c := s.e.prog.ClassOf(r)
-	if c < 0 {
-		c = len(pr.next) - 1
-	}
-	if nx := pr.next[c]; nx != nil {
-		return nx
-	}
-	if pr.back {
-		s.stepBackward(pr.a, pr.b, s.t0, s.t1, r)
-	} else {
-		s.stepForward(pr.a, pr.b, s.t0, s.t1, r)
-	}
-	pr.next[c] = s.pairOf(pr.back, s.t0, s.t1)
-	return pr.next[c]
+	tmp, tmp2              program.Bits
+	f0, f1, t0, t1, b0, b1 program.Bits
+	newF, newB             []incSnap
+	win                    incResults
+	positions              []int
 }
 
 // incBlockSize picks the snapshot spacing for a document of n symbols:
@@ -230,17 +175,12 @@ func NewIncremental(e *Engine, d *span.Document) (*IncState, bool) {
 // newIncremental is NewIncremental with an explicit snapshot spacing,
 // so tests can force edits to span snapshot boundaries.
 func newIncremental(e *Engine, d *span.Document, blockK int) *IncState {
-	s := &IncState{e: e, doc: d, blockK: blockK, width: len(e.cols), pairs: make(map[string]*incPair)}
+	s := &IncState{e: e, doc: d, blockK: blockK, width: len(e.cols)}
 	s.empty = make([]span.Span, s.width)
 	n := e.prog.NumStates
-	for _, b := range []*program.Bits{&s.tmp, &s.tmp2, &s.t0, &s.t1} {
+	for _, b := range []*program.Bits{&s.tmp, &s.tmp2, &s.f0, &s.f1, &s.t0, &s.t1, &s.b0, &s.b1} {
 		*b = program.NewBits(n)
 	}
-	start := program.NewBits(n)
-	start.Set(e.prog.Start)
-	s.start = s.pairOf(false, start, program.NewBits(n))
-	s.rStrictInto(e.prog.Final, s.t1)
-	s.end = s.pairOf(true, e.prog.Final, s.t1)
 	s.rebuild()
 	return s
 }
@@ -311,7 +251,6 @@ func (s *IncState) MemoryBytes() int {
 		words = len(s.snaps[0].f0)
 	}
 	b := len(s.snaps) * (4*words*8 + 64)
-	b += len(s.pairs) * (2*words*8 + 8*(s.e.prog.NumClasses+1) + 96)
 	b += len(s.results.extents) * (incSpanBytes*s.width + incExtentBytes)
 	b += cap(s.win.tuples)*incSpanBytes + cap(s.win.extents)*incExtentBytes
 	if s.doc.ASCIIText() == "" {
@@ -359,12 +298,25 @@ func (s *IncState) stepForward(f0, f1, d0, d1 program.Bits, r rune) {
 		}
 	}
 	p.OpClosure(s.tmp, 0)
-	d0.Clear()
-	d1.Clear()
-	if c := p.ClassOf(r); c >= 0 {
-		p.LetterStep(f0, c, d0)
-		p.LetterStep(s.tmp, c, d1)
+	c := p.ClassOf(r)
+	for j := range d0 {
+		d0[j], d1[j] = stepWord(p, f0, c, j, false), stepWord(p, s.tmp, c, j, false)
 	}
+}
+
+// stepWord is word j of the letter step of set across class c, forward
+// or back (none for c < 0), its union kept in a register.
+func stepWord(p *program.Program, set program.Bits, c, j int, back bool) (x uint64) {
+	for i, w := range set {
+		for ; w != 0 && c >= 0; w &= w - 1 {
+			if q := i<<6 + bits.TrailingZeros64(w); back {
+				x |= p.Pred(q, c)[j]
+			} else {
+				x |= p.Succ(q, c)[j]
+			}
+		}
+	}
+	return x
 }
 
 // stepBackward moves the (b0, b1) pair from boundary p+1 to boundary
@@ -373,18 +325,13 @@ func (s *IncState) stepForward(f0, f1, d0, d1 program.Bits, r rune) {
 // the letter into a completion that still owes an op.
 func (s *IncState) stepBackward(b0, b1, d0, d1 program.Bits, r rune) {
 	p := s.e.prog
-	d0.Clear()
-	d1.Clear()
 	c := p.ClassOf(r)
-	if c < 0 {
-		return
+	for j := range d0 {
+		d0[j], d1[j] = stepWord(p, b0, c, j, true), stepWord(p, b1, c, j, true)
+		// The letter step distributes over union: the step of b0 ∪ b1
+		// is d0 ∪ d1.
+		s.tmp2[j] = d0[j] | d1[j]
 	}
-	p.LetterStepBack(b0, c, d0)
-	p.LetterStepBack(b1, c, d1)
-	// The letter step distributes over union: the step of b0 ∪ b1 is
-	// d0 ∪ d1.
-	s.tmp2.CopyFrom(d0)
-	s.tmp2.Or(d1)
 	s.rStrictInto(s.tmp2, s.tmp)
 	d1.Or(s.tmp)
 }
@@ -492,9 +439,16 @@ func (s *IncState) SpliceDoc(off, del int, next *span.Document) (SpliceResult, e
 	// Forward resweep: resume at the last snapshot before the edit and
 	// stop at the first suffix-aligned snapshot whose pair matches.
 	fi := sort.Search(len(s.snaps), func(i int) bool { return s.snaps[i].pos > prefixEnd }) - 1
-	fp, fpos := s.start, 1
+	f0, f1, t0, t1 := s.f0, s.f1, s.t0, s.t1
+	fpos := 1
 	if fi >= 0 {
-		fp, fpos = s.pairOf(false, s.snaps[fi].f0, s.snaps[fi].f1), s.snaps[fi].pos
+		f0.CopyFrom(s.snaps[fi].f0)
+		f1.CopyFrom(s.snaps[fi].f1)
+		fpos = s.snaps[fi].pos
+	} else {
+		f0.Clear()
+		f1.Clear()
+		f0.Set(p.Start)
 	}
 
 	s.newF, s.newB = s.newF[:0], s.newB[:0]
@@ -503,56 +457,65 @@ func (s *IncState) SpliceDoc(off, del int, next *span.Document) (SpliceResult, e
 	oi := suffixSnapStart
 	cf, cfIdx := -1, -1
 	for pos := fpos; ; pos++ {
-		f0, f1 := fp.a, fp.b
 		if oi < len(s.snaps) && pos == s.snaps[oi].pos+delta {
 			if bitsEq(f0, s.snaps[oi].f0) && bitsEq(f1, s.snaps[oi].f1) {
 				cf, cfIdx = pos, oi
 				break
 			}
-			s.newF = append(s.newF, incSnap{pos: pos, f0: f0, f1: f1})
+			s.newF = append(s.newF, incSnap{pos: pos, f0: f0.Clone(), f1: f1.Clone()})
 			oi++
 		} else if pos > fpos && (pos-1)%s.blockK == 0 {
-			s.newF = append(s.newF, incSnap{pos: pos, f0: f0, f1: f1})
+			s.newF = append(s.newF, incSnap{pos: pos, f0: f0.Clone(), f1: f1.Clone()})
 		}
 		if pos == n2+1 {
 			break
 		}
-		fp = s.step(fp, next.RuneAt(pos))
+		s.stepForward(f0, f1, t0, t1, next.RuneAt(pos))
+		f0, t0 = t0, f0
+		f1, t1 = t1, f1
 		res.FwdSteps++
 	}
 	newEmptyOK := s.emptyOK
 	if cf < 0 {
 		// Swept to the end without re-converging: the letters-only
 		// acceptance is re-derived from the final frontier.
-		newEmptyOK = fp.a.Intersects(p.Final)
+		newEmptyOK = f0.Intersects(p.Final)
 	}
 
 	// Backward resweep: backward frontiers at suffix positions survive
 	// the splice at pos+delta, so seed from the first snapshot past the
 	// edit and sweep down until the pair matches a prefix snapshot.
-	bp, bpos := s.end, n2+1
+	b0, b1 := s.b0, s.b1
+	var bpos int
 	if suffixSnapStart < len(s.snaps) {
 		sn := s.snaps[suffixSnapStart]
-		bp, bpos = s.pairOf(true, sn.b0, sn.b1), sn.pos+delta
+		b0.CopyFrom(sn.b0)
+		b1.CopyFrom(sn.b1)
+		bpos = sn.pos + delta
+	} else {
+		b0.CopyFrom(p.Final)
+		s.rStrictInto(p.Final, b1)
+		bpos = n2 + 1
 	}
 	bj := fi
 	cb, cbIdx := 0, -1
 	for pos := bpos; ; pos-- {
-		b0, b1 := bp.a, bp.b
 		if bj >= 0 && s.snaps[bj].pos == pos && pos <= prefixEnd {
 			if bitsEq(b0, s.snaps[bj].b0) && bitsEq(b1, s.snaps[bj].b1) {
 				cb, cbIdx = pos, bj
 				break
 			}
-			s.newB = append(s.newB, incSnap{pos: pos, b0: b0, b1: b1})
+			s.newB = append(s.newB, incSnap{pos: pos, b0: b0.Clone(), b1: b1.Clone()})
 			bj--
 		} else if pos < bpos && pos < editEndNew && pos > 1 && (pos-1)%s.blockK == 0 {
-			s.newB = append(s.newB, incSnap{pos: pos, b0: b0, b1: b1})
+			s.newB = append(s.newB, incSnap{pos: pos, b0: b0.Clone(), b1: b1.Clone()})
 		}
 		if pos == 1 {
 			break
 		}
-		bp = s.step(bp, next.RuneAt(pos-1))
+		s.stepBackward(b0, b1, t0, t1, next.RuneAt(pos-1))
+		b0, t0 = t0, b0
+		b1, t1 = t1, b1
 		res.BwdSteps++
 	}
 	// The recorded pairs descend; rebuildSnaps reads both lists upwards.
@@ -595,15 +558,10 @@ func (s *IncState) SpliceDoc(off, del int, next *span.Document) (SpliceResult, e
 	// of mappings entirely below A, a contiguous suffix entirely at or
 	// past bOld, and a middle block replaced by the window walk.
 	r := &s.results
-	li := 0
-	for li < len(r.extents) && r.extents[li].maxPos < A {
-		li++
-	}
+	li := sort.Search(len(r.extents), func(i int) bool { return r.extents[i].maxPos >= A })
 	ri := len(r.extents)
 	if B > 0 {
-		for ri > li && r.extents[ri-1].minPos >= bOld {
-			ri--
-		}
+		ri = li + sort.Search(ri-li, func(i int) bool { return r.extents[li+i].minPos >= bOld })
 	}
 
 	w := s.windowWalk(next, A, B, startSet, targetB0)
@@ -625,11 +583,9 @@ func (s *IncState) SpliceDoc(off, del int, next *span.Document) (SpliceResult, e
 	r.tuples = slices.Replace(r.tuples, li*s.width, ri*s.width, w.tuples...)
 	r.extents = slices.Replace(r.extents, li, ri, w.extents...)
 
-	rebuilt := s.rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf, cb)
+	s.rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf, cb)
 	clear(s.newF) // the kept pairs live on in the snapshots
 	clear(s.newB)
-	clear(s.snaps)
-	s.snaps, s.spare = rebuilt, s.snaps[:0]
 	s.doc = next
 	s.emptyOK = newEmptyOK
 
@@ -674,18 +630,20 @@ func (s *IncState) windowWalk(d *span.Document, A, B int, startSet, targetB0 pro
 // re-converged at cf, backward pairs unconditionally), and the resweep
 // loops recorded fresh pairs in newF/newB. A snapshot is kept only
 // when both halves resolved; snapshots that fell inside the edit die.
-func (s *IncState) rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf, cb int) []incSnap {
+// The list is updated in place, so a splice near the end of a long
+// document does not copy its snapshots.
+func (s *IncState) rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf, cb int) {
 	// A snapshot before the edit and below the backward re-convergence
 	// point survives verbatim: both resweeps record pairs only past it
 	// (newF past the last snapshot before the edit, newB from cb up).
 	// The cached list is thinned already, so the run of such snapshots
-	// is copied whole and the resolution below starts after it.
+	// stays where it is and the resolution below starts after it.
 	keep := 0
 	if cb > 0 {
 		lim := min(prefixEnd+1, editEndNew, cb)
 		keep = sort.Search(len(s.snaps), func(i int) bool { return s.snaps[i].pos >= lim })
 	}
-	out := append(s.spare[:0], s.snaps[:keep]...)
+	out := s.spare[:0]
 	positions := s.positions[:0]
 	for i := keep; i < len(s.snaps); i++ {
 		pos := s.snaps[i].pos
@@ -765,17 +723,22 @@ func (s *IncState) rebuildSnaps(n2, delta, prefixEnd, editEndOld, editEndNew, cf
 		}
 	}
 
+	n := max(len(s.snaps), keep+len(out))
+	s.snaps = append(s.snaps[:keep], out...)
+	clear(out)
+	s.spare = out[:0]
+
 	// Thin clusters left behind by repeated edits: snapshots are purely
 	// accelerative, so halving density only lengthens future resweeps,
 	// never changes results.
-	if minGap := s.blockK / 2; len(out) > 1 && minGap > 0 {
-		kept := out[:max(keep, 1)]
-		for _, sn := range out[len(kept):] {
+	if minGap := s.blockK / 2; len(s.snaps) > 1 && minGap > 0 {
+		kept := s.snaps[:max(keep, 1)]
+		for _, sn := range s.snaps[len(kept):] {
 			if sn.pos-kept[len(kept)-1].pos >= minGap {
 				kept = append(kept, sn)
 			}
 		}
-		out = kept
+		s.snaps = kept
 	}
-	return out
+	clear(s.snaps[len(s.snaps):n]) // what the list no longer holds
 }

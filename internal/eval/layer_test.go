@@ -1,7 +1,9 @@
 package eval
 
 import (
+	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -105,5 +107,46 @@ func TestLayerMemoConcurrent(t *testing.T) {
 		if st := tiny.dfa.Stats(); st.Flushes == 0 {
 			t.Errorf("%s: the 8-state budget never flushed: %+v", sh.name, st)
 		}
+	}
+}
+
+// TestLayerMemoFull: a layer that meets more boundary keys than it
+// records effects does the rest frontier by frontier on the walk's own
+// DAG, warm or cold, and the answers stay the bitset walk's; a warm
+// walk allocates nothing. Here x spans any one letter of 52 classes,
+// so every boundary is a stop, and its key follows the two letters
+// there: a random text shows each layer hundreds of keys.
+func TestLayerMemoFull(t *testing.T) {
+	var alts []string
+	for _, r := range "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ" {
+		alts = append(alts, "x{"+string(r)+"}")
+	}
+	n := rgx.MustParse(".*(" + strings.Join(alts, "|") + ").*")
+	rng := rand.New(rand.NewSource(7))
+	text := make([]byte, 6000)
+	for i := range text {
+		text[i] = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"[rng.Intn(52)]
+	}
+	sh := shape{name: "full", docs: []*span.Document{span.NewDocument(string(text))}}
+	ref := CompileRGX(n)
+	ref.ForceNoDFA()
+	want := collectTuples(func(yield func([]span.Span) bool) { ref.EnumerateTuples(sh.docs[0], nil, yield) })
+	e := CompileRGX(n)
+	for pass := 0; pass < 2; pass++ {
+		_, misses, _ := enumerateShape(e, sh)
+		t.Logf("pass %d: %d layer misses over %d stops", pass, misses, len(text))
+		if misses < len(text)/4 {
+			t.Errorf("pass %d: %d layer misses over %d stops: the layers recorded nearly every effect", pass, misses, len(text))
+		}
+		got := collectTuples(func(yield func([]span.Span) bool) { e.EnumerateTuples(sh.docs[0], nil, yield) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("pass %d: %d spans, the bitset walk %d, or in another order", pass, len(got), len(want))
+		}
+	}
+	if raceEnabled {
+		return // sync.Pool drops a random share of its items under the race detector
+	}
+	if n := testing.AllocsPerRun(5, func() { e.EnumerateTuples(sh.docs[0], nil, func([]span.Span) bool { return true }) }); n != 0 {
+		t.Errorf("%v allocations per warm walk over full layers, want 0", n)
 	}
 }

@@ -156,8 +156,8 @@ func fillTuple(t []span.Span, fired []firedOp) {
 // resolved when the frontier it leads to reaches a node or completes;
 // one still pending when the sweep has ended is dead.
 const (
-	toEnd     int32 = -1 // the branch completes: emit it
-	toPending int32 = -2 // not reached yet, or, once the sweep has ended, dead
+	toEnd     = program.MoveEnd  // the branch completes: emit it
+	toPending = program.MoveDrop // not reached yet, or, once the sweep has ended, dead
 )
 
 // dagNode is a boundary where a live frontier can fire an operation;
@@ -184,9 +184,8 @@ type liveFrontier struct {
 	head, tail int32
 }
 
-// sweepLayer holds the live frontiers of one boundary, interned as
-// layer on the memo path; pruned (or layer.Pruned) says they are
-// within the co-reach there and settled.
+// sweepLayer holds the live frontiers of one boundary, and their layer
+// on the memo path; pruned (or layer.Pruned) says they are settled.
 type sweepLayer struct {
 	fs     []liveFrontier
 	slab   []uint64
@@ -255,10 +254,11 @@ type seqWalk struct {
 // walkBufs are the storage of one walk: its co-reach, the DAG its
 // sweep builds (edges[0] is the root edge) with the arena of the
 // boundary choices the bitset path resolves, the sweep's two layers
-// and bitset scratch, a memo miss's scratch, the DFS's stack and the
-// tuple it emits, and Count's path counts. Every slab is resliced,
-// never trusted for its contents, so a buffer that comes back from a
-// wider program or a longer document serves the next walk as is.
+// and bitset scratch, the DFS's stack and the tuple it emits, Count's
+// path counts, and a memo miss's DAG, layers and states. Every slab is
+// resliced, never trusted for its contents, so a buffer that comes
+// back from a wider program or a longer document serves the next walk
+// as is.
 type walkBufs struct {
 	coBufs
 	nodes   []dagNode
@@ -267,20 +267,16 @@ type walkBufs struct {
 	layers  [2]sweepLayer
 	scratch program.Bits
 	key     []byte
-	miss    missBufs
 	stack   []walkFrame
 	fired   []firedOp
 	tuple   []span.Span
 	paths   []int
-}
 
-// missBufs hold what fillStop and fillGlide compute in.
-type missBufs struct {
-	nodes  []dagNode
-	edges  []dagEdge
-	layers [2]sweepLayer
-	into   []int32
-	states []*program.DState
+	missNodes  []dagNode
+	missEdges  []dagEdge
+	missLayers [2]sweepLayer
+	into       []int32
+	inLayer    []*program.DState
 }
 
 // coBufs hold a co-reach: one interned state per boundary on the DFA
@@ -487,8 +483,7 @@ func (w *seqWalk) settle(l *sweepLayer, s *program.DState, f program.Bits, head,
 func (w *seqWalk) join(l *sweepLayer, s *program.DState, f program.Bits, head, tail int32) {
 	for i := range l.fs {
 		if s != nil && l.fs[i].s == s || s == nil && bitsEq(l.frontier(i, len(f)), f) {
-			w.edges[l.fs[i].tail].next = head
-			l.fs[i].tail = tail
+			w.link(&l.fs[i], head, tail)
 			return
 		}
 	}
@@ -620,20 +615,34 @@ func (w *seqWalk) sweepTo(e int32, until int) {
 			cur.reset()
 			break
 		}
-		if cur.layer == nil {
-			cur, next = w.boundary(cur, next, pos, c)
+		if l := cur.layer; l != nil && !l.Full() {
+			k := program.StopKey{Co: w.co[pos-w.lo], Class: c}
+			if !last {
+				k.CoNext = w.co[pos+1-w.lo]
+			}
+			st := l.Stop(k)
+			if st == nil {
+				st = w.fillStop(l, pos, k)
+			}
+			w.replay(cur, next, st, pos)
+			cur, next = next, cur
 			continue
 		}
-		k := program.StopKey{Co: w.co[pos-w.lo], Class: c}
-		if !last {
-			k.CoNext = w.co[pos+1-w.lo]
+		// The bitset path, or a layer past maxStops keys: the frontiers
+		// do the work on the walk's DAG, and the next layer is interned.
+		if l := cur.layer; l != nil {
+			for i, s := range l.States() {
+				cur.fs[i].s = s
+			}
+			cur.pruned, cur.layer, w.layerMisses = l.Pruned(), nil, w.layerMisses+1
 		}
-		st := cur.layer.Stop(k)
-		if st == nil {
-			st = w.fillStop(cur.layer, pos, k)
+		if cur, next = w.boundary(cur, next, pos, c); w.dfa {
+			w.inLayer = w.inLayer[:0]
+			for _, f := range cur.fs {
+				w.inLayer = append(w.inLayer, f.s)
+			}
+			cur.layer, w.key = w.e.dfa.Layer(w.inLayer, cur.pruned, w.key)
 		}
-		w.replay(cur, next, st, pos)
-		cur, next = next, cur
 	}
 	w.cur, w.next, w.pos = cur, next, pos
 }
@@ -701,29 +710,25 @@ func (w *seqWalk) boundary(cur, next *sweepLayer, pos, c int) (*sweepLayer, *swe
 // DAG, and the out-edges of the nodes it forms.
 func (w *seqWalk) fillStop(l *program.Layer, pos int, k program.StopKey) *program.Stop {
 	w.layerMisses++
-	m := &w.miss
 	nodes, edges := w.nodes, w.edges
-	w.nodes, w.edges = m.nodes[:0], m.edges[:0]
-	in := &m.layers[0]
+	w.nodes, w.edges = w.missNodes[:0], w.missEdges[:0]
+	in := &w.missLayers[0]
 	in.reset()
 	in.pruned = l.Pruned()
 	for i, s := range l.States() {
 		w.edges = append(w.edges, dagEdge{to: toPending, next: -1})
 		in.fs = append(in.fs, liveFrontier{s: s, head: int32(i), tail: int32(i)})
 	}
-	out, _ := w.boundary(in, &m.layers[1], pos, k.Class)
-	into := slices.Grow(m.into[:0], len(w.edges))[:len(w.edges)]
+	out, _ := w.boundary(in, &w.missLayers[1], pos, k.Class)
+	into := slices.Grow(w.into[:0], len(w.edges))[:len(w.edges)]
 	for e, ed := range w.edges {
-		switch into[e] = program.MoveDrop; {
-		case ed.to == toEnd:
-			into[e] = program.MoveEnd
-		case ed.to >= 0: // a frontier that formed a node
+		if into[e] = ed.to; ed.to >= 0 { // a frontier that formed a node
 			into[e] = program.MoveNode - ed.to
 		}
 	}
-	m.states = m.states[:0]
+	w.inLayer = w.inLayer[:0]
 	for j, f := range out.fs {
-		m.states = append(m.states, f.s)
+		w.inLayer = append(w.inLayer, f.s)
 		for e := f.head; e >= 0; e = w.edges[e].next {
 			into[e] = int32(j)
 		}
@@ -735,8 +740,8 @@ func (w *seqWalk) fillStop(l *program.Layer, pos int, k program.StopKey) *progra
 		}
 		st.Nodes = append(st.Nodes, int32(len(st.Edges)))
 	}
-	st.Next, w.key = w.e.dfa.Layer(m.states, out.pruned, w.key)
-	m.nodes, m.edges, m.into = w.nodes, w.edges, into
+	st.Next, w.key = w.e.dfa.Layer(w.inLayer, out.pruned, w.key)
+	w.missNodes, w.missEdges, w.into = w.nodes, w.edges, into
 	w.nodes, w.edges = nodes, edges
 	return l.AddStop(st)
 }
@@ -850,26 +855,25 @@ func (w *seqWalk) glide(cur *sweepLayer, pos, stop int) (int, bool) {
 // frontier steps raw, the dead drop out and equal states merge.
 func (w *seqWalk) fillGlide(l *program.Layer, c int) (*program.Layer, []int32) {
 	w.layerMisses++
-	m := &w.miss
-	m.states = m.states[:0]
+	w.inLayer = w.inLayer[:0]
 	remap := make([]int32, len(l.States()))
 	for i, s := range l.States() {
 		w.steps++
 		ns := w.stepRaw(s, c)
-		switch j := slices.Index(m.states, ns); {
+		switch j := slices.Index(w.inLayer, ns); {
 		case ns.Dead():
 			remap[i] = -1
 		case j < 0:
-			remap[i], m.states = int32(len(m.states)), append(m.states, ns)
+			remap[i], w.inLayer = int32(len(w.inLayer)), append(w.inLayer, ns)
 		default:
 			remap[i] = int32(j)
 		}
 	}
-	if len(m.states) == len(l.States()) {
+	if len(w.inLayer) == len(l.States()) {
 		remap = nil
 	}
 	var to *program.Layer
-	to, w.key = w.e.dfa.Layer(m.states, false, w.key)
+	to, w.key = w.e.dfa.Layer(w.inLayer, false, w.key)
 	return w.e.dfa.SetGlide(l, c, to, remap)
 }
 

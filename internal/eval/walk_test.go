@@ -309,6 +309,40 @@ func TestSpliceStepsIndependentOfDocumentLength(t *testing.T) {
 	}
 }
 
+// TestTailSpliceKeepsSnapshots: an append at the end of a long document
+// and its undo resolve only the snapshots near the end; the list stays
+// in its storage, and every snapshot before the edit's block keeps its
+// pairs, so a tail edit costs the suffix and not the document.
+func TestTailSpliceKeepsSnapshots(t *testing.T) {
+	e := CompileRGX(rgx.MustParse(weblogStreamExpr))
+	text := workload.WebLog(workload.WebLogOptions{Lines: 1024, ReferProb: 0.35, Seed: 1})
+	inc := newIncremental(e, span.NewDocument(text), 64)
+	before, base, room := slices.Clone(inc.snaps), &inc.snaps[0], cap(inc.snaps)
+	line := "10.1.2.3 GET /api/items 200 512 \"curl/8.0\"\n"
+	for _, edit := range []struct {
+		off, del int
+		ins      string
+	}{{len(text), 0, line}, {len(text), len(line), ""}} {
+		if _, err := inc.Splice(edit.off, edit.del, edit.ins); err != nil {
+			t.Fatal(err)
+		}
+		if len(inc.snaps) <= room && &inc.snaps[0] != base {
+			t.Fatal("the splice copied the snapshot list to new storage")
+		}
+	}
+	assertIncremental(t, inc, e, "after the undo")
+	kept := 0
+	for kept < len(inc.snaps) && inc.snaps[kept].pos < len(text)-4*64 {
+		if sn, old := inc.snaps[kept], before[kept]; sn.pos != old.pos || &sn.f0[0] != &old.f0[0] || &sn.b0[0] != &old.b0[0] {
+			t.Fatalf("snapshot %d at %d was rebuilt by a splice at the end", kept, sn.pos)
+		}
+		kept++
+	}
+	if kept < len(before)-8 {
+		t.Errorf("%d of %d snapshots kept, want all but the last few", kept, len(before))
+	}
+}
+
 // TestReachSweepAllocsFlat: the bitset co-reach sweep of session
 // windows and Count, and the bitset fallback of the forward sweep,
 // carve every boundary's frontier from one slab, so their allocations

@@ -17,21 +17,22 @@ import (
 type Layer struct {
 	states []*DState
 	pruned bool
-	fold   uint64           // the frontiers' folds ORed (Bits.Fold)
-	loops  [2]atomic.Uint64 // bit b of word b>>6; none when pruned
-	next   []glideEntry     // by class
+	fold   uint64                      // the frontiers' folds ORed (Bits.Fold)
+	loops  [2]atomic.Uint64            // bit b of word b>>6; none when pruned
+	next   []atomic.Pointer[glideStep] // by class
 	stops  atomic.Pointer[[]*Stop]
 }
 
-// glideEntry is the next layer, and where each frontier went (-1: it
-// died) when it is narrower.
-type glideEntry struct {
-	to    atomic.Pointer[Layer]
-	remap atomic.Pointer[[]int32]
+// glideStep is the next layer, and where each frontier went (-1: it
+// died) when it is narrower, published whole: walks may merge the
+// frontiers of a layer holding states of two cache generations apart.
+type glideStep struct {
+	to    *Layer
+	remap []int32
 }
 
-// maxStops bounds the boundary effects one layer keeps; any other is
-// computed every time.
+// maxStops bounds the boundary effects one layer keeps; past it the
+// walk computes each boundary the layer stops at (Full).
 const maxStops = 64
 
 // Stop is the recorded effect of a boundary on a layer: the layer
@@ -70,31 +71,24 @@ const (
 
 // States returns the frontiers' states, in order; shared, read-only.
 func (l *Layer) States() []*DState { return l.states }
-
-func (l *Layer) Pruned() bool     { return l.pruned }
-func (l *Layer) Fold() uint64     { return l.fold }
-func (l *Layer) Loops() [2]uint64 { return [2]uint64{l.loops[0].Load(), l.loops[1].Load()} }
+func (l *Layer) Pruned() bool      { return l.pruned }
+func (l *Layer) Fold() uint64      { return l.fold }
+func (l *Layer) Loops() [2]uint64  { return [2]uint64{l.loops[0].Load(), l.loops[1].Load()} }
 
 // Glide returns the glide step on class c and its remap (nil when no
 // frontier died or merged); a nil layer while it is not known.
 func (l *Layer) Glide(c int) (*Layer, []int32) {
-	g := &l.next[c]
-	to := g.to.Load()
-	if to == nil || len(to.states) == len(l.states) {
-		return to, nil
+	if g := l.next[c].Load(); g != nil {
+		return g.to, g.remap
 	}
-	return to, *g.remap.Load()
+	return nil, nil
 }
 
 // SetGlide publishes the glide step of l on class c unless a
 // concurrent caller did, and returns the published one. A step to l
 // itself adds the ASCII bytes of c to its loops.
 func (d *DFA) SetGlide(l *Layer, c int, to *Layer, remap []int32) (*Layer, []int32) {
-	g := &l.next[c]
-	if remap != nil {
-		g.remap.CompareAndSwap(nil, &remap) // before to, which readers load first
-	}
-	if g.to.CompareAndSwap(nil, to) && to == l {
+	if l.next[c].CompareAndSwap(nil, &glideStep{to, remap}) && to == l {
 		m := d.p.asciiMask[c]
 		l.loops[0].Or(m[0])
 		l.loops[1].Or(m[1])
@@ -112,6 +106,9 @@ func (l *Layer) Stop(k StopKey) *Stop {
 	return nil
 }
 
+// Full reports whether l holds maxStops effects and records no more.
+func (l *Layer) Full() bool { return len(*l.stops.Load()) >= maxStops }
+
 // AddStop records s unless its key is recorded or the layer holds
 // maxStops effects, and returns the recorded effect for the key, or s.
 func (l *Layer) AddStop(s *Stop) *Stop {
@@ -120,11 +117,10 @@ func (l *Layer) AddStop(s *Stop) *Stop {
 		if t := l.Stop(s.Key); t != nil {
 			return t
 		}
-		old := *p
-		if len(old) >= maxStops {
+		if len(*p) >= maxStops {
 			return s
 		}
-		if grown := append(old[:len(old):len(old)], s); l.stops.CompareAndSwap(p, &grown) {
+		if grown := append((*p)[:len(*p):len(*p)], s); l.stops.CompareAndSwap(p, &grown) {
 			return s
 		}
 	}
@@ -134,8 +130,9 @@ func (l *Layer) AddStop(s *Stop) *Stop {
 // key buffer, and returns it with the grown buffer; states is copied.
 func (d *DFA) Layer(states []*DState, pruned bool, key []byte) (*Layer, []byte) {
 	key = strconv.AppendBool(key[:0], pruned)
+	var fold uint64 // the frontiers' folds ORed
 	for _, s := range states {
-		key = s.frontier.AppendKey(key)
+		key, fold = s.frontier.AppendKey(key), fold|s.frontier.Fold()
 	}
 	d.mu.RLock()
 	l := d.layers[string(key)]
@@ -151,10 +148,7 @@ func (d *DFA) Layer(states []*DState, pruned bool, key []byte) (*Layer, []byte) 
 	if len(d.states)+len(d.layers) >= d.budget {
 		d.flushLocked()
 	}
-	l = &Layer{states: append([]*DState(nil), states...), pruned: pruned, next: make([]glideEntry, d.p.NumClasses)}
-	for _, s := range states {
-		l.fold |= s.frontier.Fold()
-	}
+	l = &Layer{states: append([]*DState(nil), states...), pruned: pruned, fold: fold, next: make([]atomic.Pointer[glideStep], d.p.NumClasses)}
 	l.stops.Store(new([]*Stop))
 	d.layers[string(key)] = l
 	return l, key

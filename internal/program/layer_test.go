@@ -1,7 +1,9 @@
 package program
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -95,5 +97,40 @@ func TestLayersCountTowardBudget(t *testing.T) {
 	d.Step(start, p.ClassOf(','), StepRaw)
 	if again, _ := d.Layer([]*DState{start, sa}, false, nil); again == l1 {
 		t.Fatal("the layer survived the flush its states' budget forced")
+	}
+}
+
+// TestLayerConcurrentGlideRemaps: walks that fill one glide entry at
+// once may have found next layers whose frontiers merged differently.
+// Every caller gets back one published step whole: its next layer with
+// its own remap, the same for all.
+func TestLayerConcurrentGlideRemaps(t *testing.T) {
+	p := compileCorpus(t, `.*(Seller: x{[^,\n]*}, ID\d*(, \$y{[^\n]*}|)\n).*`)
+	d := p.DFA()
+	steps := [2]struct {
+		to    *Layer
+		remap []int32
+	}{{&Layer{}, []int32{0, 1, 2, 1}}, {&Layer{}, []int32{0, 1, 0, 2}}}
+	for round := 0; round < 200; round++ {
+		l := &Layer{next: make([]atomic.Pointer[glideStep], 1)}
+		var got [2]int
+		var wg sync.WaitGroup
+		for g := range steps {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				to, remap := d.SetGlide(l, 0, steps[g].to, steps[g].remap)
+				got[g] = -1
+				for i, st := range steps {
+					if to == st.to && slices.Equal(remap, st.remap) {
+						got[g] = i
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if got[0] < 0 || got[0] != got[1] {
+			t.Fatalf("round %d: the callers got steps %v, want one published step for both", round, got)
+		}
 	}
 }

@@ -22,8 +22,8 @@ import (
 // service-path numbers tracked in BENCH_dfa.json. Both sides execute
 // the compiled program — the only difference is ForceNoDFA — so the
 // speedups isolate exactly what the determinization cache buys: the
-// memoized reverse sweep behind NonEmpty and enumeration, and the
-// self-loop skips of the constrained evaluator's forward segments.
+// memoized reverse sweep behind NonEmpty, enumeration and pinned Eval,
+// and the walk's interned layers.
 
 // dfaScenario is one head-to-head measurement.
 type dfaScenario struct {
@@ -178,9 +178,10 @@ func runDFABench(quick bool, jsonPath string) dfaReport {
 		func() int { boolToInt(pSparse.NonEmpty(sparseDoc)); return 0 })
 
 	// Constrained eval: model-checking a pinned span on a long
-	// document. The DFA side runs the obligation-segmented sweep
-	// through the per-mask constrained family; the bitset side steps
-	// every position under the blocked mask.
+	// document. Both sides run the enumeration walk with a choice
+	// filter, stopped at its first completion; the DFA side sweeps the
+	// co-reach on memoized reverse rows and glides the walk's layers,
+	// the bitset side steps bitsets at every boundary.
 	consFill := 3000
 	if quick {
 		consFill = 400

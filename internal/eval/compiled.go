@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 	"sort"
@@ -17,262 +18,93 @@ import (
 // classifies its rune once instead of probing every transition's
 // class predicate. The sequential enumeration walk is in walk.go.
 
-// evalSeqProg is Theorem 5.7 on the compiled program. The per-boundary
-// obligation sets of the interpreted evalSequential become uint64
-// masks: popcount gives the obligation count, and a transition's mask
-// tells in one AND whether it consumes an obligation, is blocked, or
-// passes as ε. With the lazy DFA on, the unconstrained case — no
-// obligation may block any operation, which covers NonEmpty/Matches —
-// is one reverse sweep (startCoReaches), and the constrained case runs
-// its obligation-free segments forward through a per-mask cache
-// (evalSeqSegmented). Both fall back to per-rune bitset stepping when
-// the cache thrashes its budget.
+// evalSeqProg is Theorem 5.7 on the compiled program. A mapping that
+// constrains no variable the program assigns — NonEmpty, Matches — asks
+// only whether the start state co-reaches the document end
+// (startCoReaches). Any other is the enumeration walk stopped at its
+// first completion (seqWalk.exists): the per-boundary obligation sets
+// of the interpreted evalSequential become the sorted obligations of
+// mu, at most two per variable, and uint64 masks tell in one AND
+// whether a boundary choice fires what they demand there.
 func (e *Engine) evalSeqProg(d *span.Document, mu span.Extended) bool {
-	p := e.prog
-	n := d.Len()
-	// Prefilter before touching mu or allocating the obligation
-	// table: a missing required literal falsifies every run, pinned
-	// or not, and the n+2 need slice is the dominant cost of a
-	// rejected call on large documents.
 	if e.prefilterRejects(d) {
-		return false
+		return false // a required literal is missing: no run accepts
 	}
-	var need []uint64
+	p := e.prog
+	var obl []obligation
 	var blocked uint64
-	if len(mu) > 0 {
-		need = make([]uint64, n+2)
-		for v, o := range mu {
-			id, ok := p.VarID(v)
-			if !ok {
-				if !o.Bottom {
-					return false // pinned to a variable no accepting run assigns
-				}
-				continue
+	for v, o := range mu {
+		id, ok := p.VarID(v)
+		if !ok {
+			if !o.Bottom {
+				return false // pinned to a variable no accepting run assigns
 			}
-			blocked |= program.OpenBit(id) | program.CloseBit(id)
-			if o.Bottom {
-				continue
-			}
-			need[o.Span.Start] |= program.OpenBit(id)
-			need[o.Span.End] |= program.CloseBit(id)
+			continue
+		}
+		blocked |= program.OpenBit(id) | program.CloseBit(id)
+		if !o.Bottom {
+			obl = append(obl, obligation{o.Span.Start, program.OpenBit(id)}, obligation{o.Span.End, program.CloseBit(id)})
 		}
 	}
-	if e.DFAEnabled() {
-		if blocked == 0 {
-			// No obligations anywhere (need bits imply blocked bits),
-			// so some run accepts iff the start state co-reaches.
-			if res, ok := e.startCoReaches(d); ok {
-				return res
-			}
-		} else if res, ok := e.evalSeqSegmented(d, need, blocked); ok {
-			return res
+	if blocked == 0 {
+		return e.startCoReaches(d)
+	}
+	// exists takes them by boundary, one per boundary.
+	slices.SortFunc(obl, func(a, b obligation) int { return cmp.Compare(a.pos, b.pos) })
+	k := 0
+	for _, o := range obl {
+		if k > 0 && obl[k-1].pos == o.pos {
+			obl[k-1].mask |= o.mask
+		} else {
+			obl[k], k = o, k+1
 		}
 	}
-
-	if need == nil {
-		need = make([]uint64, n+2)
-	}
-	cur := program.NewBits(p.NumStates)
-	next := program.NewBits(p.NumStates)
-	cur.Set(p.Start)
-	for pos := 1; pos <= n+1; pos++ {
-		if m := need[pos]; m == 0 {
-			p.OpClosure(cur, blocked)
-		} else if !e.obligationClosureProg(cur, m, blocked) {
-			return false
-		}
-		if pos == n+1 {
-			break
-		}
-		c := p.ClassOf(d.RuneAt(pos))
-		if c < 0 {
-			return false
-		}
-		next.Clear()
-		if !p.LetterStep(cur, c, next) {
-			return false
-		}
-		cur, next = next, cur
-	}
-	return cur.Intersects(p.Final)
+	return e.newSeqWalk(d, 1, d.Len()+1, nil).exists(e.start, obl[:k], blocked)
 }
 
-// startCoReaches is NonEmpty on the lazy DFA, Eval with the empty
-// mapping: whether the start state lies in the co-reach of boundary 1.
-// The reverse sweep (DFA.BackwardFrontiers) runs from the document end
-// window by window, each window FlushCheckInterval letters seeded with
-// the previous window's first state, and stops where the co-reach
-// dies. Every window is swept into one buffer, a pooled walk's co-reach
-// buffer, so a warm call allocates nothing. The flush count is kept
-// across windows: ok is false when the cache thrashed its budget, and
-// the caller falls back to bitset stepping.
-func (e *Engine) startCoReaches(d *span.Document) (res, ok bool) {
+// startCoReaches is NonEmpty, Eval with the empty mapping: whether the
+// start state lies in the co-reach of boundary 1. The reverse sweep
+// runs from the document end window by window, each window
+// FlushCheckInterval letters seeded with the previous window's first
+// co-reach, and stops where the co-reach dies. Every window is swept
+// into a pooled walk's co-reach buffers, so a warm call allocates
+// nothing. With the lazy DFA on, a window is DFA.BackwardFrontiers, and
+// the flush count is kept across windows; with the DFA off, and from
+// the window where the cache thrashed its budget on, the windows are
+// bitset sweeps (coReachRaw).
+func (e *Engine) startCoReaches(d *span.Document) bool {
 	w := walkPool.Get().(*seqWalk)
 	defer walkPool.Put(w)
-	hi := d.Len() + 1
-	flush0 := e.dfa.Flushes()
+	dfa := e.DFAEnabled()
+	var flush0 uint64
+	if dfa {
+		flush0 = e.dfa.Flushes()
+	}
 	var s *program.DState
-	for {
+	co := e.coFinal
+	for hi := d.Len() + 1; ; {
 		lo := max(1, hi-program.FlushCheckInterval)
-		out, ok := e.dfa.BackwardFrontiers(d, lo, hi, s, w.states)
-		if !ok {
-			return false, false
+		if dfa {
+			out, ok := e.dfa.BackwardFrontiers(d, lo, hi, s, w.states)
+			if !ok {
+				dfa = false // sweep the window again, on bitsets
+				continue
+			}
+			w.states, s = out, out[0]
+			co = s.Frontier()
+		} else {
+			w.scratch = append(w.scratch[:0], w.coReachRaw(e, d, lo, hi, co)[0]...)
+			co = w.scratch
 		}
-		w.states = out
-		if s = out[0]; s.Dead() || lo == 1 {
-			return s.Frontier().Intersects(e.start), true
+		if lo == 1 || !co.Any() {
+			return co.Intersects(e.start)
 		}
-		if e.dfa.Flushes()-flush0 > program.MaxFlushesPerSweep {
+		if dfa && e.dfa.Flushes()-flush0 > program.MaxFlushesPerSweep {
 			e.dfa.NoteFallback()
-			return false, false
+			dfa = false
 		}
 		hi = lo
 	}
-}
-
-// evalSeqSegmented is the constrained-eval rung of the DFA ladder:
-// between obligation boundaries the blocked mask is constant, so the
-// per-boundary closure is exactly the forward closure of a DFA whose
-// op edges exclude that mask. The sweep therefore splits the document
-// at the obligation positions and runs every obligation-free segment
-// through the program's per-mask constrained cache
-// (program.DFAForMask) — memoized transitions and self-loop skips —
-// falling back to the caller's byte-wise
-// bitset loop (ok=false) when the mask family is full or a segment
-// thrashes the cache budget. The letter crossing into an obligation
-// boundary steps raw: the obligation closure must see the pre-closure
-// frontier, matching the bitset loop's closure-then-step order.
-func (e *Engine) evalSeqSegmented(d *span.Document, need []uint64, blocked uint64) (res, ok bool) {
-	p := e.prog
-	cdfa := p.DFAForMask(blocked)
-	if cdfa == nil {
-		return false, false
-	}
-	n := d.Len()
-
-	// Obligation boundaries, ascending.
-	var obl []int
-	for pos := 1; pos <= n+1; pos++ {
-		if need[pos] != 0 {
-			obl = append(obl, pos)
-		}
-	}
-
-	var scratch []byte
-	cur := program.NewBits(p.NumStates)
-	cur.Set(p.Start)
-	pos, oi := 1, 0
-	for {
-		for oi < len(obl) && obl[oi] < pos {
-			oi++
-		}
-		if need[pos] != 0 {
-			if !e.obligationClosureProg(cur, need[pos], blocked) {
-				return false, true
-			}
-			if pos == n+1 {
-				return cur.Intersects(p.Final), true
-			}
-			// One raw letter step out of the boundary; the closure at
-			// pos+1 happens on the next iteration (obligation or
-			// segment entry).
-			c := p.ClassOf(d.RuneAt(pos))
-			if c < 0 {
-				return false, true
-			}
-			next := program.NewBits(p.NumStates)
-			if !p.LetterStep(cur, c, next) {
-				return false, true
-			}
-			cur = next
-			pos++
-			continue
-		}
-		// Obligation-free segment [pos, segEnd): close the frontier
-		// under the blocked mask and sweep it through the constrained
-		// DFA.
-		segEnd := n + 1
-		if oi < len(obl) {
-			segEnd = obl[oi]
-		}
-		p.OpClosure(cur, blocked)
-		var s *program.DState
-		s, scratch = cdfa.StateScratch(cur, scratch)
-		cdfa.NoteSegment()
-		if segEnd == n+1 && need[n+1] == 0 {
-			// Sweep to the end of the document; the final boundary's
-			// closure is folded into the last forward step, and the
-			// entry closure was just applied, so acceptance is the
-			// landing state's. (An obligation at n+1 takes the general
-			// path below instead: its boundary must see the raw
-			// pre-closure frontier.)
-			s, swept := cdfa.SweepForward(s, d, pos-1, n)
-			if !swept {
-				return false, false
-			}
-			return s.Accept(), true
-		}
-		// Forward-sweep letters pos..segEnd-2, then step the letter
-		// into the obligation boundary raw.
-		s, swept := cdfa.SweepForward(s, d, pos-1, segEnd-2)
-		if !swept {
-			return false, false
-		}
-		if s.Dead() {
-			return false, true
-		}
-		c := p.ClassOf(d.RuneAt(segEnd - 1))
-		if c < 0 {
-			return false, true
-		}
-		s = cdfa.Step(s, c, program.StepRaw)
-		if s.Dead() {
-			return false, true
-		}
-		cur = s.Frontier().Clone()
-		pos = segEnd
-	}
-}
-
-// obligationClosureProg expands cur (in place) at a boundary that must
-// consume exactly the obligation mask need: layered bitsets indexed by
-// consumed-obligation count, sound by the same sequentiality counting
-// argument as the interpreted obligationClosure.
-func (e *Engine) obligationClosureProg(cur program.Bits, need, blocked uint64) bool {
-	p := e.prog
-	total := bits.OnesCount64(need)
-	words := len(cur)
-	backing := make([]uint64, words*(total+1))
-	layer := func(c int) program.Bits { return program.Bits(backing[c*words : (c+1)*words]) }
-
-	var stack []int64 // packed count*NumStates + state
-	nStates := int64(p.NumStates)
-	cur.ForEach(func(q int) {
-		layer(0).Set(q)
-		stack = append(stack, int64(q))
-	})
-	for len(stack) > 0 {
-		idx := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		q, count := int(idx%nStates), int(idx/nStates)
-		for _, ed := range p.OpsFrom(q) {
-			nc := count
-			if ed.Mask&need != 0 {
-				if count == total {
-					continue
-				}
-				nc = count + 1
-			} else if ed.Mask&blocked != 0 {
-				continue
-			}
-			if !layer(nc).Has(int(ed.To)) {
-				layer(nc).Set(int(ed.To))
-				stack = append(stack, int64(nc)*nStates+int64(ed.To))
-			}
-		}
-	}
-	cur.CopyFrom(layer(total))
-	return cur.Any()
 }
 
 // pcfg is a compiled FPT configuration: a program state plus the

@@ -218,21 +218,6 @@ func (e *Engine) prefilterRejects(d *span.Document) bool {
 	return true
 }
 
-// AllDFAStats snapshots the engine's shared permissive cache plus the
-// program's constrained-cache family, for service-level aggregation.
-func (e *Engine) AllDFAStats() []program.DFAStats {
-	if e.dfa == nil {
-		return nil
-	}
-	out := []program.DFAStats{e.dfa.Stats()}
-	if e.prog != nil {
-		for _, d := range e.prog.ConstrainedDFAs() {
-			out = append(out, d.Stats())
-		}
-	}
-	return out
-}
-
 // DFAStats returns the counters of the engine's DFA cache; ok is
 // false when the engine has none (interpreted fallback).
 func (e *Engine) DFAStats() (program.DFAStats, bool) {

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -23,6 +24,9 @@ const fuzzMaxMappings = 4096
 // enumerates only the first k mappings, which leaves its walk
 // mid-sweep when the DFS stops, and must emit the full enumeration's
 // first k; the full enumeration after it then reuses that pooled walk.
+// Pinned Eval is the same walk stopped at its first completion: the
+// k-th mapping must model-check on the DFA and bitset engines, and a
+// copy with one span shifted by one gets the interpreted answer.
 func FuzzEnumerateOrder(f *testing.F) {
 	for i, seed := range []struct{ expr, doc string }{
 		{`.*(\n|())m{GET|POST|PUT|DELETE} (p{[^ ]*}) (st{\d\d\d}) \d* "[^"]*"( ref=(r{[^\n]*})|)\n.*`,
@@ -95,7 +99,46 @@ func FuzzEnumerateOrder(f *testing.F) {
 				}
 			}
 		}
+
+		m, shifted := fuzzPins(interp, d, max(int(k), 1))
+		if m == nil {
+			return
+		}
+		wantShifted := interp.ModelCheck(d, shifted)
+		for name, e := range map[string]*Engine{"dfa": eng, "bitset": bitset} {
+			if !e.ModelCheck(d, m) {
+				t.Fatalf("%s: ModelCheck false on emitted mapping %s, on %q / %q", name, m.Key(), expr, text)
+			}
+			if got := e.ModelCheck(d, shifted); got != wantShifted {
+				t.Fatalf("%s: ModelCheck %v on %s, interpreted %v, on %q / %q", name, got, shifted.Key(), wantShifted, expr, text)
+			}
+		}
 	})
+}
+
+// fuzzPins returns the k-th mapping e emits on d (the last when there
+// are fewer), nil when there is none, and a copy with the span of one
+// of its variables, picked by k, shifted one boundary right, or left
+// where it ends the document.
+func fuzzPins(e *Engine, d *span.Document, k int) (m, shifted span.Mapping) {
+	seen := 0
+	e.Enumerate(d, func(got span.Mapping) bool {
+		m, seen = got, seen+1
+		return seen < k
+	})
+	if m == nil {
+		return nil, nil
+	}
+	shifted = maps.Clone(m)
+	if vars := slices.Sorted(maps.Keys(m)); len(vars) > 0 {
+		v := vars[k%len(vars)]
+		if s := m[v]; s.End <= d.Len() {
+			shifted[v] = span.Sp(s.Start+1, s.End+1)
+		} else {
+			shifted[v] = span.Sp(s.Start-1, s.End-1)
+		}
+	}
+	return m, shifted
 }
 
 // fuzzKeys returns the canonical keys of the first fuzzMaxMappings

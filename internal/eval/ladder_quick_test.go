@@ -13,7 +13,7 @@ import (
 
 // This file is the differential property suite for the DFA speed
 // ladder: literal prefilters, the boundary choices cached on DFA
-// states, and the constrained-eval DFA must all
+// states, and pinned Eval's filtered walk must all
 // be pure accelerations — identical mapping sets, counts, decisions
 // and Eval verdicts against the bitset path and the interpreted
 // oracle, on adversarial documents chosen to sit on the accelerators'
@@ -113,9 +113,10 @@ func TestPrefilterEmptyMatchSpanner(t *testing.T) {
 }
 
 // TestDifferentialConstrainedEval drives pinned-span Eval — the
-// segmented constrained-DFA path — against the bitset loop and the
-// interpreted oracle, over exact pins, shifted (wrong) pins, partial
-// pins, Bottom pins, and boundary-position pins.
+// enumeration walk with a choice filter, stopped at its first
+// completion — on the DFA and bitset paths against the interpreted
+// oracle, over exact pins, shifted (wrong) pins, partial pins, Bottom
+// pins, and boundary-position pins.
 func TestDifferentialConstrainedEval(t *testing.T) {
 	for _, tc := range workloadCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -164,14 +165,12 @@ func TestDifferentialConstrainedEval(t *testing.T) {
 					}
 				}
 			}
-			if st, ok := engs["ladder"].DFAStats(); ok && len(mus) > 0 {
-				_ = st // segments may be zero on tiny docs; presence asserted below on the long doc
-			}
 		})
 	}
 
-	// A long single-obligation document must actually take the
-	// segmented path (observable as constrained-segment sweeps).
+	// On a long single-obligation document pinned Eval is one walk on
+	// the DFA path, and a warm repeat replays the layer memo without a
+	// letter step.
 	a := va.FromRGX(rgx.MustParse(`a*x{b+}a*`))
 	eng := NewEngine(a)
 	ref := NewEngine(a)
@@ -179,19 +178,83 @@ func TestDifferentialConstrainedEval(t *testing.T) {
 	pad := strings.Repeat("a", 2000)
 	d := span.NewDocument(pad + "bb" + pad)
 	mu := span.Extended{"x": {Span: span.Sp(2001, 2003)}}
-	if got, want := eng.Eval(d, mu), ref.Eval(d, mu); got != want || !got {
-		t.Fatalf("pinned Eval = %v, bitset %v (want both true)", got, want)
+	defer func() { testHookWalkDone = nil }()
+	for _, pass := range []string{"cold", "warm"} {
+		walks, steps := 0, 0
+		testHookWalkDone = func(w *seqWalk) {
+			if walks, steps = walks+1, steps+w.steps; !w.dfa {
+				t.Errorf("%s pinned Eval walked off the DFA path", pass)
+			}
+		}
+		got := eng.Eval(d, mu)
+		testHookWalkDone = nil
+		if want := ref.Eval(d, mu); got != want || !got {
+			t.Fatalf("%s pinned Eval = %v, bitset %v (want both true)", pass, got, want)
+		}
+		if walks != 1 || pass == "warm" && steps != 0 {
+			t.Fatalf("%s pinned Eval took %d walks and %d letter steps, want 1 walk (and 0 steps warm)", pass, walks, steps)
+		}
 	}
 	bad := span.Extended{"x": {Span: span.Sp(2000, 2003)}}
 	if got, want := eng.Eval(d, bad), ref.Eval(d, bad); got != want || got {
 		t.Fatalf("misaligned pinned Eval = %v, bitset %v (want both false)", got, want)
 	}
-	segs := uint64(0)
-	for _, st := range eng.AllDFAStats() {
-		segs += st.ConstrainedSegments
+}
+
+// TestPinnedEvalOnSkippedBoundary: no operation fires on the op-free
+// stretch of a DAG edge, so a pin on a boundary inside one — skipped
+// by the glide on the DFA path, where no DAG node forms — fails the
+// branch, whether the stretch leads to a node or to completion. In the
+// first expression every branch that skips the pin completes. In the
+// second, the branch firing a{} comes first in emission order, and its
+// stretch skips z's boundaries to the node where y opens, the node the
+// branch through z{x} reaches next: entered from the skipping branch,
+// it would count as failed for the one that meets the pin. Each engine
+// must give the interpreted oracle's answer.
+func TestPinnedEvalOnSkippedBoundary(t *testing.T) {
+	pad := strings.Repeat("a", 100)
+	for _, tc := range []struct {
+		expr, doc string
+		v         span.Var
+		pin       span.Span
+		want      bool
+	}{
+		{`a*(x{b}|b)a*`, pad + "b" + pad, "x", span.Sp(101, 102), true},
+		{`a*(x{b}|b)a*`, pad + "b" + pad, "x", span.Sp(50, 51), false},   // the root edge's stretch holds it
+		{`a*(x{b}|b)a*`, pad + "b" + pad, "x", span.Sp(150, 151), false}, // the completing stretch holds it
+		{`(a{}xxx|x(z{x})x)y{c}`, "xxxc", "z", span.Sp(2, 3), true},
+	} {
+		mu := span.Extended{tc.v: {Span: tc.pin}}
+		d := span.NewDocument(tc.doc)
+		for name, e := range ladderEngines(va.FromRGX(rgx.MustParse(tc.expr))) {
+			if got := e.Eval(d, mu); got != tc.want {
+				t.Errorf("%s with %s pinned to %v: %s Eval = %v, want %v", tc.expr, tc.v, tc.pin, name, got, tc.want)
+			}
+		}
 	}
-	if segs == 0 {
-		t.Fatalf("constrained Eval never swept a segment: %+v", eng.AllDFAStats())
+}
+
+// TestPinnedEvalEntersNodesOnce: a pin no branch meets makes the DFS
+// try every branch, and x{a*} alone has hundreds of them, but a node
+// that failed once is not entered again: on both paths the DFS enters
+// at most the DAG's nodes.
+func TestPinnedEvalEntersNodesOnce(t *testing.T) {
+	a := va.FromRGX(rgx.MustParse(`a*x{a*}a*(y{b}|c)`))
+	dfa, nodfa := NewEngine(a), NewEngine(a)
+	nodfa.ForceNoDFA()
+	d := span.NewDocument(strings.Repeat("a", 30) + "c")
+	mu := span.Extended{"y": {Span: span.Sp(31, 32)}} // y needs a b there
+	defer func() { testHookWalkDone = nil }()
+	for name, e := range map[string]*Engine{"dfa": dfa, "nodfa": nodfa} {
+		branches := e.Count(d)
+		entered, nodes := -1, 0
+		testHookWalkDone = func(w *seqWalk) { entered, nodes = w.entered, len(w.nodes) }
+		got := e.Eval(d, mu)
+		testHookWalkDone = nil
+		if got || entered < 0 || entered > nodes || nodes >= branches {
+			t.Errorf("%s: Eval = %v entering %d of %d DAG nodes, %d branches; want false, each node at most once, fewer nodes than branches",
+				name, got, entered, nodes, branches)
+		}
 	}
 }
 

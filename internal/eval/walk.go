@@ -26,9 +26,10 @@ import (
 // after k mappings has stepped only the prefix they needed — never
 // more letters than one whole sweep — so the delay is polynomial
 // (Theorem 5.7) and the cost prefix-only. Enumerate, Count (a path
-// count over the whole sweep) and incremental sessions' window
-// re-walks all go through it; nothing else advances a frontier during
-// enumeration.
+// count over the whole sweep), pinned Eval (exists: the DFS with a
+// choice filter, stopped at its first completion) and incremental
+// sessions' window re-walks all go through it; nothing else advances a
+// frontier during enumeration.
 //
 // With the lazy DFA on, the co-reach is one interned state per
 // boundary, swept backwards at one load per byte of an ASCII document
@@ -238,6 +239,7 @@ type seqWalk struct {
 	steps       int    // letter steps taken
 	firerTests  int    // exact firer tests glide took
 	layerMisses int    // glide steps and boundary effects computed, not replayed
+	entered     int    // DAG nodes exists entered
 
 	// The sweep's state between pulls: the boundary it sweeps next, its
 	// next prune point and flush check, the DFA's flush count when it
@@ -255,10 +257,10 @@ type seqWalk struct {
 // sweep builds (edges[0] is the root edge) with the arena of the
 // boundary choices the bitset path resolves, the sweep's two layers
 // and bitset scratch, the DFS's stack and the tuple it emits, Count's
-// path counts, and a memo miss's DAG, layers and states. Every slab is
-// resliced, never trusted for its contents, so a buffer that comes
-// back from a wider program or a longer document serves the next walk
-// as is.
+// path counts, the nodes exists entered, and a memo miss's DAG, layers
+// and states. Every slab is resliced, never trusted for its contents,
+// so a buffer that comes back from a wider program or a longer
+// document serves the next walk as is.
 type walkBufs struct {
 	coBufs
 	nodes   []dagNode
@@ -271,6 +273,7 @@ type walkBufs struct {
 	fired   []firedOp
 	tuple   []span.Span
 	paths   []int
+	seen    program.Bits
 
 	missNodes  []dagNode
 	missEdges  []dagEdge
@@ -904,7 +907,8 @@ func (w *seqWalk) regroup(fs []liveFrontier, remap []int32) []liveFrontier {
 }
 
 // walkFrame is a node's untried edges [next, end); base is the number
-// of operations fired before its boundary pos.
+// of operations fired before its boundary pos (run), or the index of
+// the first obligation past pos (exists).
 type walkFrame struct {
 	next, end int32
 	pos, base int
@@ -951,6 +955,73 @@ func (w *seqWalk) run(start program.Bits, emit func(t []span.Span) bool) {
 	}
 	w.fired, w.stack, w.tuple = fired, stack, t
 	w.done()
+}
+
+// obligation is a boundary where a pinned mapping demands operations:
+// of the operations the mapping constrains, exactly mask fires there.
+type obligation struct {
+	pos  int
+	mask uint64
+}
+
+// exists reports whether some branch from the frontier start at lo
+// fires, of the operations in blocked, exactly those obl (sorted by
+// boundary, at most one per boundary) demands at each boundary: Eval
+// under a pinned mapping, the DFS of run with a choice filter, stopped
+// at its first completion. An edge of a node at p is tried only if its
+// mask meets blocked in what p demands. Nothing fires on the op-free
+// stretch an edge covers, up to its node or, when it completes,
+// through hi, so an edge whose stretch holds an obligation is dead;
+// the root edge's stretch starts at lo. Whether a node completes
+// depends on the node alone, and edges lead to later boundaries, so a
+// node reached again has already failed: the DFS enters each node at
+// most once (entered), linear in the DAG, not in its paths.
+func (w *seqWalk) exists(start program.Bits, obl []obligation, blocked uint64) bool {
+	w.begin(start)
+	seen, stack := w.seen[:0], append(w.stack[:0], walkFrame{end: 1, pos: w.lo - 1})
+	found := false
+	for len(stack) > 0 && !found {
+		top := len(stack) - 1
+		f := stack[top]
+		if stack[top].next++; f.next+1 == f.end {
+			stack = stack[:top]
+		}
+		var need uint64
+		if f.base > 0 && obl[f.base-1].pos == f.pos {
+			need = obl[f.base-1].mask
+		}
+		if w.edges[f.next].mask&blocked != need {
+			continue
+		}
+		if w.edges[f.next].to == toPending && w.sweeping() {
+			w.pull(f.next)
+		}
+		switch to := w.edges[f.next].to; to {
+		case toEnd:
+			found = f.base == len(obl)
+		case toPending: // dead: the sweep ended without reaching it
+		default:
+			n, i := w.nodes[to], f.base
+			if i < len(obl) && obl[i].pos < int(n.pos) {
+				continue // an obligation on the stretch
+			}
+			if k := int(to>>6) + 1; k > len(seen) {
+				seen = append(seen, make(program.Bits, k-len(seen))...)
+			}
+			if seen.Has(int(to)) {
+				continue
+			}
+			seen.Set(int(to))
+			w.entered++
+			if i < len(obl) && obl[i].pos == int(n.pos) {
+				i++
+			}
+			stack = append(stack, walkFrame{next: n.first, end: n.end, pos: int(n.pos), base: i})
+		}
+	}
+	w.seen, w.stack = seen, stack
+	w.done()
+	return found
 }
 
 // count returns the number of branches run would emit, without walking

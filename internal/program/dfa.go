@@ -14,14 +14,12 @@ import (
 //	(frontier bitset, rune equivalence class) → next frontier
 //
 // built on demand during execution — determinization restricted to
-// the state space a real document stream actually visits, the move
-// behind the paper's P-time Boolean evaluation for sequential VAs.
-// Frontiers are interned into DFA states; each state carries one
-// lazily filled transition row per stepping kind:
+// the state space a real document stream actually visits. Frontiers
+// are interned into DFA states; each state carries one lazily filled
+// transition row per stepping kind:
 //
-//	StepForward  LetterStep then OpClosure(·, blocked) — forward
-//	             reach, and the obligation-free segments of the
-//	             constrained evaluator;
+//	StepForward  LetterStep then OpClosure — forward reach, for the
+//	             candidate spans of the non-sequential filtered path;
 //	StepReverse  LetterStepBack then ROpClosure — co-reachability;
 //	StepRaw      LetterStep alone — the letter half of a step whose
 //	             closure the engine handles itself (FPT status
@@ -32,6 +30,12 @@ import (
 // revSlotNone-1 classes), so the co-reach sweep of an ASCII document
 // (BackwardFrontiers) takes one dependent load per byte: the slot
 // depends only on the byte, and there is no test for a loop.
+//
+// No row depends on a mapping. The paper's P-time Eval for sequential
+// VAs runs on the reverse and raw rows alone: NonEmpty is one reverse
+// sweep, and Eval under a pinned mapping is the enumeration walk
+// (internal/eval) with a choice filter, stopped at its first
+// completion.
 //
 // The cache is shared by every engine executing the program (it hangs
 // off the Program, which the service caches and the registry decodes)
@@ -48,17 +52,13 @@ import (
 // fallbacks). Stale states held by in-flight runs stay valid after a
 // flush: transitions are pure functions of the frontier, so an old
 // subgraph can never go wrong, only cold.
-//
-// A forward sweep (SweepForward) skips: when a state's completed
-// forward row shows ASCII self-loops, one tight loop consumes the
-// self-looping byte run.
 
 // StepKind selects the transition semantics of one DFA step.
 type StepKind uint8
 
 const (
 	// StepForward composes LetterStep with the forward boundary
-	// closure OpClosure(·, blocked) of the cache's mask.
+	// closure OpClosure.
 	StepForward StepKind = iota
 	// StepReverse composes LetterStepBack with ROpClosure.
 	StepReverse
@@ -82,20 +82,17 @@ const MaxFlushesPerSweep = 4
 // looks at the flush counter.
 const FlushCheckInterval = 1024
 
-// maxConstrainedMasks bounds the per-program family of
-// constrained-closure DFA caches (one per distinct blocked-variable
-// mask); evaluation under masks beyond the bound falls back to bitset
-// stepping.
-const maxConstrainedMasks = 16
-
 // DFAStats is a point-in-time snapshot of one DFA cache.
 type DFAStats struct {
 	// ID identifies the cache within the process, so aggregators can
 	// deduplicate spanners sharing one program (and therefore one
 	// cache).
-	ID     uint64 `json:"id"`
-	States int    `json:"states"`
-	Budget int    `json:"budget"`
+	ID uint64 `json:"id"`
+	// States counts interned states and Layers the walk's interned
+	// layers (layer.go); together they fill Budget.
+	States int `json:"states"`
+	Layers int `json:"layers"`
+	Budget int `json:"budget"`
 	// Hits and Misses count memoized-transition lookups; Evictions
 	// counts states dropped by budget flushes, Flushes the flushes
 	// themselves; Fallbacks counts document sweeps abandoned to plain
@@ -105,37 +102,20 @@ type DFAStats struct {
 	Evictions uint64 `json:"evictions"`
 	Flushes   uint64 `json:"flushes"`
 	Fallbacks uint64 `json:"fallbacks"`
-	// SkippedRunes counts runes a forward sweep consumed by self-loop
-	// skips.
-	SkippedRunes uint64 `json:"skipped_runes"`
-	// Blocked is the variable-operation mask this cache's forward
-	// closures exclude; zero on the shared permissive cache.
-	Blocked uint64 `json:"blocked,omitempty"`
 	// Prefilter counters: required-literal absence checks performed
 	// and the documents they rejected outright.
 	PrefilterChecks uint64 `json:"prefilter_checks"`
 	PrefilterPrunes uint64 `json:"prefilter_prunes"`
-	// ConstrainedSegments counts obligation-free document segments
-	// swept through this cache by the constrained evaluator.
-	ConstrainedSegments uint64 `json:"constrained_segments"`
 }
 
 // dfaIDs hands out process-unique cache identities.
 var dfaIDs atomic.Uint64
-
-// skipInfo is the self-loop skip of one state: the ASCII bytes whose
-// class maps the state to itself under the forward step.
-type skipInfo struct {
-	ascii [2]uint64
-	any   bool
-}
 
 // DState is one interned frontier of the lazy DFA. All fields are
 // written before the state is published (or through atomics after);
 // Frontier must be treated as read-only.
 type DState struct {
 	frontier Bits
-	accept   bool // frontier ∩ Final ≠ ∅
 	dead     bool // empty frontier
 	// firers are the states of the frontier with an operation edge
 	// into the frontier (Program.FirersIn): read as a co-reach set, the
@@ -150,13 +130,9 @@ type DState struct {
 	choices atomic.Pointer[[]Choice]
 
 	// next holds the memoized transitions, numStepKinds rows of
-	// NumClasses entries each; nil = not yet computed. The forward row
-	// is materialized whole on the state's first forward visit (lazy
-	// per state, eager per row — the point where the skip becomes
-	// derivable); reverse and raw rows fill per class.
-	next     []atomic.Pointer[DState]
-	fwdReady atomic.Bool
-	skip     atomic.Pointer[skipInfo]
+	// NumClasses entries each, filled per class; nil = not yet
+	// computed.
+	next []atomic.Pointer[DState]
 
 	// rev is the reverse row by slot (Program.revSlot): slot 0 holds
 	// the dead state, for a byte outside the alphabet, and slot c+1 the
@@ -177,9 +153,6 @@ const revSlotNone = 31
 // Frontier returns the state's frontier bitset. It is shared across
 // the cache and must not be modified.
 func (s *DState) Frontier() Bits { return s.frontier }
-
-// Accept reports whether the frontier contains an accepting state.
-func (s *DState) Accept() bool { return s.accept }
 
 // Dead reports whether the frontier is empty (every continuation
 // rejects).
@@ -229,14 +202,6 @@ type DFA struct {
 	p      *Program
 	id     uint64
 	budget int
-	// blocked is the op mask the forward closure excludes. The shared
-	// cache uses 0 (permissive closure); the constrained family built
-	// by Program.DFAForMask uses the evaluator's blocked-variable
-	// mask, so forward steps through such a cache are exactly the
-	// obligation-free steps of the constrained sequential evaluator.
-	// Reverse rows of a constrained cache are meaningless — only the
-	// permissive cache serves co-reachability.
-	blocked uint64
 
 	mu     sync.RWMutex
 	states map[string]*DState
@@ -255,10 +220,8 @@ type DFA struct {
 	evictions  atomic.Uint64
 	flushes    atomic.Uint64
 	fallbacks  atomic.Uint64
-	skipped    atomic.Uint64
 	prefChecks atomic.Uint64
 	prefPrunes atomic.Uint64
-	segments   atomic.Uint64
 }
 
 // DFA returns the program's shared lazy-DFA cache, creating it with
@@ -273,63 +236,21 @@ func (p *Program) DFA() *DFA {
 // NewDFA builds a DFA cache over p with the given interned-state
 // budget (values < 3 are raised to 3: the start, dead and final
 // co-reach states are permanently useful).
-func NewDFA(p *Program, budget int) *DFA { return newDFA(p, budget, 0) }
-
-func newDFA(p *Program, budget int, blocked uint64) *DFA {
+func NewDFA(p *Program, budget int) *DFA {
 	if budget < 3 {
 		budget = 3
 	}
 	d := &DFA{
-		p:       p,
-		id:      dfaIDs.Add(1),
-		budget:  budget,
-		blocked: blocked,
-		states:  make(map[string]*DState),
-		layers:  make(map[string]*Layer),
+		p:      p,
+		id:     dfaIDs.Add(1),
+		budget: budget,
+		states: make(map[string]*DState),
+		layers: make(map[string]*Layer),
 	}
 	d.mu.Lock()
 	d.seedLocked()
 	d.mu.Unlock()
 	return d
-}
-
-// DFAForMask returns the program's lazy-DFA cache whose forward
-// closures exclude the given blocked-variable mask: mask 0 is the
-// shared permissive cache, other masks resolve through a bounded
-// per-program family (one constrained evaluation pattern tends to
-// repeat across documents, so the family amortizes exactly like the
-// shared cache). Returns nil when the family is full — the caller
-// falls back to bitset stepping.
-func (p *Program) DFAForMask(blocked uint64) *DFA {
-	if blocked == 0 {
-		return p.DFA()
-	}
-	p.constrMu.Lock()
-	defer p.constrMu.Unlock()
-	if d, ok := p.constrained[blocked]; ok {
-		return d
-	}
-	if len(p.constrained) >= maxConstrainedMasks {
-		return nil
-	}
-	if p.constrained == nil {
-		p.constrained = make(map[uint64]*DFA)
-	}
-	d := newDFA(p, DefaultDFABudget, blocked)
-	p.constrained[blocked] = d
-	return d
-}
-
-// ConstrainedDFAs snapshots the program's constrained-cache family,
-// for stats aggregation.
-func (p *Program) ConstrainedDFAs() []*DFA {
-	p.constrMu.Lock()
-	defer p.constrMu.Unlock()
-	out := make([]*DFA, 0, len(p.constrained))
-	for _, d := range p.constrained {
-		out = append(out, d)
-	}
-	return out
 }
 
 // seedLocked interns fresh start, dead and final co-reach states into
@@ -338,7 +259,7 @@ func (d *DFA) seedLocked() {
 	d.dead.Store(d.internLocked(NewBits(d.p.NumStates)))
 	startFrontier := NewBits(d.p.NumStates)
 	startFrontier.Set(d.p.Start)
-	d.p.OpClosure(startFrontier, d.blocked)
+	d.p.OpClosure(startFrontier, 0)
 	d.start.Store(d.internLocked(startFrontier))
 	final := d.p.Final.Clone()
 	d.p.ROpClosure(final)
@@ -348,22 +269,20 @@ func (d *DFA) seedLocked() {
 // Stats snapshots the cache counters.
 func (d *DFA) Stats() DFAStats {
 	d.mu.Lock()
-	size := len(d.states)
+	states, layers := len(d.states), len(d.layers)
 	d.mu.Unlock()
 	return DFAStats{
-		ID:                  d.id,
-		States:              size,
-		Budget:              d.budget,
-		Hits:                d.hits.Load(),
-		Misses:              d.misses.Load(),
-		Evictions:           d.evictions.Load(),
-		Flushes:             d.flushes.Load(),
-		Fallbacks:           d.fallbacks.Load(),
-		SkippedRunes:        d.skipped.Load(),
-		Blocked:             d.blocked,
-		PrefilterChecks:     d.prefChecks.Load(),
-		PrefilterPrunes:     d.prefPrunes.Load(),
-		ConstrainedSegments: d.segments.Load(),
+		ID:              d.id,
+		States:          states,
+		Layers:          layers,
+		Budget:          d.budget,
+		Hits:            d.hits.Load(),
+		Misses:          d.misses.Load(),
+		Evictions:       d.evictions.Load(),
+		Flushes:         d.flushes.Load(),
+		Fallbacks:       d.fallbacks.Load(),
+		PrefilterChecks: d.prefChecks.Load(),
+		PrefilterPrunes: d.prefPrunes.Load(),
 	}
 }
 
@@ -373,10 +292,6 @@ func (d *DFA) NotePrefilterCheck() { d.prefChecks.Add(1) }
 // NotePrefilterPrune counts one document rejected outright by the
 // required-literal prefilter.
 func (d *DFA) NotePrefilterPrune() { d.prefPrunes.Add(1) }
-
-// NoteSegment counts one obligation-free segment swept through this
-// cache by the constrained evaluator.
-func (d *DFA) NoteSegment() { d.segments.Add(1) }
 
 // Start returns the forward start state: the op-closure of the
 // program's start state (of the current cache generation).
@@ -429,7 +344,6 @@ func (d *DFA) internLocked(frontier Bits) *DState {
 	firers := d.p.FirersIn(frontier)
 	s := &DState{
 		frontier: frontier,
-		accept:   frontier.Intersects(d.p.Final),
 		dead:     !frontier.Any(),
 		firers:   firers,
 		fold:     firers.Fold(),
@@ -458,12 +372,8 @@ func (d *DFA) flushLocked() {
 
 // Step returns the memoized transition of s on class c under kind,
 // computing and interning it on a miss. c must be a valid class
-// (0 ≤ c < NumClasses). Forward steps materialize the state's whole
-// forward row on first visit.
+// (0 ≤ c < NumClasses).
 func (d *DFA) Step(s *DState, c int, kind StepKind) *DState {
-	if kind == StepForward {
-		d.fillFwdRow(s)
-	}
 	idx := int(kind)*d.p.NumClasses + c
 	if ns := s.next[idx].Load(); ns != nil {
 		d.hits.Add(1)
@@ -476,8 +386,7 @@ func (d *DFA) Step(s *DState, c int, kind StepKind) *DState {
 // StepBatched is Step for a sweep that batches its own counter
 // traffic: a memoized transition touches no shared counter and reports
 // hit, and the caller adds its hits once through NoteHits. A miss is
-// counted as in Step. kind must not be StepForward, whose whole-row
-// fill Step does.
+// counted as in Step.
 func (d *DFA) StepBatched(s *DState, c int, kind StepKind) (ns *DState, hit bool) {
 	if ns = s.next[int(kind)*d.p.NumClasses+c].Load(); ns != nil {
 		return ns, true
@@ -489,29 +398,6 @@ func (d *DFA) StepBatched(s *DState, c int, kind StepKind) (ns *DState, hit bool
 // NoteHits adds n memoized-transition hits counted by a batched sweep.
 func (d *DFA) NoteHits(n uint64) { d.hits.Add(n) }
 
-// fillFwdRow materializes the complete forward row of s (lazy per
-// state, eager per row) and derives the self-loop skip from it. The
-// computed transitions count as misses. Concurrent fills are benign:
-// targets dedup through interning and skip derivation is idempotent.
-func (d *DFA) fillFwdRow(s *DState) {
-	if s.fwdReady.Load() {
-		return
-	}
-	computed := 0
-	base := int(StepForward) * d.p.NumClasses
-	for c := 0; c < d.p.NumClasses; c++ {
-		if s.next[base+c].Load() == nil {
-			d.stepSlow(s, c, StepForward)
-			computed++
-		}
-	}
-	d.deriveSkip(s)
-	s.fwdReady.Store(true)
-	if computed > 0 {
-		d.misses.Add(uint64(computed))
-	}
-}
-
 // stepSlow computes one transition, interns the target, and publishes
 // it in the row. Concurrent computations of the same entry intern the
 // same target; the first CompareAndSwap wins.
@@ -520,7 +406,7 @@ func (d *DFA) stepSlow(s *DState, c int, kind StepKind) *DState {
 	switch kind {
 	case StepForward:
 		d.p.LetterStep(s.frontier, c, next)
-		d.p.OpClosure(next, d.blocked)
+		d.p.OpClosure(next, 0)
 	case StepReverse:
 		d.p.LetterStepBack(s.frontier, c, next)
 		d.p.ROpClosure(next)
@@ -535,87 +421,6 @@ func (d *DFA) stepSlow(s *DState, c int, kind StepKind) *DState {
 	return ns
 }
 
-// deriveSkip computes the self-loop skip once the state's forward row
-// is complete: the ASCII bytes whose class leaves the state unchanged.
-func (d *DFA) deriveSkip(s *DState) {
-	var si skipInfo
-	for b := 0; b < 128; b++ {
-		c := d.p.asciiClass[b]
-		if c < 0 {
-			continue
-		}
-		if s.next[int(StepForward)*d.p.NumClasses+int(c)].Load() == s {
-			si.ascii[b>>6] |= 1 << (uint(b) & 63)
-			si.any = true
-		}
-	}
-	s.skip.Store(&si)
-}
-
-// SweepForward advances s across the 0-based rune offsets [from,to)
-// of doc under forward semantics (letter step then op closure
-// excluding this cache's blocked mask), consuming each run of ASCII
-// bytes the state loops on in one skip loop. Returns the landing state
-// — the dead state as soon as the frontier dies — or ok=false when the
-// sweep abandoned the cache after budget thrash (the caller falls back
-// to bitset stepping). Counter traffic is batched per sweep.
-func (d *DFA) SweepForward(s *DState, doc *span.Document, from, to int) (_ *DState, ok bool) {
-	flush0 := d.flushes.Load()
-	var hits, skipped uint64
-	defer func() {
-		d.hits.Add(hits)
-		d.skipped.Add(skipped)
-	}()
-	fwdBase := int(StepForward) * d.p.NumClasses
-	check := from + FlushCheckInterval
-	for i := from; i < to; {
-		if i >= check {
-			if d.flushes.Load()-flush0 > MaxFlushesPerSweep {
-				d.NoteFallback()
-				return nil, false
-			}
-			check = i + FlushCheckInterval
-		}
-		if s.dead {
-			return s, true
-		}
-		if si := s.skip.Load(); si != nil && si.any {
-			j := i
-			for j < to {
-				r := doc.RuneAt(j + 1)
-				if r >= 0 && r < 128 && si.ascii[r>>6]&(1<<(uint(r)&63)) != 0 {
-					j++
-					continue
-				}
-				break
-			}
-			if j > i {
-				hits += uint64(j - i)
-				skipped += uint64(j - i)
-				i = j
-				continue
-			}
-		}
-		c := d.p.ClassOf(doc.RuneAt(i + 1))
-		if c < 0 {
-			return d.dead.Load(), true
-		}
-		ns := s.next[fwdBase+c].Load()
-		if ns != nil {
-			hits++
-		} else {
-			d.fillFwdRow(s)
-			ns = s.next[fwdBase+c].Load()
-		}
-		if ns.dead {
-			return ns, true
-		}
-		s = ns
-		i++
-	}
-	return s, true
-}
-
 // ForwardFrontiers computes, for every position 1..n+1, the states
 // reachable from the start reading the document prefix with
 // operations treated permissively as ε — forwardReach on the
@@ -628,8 +433,11 @@ func (d *DFA) ForwardFrontiers(doc *span.Document) (out []Bits, ok bool) {
 	out = make([]Bits, n+2)
 	s := d.start.Load()
 	flush0 := d.flushes.Load()
-	var hits uint64
-	defer func() { d.hits.Add(hits) }()
+	var hits, misses uint64
+	defer func() {
+		d.hits.Add(hits)
+		d.misses.Add(misses)
+	}()
 	base := int(StepForward) * d.p.NumClasses
 	check := FlushCheckInterval
 	for pos := 1; pos <= n+1; pos++ {
@@ -649,8 +457,8 @@ func (d *DFA) ForwardFrontiers(doc *span.Document) (out []Bits, ok bool) {
 				hits++
 				s = ns
 			} else {
-				d.fillFwdRow(s)
-				s = s.next[base+c].Load()
+				misses++
+				s = d.stepSlow(s, c, StepForward)
 			}
 		} else {
 			s = d.dead.Load()

@@ -262,22 +262,6 @@ func TestDFAConcurrentSharedCache(t *testing.T) {
 	}
 }
 
-func TestDFASkipSuperinstructionFires(t *testing.T) {
-	p := compileCorpus(t, `.*(Seller: x{[^,\n]*}, ID\d*(, \$y{[^\n]*}|)\n).*`)
-	d := NewDFA(p, 256)
-	doc := span.NewDocument(strings.Repeat("padding without trigger\n", 8) + "Seller: A, ID1\n")
-	// First pass materializes rows; later passes should skip.
-	for i := 0; i < 4; i++ {
-		s, ok := d.SweepForward(d.Start(), doc, 0, doc.Len())
-		if !ok || !s.Accept() {
-			t.Fatalf("pass %d: accept=%v ok=%v", i, ok && s.Accept(), ok)
-		}
-	}
-	if st := d.Stats(); st.SkippedRunes == 0 {
-		t.Fatalf("letter-heavy document produced no skipped runes: %+v", st)
-	}
-}
-
 func TestDFAStatsCounters(t *testing.T) {
 	p := compileCorpus(t, `a*x{a*}a*`)
 	d := NewDFA(p, 64)
@@ -381,7 +365,7 @@ func TestASCIIClassTableMatchesBinarySearch(t *testing.T) {
 // resident state of every cache pays: a field that raises it must
 // raise this bound and say why.
 func TestDStateSize(t *testing.T) {
-	if n := unsafe.Sizeof(DState{}); n > 384 {
-		t.Fatalf("a DState is %d B, want at most 384", n)
+	if n := unsafe.Sizeof(DState{}); n > 352 {
+		t.Fatalf("a DState is %d B, want at most 352", n)
 	}
 }

@@ -72,7 +72,7 @@ func TestLayerConcurrentFill(t *testing.T) {
 }
 
 // TestLayersCountTowardBudget: layers share the DFA's budget with its
-// states, and a flush drops them.
+// states, Stats counts both, and a flush drops them.
 func TestLayersCountTowardBudget(t *testing.T) {
 	p := compileCorpus(t, `.*(Seller: x{[^,\n]*}, ID\d*(, \$y{[^\n]*}|)\n).*`)
 	d := NewDFA(p, 5)
@@ -97,6 +97,25 @@ func TestLayersCountTowardBudget(t *testing.T) {
 	d.Step(start, p.ClassOf(','), StepRaw)
 	if again, _ := d.Layer([]*DState{start, sa}, false, nil); again == l1 {
 		t.Fatal("the layer survived the flush its states' budget forced")
+	}
+
+	// Filled to its budget with states and layers, a cache reports both
+	// counts within it, and the flush the next state forces drops both.
+	d = NewDFA(p, 8)
+	start = d.Start()
+	sa, sb = d.Step(start, a, StepRaw), d.Step(start, b, StepRaw)
+	for _, s := range []*DState{start, sa, sb} {
+		d.Layer([]*DState{s}, false, nil)
+	}
+	full := d.Stats()
+	if full.Flushes != 0 || full.Layers != 3 || full.States+full.Layers > full.Budget {
+		t.Fatalf("%d states and %d layers after %d flushes, want 3 layers within the budget of %d and no flush",
+			full.States, full.Layers, full.Flushes, full.Budget)
+	}
+	d.Step(sb, p.ClassOf('e'), StepRaw) // "Se": a state not yet interned
+	if st := d.Stats(); st.Flushes != 1 || st.States >= full.States || st.Layers >= full.Layers {
+		t.Fatalf("%d states and %d layers after %d flushes, had %d and %d before the flush",
+			st.States, st.Layers, st.Flushes, full.States, full.Layers)
 	}
 }
 

@@ -127,12 +127,9 @@ type Program struct {
 	fpOnce  sync.Once
 	fp      uint64
 
-	// Required-literal prefilter (prefilter.go) and the bounded family
-	// of constrained-closure DFA caches (dfa.go), both lazy.
-	prefOnce    sync.Once
-	pref        *Prefilter
-	constrMu    sync.Mutex
-	constrained map[uint64]*DFA
+	// Required-literal prefilter (prefilter.go), lazy.
+	prefOnce sync.Once
+	pref     *Prefilter
 
 	stats Stats
 }

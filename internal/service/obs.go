@@ -118,14 +118,6 @@ func newObservability(svc *Service, traceRetention int) *Observability {
 				{Labels: []string{obs.L("outcome", "passed")}, Value: float64(st.PrefilterChecks - st.PrefilterPrunes)},
 			}
 		})
-	r.RegisterGaugeFunc("spand_dfa_constrained_states",
-		"Resident states across the per-mask constrained DFA families.", func() []obs.Sample {
-			return []obs.Sample{{Value: float64(svc.dfaStats().ConstrainedStates)}}
-		})
-	r.RegisterCounterFunc("spand_dfa_constrained_segments_total",
-		"Obligation-free segments swept by the constrained evaluator.", func() []obs.Sample {
-			return []obs.Sample{{Value: float64(svc.dfaStats().ConstrainedSegments)}}
-		})
 	r.RegisterGaugeFunc("spand_docstore_bytes",
 		"Bytes held by the document store (documents, journals, attached sessions).", func() []obs.Sample {
 			return []obs.Sample{{Value: float64(svc.docs.Stats().Bytes)}}

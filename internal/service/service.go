@@ -205,25 +205,18 @@ func (s *Service) trackDFA(sp *spanners.Spanner) {
 // DFAStats aggregates the lazy-DFA transition caches behind every
 // compiled spanner the service has produced or loaded: resident
 // determinized states, transition hit/miss traffic, budget flushes
-// with their evictions, sweeps that fell back to bitset stepping, and
-// self-loop skips.
+// with their evictions, and sweeps that fell back to bitset stepping.
 type DFAStats struct {
-	Caches       int    `json:"caches"`
-	States       int    `json:"states"`
-	Hits         uint64 `json:"hits"`
-	Misses       uint64 `json:"misses"`
-	Evictions    uint64 `json:"evictions"`
-	Flushes      uint64 `json:"flushes"`
-	Fallbacks    uint64 `json:"fallbacks"`
-	SkippedRunes uint64 `json:"skipped_runes"`
-	// Speed-ladder counters: required-literal prefilter checks and
-	// the documents they pruned, and the per-mask constrained-DFA
-	// family behind pinned-span Eval.
-	PrefilterChecks     uint64 `json:"prefilter_checks"`
-	PrefilterPrunes     uint64 `json:"prefilter_prunes"`
-	ConstrainedCaches   int    `json:"constrained_caches"`
-	ConstrainedStates   int    `json:"constrained_states"`
-	ConstrainedSegments uint64 `json:"constrained_segments"`
+	Caches    int    `json:"caches"`
+	States    int    `json:"states"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+	Flushes   uint64 `json:"flushes"`
+	Fallbacks uint64 `json:"fallbacks"`
+	// Required-literal prefilter checks and the documents they pruned.
+	PrefilterChecks uint64 `json:"prefilter_checks"`
+	PrefilterPrunes uint64 `json:"prefilter_prunes"`
 	// Truncated reports that the observability index hit its cap and
 	// the sums above are a lower bound.
 	Truncated bool `json:"truncated,omitempty"`
@@ -255,12 +248,8 @@ func (s *Service) dfaStats() DFAStats {
 		out.Evictions += st.Evictions
 		out.Flushes += st.Flushes
 		out.Fallbacks += st.Fallbacks
-		out.SkippedRunes += st.SkippedRunes
 		out.PrefilterChecks += st.PrefilterChecks
 		out.PrefilterPrunes += st.PrefilterPrunes
-		out.ConstrainedCaches += st.ConstrainedCaches
-		out.ConstrainedStates += st.ConstrainedStates
-		out.ConstrainedSegments += st.ConstrainedSegments
 	}
 	return out
 }

@@ -28,9 +28,10 @@
 #      every spand_gate_* family is exposed with HELP/TYPE headers and
 #      the driven batch + stream traffic lands on the shard-request
 #      and streamed-lines counters,
-#   8. assert no drift between the scrapes and the docs: every family
-#      named on a # TYPE line of the spand or the spangate scrape has
-#      a row in docs/OBSERVABILITY.md.
+#   8. assert no drift between the scrapes and the docs, both ways:
+#      every family named on a # TYPE line of the spand or the
+#      spangate scrape has a row in docs/OBSERVABILITY.md, and every
+#      spand_* family with a row there is named on such a line.
 #
 # Requires: go, curl, jq.
 set -euo pipefail
@@ -163,9 +164,8 @@ done
 expiries=$(awk '/^spand_deadline_expiries_total/ {print $2}' "$prom")
 [ "$expiries" = "2" ] || die "spand_deadline_expiries_total=$expiries, want 2"
 
-# The DFA speed-ladder families (prefilter, constrained family) must
-# be exposed.
-for fam in spand_dfa_prefilter_checks_total spand_dfa_constrained_segments_total; do
+# The DFA speed-ladder family (the prefilter) must be exposed.
+for fam in spand_dfa_prefilter_checks_total; do
   grep -q "^# HELP $fam " "$prom" || die "speed-ladder family $fam missing"
 done
 
@@ -279,10 +279,16 @@ ginf=$(awk -F' ' '/^spand_gate_fanout_duration_seconds_bucket\{le="\+Inf"\}/ {pr
 gcnt=$(awk -F' ' '/^spand_gate_fanout_duration_seconds_count/ {print $2}' "$gprom")
 [ -n "$ginf" ] && [ "$ginf" = "$gcnt" ] || die "gate fanout +Inf bucket $ginf != count $gcnt"
 
-echo "== every scraped family is documented"
-for fam in $(awk '/^# TYPE / {print $3}' "$prom" "$gprom" | sort -u); do
+echo "== every scraped family is documented, every documented family scraped"
+typed="$workdir/typed.txt"
+awk '/^# TYPE / {print $3}' "$prom" "$gprom" | sort -u > "$typed"
+for fam in $(cat "$typed"); do
   grep -qF "\`$fam\`" docs/OBSERVABILITY.md \
     || die "family $fam is exposed but has no row in docs/OBSERVABILITY.md"
 done
+for fam in $(grep -o '^| `spand_[a-z0-9_]*`' docs/OBSERVABILITY.md | tr -d '|` '); do
+  grep -qxF "$fam" "$typed" \
+    || die "family $fam has a row in docs/OBSERVABILITY.md but no # TYPE line in either scrape"
+done
 
-echo "check_metrics: PASS (exposition well-formed, per-stage + emission-delay histograms live, deadline 503 counted, traces retrievable by request ID, spand_gate_* families live, every family documented)"
+echo "check_metrics: PASS (exposition well-formed, per-stage + emission-delay histograms live, deadline 503 counted, traces retrievable by request ID, spand_gate_* families live, every family documented and every documented family exposed)"

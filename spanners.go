@@ -207,8 +207,11 @@ type DFAStats struct {
 	Enabled bool `json:"enabled"`
 	// CacheID is the process-unique identity of the shared cache.
 	CacheID uint64 `json:"cache_id,omitempty"`
-	// States counts resident determinized states; Budget bounds them.
+	// States counts resident determinized states and Layers the
+	// enumeration walk's interned layers; Budget bounds the two
+	// together.
 	States int `json:"states"`
+	Layers int `json:"layers"`
 	Budget int `json:"budget"`
 	// Hits and Misses count memoized-transition lookups. Evictions
 	// counts states dropped by budget flushes, Flushes those flushes,
@@ -219,21 +222,11 @@ type DFAStats struct {
 	Evictions uint64 `json:"evictions"`
 	Flushes   uint64 `json:"flushes"`
 	Fallbacks uint64 `json:"fallbacks"`
-	// SkippedRunes counts the runes forward sweeps consumed by
-	// self-loop skips.
-	SkippedRunes uint64 `json:"skipped_runes"`
 	// PrefilterChecks counts required-literal absence scans and
 	// PrefilterPrunes the documents those scans rejected outright
 	// (no DFA or bitset work at all).
 	PrefilterChecks uint64 `json:"prefilter_checks"`
 	PrefilterPrunes uint64 `json:"prefilter_prunes"`
-	// ConstrainedCaches / ConstrainedStates size the per-mask DFA
-	// family the constrained evaluator builds for pinned-span Eval;
-	// ConstrainedSegments counts obligation-free segments swept
-	// through it.
-	ConstrainedCaches   int    `json:"constrained_caches"`
-	ConstrainedStates   int    `json:"constrained_states"`
-	ConstrainedSegments uint64 `json:"constrained_segments"`
 }
 
 // BoundaryMemoStats is the zero-valued result of the deprecated
@@ -263,30 +256,20 @@ func (s *Spanner) DFAStats() DFAStats {
 	if !ok {
 		return DFAStats{}
 	}
-	out := DFAStats{
+	return DFAStats{
 		Enabled:         true,
 		CacheID:         st.ID,
 		States:          st.States,
+		Layers:          st.Layers,
 		Budget:          st.Budget,
 		Hits:            st.Hits,
 		Misses:          st.Misses,
 		Evictions:       st.Evictions,
 		Flushes:         st.Flushes,
 		Fallbacks:       st.Fallbacks,
-		SkippedRunes:    st.SkippedRunes,
 		PrefilterChecks: st.PrefilterChecks,
 		PrefilterPrunes: st.PrefilterPrunes,
 	}
-	// The constrained per-mask family shares the program; its caches
-	// fold into the aggregate fields.
-	for _, cs := range s.engine.AllDFAStats() {
-		if cs.Blocked != 0 {
-			out.ConstrainedCaches++
-			out.ConstrainedStates += cs.States
-			out.ConstrainedSegments += cs.ConstrainedSegments
-		}
-	}
-	return out
 }
 
 // Functional reports whether the expression is functional in the

@@ -44,15 +44,11 @@ type dfaReport struct {
 // dfaPair compiles one automaton twice: a DFA-enabled engine and a
 // plain bitset-stepping twin (each with its own program, so the
 // shared transition cache cannot leak across sides).
-func dfaPair(expr string, forceFPT bool) (*eval.Engine, *eval.Engine) {
+func dfaPair(expr string) (*eval.Engine, *eval.Engine) {
 	n := rgx.MustParse(expr)
 	withDFA := eval.NewEngine(va.FromRGX(n))
 	bitset := eval.NewEngine(va.FromRGX(n))
 	bitset.ForceNoDFA()
-	if forceFPT {
-		withDFA.ForceFPT()
-		bitset.ForceFPT()
-	}
 	if !withDFA.Compiled() || !withDFA.DFAEnabled() {
 		panic(fmt.Sprintf("dfa benchmark: %q did not compile to a DFA-backed program", expr))
 	}
@@ -88,20 +84,21 @@ func runDFABench(quick bool, jsonPath string) dfaReport {
 		rows = 256
 	}
 	sellerExpr := `.*(Seller: x{[^,\n]*}, ID\d*(, \$y{[^\n]*}|)\n).*`
-	dEng, bEng := dfaPair(sellerExpr, false)
+	dEng, bEng := dfaPair(sellerExpr)
 	regDoc := spanners.NewDocument(workload.LandRegistry(workload.LandRegistryOptions{Rows: rows, TaxProb: 0.5, Seed: 11}))
 	headToHead(fmt.Sprintf("match/letter-heavy |d|=%d", regDoc.Len()),
 		func() int { boolToInt(dEng.NonEmpty(regDoc)); return 0 },
 		func() int { boolToInt(bEng.NonEmpty(regDoc)); return 0 })
 
-	// Anchored literal prefix over a batch of log lines: the
-	// required-literal prefilter rejects the lines without it, and one
-	// reverse sweep decides each of the rest.
+	// Anchored literal prefix over a batch of log lines: one reverse
+	// sweep decides each line, carrying the [^\n]* loop back to the
+	// line start, where only a line that opens with "ERROR: " reaches
+	// the start state.
 	lines := 512
 	if quick {
 		lines = 64
 	}
-	dAnch, bAnch := dfaPair(`ERROR: x{[^\n]*}`, false)
+	dAnch, bAnch := dfaPair(`ERROR: x{[^\n]*}`)
 	logDocs := make([]*spanners.Document, lines)
 	for i := range logDocs {
 		line := fmt.Sprintf("INFO: request %d served", i)
@@ -151,31 +148,10 @@ func runDFABench(quick bool, jsonPath string) dfaReport {
 
 	// Counting DP over the same sweeps.
 	countDoc := spanners.NewDocument(strings.Repeat("a", 1200))
-	dCnt, bCnt := dfaPair(`.*x{a+}.*`, false)
+	dCnt, bCnt := dfaPair(`.*x{a+}.*`)
 	headToHead("count/sequential |d|=1200",
 		func() int { return dCnt.Count(countDoc) },
 		func() int { return bCnt.Count(countDoc) })
-
-	// Sparse matching: a needle-in-haystack document that never
-	// contains "Seller: ". The prefilter rung answers from one
-	// substring scan; the twin with ForceNoPrefilter runs the DFA's
-	// reverse sweep over the whole document, so the speedup is exactly
-	// what the literal rung buys over the DFA alone.
-	sparseLines := 4096
-	if quick {
-		sparseLines = 512
-	}
-	var sparse strings.Builder
-	for i := 0; i < sparseLines; i++ {
-		fmt.Fprintf(&sparse, "lot %d auctioned to bidder %d\n", i, i)
-	}
-	sparseDoc := spanners.NewDocument(sparse.String())
-	dSparse, _ := dfaPair(sellerExpr, false)
-	pSparse, _ := dfaPair(sellerExpr, false)
-	pSparse.ForceNoPrefilter()
-	headToHead(fmt.Sprintf("match/sparse-prefilter |d|=%d", sparseDoc.Len()),
-		func() int { boolToInt(dSparse.NonEmpty(sparseDoc)); return 0 },
-		func() int { boolToInt(pSparse.NonEmpty(sparseDoc)); return 0 })
 
 	// Constrained eval: model-checking a pinned span on a long
 	// document. Both sides run the enumeration walk with a choice
@@ -188,7 +164,7 @@ func runDFABench(quick bool, jsonPath string) dfaReport {
 	}
 	consPad := strings.Repeat("a", consFill)
 	consDoc := spanners.NewDocument(consPad + "bbbb" + consPad)
-	dCons, bCons := dfaPair(`a*x{b+}a*`, false)
+	dCons, bCons := dfaPair(`a*x{b+}a*`)
 	consMu := span.Extended{"x": {Span: span.Sp(consFill+1, consFill+5)}}
 	headToHead(fmt.Sprintf("eval/constrained |d|=%d", consDoc.Len()),
 		func() int { boolToInt(dCons.Eval(consDoc, consMu)); return 0 },
@@ -196,24 +172,10 @@ func runDFABench(quick bool, jsonPath string) dfaReport {
 
 	// Time to first streamed result: the service latency axis.
 	streamDoc := spanners.NewDocument(strings.Repeat("a", 200))
-	dStr, bStr := dfaPair(`a*x{a*}a*`, false)
+	dStr, bStr := dfaPair(`a*x{a*}a*`)
 	headToHead("stream/first-result |d|=200",
 		func() int { dStr.Enumerate(streamDoc, func(spanners.Mapping) bool { return false }); return 1 },
 		func() int { bStr.Enumerate(streamDoc, func(spanners.Mapping) bool { return false }); return 1 })
-
-	// FPT engine: status-grouped frontiers through the raw transition
-	// cache. The seller automaton is forced onto the FPT engine so the
-	// state sets per status group are large enough for memoized steps
-	// to beat per-config successor ORs.
-	fptRows := 48
-	if quick {
-		fptRows = 12
-	}
-	fptDoc := spanners.NewDocument(workload.LandRegistry(workload.LandRegistryOptions{Rows: fptRows, TaxProb: 0.5, Seed: 13}))
-	dFpt, bFpt := dfaPair(sellerExpr, true)
-	headToHead(fmt.Sprintf("eval/fpt-forced |d|=%d", fptDoc.Len()),
-		func() int { boolToInt(dFpt.NonEmpty(fptDoc)); return 0 },
-		func() int { boolToInt(bFpt.NonEmpty(fptDoc)); return 0 })
 
 	fmt.Println()
 	fmt.Println("== service path (DFA engines, full cache + worker pool)")

@@ -64,10 +64,9 @@ func scenarioKey(name string) string {
 // record: a run whose speedup falls below its floor fails even if
 // the baseline also fell.
 var dfaSpeedupFloors = map[string]float64{
-	"match/sparse-prefilter": 5.0,
-	"enumerate/sequential":   1.5,
-	"eval/constrained":       1.3,
-	"count/sequential":       1.0,
+	"enumerate/sequential": 1.5,
+	"eval/constrained":     1.3,
+	"count/sequential":     1.0,
 }
 
 // incSpeedupFloors pin the incremental section's headline claim: a

@@ -27,9 +27,6 @@ import (
 // mu, at most two per variable, and uint64 masks tell in one AND
 // whether a boundary choice fires what they demand there.
 func (e *Engine) evalSeqProg(d *span.Document, mu span.Extended) bool {
-	if e.prefilterRejects(d) {
-		return false // a required literal is missing: no run accepts
-	}
 	p := e.prog
 	var obl []obligation
 	var blocked uint64
@@ -124,13 +121,8 @@ func pstatus(st uint64, v int) uint64 { return (st >> (2 * uint(v))) & 3 }
 // variable-operation edges: the boundary closure expands per-config
 // exclusively from states with op edges (the bulk of a letter-heavy
 // frontier never enters the worklist), and the letter step advances
-// each group's bitset wholesale, through the DFA's raw memoized
-// transitions when the cache is enabled and the group is big enough
-// to amortize the lookup.
+// each group's bitset wholesale.
 func (e *Engine) evalFPTProg(d *span.Document, mu span.Extended) bool {
-	if e.prefilterRejects(d) {
-		return false
-	}
 	p := e.prog
 	n := d.Len()
 	k := len(p.Vars)
@@ -233,17 +225,6 @@ func (e *Engine) evalFPTProg(d *span.Document, mu span.Extended) bool {
 		return out
 	}
 
-	// The DFA pays for a group step once the group is big enough that
-	// one memoized lookup beats the direct successor ORs; a cache that
-	// starts thrashing its budget mid-document is abandoned for the
-	// rest of the run.
-	const dfaGroupMinStates = 4
-	useDFA := e.DFAEnabled()
-	var flush0 uint64
-	var scratch []byte
-	if useDFA {
-		flush0 = e.dfa.Flushes()
-	}
 	for pos := 1; pos <= n+1; pos++ {
 		frontier = closure(frontier, pos)
 		if len(frontier) == 0 {
@@ -256,23 +237,10 @@ func (e *Engine) evalFPTProg(d *span.Document, mu span.Extended) bool {
 		if c < 0 {
 			return false
 		}
-		if useDFA && e.dfa.Flushes()-flush0 > program.MaxFlushesPerSweep {
-			e.dfa.NoteFallback()
-			useDFA = false
-		}
 		next := make(map[uint64]program.Bits, len(frontier))
 		for st, g := range frontier {
-			var stepped program.Bits
-			if useDFA && g.Count() >= dfaGroupMinStates {
-				// Aliases an interned (read-only) frontier; closure
-				// never mutates input groups, so no clone is needed.
-				var s *program.DState
-				s, scratch = e.dfa.StateScratch(g, scratch)
-				stepped = e.dfa.Step(s, c, program.StepRaw).Frontier()
-			} else {
-				stepped = program.NewBits(p.NumStates)
-				p.LetterStep(g, c, stepped)
-			}
+			stepped := program.NewBits(p.NumStates)
+			p.LetterStep(g, c, stepped)
 			if stepped.Any() {
 				next[st] = stepped
 			}
@@ -422,9 +390,6 @@ func (a *emArena) bits(n int) program.Bits {
 // countProg is Count on the compiled program: the walk's multiplicity
 // sweep over the whole document.
 func (e *Engine) countProg(d *span.Document) int {
-	if e.prefilterRejects(d) {
-		return 0
-	}
 	return e.newSeqWalk(d, 1, d.Len()+1, nil).count(e.start)
 }
 
@@ -453,7 +418,7 @@ func (e *Engine) forwardReachProg(d *span.Document) []program.Bits {
 		} else if c := p.ClassOf(d.RuneAt(pos - 1)); c >= 0 {
 			p.LetterStep(out[pos-2], c, cur)
 		}
-		p.OpClosure(cur, 0)
+		p.OpClosure(cur)
 		out[pos-1] = cur
 	}
 	return out
@@ -500,7 +465,7 @@ func (e *Engine) candidateSpansProg(d *span.Document, fwd, bwd []program.Bits) m
 				frontier.Clear()
 				frontier.Set(int(oe.to))
 				for pp := pos; pp <= n+1; pp++ {
-					p.OpClosure(frontier, 0)
+					p.OpClosure(frontier)
 					for _, ce := range closes[id] {
 						if frontier.Has(int(ce.from)) && bwd[pp-1].Has(int(ce.to)) {
 							seen[span.Span{Start: pos, End: pp}] = true

@@ -73,10 +73,6 @@ type Engine struct {
 	// differential-oracle switch mirroring ForceInterpreted).
 	dfa   *program.DFA
 	nodfa bool
-
-	// noprefilter disables the required-literal prefilter — a
-	// differential-oracle switch mirroring ForceNoDFA.
-	noprefilter bool
 }
 
 // NewEngine wraps an automaton, detecting once whether the sequential
@@ -183,40 +179,6 @@ func (e *Engine) UseDFA(d *program.DFA) { e.dfa = d }
 
 // DFAEnabled reports whether evaluation consults the lazy-DFA cache.
 func (e *Engine) DFAEnabled() bool { return e.dfa != nil && !e.nodfa && e.Compiled() }
-
-// ForceNoPrefilter disables the required-literal prefilter; the lazy
-// DFA stays on. A differential-oracle switch for head-to-head
-// benchmarks and property tests.
-func (e *Engine) ForceNoPrefilter() { e.noprefilter = true }
-
-// Prefilter returns the engine's required-literal prefilter, nil
-// when the program has none (or the engine interprets).
-func (e *Engine) Prefilter() *program.Prefilter {
-	if e.prog == nil {
-		return nil
-	}
-	return e.prog.Prefilter()
-}
-
-// prefilterRejects reports whether the required-literal prefilter
-// proves the spanner's output on d empty: some mandatory literal is
-// absent, so no run accepts under any constraint. Counted on the
-// engine's DFA cache.
-func (e *Engine) prefilterRejects(d *span.Document) bool {
-	if !e.DFAEnabled() || e.noprefilter {
-		return false
-	}
-	pf := e.prog.Prefilter()
-	if pf == nil {
-		return false
-	}
-	e.dfa.NotePrefilterCheck()
-	if pf.AllPresent(d.Text()) {
-		return false
-	}
-	e.dfa.NotePrefilterPrune()
-	return true
-}
 
 // DFAStats returns the counters of the engine's DFA cache; ok is
 // false when the engine has none (interpreted fallback).

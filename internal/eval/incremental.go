@@ -297,7 +297,7 @@ func (s *IncState) stepForward(f0, f1, d0, d1 program.Bits, r rune) {
 			}
 		}
 	}
-	p.OpClosure(s.tmp, 0)
+	p.OpClosure(s.tmp)
 	c := p.ClassOf(r)
 	for j := range d0 {
 		d0[j], d1[j] = stepWord(p, f0, c, j, false), stepWord(p, s.tmp, c, j, false)

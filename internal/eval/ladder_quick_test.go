@@ -12,40 +12,36 @@ import (
 )
 
 // This file is the differential property suite for the DFA speed
-// ladder: literal prefilters, the boundary choices cached on DFA
-// states, and pinned Eval's filtered walk must all
-// be pure accelerations — identical mapping sets, counts, decisions
-// and Eval verdicts against the bitset path and the interpreted
-// oracle, on adversarial documents chosen to sit on the accelerators'
-// edges (literal at byte 0, literal straddling the jump window, empty
+// ladder: the lazy DFA's sweeps, the boundary choices cached on DFA
+// states, and pinned Eval's filtered walk must all be pure
+// accelerations — identical mapping sets, counts, decisions and Eval
+// verdicts against the bitset path and the interpreted oracle, on
+// adversarial documents chosen to sit on the accelerators' edges
+// (literal at byte 0, literal straddling a scan window, empty
 // matches, permanently flushing DFA budgets).
 
-// ladderEngines builds the prefilter knob matrix plus the two
-// reference paths for one automaton.
+// ladderEngines builds the DFA engine plus the two reference paths
+// for one automaton.
 func ladderEngines(a *va.VA) map[string]*Engine {
-	withAll := NewEngine(a)
-	nopref := NewEngine(a)
-	nopref.ForceNoPrefilter()
 	nodfa := NewEngine(a)
 	nodfa.ForceNoDFA()
 	interp := NewEngine(a)
 	interp.ForceInterpreted()
 	return map[string]*Engine{
-		"ladder":      withAll,
-		"noprefilter": nopref,
+		"dfa":         NewEngine(a),
 		"nodfa":       nodfa,
 		"interpreted": interp,
 	}
 }
 
-// prefilterCorpus places the required literal of
+// literalCorpus places the required literal of
 // `.*ERROR x{[^\n]*}\n.*` (and documents without it) at the
 // accelerator edges. jumpWindow is the 16 KiB scan window of the
 // stop-byte jumps the corpus was first written for; the straddle cases
 // keep its edges.
 const jumpWindow = 1 << 14
 
-func prefilterCorpus() []struct{ name, doc string } {
+func literalCorpus() []struct{ name, doc string } {
 	filler := func(n int) string { return strings.Repeat("steady state line\n", n/18+1)[:n] }
 	return []struct{ name, doc string }{
 		{"literal-at-byte-0", "ERROR disk full\nmore text\n"},
@@ -64,10 +60,7 @@ func prefilterCorpus() []struct{ name, doc string } {
 func TestDifferentialPrefilter(t *testing.T) {
 	a := va.FromRGX(rgx.MustParse(`.*ERROR x{[^\n]*}\n.*`))
 	engs := ladderEngines(a)
-	if engs["ladder"].Prefilter() == nil {
-		t.Fatalf("expected a required-literal prefilter for the ERROR spanner")
-	}
-	for _, tc := range prefilterCorpus() {
+	for _, tc := range literalCorpus() {
 		d := span.NewDocument(tc.doc)
 		want := engs["interpreted"].All(d)
 		wantMatch := engs["interpreted"].NonEmpty(d)
@@ -83,31 +76,20 @@ func TestDifferentialPrefilter(t *testing.T) {
 			}
 		}
 	}
-	st, ok := engs["ladder"].DFAStats()
-	if !ok || st.PrefilterChecks == 0 || st.PrefilterPrunes == 0 {
-		t.Fatalf("prefilter never checked/pruned: %+v", st)
-	}
-	if st2, _ := engs["noprefilter"].DFAStats(); st2.PrefilterChecks != 0 {
-		t.Fatalf("ForceNoPrefilter engine still checked the prefilter: %+v", st2)
-	}
 }
 
-// TestPrefilterEmptyMatchSpanner pins the soundness edge the
-// prefilter must never cross: a spanner with an accepting run that
-// reads no literal (here: the whole alternative is optional) must
-// derive no required literal at all.
+// TestPrefilterEmptyMatchSpanner: a spanner with an accepting run that
+// reads no literal (here: the whole alternative is optional) matches a
+// document without the literal.
 func TestPrefilterEmptyMatchSpanner(t *testing.T) {
 	for _, tc := range []struct{ expr, doc string }{
 		{`(ERROR x{[^\n]*}\n|)`, ""},
 		{`.*(ERROR |)x{a*}.*`, "no trigger here"},
 	} {
-		e := NewEngine(va.FromRGX(rgx.MustParse(tc.expr)))
-		if pf := e.Prefilter(); pf != nil {
-			t.Fatalf("%q: literal %q wrongly marked required (an empty match avoids it)",
-				tc.expr, pf.Literals())
-		}
-		if !e.NonEmpty(span.NewDocument(tc.doc)) {
-			t.Fatalf("%q must match %q via the empty alternative", tc.expr, tc.doc)
+		for name, e := range ladderEngines(va.FromRGX(rgx.MustParse(tc.expr))) {
+			if !e.NonEmpty(span.NewDocument(tc.doc)) {
+				t.Fatalf("%s: %q must match %q via the empty alternative", name, tc.expr, tc.doc)
+			}
 		}
 	}
 }

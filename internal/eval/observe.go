@@ -65,8 +65,6 @@ func (e *Engine) EnumerateTuples(d *span.Document, o *obs.StageObserver, yield f
 		clk.mark(obs.StageCoReachSweep)
 		e.enumerateSequential(d, bwd, e.viaTuple(yield))
 		clk.mark(obs.StageEnumerate)
-	case e.prefilterRejects(d):
-		clk.mark(obs.StageCoReachSweep)
 	default:
 		w := e.newSeqWalk(d, 1, d.Len()+1, nil)
 		clk.mark(obs.StageCoReachSweep)

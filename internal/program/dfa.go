@@ -74,8 +74,8 @@ var DefaultDFABudget = 4096
 
 // MaxFlushesPerSweep is how many cache flushes a single document
 // sweep tolerates before abandoning the DFA for that document and
-// falling back to direct bitset stepping. Engine-side sweeps (the FPT
-// letter steps) apply the same policy.
+// falling back to direct bitset stepping. Engine-side sweeps (the
+// NonEmpty windows and the enumeration walk) apply the same policy.
 const MaxFlushesPerSweep = 4
 
 // FlushCheckInterval is how many positions a sweep advances between
@@ -102,10 +102,6 @@ type DFAStats struct {
 	Evictions uint64 `json:"evictions"`
 	Flushes   uint64 `json:"flushes"`
 	Fallbacks uint64 `json:"fallbacks"`
-	// Prefilter counters: required-literal absence checks performed
-	// and the documents they rejected outright.
-	PrefilterChecks uint64 `json:"prefilter_checks"`
-	PrefilterPrunes uint64 `json:"prefilter_prunes"`
 }
 
 // dfaIDs hands out process-unique cache identities.
@@ -215,13 +211,11 @@ type DFA struct {
 	dead  atomic.Pointer[DState]
 	final atomic.Pointer[DState]
 
-	hits       atomic.Uint64
-	misses     atomic.Uint64
-	evictions  atomic.Uint64
-	flushes    atomic.Uint64
-	fallbacks  atomic.Uint64
-	prefChecks atomic.Uint64
-	prefPrunes atomic.Uint64
+	hits      atomic.Uint64
+	misses    atomic.Uint64
+	evictions atomic.Uint64
+	flushes   atomic.Uint64
+	fallbacks atomic.Uint64
 }
 
 // DFA returns the program's shared lazy-DFA cache, creating it with
@@ -259,7 +253,7 @@ func (d *DFA) seedLocked() {
 	d.dead.Store(d.internLocked(NewBits(d.p.NumStates)))
 	startFrontier := NewBits(d.p.NumStates)
 	startFrontier.Set(d.p.Start)
-	d.p.OpClosure(startFrontier, 0)
+	d.p.OpClosure(startFrontier)
 	d.start.Store(d.internLocked(startFrontier))
 	final := d.p.Final.Clone()
 	d.p.ROpClosure(final)
@@ -272,26 +266,17 @@ func (d *DFA) Stats() DFAStats {
 	states, layers := len(d.states), len(d.layers)
 	d.mu.Unlock()
 	return DFAStats{
-		ID:              d.id,
-		States:          states,
-		Layers:          layers,
-		Budget:          d.budget,
-		Hits:            d.hits.Load(),
-		Misses:          d.misses.Load(),
-		Evictions:       d.evictions.Load(),
-		Flushes:         d.flushes.Load(),
-		Fallbacks:       d.fallbacks.Load(),
-		PrefilterChecks: d.prefChecks.Load(),
-		PrefilterPrunes: d.prefPrunes.Load(),
+		ID:        d.id,
+		States:    states,
+		Layers:    layers,
+		Budget:    d.budget,
+		Hits:      d.hits.Load(),
+		Misses:    d.misses.Load(),
+		Evictions: d.evictions.Load(),
+		Flushes:   d.flushes.Load(),
+		Fallbacks: d.fallbacks.Load(),
 	}
 }
-
-// NotePrefilterCheck counts one required-literal absence scan.
-func (d *DFA) NotePrefilterCheck() { d.prefChecks.Add(1) }
-
-// NotePrefilterPrune counts one document rejected outright by the
-// required-literal prefilter.
-func (d *DFA) NotePrefilterPrune() { d.prefPrunes.Add(1) }
 
 // Start returns the forward start state: the op-closure of the
 // program's start state (of the current cache generation).
@@ -314,9 +299,8 @@ func (d *DFA) State(frontier Bits) *DState {
 
 // StateScratch is State with a reusable key buffer: resident
 // frontiers resolve through a read-locked, allocation-free lookup,
-// which is what makes per-position interning (the FPT letter step)
-// cheaper than recomputing the transition. The grown scratch buffer
-// is returned for the next call.
+// which keeps the walk's interning of settled frontiers and co-reach
+// seeds cheap. The grown scratch buffer is returned for the next call.
 func (d *DFA) StateScratch(frontier Bits, scratch []byte) (*DState, []byte) {
 	scratch = frontier.AppendKey(scratch[:0])
 	d.mu.RLock()
@@ -370,23 +354,12 @@ func (d *DFA) flushLocked() {
 	d.seedLocked()
 }
 
-// Step returns the memoized transition of s on class c under kind,
-// computing and interning it on a miss. c must be a valid class
-// (0 ≤ c < NumClasses).
-func (d *DFA) Step(s *DState, c int, kind StepKind) *DState {
-	idx := int(kind)*d.p.NumClasses + c
-	if ns := s.next[idx].Load(); ns != nil {
-		d.hits.Add(1)
-		return ns
-	}
-	d.misses.Add(1)
-	return d.stepSlow(s, c, kind)
-}
-
-// StepBatched is Step for a sweep that batches its own counter
+// StepBatched returns the memoized transition of s on class c under
+// kind, computing and interning it on a miss. c must be a valid class
+// (0 ≤ c < NumClasses). The sweep calling it batches its own counter
 // traffic: a memoized transition touches no shared counter and reports
 // hit, and the caller adds its hits once through NoteHits. A miss is
-// counted as in Step.
+// counted here.
 func (d *DFA) StepBatched(s *DState, c int, kind StepKind) (ns *DState, hit bool) {
 	if ns = s.next[int(kind)*d.p.NumClasses+c].Load(); ns != nil {
 		return ns, true
@@ -406,7 +379,7 @@ func (d *DFA) stepSlow(s *DState, c int, kind StepKind) *DState {
 	switch kind {
 	case StepForward:
 		d.p.LetterStep(s.frontier, c, next)
-		d.p.OpClosure(next, 0)
+		d.p.OpClosure(next)
 	case StepReverse:
 		d.p.LetterStepBack(s.frontier, c, next)
 		d.p.ROpClosure(next)

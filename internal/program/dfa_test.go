@@ -21,7 +21,7 @@ func matchDirect(p *Program, d *span.Document) bool {
 	cur.Set(p.Start)
 	n := d.Len()
 	for pos := 1; pos <= n+1; pos++ {
-		p.OpClosure(cur, 0)
+		p.OpClosure(cur)
 		if pos == n+1 {
 			break
 		}
@@ -137,7 +137,7 @@ func TestDFAFrontierSweepsAgreeWithDirect(t *testing.T) {
 		cur := NewBits(p.NumStates)
 		cur.Set(p.Start)
 		for pos := 1; pos <= n+1; pos++ {
-			p.OpClosure(cur, 0)
+			p.OpClosure(cur)
 			if fwd[pos].Key() != cur.Key() {
 				t.Fatalf("%q: forward frontier at %d diverges", expr, pos)
 			}

@@ -18,7 +18,7 @@ func TestLayerConcurrentFill(t *testing.T) {
 	d := p.DFA()
 	start, final := d.Start(), d.final.Load()
 	a := p.ClassOf('a')
-	loop := d.Step(start, a, StepRaw) // .* reads the a back into itself
+	loop := rawStep(d, start, a) // .* reads the a back into itself
 	const goroutines = 4
 	layers := make([][2]*Layer, goroutines)
 	stops := make([][]*Stop, goroutines)
@@ -78,7 +78,7 @@ func TestLayersCountTowardBudget(t *testing.T) {
 	d := NewDFA(p, 5)
 	start := d.Start()
 	a, b := p.ClassOf('a'), p.ClassOf('S')
-	sa, sb := d.Step(start, a, StepRaw), d.Step(start, b, StepRaw)
+	sa, sb := rawStep(d, start, a), rawStep(d, start, b)
 	if st := d.Stats(); st.States != 5 || st.Flushes != 0 {
 		t.Fatalf("%d states, %d flushes after two steps, want 5 and 0", st.States, st.Flushes)
 	}
@@ -93,8 +93,8 @@ func TestLayersCountTowardBudget(t *testing.T) {
 	if st := d.Stats(); st.Flushes != 1 || l2 == l1 {
 		t.Fatalf("%d flushes after a second layer within the budget, want 1", st.Flushes)
 	}
-	d.Step(start, p.ClassOf('z'), StepRaw)
-	d.Step(start, p.ClassOf(','), StepRaw)
+	rawStep(d, start, p.ClassOf('z'))
+	rawStep(d, start, p.ClassOf(','))
 	if again, _ := d.Layer([]*DState{start, sa}, false, nil); again == l1 {
 		t.Fatal("the layer survived the flush its states' budget forced")
 	}
@@ -103,7 +103,7 @@ func TestLayersCountTowardBudget(t *testing.T) {
 	// counts within it, and the flush the next state forces drops both.
 	d = NewDFA(p, 8)
 	start = d.Start()
-	sa, sb = d.Step(start, a, StepRaw), d.Step(start, b, StepRaw)
+	sa, sb = rawStep(d, start, a), rawStep(d, start, b)
 	for _, s := range []*DState{start, sa, sb} {
 		d.Layer([]*DState{s}, false, nil)
 	}
@@ -112,7 +112,7 @@ func TestLayersCountTowardBudget(t *testing.T) {
 		t.Fatalf("%d states and %d layers after %d flushes, want 3 layers within the budget of %d and no flush",
 			full.States, full.Layers, full.Flushes, full.Budget)
 	}
-	d.Step(sb, p.ClassOf('e'), StepRaw) // "Se": a state not yet interned
+	rawStep(d, sb, p.ClassOf('e')) // "Se": a state not yet interned
 	if st := d.Stats(); st.Flushes != 1 || st.States >= full.States || st.Layers >= full.Layers {
 		t.Fatalf("%d states and %d layers after %d flushes, had %d and %d before the flush",
 			st.States, st.Layers, st.Flushes, full.States, full.Layers)
@@ -152,4 +152,10 @@ func TestLayerConcurrentGlideRemaps(t *testing.T) {
 			t.Fatalf("round %d: the callers got steps %v, want one published step for both", round, got)
 		}
 	}
+}
+
+// rawStep is the memoized StepRaw transition of s on class c.
+func rawStep(d *DFA, s *DState, c int) *DState {
+	ns, _ := d.StepBatched(s, c, StepRaw)
+	return ns
 }

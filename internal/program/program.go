@@ -127,10 +127,6 @@ type Program struct {
 	fpOnce  sync.Once
 	fp      uint64
 
-	// Required-literal prefilter (prefilter.go), lazy.
-	prefOnce sync.Once
-	pref     *Prefilter
-
 	stats Stats
 }
 
@@ -382,12 +378,12 @@ func Compile(a *va.VA) (*Program, error) {
 	return p, nil
 }
 
-// OpClosure saturates the frontier in place under every op edge whose
-// mask avoids blocked: the compiled form of "treat operations of
-// unconstrained variables as ε" at a boundary with no obligations.
+// OpClosure saturates the frontier in place under every op edge: the
+// compiled form of "treat operations of unconstrained variables as ε"
+// at a boundary with no obligations.
 // Only states with outgoing op edges enter the worklist, and the call
 // returns without allocating when the frontier has none.
-func (p *Program) OpClosure(cur Bits, blocked uint64) {
+func (p *Program) OpClosure(cur Bits) {
 	if !cur.Intersects(p.HasOps) {
 		return
 	}
@@ -401,7 +397,7 @@ func (p *Program) OpClosure(cur Bits, blocked uint64) {
 		q := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, e := range p.OpsFrom(int(q)) {
-			if e.Mask&blocked != 0 || cur.Has(int(e.To)) {
+			if cur.Has(int(e.To)) {
 				continue
 			}
 			cur.Set(int(e.To))

@@ -150,26 +150,6 @@ func TestCompileRejectsTooManyVars(t *testing.T) {
 	}
 }
 
-// TestOpClosureBlocked: blocked masks stop saturation exactly at the
-// blocked operation.
-func TestOpClosureBlocked(t *testing.T) {
-	p := compileExpr(t, `x{a}`) // open x · a · close x
-	id, ok := p.VarID("x")
-	if !ok {
-		t.Fatal("missing var x")
-	}
-	free := NewBits(p.NumStates)
-	free.Set(p.Start)
-	p.OpClosure(free, 0)
-	blockedSet := NewBits(p.NumStates)
-	blockedSet.Set(p.Start)
-	p.OpClosure(blockedSet, OpenBit(id)|CloseBit(id))
-	if free.Count() <= blockedSet.Count() {
-		t.Fatalf("blocking x did not shrink the closure: free=%d blocked=%d",
-			free.Count(), blockedSet.Count())
-	}
-}
-
 // TestBitsBasics exercises the bitset helpers the engines rely on.
 func TestBitsBasics(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

@@ -110,14 +110,6 @@ func newObservability(svc *Service, traceRetention int) *Observability {
 				{Labels: []string{obs.L("outcome", "miss")}, Value: float64(st.Misses)},
 			}
 		})
-	r.RegisterCounterFunc("spand_dfa_prefilter_checks_total",
-		"Required-literal prefilter scans by outcome (pruned documents did no automaton work).", func() []obs.Sample {
-			st := svc.dfaStats()
-			return []obs.Sample{
-				{Labels: []string{obs.L("outcome", "pruned")}, Value: float64(st.PrefilterPrunes)},
-				{Labels: []string{obs.L("outcome", "passed")}, Value: float64(st.PrefilterChecks - st.PrefilterPrunes)},
-			}
-		})
 	r.RegisterGaugeFunc("spand_docstore_bytes",
 		"Bytes held by the document store (documents, journals, attached sessions).", func() []obs.Sample {
 			return []obs.Sample{{Value: float64(svc.docs.Stats().Bytes)}}

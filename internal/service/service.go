@@ -214,9 +214,6 @@ type DFAStats struct {
 	Evictions uint64 `json:"evictions"`
 	Flushes   uint64 `json:"flushes"`
 	Fallbacks uint64 `json:"fallbacks"`
-	// Required-literal prefilter checks and the documents they pruned.
-	PrefilterChecks uint64 `json:"prefilter_checks"`
-	PrefilterPrunes uint64 `json:"prefilter_prunes"`
 	// Truncated reports that the observability index hit its cap and
 	// the sums above are a lower bound.
 	Truncated bool `json:"truncated,omitempty"`
@@ -248,8 +245,6 @@ func (s *Service) dfaStats() DFAStats {
 		out.Evictions += st.Evictions
 		out.Flushes += st.Flushes
 		out.Fallbacks += st.Fallbacks
-		out.PrefilterChecks += st.PrefilterChecks
-		out.PrefilterPrunes += st.PrefilterPrunes
 	}
 	return out
 }

@@ -164,11 +164,6 @@ done
 expiries=$(awk '/^spand_deadline_expiries_total/ {print $2}' "$prom")
 [ "$expiries" = "2" ] || die "spand_deadline_expiries_total=$expiries, want 2"
 
-# The DFA speed-ladder family (the prefilter) must be exposed.
-for fam in spand_dfa_prefilter_checks_total; do
-  grep -q "^# HELP $fam " "$prom" || die "speed-ladder family $fam missing"
-done
-
 # The algebra planner contract: the composition histogram saw the
 # difference operator, and the per-rule rewrite counters expose every
 # rule label from startup with the pushdown query ticking its rule.

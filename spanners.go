@@ -222,10 +222,10 @@ type DFAStats struct {
 	Evictions uint64 `json:"evictions"`
 	Flushes   uint64 `json:"flushes"`
 	Fallbacks uint64 `json:"fallbacks"`
-	// PrefilterChecks counts required-literal absence scans and
-	// PrefilterPrunes the documents those scans rejected outright
-	// (no DFA or bitset work at all).
-	PrefilterChecks uint64 `json:"prefilter_checks"`
+	// PrefilterPrunes is always 0.
+	//
+	// Deprecated: evaluation has no required-literal prefilter; every
+	// document is decided by the automaton's sweeps.
 	PrefilterPrunes uint64 `json:"prefilter_prunes"`
 }
 
@@ -257,18 +257,16 @@ func (s *Spanner) DFAStats() DFAStats {
 		return DFAStats{}
 	}
 	return DFAStats{
-		Enabled:         true,
-		CacheID:         st.ID,
-		States:          st.States,
-		Layers:          st.Layers,
-		Budget:          st.Budget,
-		Hits:            st.Hits,
-		Misses:          st.Misses,
-		Evictions:       st.Evictions,
-		Flushes:         st.Flushes,
-		Fallbacks:       st.Fallbacks,
-		PrefilterChecks: st.PrefilterChecks,
-		PrefilterPrunes: st.PrefilterPrunes,
+		Enabled:   true,
+		CacheID:   st.ID,
+		States:    st.States,
+		Layers:    st.Layers,
+		Budget:    st.Budget,
+		Hits:      st.Hits,
+		Misses:    st.Misses,
+		Evictions: st.Evictions,
+		Flushes:   st.Flushes,
+		Fallbacks: st.Fallbacks,
 	}
 }
 
